@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver-tol",
         type=float,
         default=None,
-        help="diagnostic: override the Newton residual tolerance",
+        help="diagnostic: override the solver tolerance, relative to (mu*p_n)^2",
     )
     p.set_defaults(func=_cmd_compare)
 

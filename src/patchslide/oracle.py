@@ -1,13 +1,13 @@
 """Slow, independent reference solver for the per-step contact problem,
 plus direct optimality checks on candidate solutions.
 
-The reference path shares no solve code with the Newton solver: it
-iterates a fixed point in end-of-step velocity space and, when that
-stalls, falls back to an exhaustive grid search over the friction
-impulse box followed by a bracketed search along the slip-speed-
-parameterized solution curve.  The Newton solver's residual function is
-reused only to *report* residual norms, which keeps the two solution
-methods disjoint.
+The reference path shares no solve code with the production solver,
+which walks the slip-speed-parameterized solution curve: it iterates a
+fixed point in end-of-step velocity space and, when that stalls, falls
+back to an exhaustive grid search over the friction impulse box followed
+by damped Newton iteration on all four equations.  The solver module's
+residual and Jacobian are reused only to evaluate the system, which
+keeps the two solution methods disjoint.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ContactImpulse, StepInputs
 from .errors import OracleFailure
-from .solver import residual
+from .solver import jacobian, residual
 
 __all__ = ["KktReport", "oracle_solve_step", "verify_kkt"]
 
@@ -30,6 +30,7 @@ _MAX_ITERS = 50_000
 _STALL_ITERS = 300
 _RELAX = 0.5
 _GRID_RESOLUTION = 1e-8
+_NEWTON_ITERS = 100
 
 
 def _rnorm(z: tuple[float, float, float, float], inp: StepInputs) -> float:
@@ -42,10 +43,11 @@ def oracle_solve_step(inp: StepInputs) -> ContactImpulse:
     From a velocity iterate, impulses follow from the maximum-dissipation
     closed form at the implied contact point offset; velocities are then
     recomputed from those impulses and relaxed.  On a stall the fallback
-    runs the impulse-box grid search and then the slip-speed curve
-    refinement, keeping the best candidate.  A rest-reachable step
-    (stopping impulse inside the friction ellipsoid) returns the stopping
-    impulse with zero slip speed, mirroring the fast solver's convention.
+    runs the impulse-box grid search and then four-equation Newton
+    refinement from the best candidate so far, keeping the best.  A
+    rest-reachable step (stopping impulse inside the friction ellipsoid)
+    returns the stopping impulse with zero slip speed, mirroring the fast
+    solver's convention.
     Deterministic throughout.  Raises OracleFailure when no stage reaches
     the residual floor.
     """
@@ -107,7 +109,7 @@ def oracle_solve_step(inp: StepInputs) -> ContactImpulse:
         if best is None or rn < best_rn:
             best, best_rn = z, rn
     if best_rn > _TARGET_REL * scale:
-        z, rn = _curve_refine(inp)
+        z, rn = _newton_refine(best, inp, _TARGET_REL * scale)
         if rn < best_rn:
             best, best_rn = z, rn
     if best_rn > _FLOOR_REL * scale:
@@ -168,80 +170,61 @@ def _grid_search(inp: StepInputs) -> tuple[tuple[float, float, float, float], fl
         n = 16
 
 
-def _curve_refine(inp: StepInputs) -> tuple[tuple[float, float, float, float], float]:
-    """Precision stage of the fallback: search along the slip-speed-
-    parameterized solution curve of the three tangential equations.
+def _perturbations(z0: tuple[float, float, float, float]):
+    # deterministic restarts: 10% scalings, per-component and full sign
+    # flips, and slip-speed rescalings
+    p_t, p_o, p_r, s = z0
+    s = abs(s) if s != 0.0 else 1.0
+    yield (1.1 * p_t, 1.1 * p_o, 1.1 * p_r, s)
+    yield (0.9 * p_t, 0.9 * p_o, 0.9 * p_r, s)
+    yield (-p_t, p_o, p_r, s)
+    yield (p_t, -p_o, p_r, s)
+    yield (p_t, p_o, -p_r, s)
+    yield (-p_t, -p_o, -p_r, s)
+    yield (p_t, p_o, p_r, 2.0 * s)
+    yield (p_t, p_o, p_r, 0.5 * s)
 
-    For fixed sigma the rotational equation is linear in p_r and the two
-    translational equations are a 2x2 linear system in (p_t, p_o) whose
-    determinant is strictly positive, so the curve is exact and globally
-    defined.  The remaining scalar equation (the ellipsoid constraint)
-    is negative at sigma = 0 whenever the step cannot rest and tends to
-    +(mu*p_n)^2 as sigma grows, so a sign change always exists; a dense
-    scan plus bisection resolves it to roundoff.  Grid search over the
-    impulse box cannot do this: the slip-speed fit flattens the residual
-    along exactly this curve, stalling box refinement well above the
-    floor."""
-    p = inp.params
-    f = inp.friction
-    s = inp.state
-    a = inp.applied
-    m, I_z, q_z = p.m, p.I_z, p.q_z
-    mu, e_t, e_o, e_r = f.mu, f.e_t, f.e_o, f.e_r
-    p_n = inp.p_n
-    alpha = mu * p_n * e_t ** 2
-    beta = mu * p_n * e_o ** 2
-    gamma = mu * p_n * e_r ** 2
-    W0 = s.w_z + a.p_ztau / I_z
 
-    def curve(sig):
-        # exact solution of the three tangential equations at slip speed sig
-        p_r = -gamma * W0 / (sig + gamma / I_z)
-        W = W0 + p_r / I_z
-        A11 = alpha / m + sig
-        A12 = alpha * q_z * W / p_n
-        A21 = -beta * q_z * W / p_n
-        A22 = beta / m + sig
-        det = A11 * A22 - A12 * A21
-        b1 = -alpha * (s.v_x + a.p_x / m + a.p_xtau * W / p_n)
-        b2 = -beta * (s.v_y + a.p_y / m + a.p_ytau * W / p_n)
-        p_t = (b1 * A22 - A12 * b2) / det
-        p_o = (A11 * b2 - A21 * b1) / det
-        gap = (mu * p_n) ** 2 - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
-        return gap, p_t, p_o, p_r
+def _newton(z0, inp: StepInputs, tol: float) -> tuple[tuple[float, float, float, float], float]:
+    """Damped Newton on all four equations with backtracking on ||F||^2.
+    Returns the last iterate and its residual norm."""
+    z = np.asarray(z0, dtype=float)
+    F = residual(tuple(z), inp)
+    for _ in range(_NEWTON_ITERS):
+        if float(np.max(np.abs(F))) <= tol:
+            break
+        try:
+            d = np.linalg.solve(jacobian(tuple(z), inp), -F)
+        except np.linalg.LinAlgError:
+            break
+        merit = float(F @ F)
+        lam = 1.0
+        z_try = z + d
+        F_try = residual(tuple(z_try), inp)
+        while float(F_try @ F_try) > (1.0 - 1e-4 * lam) * merit and lam > 1e-4:
+            lam *= 0.5
+            z_try = z + lam * d
+            F_try = residual(tuple(z_try), inp)
+        z, F = z_try, F_try
+    return tuple(float(c) for c in z), float(np.max(np.abs(F)))
 
-    hi = 4.0 * math.sqrt((e_t * s.v_x) ** 2 + (e_o * s.v_y) ** 2 + (e_r * s.w_z) ** 2) + 1.0
-    while curve(hi)[0] < 0.0:
-        hi *= 2.0
 
-    grid = np.linspace(0.0, hi, 200_001)
-    gaps = curve(grid)[0]
-    roots: list[float] = [float(grid[k]) for k in np.flatnonzero(gaps == 0.0)]
-    for k in np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0):
-        lo_s, hi_s = float(grid[k]), float(grid[k + 1])
-        g_lo = float(gaps[k])
-        for _ in range(100):
-            mid = 0.5 * (lo_s + hi_s)
-            g_mid = float(curve(mid)[0])
-            if g_mid == 0.0:
-                lo_s = hi_s = mid
-                break
-            if (g_mid < 0.0) == (g_lo < 0.0):
-                lo_s, g_lo = mid, g_mid
-            else:
-                hi_s = mid
-        roots.append(0.5 * (lo_s + hi_s))
-    # the scan minimum covers tangent (non-crossing) roots
-    roots.append(float(grid[int(np.argmin(np.abs(gaps)))]))
-
-    best_z = (0.0, 0.0, 0.0, 0.0)
-    best_rn = math.inf
-    for sig in roots:
-        _, p_t, p_o, p_r = curve(sig)
-        z = (float(p_t), float(p_o), float(p_r), float(sig))
-        rn = _rnorm(z, inp)
-        if rn < best_rn:
+def _newton_refine(
+    z0: tuple[float, float, float, float], inp: StepInputs, tol: float
+) -> tuple[tuple[float, float, float, float], float]:
+    """Precision stage of the fallback: damped Newton from the incumbent,
+    restarting from deterministic perturbations of it until a root with
+    sigma >= 0 reaches tol.  The grid search lands near a root but stalls
+    in the slip-speed valley well above the floor, sometimes in the basin
+    of a spurious negative-sigma root that a sign flip escapes.  Returns
+    the best point with sigma >= 0 and its residual norm."""
+    best_z, best_rn = z0, _rnorm(z0, inp)
+    for start in (z0, *_perturbations(z0)):
+        z, rn = _newton(start, inp, tol)
+        if z[3] >= 0.0 and rn < best_rn:
             best_z, best_rn = z, rn
+        if best_rn <= tol:
+            break
     return best_z, best_rn
 
 

@@ -86,6 +86,14 @@ class Scenario:
             raise ValidationError("duration must be nonnegative")
         if self.friction.e_r < MIN_E_R:
             raise ValidationError(f"e_r must be at least {MIN_E_R:g} m")
+        s = self.initial
+        if not all(map(math.isfinite, (s.q_x, s.q_y, s.theta_z, s.v_x, s.v_y, s.w_z, s.t))):
+            raise ValidationError("initial state must be finite")
+        # the solver squares the momentum in friction-ellipsoid units
+        p, f = self.params, self.friction
+        scaled = (p.m * s.v_x / f.e_t, p.m * s.v_y / f.e_o, p.I_z * s.w_z / f.e_r)
+        if not math.isfinite(sum(x * x for x in scaled)):
+            raise ValidationError("initial momentum is too large: its square overflows a double")
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:

@@ -4,8 +4,15 @@ One backward-Euler step couples the friction impulse (p_t, p_o, p_r) and
 the slip speed sigma through four quadratic equations: three stating that
 the impulse opposes the end-of-step slip velocity with maximum power
 dissipation, and one pinning the impulse to the friction ellipsoid
-boundary.  This module evaluates that system, its analytic Jacobian, and
-solves it by damped Newton iteration with deterministic multi-starts.
+boundary.  This module evaluates that system and its analytic Jacobian.
+
+It solves the system as one scalar equation in sigma.  For a fixed sigma
+the three tangential equations are linear in the impulse: p_r is explicit
+and (p_t, p_o) solve a 2x2 system whose determinant is strictly positive.
+Along that exact curve only the ellipsoid gap g(sigma) remains.  g(0) is
+negative exactly when friction cannot stop the slider within the step,
+and g tends to +(mu*p_n)^2 as sigma grows, so a root can always be
+bracketed and is found by safeguarded Newton iteration on g.
 """
 
 from __future__ import annotations
@@ -30,16 +37,29 @@ __all__ = [
     "solve_step_info",
 ]
 
+# the acceptance floor, in units in the last place of the residual's
+# largest summand: below it the residual is roundoff, not a better root
+_FLOOR_ULPS = 8.0
+# relative Newton correction below which sigma has settled to roundoff
+_SETTLED = 2.0 ** -40
+# grid points of the sign-change scan behind probe_second_root
+_PROBE_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton solve knobs.
+    """Solve knobs.
 
-    tol is the residual infinity-norm target, scaled internally by
-    max(1, (mu*p_n)^2).  sigma_min is the slip speed below which a
-    converged solution is flagged as rest.  probe_second_root makes the
-    solver keep trying the remaining starts after success and report
-    whether a distinct nonnegative-sigma root exists.
+    tol is the target for the residual infinity norm relative to
+    (mu*p_n)^2.  A residual within 8 ulps of the largest term of the four
+    equations, expanded as polynomials in the unknowns, is accepted as
+    well: that is the roundoff of evaluating them, so no double can do
+    better and the target stays attainable at any scale.
+    max_iter caps the scalar iterations (bracket expansions included).
+    sigma_min is the slip speed below which a converged solution is
+    flagged as rest.  probe_second_root makes the solver count sign
+    changes of the ellipsoid gap and report whether more than one root
+    with sigma >= 0 exists.
     """
 
     tol: float = 1e-12
@@ -50,9 +70,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Diagnostics for one solve: Newton iterations of the accepted
-    attempt, final residual norm, rest flag, number of starts used, and
-    whether a second distinct root with sigma >= 0 was detected."""
+    """Diagnostics for one solve: scalar iterations, final residual norm,
+    rest flag, number of starts used (1 for a sliding solve, 0 at rest),
+    and whether a second root with sigma >= 0 was detected."""
 
     iters: int
     residual_norm: float
@@ -75,18 +95,41 @@ def _unpack(inp: StepInputs) -> tuple[float, ...]:
     )
 
 
-def residual(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
-    """Four residuals of the per-step quadratic system at z = (p_t, p_o,
-    p_r, sigma).  Zero exactly at a sliding solution."""
+def _residuals(z, k) -> tuple[float, float, float, float]:
+    # the one formula of the four residuals, in plain floats, at z for the
+    # unpacked inputs k; residual() and the solve both evaluate it
     (m, I_z, q_z, mu, e_t, e_o, e_r,
-     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = _unpack(inp)
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     p_t, p_o, p_r, sigma = z
     W = w_z + (p_r + p_ztau) / I_z
     F1 = mu * p_n * e_t ** 2 * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sigma
     F2 = mu * p_n * e_o ** 2 * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sigma
     F3 = mu * p_n * e_r ** 2 * W + p_r * sigma
     F4 = (mu * p_n) ** 2 - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
-    return np.array([F1, F2, F3, F4])
+    return F1, F2, F3, F4
+
+
+def _largest_summand(z, k) -> float:
+    # magnitude of the largest monomial of the four residuals, expanded as
+    # polynomials in z; it sets the scale of the roundoff in _residuals
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    p_t, p_o, p_r, sigma = z
+    a = mu * p_n
+    W = max(abs(w_z), abs(p_r) / I_z, abs(p_ztau) / I_z)
+    return max(
+        a * e_t ** 2 * max(abs(v_x), abs(p_t) / m, abs(p_x) / m, max(abs(p_xtau), abs(p_o * q_z)) * W / p_n),
+        a * e_o ** 2 * max(abs(v_y), abs(p_o) / m, abs(p_y) / m, max(abs(p_ytau), abs(p_t * q_z)) * W / p_n),
+        a * e_r ** 2 * W,
+        abs(sigma) * max(abs(p_t), abs(p_o), abs(p_r)),
+        a * a, (p_r / e_r) ** 2, (p_t / e_t) ** 2, (p_o / e_o) ** 2,
+    )
+
+
+def residual(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
+    """Four residuals of the per-step quadratic system at z = (p_t, p_o,
+    p_r, sigma).  Zero exactly at a sliding solution."""
+    return np.array(_residuals(z, _unpack(inp)))
 
 
 def jacobian(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
@@ -161,62 +204,71 @@ def rest_reachable(inp: StepInputs) -> bool:
     return lhs <= (f.mu * inp.p_n) ** 2
 
 
-def _initial_guess(inp: StepInputs) -> tuple[float, float, float, float]:
-    # max-dissipation impulse at start-of-step velocities, ECP offsets
-    # zeroed; fall back to applied-adjusted velocities when starting at rest
+def _initial_sigma(inp: StepInputs) -> float:
+    # slip speed of the max-dissipation impulse at start-of-step velocities,
+    # ECP offsets zeroed; applied-adjusted velocities when starting at rest
     f = inp.friction
     s = inp.state
-    v = SlipVelocity(s.v_x, s.v_y, s.w_z)
-    sigma0 = math.sqrt((f.e_t * v.v_t) ** 2 + (f.e_o * v.v_o) ** 2 + (f.e_r * v.v_r) ** 2)
+    v_t, v_o, v_r = s.v_x, s.v_y, s.w_z
+    sigma0 = math.sqrt((f.e_t * v_t) ** 2 + (f.e_o * v_o) ** 2 + (f.e_r * v_r) ** 2)
     if sigma0 < 1e-12:
-        m = inp.params.m
-        I_z = inp.params.I_z
         a = inp.applied
-        v = SlipVelocity(s.v_x + a.p_x / m, s.v_y + a.p_y / m, s.w_z + a.p_ztau / I_z)
-    imp = max_dissipation_impulse(v, inp.p_n, f)
-    return (imp.p_t, imp.p_o, imp.p_r, imp.sigma)
+        v_t += a.p_x / inp.params.m
+        v_o += a.p_y / inp.params.m
+        v_r += a.p_ztau / inp.params.I_z
+        sigma0 = math.sqrt((f.e_t * v_t) ** 2 + (f.e_o * v_o) ** 2 + (f.e_r * v_r) ** 2)
+    return sigma0
 
 
-def _perturbations(z0: tuple[float, float, float, float]):
-    # deterministic restarts: 10% scalings, per-component and full sign
-    # flips, and slip-speed rescalings
-    p_t, p_o, p_r, s = z0
-    s = abs(s) if s != 0.0 else 1.0
-    yield (1.1 * p_t, 1.1 * p_o, 1.1 * p_r, s)
-    yield (0.9 * p_t, 0.9 * p_o, 0.9 * p_r, s)
-    yield (-p_t, p_o, p_r, s)
-    yield (p_t, -p_o, p_r, s)
-    yield (p_t, p_o, -p_r, s)
-    yield (-p_t, -p_o, -p_r, s)
-    yield (p_t, p_o, p_r, 2.0 * s)
-    yield (p_t, p_o, p_r, 0.5 * s)
+def _gap_curve(k):
+    """The exact solution curve of the three tangential equations.
 
+    Returns a function of sigma giving the point (p_t, p_o, p_r, sigma)
+    on the curve and the derivative of the ellipsoid gap along it."""
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    alpha = mu * p_n * e_t ** 2
+    beta = mu * p_n * e_o ** 2
+    gamma = mu * p_n * e_r ** 2
+    W0 = w_z + p_ztau / I_z
+    r_damp = gamma / I_z
+    a11 = alpha / m
+    a22 = beta / m
+    q_t = alpha * q_z / p_n
+    q_o = beta * q_z / p_n
+    c_t = -alpha * (v_x + p_x / m)
+    c_o = -beta * (v_y + p_y / m)
+    d_t = -alpha * p_xtau / p_n
+    d_o = -beta * p_ytau / p_n
+    w_t = 2.0 / e_t ** 2
+    w_o = 2.0 / e_o ** 2
+    w_r = 2.0 / e_r ** 2
 
-def _newton(z0, inp: StepInputs, tol: float, max_iter: int):
-    """Damped Newton with backtracking on ||F||^2.  Returns (z, iters,
-    residual_norm, converged).  Convergence is checked before the first
-    update, so an already-good guess is accepted with zero iterations."""
-    z = np.asarray(z0, dtype=float)
-    F = residual(tuple(z), inp)
-    for it in range(max_iter):
-        if float(np.max(np.abs(F))) <= tol:
-            return z, it, float(np.max(np.abs(F))), True
-        J = jacobian(tuple(z), inp)
-        try:
-            d = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return z, it, float(np.max(np.abs(F))), False
-        merit = float(F @ F)
-        lam = 1.0
-        z_try = z + d
-        F_try = residual(tuple(z_try), inp)
-        while float(F_try @ F_try) > (1.0 - 1e-4 * lam) * merit and lam > 1e-4:
-            lam *= 0.5
-            z_try = z + lam * d
-            F_try = residual(tuple(z_try), inp)
-        z, F = z_try, F_try
-    ok = float(np.max(np.abs(F))) <= tol
-    return z, max_iter, float(np.max(np.abs(F))), ok
+    def point(sig):
+        # rotational equation: gamma*W + p_r*sig = 0 with W affine in p_r
+        p_r = -gamma * W0 / (sig + r_damp)
+        dp_r = -p_r / (sig + r_damp)
+        W = w_z + (p_r + p_ztau) / I_z
+        dW = dp_r / I_z
+        # translational equations: A (p_t, p_o) = b, det A > 0
+        A11 = a11 + sig
+        A22 = a22 + sig
+        A12 = q_t * W
+        A21 = -q_o * W
+        det = A11 * A22 - A12 * A21
+        b1 = c_t + d_t * W
+        b2 = c_o + d_o * W
+        p_t = (b1 * A22 - A12 * b2) / det
+        p_o = (A11 * b2 - A21 * b1) / det
+        # differentiate A p = b in sig: A p' = b' - A' p
+        r1 = d_t * dW - p_t - q_t * dW * p_o
+        r2 = d_o * dW + q_o * dW * p_t - p_o
+        dp_t = (r1 * A22 - A12 * r2) / det
+        dp_o = (A11 * r2 - A21 * r1) / det
+        dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
+        return (p_t, p_o, p_r, sig), dgap
+
+    return point
 
 
 def solve_step_info(
@@ -229,58 +281,91 @@ def solve_step_info(
     If friction can absorb the entire momentum within the step, the step
     is a rest step: the returned impulse is the stopping impulse (strictly
     inside the ellipsoid), sigma is zero, and the rest flag is set.
-    Otherwise Newton iteration runs from the warm-start guess (or the
-    max-dissipation guess), restarting from deterministic perturbations
-    when it stalls or lands on a negative-sigma root.
+
+    Otherwise the solve walks the exact solution curve of the tangential
+    equations in sigma, from the warm start guess.sigma (or, without a
+    positive one, the slip speed of the max-dissipation impulse at the
+    start-of-step velocities).  It keeps a bracket [lo, hi] with the
+    ellipsoid gap negative at lo and positive at hi, starting from
+    [0, inf).  Until a positive gap is seen, each iteration moves right by
+    the Newton step or at most a doubling; after that it takes the Newton
+    step when it lands inside the bracket and shrinks fast enough, and
+    bisects otherwise.  Only guess.sigma is used from the guess.
+
+    Root-selection rule: the root returned is the one reached inside the
+    bracket that first contains the warm start.  When the gap has several
+    roots, a different warm start may select a different one.
+
+    The first point whose four-residual infinity norm meets the tolerance
+    (see SolverOptions) is accepted; NoConvergenceError is raised after
+    max_iter iterations.
     """
     opt = options or SolverOptions()
     f = inp.friction
-    scale = max(1.0, (f.mu * inp.p_n) ** 2)
-    tol = opt.tol * scale
 
     if rest_reachable(inp):
         p_t, p_o, p_r = stopping_impulse(inp)
         imp = ContactImpulse(p_t=p_t, p_o=p_o, p_r=p_r, sigma=0.0, p_n=inp.p_n)
         return imp, SolveInfo(iters=0, residual_norm=0.0, rest=True, starts=0)
 
-    if guess is not None:
-        z0 = (guess.p_t, guess.p_o, guess.p_r, guess.sigma)
+    mu_pn = f.mu * inp.p_n
+    mu_pn_sq = mu_pn ** 2
+    tol = opt.tol * mu_pn_sq
+    k = _unpack(inp)
+    point = _gap_curve(k)
+    sig = guess.sigma if guess is not None and guess.sigma > 0.0 else _initial_sigma(inp)
+    lo, hi = 0.0, math.inf
+    dx = dx_old = math.inf
+    for it in range(opt.max_iter + 1):
+        z, dgap = point(sig)
+        F1, F2, F3, gap = _residuals(z, k)
+        rn = max(abs(F1), abs(F2), abs(F3), abs(gap))
+        if rn <= tol:
+            break
+        # Newton on 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
+        # gap but is nearly linear in sigma: exactly so in pure translation
+        lhs = mu_pn_sq - gap
+        newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
+        # near a root the Newton correction is the error in sigma; the floor
+        # is worth computing only once that error is down to roundoff
+        if abs(newton - sig) <= _SETTLED * sig and rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
+            break
+        if gap < 0.0:
+            lo = sig
+        else:
+            hi = sig
+        if hi == math.inf:
+            # no positive gap seen yet: expand by at most doubling
+            nxt = newton if lo < newton < 2.0 * lo else 2.0 * lo
+        elif lo < newton < hi and abs(newton - sig) < 0.5 * dx_old:
+            nxt = newton
+        else:
+            nxt = 0.5 * (lo + hi)
+        dx_old, dx = dx, abs(nxt - sig)
+        sig = nxt
     else:
-        z0 = _initial_guess(inp)
-
-    starts = [z0, *_perturbations(z0)]
-    accepted = None
-    spurious = 0
-    for k, start in enumerate(starts):
-        z, iters, rnorm, ok = _newton(start, inp, tol, opt.max_iter)
-        if not ok:
-            continue
-        if z[3] < 0.0:
-            spurious += 1
-            continue
-        accepted = (z, iters, rnorm, k + 1)
-        break
-    if accepted is None:
         raise NoConvergenceError(
-            f"no nonnegative-slip root from {len(starts)} starts "
-            f"({spurious} negative-sigma roots rejected)"
+            f"slip-speed solve did not reach the tolerance in {opt.max_iter} iterations "
+            f"(bracket [{lo:.17g}, {hi:.17g}], residual {rn:.3e})"
         )
 
-    z, iters, rnorm, used = accepted
     second = False
     if opt.probe_second_root:
-        ref = np.abs(z).max()
-        for start in starts[used:]:
-            z2, _, _, ok2 = _newton(start, inp, tol, opt.max_iter)
-            if ok2 and z2[3] >= 0.0 and np.max(np.abs(z2 - z)) > 1e-6 * max(1.0, ref):
-                second = True
-                break
+        # count sign changes of the gap over a uniform grid of [0, top],
+        # with the gap positive at top; more than one means another root
+        def gap_at(s):
+            return _residuals(point(s)[0], k)[3]
 
-    imp = ContactImpulse(p_t=float(z[0]), p_o=float(z[1]), p_r=float(z[2]),
-                         sigma=float(z[3]), p_n=inp.p_n)
-    rest = imp.sigma < opt.sigma_min
-    return imp, SolveInfo(iters=iters, residual_norm=rnorm, rest=rest,
-                          starts=used, second_root=second)
+        top = 2.0 * sig
+        while gap_at(top) <= 0.0:
+            top *= 2.0
+        grid = (top * i / _PROBE_POINTS for i in range(_PROBE_POINTS + 1))
+        signs = [g > 0.0 for g in map(gap_at, grid) if g != 0.0]
+        second = sum(a != b for a, b in zip(signs, signs[1:])) > 1
+
+    imp = ContactImpulse(p_t=z[0], p_o=z[1], p_r=z[2], sigma=sig, p_n=inp.p_n)
+    return imp, SolveInfo(iters=it, residual_norm=rn, rest=sig < opt.sigma_min,
+                          starts=1, second_root=second)
 
 
 def solve_step(

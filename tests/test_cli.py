@@ -223,3 +223,16 @@ def test_quasistatic_rejects_nonpositive_c(capsys):
                           "--vx", "0", "--vy", "0.1", "--c", "0")
     assert code == 1
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("v_x, message", [
+    (".nan", "initial state must be finite"),
+    ("1.0e+200", "square overflows a double"),
+])
+def test_simulate_rejects_unusable_initial_state(tmp_path, capsys, v_x, message):
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(TRANSLATE_YAML.replace("v_x: 0.5", f"v_x: {v_x}"))
+    code, _, stderr = run(capsys, "simulate", "--scenario", str(scen),
+                          "--out", str(tmp_path / "bad.csv"))
+    assert code == 1
+    assert message in stderr

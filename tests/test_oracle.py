@@ -1,5 +1,5 @@
-"""Reference solver (fixed point + grid fallback) and direct optimality
-checks, exercised against the fast Newton path."""
+"""Reference solver (fixed point + grid and Newton fallback) and direct
+optimality checks, exercised against the fast slip-speed solve."""
 
 import dataclasses
 import math
@@ -19,7 +19,7 @@ from patchslide import (
     solve_step,
     verify_kkt,
 )
-from patchslide.oracle import _curve_refine, _grid_search
+from patchslide.oracle import _grid_search, _newton_refine
 
 from conftest import make_sliding_inputs
 from test_solver import STEP1_P_O, STEP1_P_R, STEP1_P_T, STEP1_SIGMA, step1_inputs
@@ -90,10 +90,11 @@ def test_grid_search_brackets_the_root():
     assert abs(z[3] - STEP1_SIGMA) < 1e-2
 
 
-def test_curve_refine_reaches_the_floor():
+def test_newton_refine_reaches_the_floor():
+    # the precision stage, started where the grid search stalls
     inp = step1_inputs()
-    z, rnorm = _curve_refine(inp)
     scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
+    z, rnorm = _newton_refine(_grid_search(inp)[0], inp, 1e-12 * scale)
     assert rnorm <= 1e-10 * scale
     assert abs(z[0] - STEP1_P_T) < 1e-9
     assert abs(z[1] - STEP1_P_O) < 1e-9

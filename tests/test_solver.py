@@ -315,3 +315,30 @@ def test_solver_guess_must_not_poison_the_solve():
     imp = solve_step(inp, guess=bad)
     assert imp.p_t == pytest.approx(STEP1_P_T, abs=1e-8)
     assert imp.sigma == pytest.approx(STEP1_SIGMA, abs=1e-8)
+
+
+def test_solve_step_cold_and_warm_starts_agree_with_oracle():
+    # the bracket that first contains the warm start holds the same root
+    # as the cold start's on every randomized input
+    from patchslide import oracle_solve_step
+
+    for inp in make_sliding_inputs(seed=23, n=300):
+        ref = oracle_solve_step(inp)
+        off = ContactImpulse(p_t=1.1 * ref.p_t, p_o=1.1 * ref.p_o, p_r=1.1 * ref.p_r,
+                             sigma=1.1 * ref.sigma, p_n=inp.p_n)
+        for got in (solve_step(inp), solve_step(inp, guess=off)):
+            assert abs(got.p_t - ref.p_t) <= 1e-9
+            assert abs(got.p_o - ref.p_o) <= 1e-9
+            assert abs(got.p_r - ref.p_r) <= 1e-9
+            assert abs(got.sigma - ref.sigma) <= 1e-9
+
+
+def test_zero_tolerance_stops_at_the_roundoff_floor():
+    # a target below roundoff is met by the 8-ulp floor, not by exhausting
+    # the iterations
+    inp = step1_inputs()
+    imp, info = solve_step_info(inp, options=SolverOptions(tol=0.0))
+    assert info.iters < 10
+    # the largest summand of step 1 is |p_o| * sigma < 0.02
+    assert info.residual_norm <= 8 * math.ulp(0.02)
+    assert imp.sigma == pytest.approx(STEP1_SIGMA, abs=1e-12)

@@ -276,3 +276,28 @@ def test_simulate_records_solver_diagnostics(ex1_records):
         assert r.diagnostics.residual_norm <= 1e-12
         assert r.diagnostics.wall_time > 0.0
         assert not r.diagnostics.rest_flag
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5])
+def test_simulate_converges_at_small_steps(ex1_scenario, h):
+    # the tolerance is relative to (mu*p_n)^2 and floored at roundoff, so
+    # it stays attainable however small the normal impulse gets
+    scen = dataclasses.replace(ex1_scenario, h=h)
+    records = simulate(scen)
+    assert len(records) == int(round(scen.duration / h))
+    f = scen.friction
+    for r in records:
+        i = r.impulses
+        target = (f.mu * i.p_n) ** 2
+        lhs = (i.p_t / f.e_t) ** 2 + (i.p_o / f.e_o) ** 2 + (i.p_r / f.e_r) ** 2
+        assert i.sigma > 0.0
+        assert abs(lhs - target) <= 1e-9 * target
+
+
+def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_scenario, ex3_records):
+    # compare and the public solve_step check the configuration simulate runs
+    from patchslide import assemble_inputs, solve_step
+
+    for scen, records in ((ex1_scenario, ex1_records), (ex3_scenario, ex3_records)):
+        for s in [scen.initial] + [r.state for r in records[4::5]]:
+            assert solve_step(assemble_inputs(s, scen)) == step(s, scen).impulses
