@@ -109,6 +109,11 @@ def _residuals(z, k) -> tuple[float, float, float, float]:
     return F1, F2, F3, F4
 
 
+def _residual_norm(z, k) -> float:
+    F1, F2, F3, F4 = _residuals(z, k)
+    return max(abs(F1), abs(F2), abs(F3), abs(F4))
+
+
 def _largest_summand(z, k) -> float:
     # magnitude of the largest monomial of the four residuals, expanded as
     # polynomials in z; it sets the scale of the roundoff in _residuals
@@ -224,9 +229,11 @@ def _gap_curve(k):
     """The exact solution curve of the three tangential equations.
 
     Returns a function of sigma giving the point (p_t, p_o, p_r, sigma)
-    on the curve and the derivative of the ellipsoid gap along it."""
+    on the curve, the ellipsoid gap there and the gap's derivative along
+    the curve.  The gap is _residuals' fourth residual, bit for bit."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    mu_pn_sq = (mu * p_n) ** 2
     alpha = mu * p_n * e_t ** 2
     beta = mu * p_n * e_o ** 2
     gamma = mu * p_n * e_r ** 2
@@ -265,8 +272,9 @@ def _gap_curve(k):
         r2 = d_o * dW + q_o * dW * p_t - p_o
         dp_t = (r1 * A22 - A12 * r2) / det
         dp_o = (A11 * r2 - A21 * r1) / det
+        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
         dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
-        return (p_t, p_o, p_r, sig), dgap
+        return (p_t, p_o, p_r, sig), gap, dgap
 
     return point
 
@@ -317,19 +325,25 @@ def solve_step_info(
     lo, hi = 0.0, math.inf
     dx = dx_old = math.inf
     for it in range(opt.max_iter + 1):
-        z, dgap = point(sig)
-        F1, F2, F3, gap = _residuals(z, k)
-        rn = max(abs(F1), abs(F2), abs(F3), abs(gap))
-        if rn <= tol:
-            break
+        z, gap, dgap = point(sig)
+        # the residual norm is at least |gap|, so the other three residuals
+        # are worth evaluating only once the gap alone meets the tolerance
+        rn = None
+        if abs(gap) <= tol:
+            rn = _residual_norm(z, k)
+            if rn <= tol:
+                break
         # Newton on 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
         # gap but is nearly linear in sigma: exactly so in pure translation
         lhs = mu_pn_sq - gap
         newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
         # near a root the Newton correction is the error in sigma; the floor
         # is worth computing only once that error is down to roundoff
-        if abs(newton - sig) <= _SETTLED * sig and rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
-            break
+        if abs(newton - sig) <= _SETTLED * sig:
+            if rn is None:
+                rn = _residual_norm(z, k)
+            if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
+                break
         if gap < 0.0:
             lo = sig
         else:
@@ -346,7 +360,7 @@ def solve_step_info(
     else:
         raise NoConvergenceError(
             f"slip-speed solve did not reach the tolerance in {opt.max_iter} iterations "
-            f"(bracket [{lo:.17g}, {hi:.17g}], residual {rn:.3e})"
+            f"(bracket [{lo:.17g}, {hi:.17g}], residual {_residual_norm(z, k):.3e})"
         )
 
     second = False
@@ -354,7 +368,7 @@ def solve_step_info(
         # count sign changes of the gap over a uniform grid of [0, top],
         # with the gap positive at top; more than one means another root
         def gap_at(s):
-            return _residuals(point(s)[0], k)[3]
+            return point(s)[1]
 
         top = 2.0 * sig
         while gap_at(top) <= 0.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 from .core import (
@@ -76,10 +77,27 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=256)
-def _hull(patch: PolygonPatch) -> tuple[tuple[float, float], ...]:
+def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], bool]:
     # patches are frozen, so a run computes its patch's hull once; the
-    # bound keeps a long sweep over many patches from growing the cache
-    return tuple(convex_hull(list(patch.vertices)))
+    # bound keeps a long sweep over many patches from growing the cache.
+    # The patch is convex when its vertices are the hull's, in cyclic order
+    # either way round; collinear or repeated vertices and self-intersecting
+    # outlines fail this and keep the ray cast.
+    hull = tuple(convex_hull(list(patch.vertices)))
+    verts = patch.vertices
+    n = len(hull)
+    convex = False
+    if len(verts) == n and verts[0] in hull:
+        i = hull.index(verts[0])
+        convex = (all(verts[j] == hull[(i + j) % n] for j in range(n))
+                  or all(verts[j] == hull[(i - j) % n] for j in range(n)))
+    return hull, convex
+
+
+@functools.lru_cache(maxsize=256)
+def _options(sigma_min: float) -> SolverOptions:
+    # one options object per rest threshold instead of one per step
+    return SolverOptions(sigma_min=sigma_min)
 
 
 def validate_patch(
@@ -91,13 +109,16 @@ def validate_patch(
 
     Returns (in_hull, in_patch): the convex hull bounds where sliding
     without toppling is possible; the patch itself may be smaller (an
-    annulus hull is its outer disk).
+    annulus hull is its outer disk).  For a convex polygon patch the patch
+    is its hull, so in_patch is the hull test.
     """
     bx, by = world_to_body(point[0], point[1], pose[0], pose[1], pose[2])
     if isinstance(patch, PolygonPatch):
-        in_hull = point_in_convex_polygon(bx, by, _hull(patch))
-        in_patch = point_in_polygon(bx, by, patch.vertices)
-        return (in_hull, in_patch)
+        hull, convex = _hull(patch)
+        in_hull = point_in_convex_polygon(bx, by, hull)
+        if convex:
+            return (in_hull, in_hull)
+        return (in_hull, point_in_polygon(bx, by, patch.vertices))
     r = math.hypot(bx, by)
     if isinstance(patch, AnnulusPatch):
         in_hull = r <= patch.r_out + _EPS
@@ -168,9 +189,8 @@ def step(
     """
     inputs = assemble_inputs(state_u, scen)
     applied = inputs.applied
-    options = SolverOptions(sigma_min=scen.options.sigma_min)
     t0 = time.perf_counter()
-    impulse, info = solve_step_info(inputs, guess, options)
+    impulse, info = solve_step_info(inputs, guess, _options(scen.options.sigma_min))
     wall = time.perf_counter() - t0
 
     m = scen.params.m
@@ -206,23 +226,34 @@ def simulate(scen: Scenario) -> list[TrajectoryRecord]:
 
     Stops early when a step is flagged as rest; the rest record is the
     terminal marker.  With topple_policy "error", a step whose ECP
-    leaves the support hull raises; the default policy records the flag
-    and continues.
+    leaves the support hull raises; the default policy "warn" records
+    the flag, continues, and after the run emits one UserWarning naming
+    the first such step and their count.
     """
     n_steps = int(round(scen.duration / scen.h))
     records: list[TrajectoryRecord] = []
     state = scen.initial
     guess: ContactImpulse | None = None
+    outside: list[int] = []
     for k in range(n_steps):
         try:
             rec = step(state, scen, guess)
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
         records.append(rec)
-        if scen.options.topple_policy == "error" and not rec.ecp.in_hull:
-            raise ToppleRiskError(f"step {k}: equivalent contact point left the support hull")
+        if not rec.ecp.in_hull:
+            if scen.options.topple_policy == "error":
+                raise ToppleRiskError(f"step {k}: equivalent contact point left the support hull")
+            outside.append(k)
         if rec.diagnostics.rest_flag:
             break
         state = rec.state
         guess = rec.impulses
+    if outside:
+        warnings.warn(
+            f"step {outside[0]}: equivalent contact point left the support hull "
+            f"({len(outside)} of {len(records)} steps outside it)",
+            UserWarning,
+            stacklevel=2,
+        )
     return records

@@ -34,6 +34,10 @@ def test_simulate_bundled_example1(tmp_path, capsys):
     assert stderr == ""
     assert "steps 45/45" in stdout
     assert "rest=no" in stdout
+    # solve time alone, then the whole run; the run contains every solve
+    timing = re.search(r"solve (\d+\.\d{3}) ms/step  wall (\d+\.\d{3}) ms/step", stdout)
+    assert timing is not None
+    assert float(timing[1]) <= float(timing[2])
     assert f"trajectory written to {out}" in stdout
     assert len(read_trajectory(out)) == 45
 

@@ -342,3 +342,20 @@ def test_zero_tolerance_stops_at_the_roundoff_floor():
     # the largest summand of step 1 is |p_o| * sigma < 0.02
     assert info.residual_norm <= 8 * math.ulp(0.02)
     assert imp.sigma == pytest.approx(STEP1_SIGMA, abs=1e-12)
+
+
+def test_curve_gap_and_reported_norm_are_the_full_residuals():
+    # the solve accepts on the curve's gap before evaluating the other three
+    # residuals, so that gap must be the fourth residual bit for bit, and the
+    # reported norm must still be the four-residual norm
+    from patchslide.solver import _gap_curve, _residuals, _unpack
+
+    for inp in make_sliding_inputs(seed=23, n=300):
+        imp, info = solve_step_info(inp)
+        k = _unpack(inp)
+        point = _gap_curve(k)
+        for sig in (0.0, 0.5 * imp.sigma, imp.sigma, 2.0 * imp.sigma):
+            z, gap, _ = point(sig)
+            assert gap == _residuals(z, k)[3]
+        z = (imp.p_t, imp.p_o, imp.p_r, imp.sigma)
+        assert info.residual_norm == float(np.max(np.abs(residual(z, inp))))

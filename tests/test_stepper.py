@@ -16,6 +16,7 @@ from patchslide import (
     ContactLossError,
     DiskPatch,
     FrictionParams,
+    PatchSlideError,
     PolygonPatch,
     RunOptions,
     Scenario,
@@ -31,9 +32,19 @@ from patchslide import (
     step,
     validate_patch,
 )
+from patchslide.scenario import MIN_E_R
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 ISO = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
+# non-convex: the hull adds the triangle (0.02, 0.01), (0.01, 0.02), (0.01, 0.01)
+L_SHAPE = PolygonPatch(((0.0, 0.0), (0.02, 0.0), (0.02, 0.01), (0.01, 0.01), (0.01, 0.02), (0.0, 0.02)))
+# self-intersecting, nonzero shoelace area: the edges (0, 0)-(0.03, 0.02) and
+# (0.03, 0)-(0, 0.01) cross at (0.01, 0.02/3), leaving two unequal lobes
+BOWTIE = PolygonPatch(((0.0, 0.0), (0.03, 0.02), (0.03, 0.0), (0.0, 0.01)))
+
+
+def _square(half: float) -> PolygonPatch:
+    return PolygonPatch(((-half, -half), (half, -half), (half, half), (-half, half)))
 
 
 def make_scenario(
@@ -158,6 +169,41 @@ def test_validate_patch_respects_pose():
     assert validate_patch((1.0, 2.0), rect, (1.0, 2.0, 0.0)) == (True, True)
 
 
+def test_validate_patch_polygon_notch_is_in_hull_not_in_patch():
+    origin = (0.0, 0.0, 0.0)
+    assert validate_patch((0.013, 0.013), L_SHAPE, origin) == (True, False)
+    assert validate_patch((0.005, 0.015), L_SHAPE, origin) == (True, True)
+    assert validate_patch((0.025, 0.005), L_SHAPE, origin) == (False, False)
+
+
+def test_validate_patch_convex_polygon_in_either_orientation_skips_the_ray_cast(monkeypatch):
+    import patchslide.stepper as stepper_module
+
+    def no_ray_cast(*args):
+        raise AssertionError("ray cast on a convex patch")
+
+    monkeypatch.setattr(stepper_module, "point_in_polygon", no_ray_cast)
+    points = [(0.0, 0.0), (0.025, 0.01), (0.025, 0.025), (0.03, 0.0), (0.0, -0.026)]
+    expected = [(True, True), (True, True), (True, True), (False, False), (False, False)]
+    clockwise = PolygonPatch(SQUARE.vertices[::-1])
+    shifted = PolygonPatch(SQUARE.vertices[2:] + SQUARE.vertices[:2])
+    for patch in (SQUARE, clockwise, shifted):
+        assert [validate_patch(p, patch, (0.0, 0.0, 0.0)) for p in points] == expected
+    # the patch flag takes the hull test's boundary slack, so it never
+    # accepts a point the hull rejects (the ray cast's slack grows with
+    # edge length, and 4 m edges let it accept this one)
+    assert validate_patch((0.0, -2.0 - 5e-13), _square(2.0), (0.0, 0.0, 0.0)) == (False, False)
+
+
+def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
+    # its four vertices are the hull's, in the wrong cyclic order
+    origin = (0.0, 0.0, 0.0)
+    assert validate_patch((0.005, 0.001), BOWTIE, origin) == (True, False)
+    assert validate_patch((0.002, 0.005), BOWTIE, origin) == (True, True)
+    assert validate_patch((0.025, 0.01), BOWTIE, origin) == (True, True)
+    assert validate_patch((0.01, 0.015), BOWTIE, origin) == (False, False)
+
+
 # ------------------------------------------------------------------- simulate
 
 def test_simulate_zero_duration_is_empty():
@@ -253,9 +299,14 @@ def test_topple_policy_error_raises_and_warn_continues():
     assert "step 0" in str(ei.value)
 
     warn = make_scenario(patch=tiny, duration=0.05)
-    records = simulate(warn)
+    with pytest.warns(UserWarning, match="step 0") as caught:
+        records = simulate(warn)
     assert len(records) == 5
     assert any(not r.ecp.in_hull for r in records)
+    # one warning per run, counting the steps outside the hull
+    assert len(caught) == 1
+    outside = sum(not r.ecp.in_hull for r in records)
+    assert f"({outside} of 5 steps outside it)" in str(caught[0].message)
 
 
 def test_simulate_attaches_step_index_to_errors():
@@ -292,6 +343,64 @@ def test_simulate_converges_at_small_steps(ex1_scenario, h):
         lhs = (i.p_t / f.e_t) ** 2 + (i.p_o / f.e_o) ** 2 + (i.p_r / f.e_r) ** 2
         assert i.sigma > 0.0
         assert abs(lhs - target) <= 1e-9 * target
+
+
+def _sweep_scenario(rng: np.random.Generator) -> Scenario:
+    # one short run drawn across the valid input space: step length, mass
+    # scale, e_r down to its floor, and applied load up to twice friction
+    h = 10.0 ** rng.uniform(-5.0, -1.0)
+    m = 10.0 ** rng.uniform(-3.0, 3.0)
+    half = rng.uniform(0.01, 0.1)
+    patch = _square(half) if rng.random() < 0.5 else DiskPatch(r=half)
+    friction = FrictionParams(
+        mu=rng.uniform(0.1, 1.0),
+        e_t=rng.uniform(0.5, 2.0),
+        e_o=rng.uniform(0.5, 2.0),
+        e_r=10.0 ** rng.uniform(math.log10(MIN_E_R), math.log10(half)),
+    )
+    load = rng.uniform(0.0, 2.0) * friction.mu * m * 9.8
+    phi = rng.uniform(-math.pi, math.pi)
+    wrench = AppliedWrench(
+        lambda_x=load * math.cos(phi),
+        lambda_y=load * math.sin(phi),
+        lambda_xtau=rng.uniform(-0.05, 0.05) * load * half,
+        lambda_ytau=rng.uniform(-0.05, 0.05) * load * half,
+        lambda_ztau=rng.uniform(-1.0, 1.0) * load * friction.e_r,
+    )
+    speed = 10.0 ** rng.uniform(-3.0, 0.5)
+    theta = rng.uniform(-math.pi, math.pi)
+    return make_scenario(
+        v=(speed * math.cos(theta), speed * math.sin(theta)),
+        w_z=math.copysign(10.0 ** rng.uniform(-3.0, 1.5), rng.uniform(-1.0, 1.0)),
+        m=m, I_z=m * half ** 2 * rng.uniform(0.3, 1.0), q_z=rng.uniform(0.0, 0.1),
+        patch=patch, friction=friction, wrench=wrench, h=h, duration=20 * h,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+def test_seeded_sweep_over_the_valid_input_space():
+    # no run lifts the slider, so any PatchSlideError here is a solver failure
+    rng = np.random.default_rng(41)
+    failures = []
+    rests = 0
+    for run in range(200):
+        scen = _sweep_scenario(rng)
+        try:
+            records = simulate(scen)
+        except PatchSlideError as e:
+            failures.append((run, type(e).__name__, str(e)))
+            continue
+        rests += records[-1].diagnostics.rest_flag
+        f = scen.friction
+        for r in records:
+            i = r.impulses
+            if i.sigma > 0.0:
+                target = (f.mu * i.p_n) ** 2
+                lhs = (i.p_t / f.e_t) ** 2 + (i.p_o / f.e_o) ** 2 + (i.p_r / f.e_r) ** 2
+                assert abs(lhs - target) <= 1e-9 * target, (run, r)
+    assert failures == []
+    # the sweep reaches the rest branch as well as sliding
+    assert rests > 0
 
 
 def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_scenario, ex3_records):
