@@ -109,8 +109,9 @@ def validate_patch(
 
     Returns (in_hull, in_patch): the convex hull bounds where sliding
     without toppling is possible; the patch itself may be smaller (an
-    annulus hull is its outer disk).  For a convex polygon patch the patch
-    is its hull, so in_patch is the hull test.
+    annulus hull is its outer disk), so in_patch implies in_hull.  For a
+    convex polygon patch the patch is its hull, so in_patch is the hull
+    test.
     """
     bx, by = world_to_body(point[0], point[1], pose[0], pose[1], pose[2])
     if isinstance(patch, PolygonPatch):
@@ -118,7 +119,8 @@ def validate_patch(
         in_hull = point_in_convex_polygon(bx, by, hull)
         if convex:
             return (in_hull, in_hull)
-        return (in_hull, point_in_polygon(bx, by, patch.vertices))
+        # the patch lies inside its hull, whatever the two tests' slacks
+        return (in_hull, in_hull and point_in_polygon(bx, by, patch.vertices))
     r = math.hypot(bx, by)
     if isinstance(patch, AnnulusPatch):
         in_hull = r <= patch.r_out + _EPS

@@ -33,40 +33,62 @@ COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _flag(v: str) -> bool:
+    return bool(int(v))
 
 
-def _record_row(rec: TrajectoryRecord) -> list[str]:
+# one parser per column, in COLUMNS order; it also fixes each column's format
+_CONVERTERS = tuple(
+    _flag if c in ("in_hull", "in_patch") else int if c == "newton_iters" else float
+    for c in COLUMNS
+)
+
+# exactly the bytes csv.writer writes: no %.17g or %d field holds a
+# delimiter, quote or line break, so nothing is quoted, and "\r\n" is its
+# default line terminator
+_HEADER = ",".join(COLUMNS) + "\r\n"
+_ROW = ",".join("%.17g" if conv is float else "%d" for conv in _CONVERTERS) + "\r\n"
+
+
+def _record_row(rec: TrajectoryRecord) -> str:
     s = rec.state
     i = rec.impulses
     e = rec.ecp
     a = rec.applied
     d = rec.diagnostics
-    return [
-        _fmt(s.t), _fmt(s.q_x), _fmt(s.q_y), _fmt(s.theta_z),
-        _fmt(s.v_x), _fmt(s.v_y), _fmt(s.w_z),
-        _fmt(i.p_t), _fmt(i.p_o), _fmt(i.p_r), _fmt(i.sigma), _fmt(i.p_n),
-        _fmt(e.a_x), _fmt(e.a_y),
-        "1" if e.in_hull else "0", "1" if e.in_patch else "0",
-        _fmt(a.p_x), _fmt(a.p_y), _fmt(a.p_xtau), _fmt(a.p_ytau), _fmt(a.p_ztau),
-        str(d.newton_iters), _fmt(d.residual_norm),
-    ]
+    return _ROW % (
+        s.t, s.q_x, s.q_y, s.theta_z, s.v_x, s.v_y, s.w_z,
+        i.p_t, i.p_o, i.p_r, i.sigma, i.p_n,
+        e.a_x, e.a_y, e.in_hull, e.in_patch,
+        a.p_x, a.p_y, a.p_xtau, a.p_ytau, a.p_ztau,
+        d.newton_iters, d.residual_norm,
+    )
 
 
 def write_trajectory(records: list[TrajectoryRecord], path: str | Path) -> None:
     """Write records to CSV; a run with no steps yields a header-only file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow(_record_row(rec))
+        fh.write(_HEADER + "".join(map(_record_row, records)))
+
+
+def _raise_first_error(path: str | Path, raw: list[list[str]]) -> None:
+    """Convert row by row and raise ValidationError for the first bad line
+    in file order."""
+    for ln, cells in enumerate(raw, start=2):
+        if len(cells) != len(COLUMNS):
+            raise ValidationError(f"{path}:{ln}: expected {len(COLUMNS)} fields, got {len(cells)}")
+        try:
+            for conv, val in zip(_CONVERTERS, cells):
+                conv(val)
+        except ValueError as e:
+            raise ValidationError(f"{path}:{ln}: {e}") from None
 
 
 def read_trajectory(path: str | Path) -> list[dict]:
     """Read a trajectory CSV into one dict per row, with numeric types
     restored.  Raises ValidationError when the header does not match the
-    schema or a value fails to parse."""
+    schema, or names the first line whose field count is wrong or whose
+    value fails to parse."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -78,23 +100,17 @@ def read_trajectory(path: str | Path) -> list[dict]:
                 f"{path}: header does not match the trajectory schema "
                 f"(got {header!r})"
             )
-        rows = []
-        for ln, raw in enumerate(reader, start=2):
-            if len(raw) != len(COLUMNS):
-                raise ValidationError(f"{path}:{ln}: expected {len(COLUMNS)} fields, got {len(raw)}")
-            row: dict = {}
-            try:
-                for key, val in zip(COLUMNS, raw):
-                    if key in ("in_hull", "in_patch"):
-                        row[key] = bool(int(val))
-                    elif key == "newton_iters":
-                        row[key] = int(val)
-                    else:
-                        row[key] = float(val)
-            except ValueError as e:
-                raise ValidationError(f"{path}:{ln}: {e}") from None
-            rows.append(row)
-    return rows
+        raw = list(reader)
+    n = len(COLUMNS)
+    try:
+        # zip(*raw) would drop the cells of short rows, so count fields first
+        if not all(len(cells) == n for cells in raw):
+            raise ValueError("wrong field count")
+        columns = [list(map(conv, col)) for conv, col in zip(_CONVERTERS, zip(*raw))]
+    except ValueError:
+        _raise_first_error(path, raw)
+        raise
+    return [dict(zip(COLUMNS, values)) for values in zip(*columns)]
 
 
 def _row_state(row: dict) -> SliderState:
@@ -112,21 +128,20 @@ def observed_steps(rows: list[dict]) -> list[ObservedStep]:
     applied and normal impulses.  N rows yield N-1 transitions; the
     initial state is not recoverable from the file.
     """
-    steps = []
-    for prev, cur in zip(rows, rows[1:]):
-        applied = AppliedImpulse(
-            p_x=cur["p_x"], p_y=cur["p_y"], p_z=0.0,
-            p_xtau=cur["p_xtau"], p_ytau=cur["p_ytau"], p_ztau=cur["p_ztau"],
+    # one frozen state per row, shared by the two transitions it ends and starts
+    states = list(map(_row_state, rows))
+    return [
+        ObservedStep(
+            state_u=prev,
+            state_u1=cur,
+            applied=AppliedImpulse(
+                p_x=row["p_x"], p_y=row["p_y"], p_z=0.0,
+                p_xtau=row["p_xtau"], p_ytau=row["p_ytau"], p_ztau=row["p_ztau"],
+            ),
+            p_n=row["p_n"],
         )
-        steps.append(
-            ObservedStep(
-                state_u=_row_state(prev),
-                state_u1=_row_state(cur),
-                applied=applied,
-                p_n=cur["p_n"],
-            )
-        )
-    return steps
+        for prev, cur, row in zip(states, states[1:], rows[1:])
+    ]
 
 
 def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
@@ -140,7 +155,6 @@ def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
             continue
         out = prefix.with_name(f"{prefix.name}.{col}.dat")
         with open(out, "w") as fh:
-            for row in rows:
-                fh.write(f"{_fmt(row['t'])}\t{_fmt(float(row[col]))}\n")
+            fh.write("".join(["%.17g\t%.17g\n" % (row["t"], float(row[col])) for row in rows]))
         written.append(out)
     return written

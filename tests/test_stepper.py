@@ -176,6 +176,13 @@ def test_validate_patch_polygon_notch_is_in_hull_not_in_patch():
     assert validate_patch((0.025, 0.005), L_SHAPE, origin) == (False, False)
 
 
+def test_validate_patch_non_convex_polygon_never_in_patch_outside_the_hull():
+    # with 4 m edges the ray cast's boundary slack accepts this point just
+    # below the bottom edge, which the hull test rejects
+    big_l = PolygonPatch(((0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 2.0), (2.0, 4.0), (0.0, 4.0)))
+    assert validate_patch((1.0, -5e-13), big_l, (0.0, 0.0, 0.0)) == (False, False)
+
+
 def test_validate_patch_convex_polygon_in_either_orientation_skips_the_ray_cast(monkeypatch):
     import patchslide.stepper as stepper_module
 

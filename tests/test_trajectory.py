@@ -1,10 +1,19 @@
 """Trajectory CSV schema: exact round trips, stability across reruns,
 transition pairing, and strict read-side validation."""
 
+import csv
+import io
+
 import pytest
 
 from patchslide import (
     COLUMNS,
+    AppliedImpulse,
+    ContactImpulse,
+    Ecp,
+    SliderState,
+    StepDiagnostics,
+    TrajectoryRecord,
     ValidationError,
     observed_steps,
     read_trajectory,
@@ -63,6 +72,53 @@ def test_values_round_trip_exactly(ex1_records, tmp_path):
         assert row["residual_norm"] == rec.diagnostics.residual_norm
 
 
+def _reference_bytes(records):
+    """The file as a csv.writer over 17-significant-digit cells writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(COLUMNS)
+    for rec in records:
+        s, i, e, a, d = rec.state, rec.impulses, rec.ecp, rec.applied, rec.diagnostics
+        writer.writerow(
+            [f"{x:.17g}" for x in (s.t, s.q_x, s.q_y, s.theta_z, s.v_x, s.v_y, s.w_z,
+                                   i.p_t, i.p_o, i.p_r, i.sigma, i.p_n, e.a_x, e.a_y)]
+            + ["1" if e.in_hull else "0", "1" if e.in_patch else "0"]
+            + [f"{x:.17g}" for x in (a.p_x, a.p_y, a.p_xtau, a.p_ytau, a.p_ztau)]
+            + [str(d.newton_iters), f"{d.residual_norm:.17g}"]
+        )
+    return buf.getvalue().encode()
+
+
+def _awkward_record(x, flag, iters):
+    return TrajectoryRecord(
+        state=SliderState(q_x=-0.0, q_y=5e-324, theta_z=1e-300,
+                          v_x=1.7976931348623157e308, v_y=-x, w_z=3.0, t=x),
+        impulses=ContactImpulse(p_t=-5e-324, p_o=0.1, p_r=-1e-300, sigma=0.0, p_n=2.0**60),
+        ecp=Ecp(a_x=1.0 / 3.0, a_y=-2.5e-17, in_hull=flag, in_patch=not flag),
+        applied=AppliedImpulse(p_x=-1.7976931348623157e308, p_y=1e22, p_z=0.0,
+                               p_xtau=123456789.0, p_ytau=-0.0, p_ztau=2.2250738585072014e-308),
+        diagnostics=StepDiagnostics(newton_iters=iters, residual_norm=5e-324, rest_flag=flag),
+    )
+
+
+def test_written_bytes_match_a_csv_writer_reference(ex1_records, tmp_path):
+    records = [_awkward_record(0.1, True, 0), _awkward_record(42.0, False, 10**15)]
+    path = tmp_path / "awkward.csv"
+    write_trajectory(records, path)
+    assert path.read_bytes() == _reference_bytes(records)
+    # every awkward value comes back exactly, signed zeros included
+    rows = read_trajectory(path)
+    assert [str(r["q_x"]) for r in rows] == ["-0.0", "-0.0"]
+    assert [r["q_y"] for r in rows] == [5e-324, 5e-324]
+    assert [r["v_x"] for r in rows] == [1.7976931348623157e308] * 2
+    assert [r["p_n"] for r in rows] == [2.0**60] * 2
+    assert [r["newton_iters"] for r in rows] == [0, 10**15]
+    assert [(r["in_hull"], r["in_patch"]) for r in rows] == [(True, False), (False, True)]
+    ex1 = tmp_path / "ex1.csv"
+    write_trajectory(ex1_records, ex1)
+    assert ex1.read_bytes() == _reference_bytes(ex1_records)
+
+
 def test_rewrites_are_byte_identical(ex1_scenario, ex1_records, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -101,6 +157,9 @@ def test_write_plot_data_per_column(ex1_records, tmp_path):
     t0, v0 = vx[0].split("\t")
     assert float(t0) == rows[0]["t"]
     assert float(v0) == rows[0]["v_x"]
+    for col in ("v_x", "in_hull", "newton_iters"):
+        reference = "".join(f"{row['t']:.17g}\t{float(row[col]):.17g}\n" for row in rows)
+        assert (tmp_path / "plots" / f"ex1.{col}.dat").read_bytes() == reference.encode()
 
 
 def test_read_rejects_wrong_header(tmp_path):
@@ -137,3 +196,40 @@ def test_read_rejects_non_numeric_cell(ex1_records, tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=r":4:"):
         read_trajectory(p)
+
+
+def _edited_log(records, tmp_path, edits):
+    """Write records, then apply edits {line number: (column, text)}; a
+    column of None cuts the row to its first ten cells."""
+    p = tmp_path / "edited.csv"
+    write_trajectory(records, p)
+    lines = p.read_text().splitlines()
+    for ln, (col, text) in edits.items():
+        cells = lines[ln - 1].split(",")
+        if col is None:
+            cells = cells[:10]
+        else:
+            cells[col] = text
+        lines[ln - 1] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+def _read_error(path):
+    with pytest.raises(ValidationError) as info:
+        read_trajectory(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("edits,message", [
+    # a bad cell before a short row
+    ({3: (4, "fast"), 5: (None, "")}, ":3: could not convert string to float: 'fast'"),
+    # a short row before a bad cell
+    ({3: (None, ""), 5: (4, "fast")}, ":3: expected 23 fields, got 10"),
+    # a bad cell late in one row before a bad cell early in the next
+    ({3: (21, "many"), 4: (1, "left")}, ":3: invalid literal for int() with base 10: 'many'"),
+    ({4: (15, "yes")}, ":4: invalid literal for int() with base 10: 'yes'"),
+], ids=["bad-cell-then-short-row", "short-row-then-bad-cell", "late-cell-then-early-cell", "bad-flag"])
+def test_read_reports_the_first_bad_line(ex1_records, tmp_path, edits, message):
+    p = _edited_log(ex1_records[:6], tmp_path, edits)
+    assert _read_error(p) == f"{p}{message}"
