@@ -171,6 +171,11 @@ class AppliedWrench:
         return cls()
 
 
+def _wrench_finite(w: AppliedWrench) -> bool:
+    # checked once per schedule, not in AppliedWrench: wrench_at builds one per pusher step
+    return _finite(w.lambda_x, w.lambda_y, w.lambda_z, w.lambda_xtau, w.lambda_ytau, w.lambda_ztau)
+
+
 @dataclass(frozen=True)
 class AppliedImpulse:
     """External wrench integrated over one step."""
@@ -188,6 +193,9 @@ class ConstantSchedule:
     """The same wrench at every time."""
 
     wrench: AppliedWrench
+
+    def __post_init__(self) -> None:
+        _require(_wrench_finite(self.wrench), "constant wrench must be finite")
 
 
 @dataclass(frozen=True)
@@ -212,6 +220,7 @@ class BodyPusherSchedule:
         _require(_finite(*self.direction_body), "pusher direction must be finite")
         _require(_finite(self.force_mean, self.force_amp), "pusher force terms must be finite")
         _require(self.period > 0.0, "pusher period must be positive")
+        _require(math.isfinite(self.period), "pusher period must be finite")
         norm = math.hypot(*self.direction_body)
         _require(abs(norm - 1.0) <= 1e-9, "pusher direction must be a unit vector")
 
@@ -230,10 +239,12 @@ class TableSchedule:
     def __post_init__(self) -> None:
         _require(len(self.times) == len(self.wrenches), "table needs one wrench per time")
         _require(len(self.times) >= 1, "table schedule needs at least one row")
+        _require(_finite(*self.times), "table times must be finite")
         _require(
             all(self.times[i] < self.times[i + 1] for i in range(len(self.times) - 1)),
             "table times must be strictly increasing",
         )
+        _require(all(map(_wrench_finite, self.wrenches)), "table wrenches must be finite")
 
 
 WrenchSchedule = ConstantSchedule | BodyPusherSchedule | TableSchedule

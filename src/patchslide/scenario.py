@@ -47,6 +47,11 @@ MIN_E_R = 1e-6
 
 TOPPLE_POLICIES = ("warn", "error")
 
+# libyaml's C parser and emitter when PyYAML was built with it; both keep
+# the safe constructor, resolver and representer of safe_load/safe_dump
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -110,6 +115,13 @@ def _as_map(value, context: str) -> dict:
     return value
 
 
+def _float(v: int | float, name: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # a YAML int beyond the double range
+        raise ValidationError(f"{name} is out of range for a double") from None
+
+
 def _num(mapping: dict, key: str, context: str, default: float | None = None) -> float:
     if key not in mapping:
         if default is None:
@@ -118,7 +130,7 @@ def _num(mapping: dict, key: str, context: str, default: float | None = None) ->
     v = mapping[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{context}.{key} must be a number, got {v!r}")
-    return float(v)
+    return _float(v, f"{context}.{key}")
 
 
 def _num_list(value, n: int, context: str) -> tuple[float, ...]:
@@ -128,7 +140,7 @@ def _num_list(value, n: int, context: str) -> tuple[float, ...]:
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValidationError(f"{context} must contain only numbers, got {v!r}")
-        out.append(float(v))
+        out.append(_float(v, context))
     return tuple(out)
 
 
@@ -203,7 +215,7 @@ _SECTIONS = {"slider", "friction", "patch", "initial", "schedule", "run"}
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse and validate a scenario document from a string."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f"{source}:{mark.line + 1}" if mark is not None else source
@@ -348,7 +360,7 @@ def serialize_scenario(scen: Scenario) -> str:
         "schedule": _schedule_dict(scen.schedule),
         "run": run,
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 
 
 def bundled_scenario_names() -> list[str]:

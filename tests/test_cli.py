@@ -240,3 +240,16 @@ def test_simulate_rejects_unusable_initial_state(tmp_path, capsys, v_x, message)
                           "--out", str(tmp_path / "bad.csv"))
     assert code == 1
     assert message in stderr
+
+
+@pytest.mark.parametrize("needle, repl, message", [
+    ("m: 0.5", "m: 1" + "0" * 400, "slider.m is out of range for a double"),
+    ("run:", "schedule: {type: constant, wrench: {lambda_x: .inf}}\nrun:", "constant wrench must be finite"),
+])
+def test_simulate_rejects_unusable_numbers_at_load(tmp_path, capsys, needle, repl, message):
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(TRANSLATE_YAML.replace(needle, repl))
+    code, _, stderr = run(capsys, "simulate", "--scenario", str(scen),
+                          "--out", str(tmp_path / "bad.csv"))
+    assert code == 1
+    assert message in stderr

@@ -3,9 +3,13 @@ serialization round trips."""
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
+from patchslide import scenario as scenario_module
 from patchslide import (
     AnnulusPatch,
     AppliedWrench,
@@ -190,6 +194,9 @@ schedule:
     ("mu: 0.31", "mu: -0.1", "friction coefficient"),
     ("m: 0.5", "m: heavy", "must be a number"),
     ("v_x: 0.7", "v_x: true", "must be a number"),
+    # YAML ints too large for float()
+    ("m: 0.5", "m: 1" + "0" * 400, r"slider\.m is out of range for a double"),
+    ("[0.025, 0.025]", "[1" + "0" * 400 + ", 0.025]", r"patch\.vertices entry is out of range for a double"),
 ])
 def test_bad_values_rejected(needle, repl, message):
     with pytest.raises(ValidationError, match=message):
@@ -294,3 +301,127 @@ def test_non_mapping_document_rejected():
     with pytest.raises(ValidationError, match="must be a mapping"):
         loads_scenario("slider: 5\n" + "\n".join(
             ln for ln in MINIMAL.splitlines() if not ln.startswith("slider")))
+
+
+# ------------------------------------------------------------ applied loads
+
+@pytest.mark.parametrize("schedule, message", [
+    ("{type: constant, wrench: {lambda_x: .inf}}", "constant wrench must be finite"),
+    ("{type: constant, wrench: {lambda_x: .nan}}", "constant wrench must be finite"),
+    ("{type: constant, wrench: {lambda_z: .nan}}", "constant wrench must be finite"),
+    ("{type: table, rows: [{t: .nan}]}", "table times must be finite"),
+    ("{type: table, rows: [{t: 0.0}, {t: .inf}]}", "table times must be finite"),
+    ("{type: table, rows: [{t: 0.0, wrench: {lambda_ztau: -.inf}}]}", "table wrenches must be finite"),
+    ("{type: body_pusher, point: [0.0, 0.0, 0.0], direction: [1.0, 0.0], force_mean: 1.0, period: .inf}",
+     "pusher period must be finite"),
+])
+def test_non_finite_applied_loads_rejected_at_load(schedule, message):
+    with pytest.raises(ValidationError, match=message):
+        loads_scenario(MINIMAL + f"\nschedule: {schedule}\n")
+
+
+# ------------------------------------------------- libyaml and pure Python
+
+YAML_PATHS = {
+    "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
+    "pure": (yaml.SafeLoader, yaml.SafeDumper),
+}
+
+
+def test_libyaml_is_used_when_available(monkeypatch):
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    assert (scenario_module._LOADER, scenario_module._DUMPER) == YAML_PATHS["libyaml"]
+    # and loads_scenario/serialize_scenario go through the chosen pair
+    used = []
+
+    class Loader(scenario_module._LOADER):
+        def __init__(self, stream):
+            used.append("load")
+            super().__init__(stream)
+
+    class Dumper(scenario_module._DUMPER):
+        def __init__(self, stream, **kwds):
+            used.append("dump")
+            super().__init__(stream, **kwds)
+
+    monkeypatch.setattr(scenario_module, "_LOADER", Loader)
+    monkeypatch.setattr(scenario_module, "_DUMPER", Dumper)
+    reload(loads_scenario(MINIMAL))
+    assert used == ["load", "dump", "load"]
+
+
+def _under(path: str, fn, *args):
+    """fn(*args) with scenario parsing and emitting on one YAML path."""
+    loader, dumper = YAML_PATHS[path]
+    if loader is None:
+        pytest.skip("PyYAML built without libyaml")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_LOADER", loader)
+        mp.setattr(scenario_module, "_DUMPER", dumper)
+        return fn(*args)
+
+
+def _parity_scenarios() -> list[Scenario]:
+    base = loads_scenario(MINIMAL)
+    return [resolve_scenario(name) for name in bundled_scenario_names()] + [
+        dataclasses.replace(base, schedule=TableSchedule(
+            times=(0.0, 0.1, 0.25),
+            wrenches=(
+                AppliedWrench(lambda_x=0.1 / 3.0),
+                AppliedWrench.zero(),
+                AppliedWrench(lambda_y=-1e-300, lambda_z=2.5, lambda_ztau=math.pi),
+            ),
+        )),
+        dataclasses.replace(base, params=dataclasses.replace(
+            base.params, patch=AnnulusPatch(r_in=0.0, r_out=0.05))),
+        dataclasses.replace(base, params=dataclasses.replace(base.params, patch=DiskPatch(r=0.04))),
+        dataclasses.replace(base, options=RunOptions(output_path="runs/with space: colon.csv")),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_round_trip_under_each_yaml_path(path):
+    for scen in _parity_scenarios():
+        assert _under(path, reload, scen) == scen
+
+
+def test_both_yaml_paths_write_the_same_bytes():
+    for scen in _parity_scenarios():
+        assert _under("libyaml", serialize_scenario, scen) == _under("pure", serialize_scenario, scen)
+    for name in bundled_scenario_names():
+        text = bundled_scenario_text(name)
+        assert repr(_under("libyaml", loads_scenario, text)) == repr(_under("pure", loads_scenario, text))
+
+
+MALFORMED = {  # document, the line its error is reported on
+    "unclosed flow mapping": ("slider: {m: 0.5\nfriction: {}\n", 2),
+    "unclosed flow sequence": ("patch:\n  vertices: [[0, 0], [1, 0]\nrun: {}\n", 3),
+    "nested mapping value": ("slider:\n  m: 0.5\na: b: c\n", 3),
+    "tab indent": ("slider:\n\tm: 0.5\n", 2),
+    "undefined alias": ("slider:\n  m: *mass\n", 2),
+    "python tag": ("slider: !!python/object:os.system {}\n", 1),
+}
+
+
+def _parse_error_prefix(text: str) -> str:
+    with pytest.raises(ScenarioParseError) as info:
+        loads_scenario(text)
+    return re.match(r"<string>:\d+:", str(info.value))[0]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_yaml_reports_the_same_line_under_both_paths(name):
+    text, line = MALFORMED[name]
+    assert _under("pure", _parse_error_prefix, text) == f"<string>:{line}:"
+    assert _under("libyaml", _parse_error_prefix, text) == f"<string>:{line}:"
+
+
+# -------------------------------------------------------------- README drift
+
+def test_readme_yaml_blocks_load():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        loads_scenario(block, source="README.md")
