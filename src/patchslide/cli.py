@@ -139,7 +139,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if not verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
             kkt_failures += 1
         steps_done += 1
-        if info.rest and sol.sigma == 0.0:
+        # simulate stops on any rest flag, a slow-slip rest (0 < sigma < sigma_min) too
+        if info.rest:
             break
         state = SliderState(
             q_x=state.q_x + scen.h * (state.v_x + (sol.p_t + inputs.applied.p_x) / m),

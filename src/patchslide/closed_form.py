@@ -4,9 +4,8 @@ quasi-static pushing and pure translation under isotropic friction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import FrictionParams
+from .core import FrictionParams, value_type
 from .errors import AnisotropicFrictionError, ValidationError, ZeroMotionError
 
 __all__ = [
@@ -17,7 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_type
 class QuasiStaticInput:
     """Pusher contact kinematics for the quasi-static model.
 
@@ -55,7 +54,7 @@ def quasi_static_velocity(inp: QuasiStaticInput) -> tuple[float, float, float]:
     return (v_x, v_y, w_z)
 
 
-@dataclass(frozen=True)
+@value_type
 class TranslationStep:
     """One pure-translation step: friction impulse, slip speed, resulting
     velocity, and whether the step was clamped to rest."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 from .errors import ContactLossError, ValidationError
 
@@ -43,6 +43,97 @@ __all__ = [
 ]
 
 
+class _Factory:
+    # stands for "call the default factory" among an __init__'s defaults,
+    # and reads as dataclass's own marker does in a signature
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def value_type(cls):
+    """Class decorator for the package's value types: a frozen, slotted
+    dataclass whose __init__ stores each field straight into its slot.
+
+    A frozen dataclass's own __init__ assigns each field through
+    object.__setattr__, which dominates the cost of building a small
+    object.  The __init__ made here calls each slot descriptor's __set__,
+    bound once per class; the frozen __setattr__ still rejects every later
+    assignment.  It has the signature dataclass would give (names,
+    defaults, annotations), calls default factories and __post_init__ as
+    dataclass does, and leaves equality, hashing, repr, replace and
+    pickling to the dataclass machinery.
+
+    The per-step code calls value types with positional arguments, in
+    field order: a class call with keywords first gathers them in a dict.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    flds = fields(cls)
+    if len(flds) != len(cls.__dataclass_fields__) or any(f.kw_only or not f.init for f in flds):
+        raise TypeError(f"{cls.__name__}: value types take every field as a plain argument")
+    closure: dict = {"_factory": _FACTORY}
+    stores = []
+    defaults = []
+    for f in flds:
+        closure[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        value = f.name
+        if f.default is not MISSING:
+            defaults.append(f.default)
+        elif f.default_factory is not MISSING:
+            closure[f"_new_{f.name}"] = f.default_factory
+            defaults.append(_FACTORY)
+            value = f"_new_{f.name}() if {f.name} is _factory else {f.name}"
+        elif defaults:
+            raise TypeError(f"{cls.__name__}: field {f.name!r} without a default follows one with a default")
+        stores.append(f"_set_{f.name}(self, {value})")
+    if hasattr(cls, "__post_init__"):
+        stores.append("self.__post_init__()")
+    src = (
+        f"def make({', '.join(closure)}):\n"
+        f"    def __init__(self, {', '.join(f.name for f in flds)}):\n"
+        + "".join(f"        {line}\n" for line in stores)
+        + "    return __init__\n"
+    )
+    namespace: dict = {}
+    exec(src, {}, namespace)
+    init = namespace["make"](**closure)
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+
+    # dataclass's frozen __setattr__ and __delattr__ name the class it had
+    # before it added slots, so assigning a name that is not a field raised
+    # TypeError instead of FrozenInstanceError; these name the final class
+    names = frozenset(f.name for f in flds)
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    setters = [closure[f"_set_{f.name}"] for f in flds]
+
+    def __setstate__(self, state):
+        # dataclass's own takes the field values as a list, but a pickle
+        # written before the value types had slots holds their __dict__
+        if isinstance(state, dict):
+            state = [state[f.name] for f in flds]
+        for set_field, value in zip(setters, state):
+            set_field(self, value)
+
+    for method in (init, __setattr__, __delattr__, __setstate__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
@@ -52,7 +143,7 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-@dataclass(frozen=True)
+@value_type
 class PolygonPatch:
     """Contact patch bounded by a simple polygon, vertices in body frame."""
 
@@ -74,7 +165,7 @@ class PolygonPatch:
         _require(abs(area2) > 0.0, "polygon patch has zero area")
 
 
-@dataclass(frozen=True)
+@value_type
 class AnnulusPatch:
     """Ring-shaped contact patch centered on the body origin."""
 
@@ -86,7 +177,7 @@ class AnnulusPatch:
         _require(0.0 <= self.r_in < self.r_out, "annulus needs 0 <= r_in < r_out")
 
 
-@dataclass(frozen=True)
+@value_type
 class DiskPatch:
     """Full disk contact patch centered on the body origin."""
 
@@ -99,7 +190,7 @@ class DiskPatch:
 ContactPatch = PolygonPatch | AnnulusPatch | DiskPatch
 
 
-@dataclass(frozen=True)
+@value_type
 class SliderParams:
     """Inertial and geometric description of the sliding body.
 
@@ -122,7 +213,7 @@ class SliderParams:
         _require(self.g > 0.0, "gravity must be positive")
 
 
-@dataclass(frozen=True)
+@value_type
 class FrictionParams:
     """Friction coefficient and ellipsoid semi-axis constants.
 
@@ -142,7 +233,7 @@ class FrictionParams:
         _require(self.e_t > 0.0 and self.e_o > 0.0 and self.e_r > 0.0, "ellipsoid constants must be positive")
 
 
-@dataclass(frozen=True)
+@value_type
 class SliderState:
     """Planar pose and velocity of the slider at time t."""
 
@@ -155,7 +246,7 @@ class SliderState:
     t: float
 
 
-@dataclass(frozen=True)
+@value_type
 class AppliedWrench:
     """External force and moment on the slider, world frame, about the CM."""
 
@@ -176,7 +267,7 @@ def _wrench_finite(w: AppliedWrench) -> bool:
     return _finite(w.lambda_x, w.lambda_y, w.lambda_z, w.lambda_xtau, w.lambda_ytau, w.lambda_ztau)
 
 
-@dataclass(frozen=True)
+@value_type
 class AppliedImpulse:
     """External wrench integrated over one step."""
 
@@ -188,7 +279,7 @@ class AppliedImpulse:
     p_ztau: float = 0.0
 
 
-@dataclass(frozen=True)
+@value_type
 class ConstantSchedule:
     """The same wrench at every time."""
 
@@ -198,7 +289,7 @@ class ConstantSchedule:
         _require(_wrench_finite(self.wrench), "constant wrench must be finite")
 
 
-@dataclass(frozen=True)
+@value_type
 class BodyPusherSchedule:
     """Force of magnitude force_mean + force_amp * cos(2*pi*t/period)
     applied at a body-fixed point along a body-fixed direction.
@@ -225,7 +316,7 @@ class BodyPusherSchedule:
         _require(abs(norm - 1.0) <= 1e-9, "pusher direction must be a unit vector")
 
 
-@dataclass(frozen=True)
+@value_type
 class TableSchedule:
     """Zero-order hold over (time, wrench) samples.
 
@@ -274,28 +365,34 @@ def wrench_at(schedule: WrenchSchedule, state: SliderState, t: float) -> Applied
     rx = c * px - s * py
     ry = s * px + c * py
     rz = pz
-    # tau = r x f with f_z = 0
-    return AppliedWrench(
-        lambda_x=fx,
-        lambda_y=fy,
-        lambda_z=0.0,
-        lambda_xtau=-rz * fy,
-        lambda_ytau=rz * fx,
-        lambda_ztau=rx * fy - ry * fx,
+    # tau = r x f with f_z = 0; (lambda_x, lambda_y, lambda_z, lambda_xtau,
+    # lambda_ytau, lambda_ztau), positional as the per-step code calls them
+    return AppliedWrench(fx, fy, 0.0, -rz * fy, rz * fx, rx * fy - ry * fx)
+
+
+def impulse_over(wrench: AppliedWrench, h: float) -> AppliedImpulse:
+    # to_impulse without the check on h, for callers that have made it
+    return AppliedImpulse(
+        h * wrench.lambda_x, h * wrench.lambda_y, h * wrench.lambda_z,
+        h * wrench.lambda_xtau, h * wrench.lambda_ytau, h * wrench.lambda_ztau,
     )
+
+
+def pressing_load(params: SliderParams, wrench: AppliedWrench) -> float:
+    # the net vertical force m*g - lambda_z; ContactLossError unless it
+    # presses the slider onto the plane
+    fn = params.m * params.g - wrench.lambda_z
+    if fn <= 0.0:
+        raise ContactLossError(
+            f"vertical load {fn:g} N does not press the slider onto the plane"
+        )
+    return fn
 
 
 def to_impulse(wrench: AppliedWrench, h: float) -> AppliedImpulse:
     """Integrate a wrench held constant over a step of length h."""
     _require(h > 0.0, "step length must be positive")
-    return AppliedImpulse(
-        p_x=h * wrench.lambda_x,
-        p_y=h * wrench.lambda_y,
-        p_z=h * wrench.lambda_z,
-        p_xtau=h * wrench.lambda_xtau,
-        p_ytau=h * wrench.lambda_ytau,
-        p_ztau=h * wrench.lambda_ztau,
-    )
+    return impulse_over(wrench, h)
 
 
 def normal_impulse(params: SliderParams, wrench: AppliedWrench, h: float) -> float:
@@ -305,15 +402,10 @@ def normal_impulse(params: SliderParams, wrench: AppliedWrench, h: float) -> flo
     weight, since the sliding model requires sustained contact.
     """
     _require(h > 0.0, "step length must be positive")
-    fn = params.m * params.g - wrench.lambda_z
-    if fn <= 0.0:
-        raise ContactLossError(
-            f"vertical load {fn:g} N does not press the slider onto the plane"
-        )
-    return h * fn
+    return h * pressing_load(params, wrench)
 
 
-@dataclass(frozen=True)
+@value_type
 class StepInputs:
     """Everything one implicit step needs, with the wrench already
     integrated into impulses and the normal impulse resolved."""
@@ -326,11 +418,14 @@ class StepInputs:
     h: float
 
     def __post_init__(self) -> None:
-        _require(self.p_n > 0.0, "normal impulse must be positive")
-        _require(self.h > 0.0, "step length must be positive")
+        # every step builds one, so the checks are inline
+        if not self.p_n > 0.0:
+            raise ValidationError("normal impulse must be positive")
+        if not self.h > 0.0:
+            raise ValidationError("step length must be positive")
 
 
-@dataclass(frozen=True)
+@value_type
 class ContactImpulse:
     """Friction impulse over one step and the slip speed that produced it.
 
@@ -346,7 +441,7 @@ class ContactImpulse:
     p_n: float
 
 
-@dataclass(frozen=True)
+@value_type
 class SlipVelocity:
     """Slip velocity at the equivalent contact point: tangential
     components v_t, v_o and the rotational rate v_r."""
@@ -356,7 +451,7 @@ class SlipVelocity:
     v_r: float
 
 
-@dataclass(frozen=True)
+@value_type
 class Ecp:
     """Equivalent contact point in world coordinates with containment flags.
 

@@ -13,11 +13,10 @@ keeps the two solution methods disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContactImpulse, StepInputs
+from .core import ContactImpulse, StepInputs, value_type
 from .errors import OracleFailure
 from .solver import jacobian, residual
 
@@ -228,7 +227,7 @@ def _newton_refine(
     return best_z, best_rn
 
 
-@dataclass(frozen=True)
+@value_type
 class KktReport:
     """Direct checks of a candidate solution: residual norm, distance to
     the friction-ellipsoid boundary, mismatch between sigma and the slip

@@ -9,7 +9,7 @@ yields an identical Scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .core import (
     SliderState,
     TableSchedule,
     WrenchSchedule,
+    value_type,
 )
 from .errors import ScenarioParseError, ValidationError
 
@@ -53,7 +54,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-@dataclass(frozen=True)
+@value_type
 class RunOptions:
     """Run-level knobs: rest threshold on slip speed, what to do when the
     contact point leaves the support hull, and an optional default output
@@ -72,7 +73,7 @@ class RunOptions:
             )
 
 
-@dataclass(frozen=True)
+@value_type
 class Scenario:
     """A complete, validated simulation description."""
 
@@ -99,6 +100,24 @@ class Scenario:
         scaled = (p.m * s.v_x / f.e_t, p.m * s.v_y / f.e_o, p.I_z * s.w_z / f.e_r)
         if not math.isfinite(sum(x * x for x in scaled)):
             raise ValidationError("initial momentum is too large: its square overflows a double")
+        # the rest test squares each step's applied impulse in the same
+        # units, against (mu*p_n)^2: check every wrench the schedule gives
+        # whatever the state (the zero wrench stands for the time before a
+        # table's first row and for a pusher's normal load)
+        wrenches = (AppliedWrench.zero(),)
+        if isinstance(self.schedule, ConstantSchedule):
+            wrenches += (self.schedule.wrench,)
+        elif isinstance(self.schedule, TableSchedule):
+            wrenches += self.schedule.wrenches
+        h = self.h
+        for w in wrenches:
+            scaled = (h * w.lambda_x / f.e_t, h * w.lambda_y / f.e_o, h * w.lambda_ztau / f.e_r,
+                      f.mu * h * (p.m * p.g - w.lambda_z))
+            if not math.isfinite(sum(x * x for x in scaled)):
+                raise ValidationError(
+                    "applied load is too large: its impulse per step squared in "
+                    "friction-ellipsoid units overflows a double"
+                )
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:

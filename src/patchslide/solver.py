@@ -18,12 +18,11 @@ bracketed and is found by safeguarded Newton iteration on g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContactImpulse, FrictionParams, SlipVelocity, StepInputs
-from .errors import NoConvergenceError, ZeroSlipError
+from .core import ContactImpulse, FrictionParams, SlipVelocity, StepInputs, value_type
+from .errors import NoConvergenceError, ValidationError, ZeroSlipError
 
 __all__ = [
     "SolverOptions",
@@ -44,9 +43,10 @@ _FLOOR_ULPS = 8.0
 _SETTLED = 2.0 ** -40
 # grid points of the sign-change scan behind probe_second_root
 _PROBE_POINTS = 1000
+_INF = math.inf
 
 
-@dataclass(frozen=True)
+@value_type
 class SolverOptions:
     """Solve knobs.
 
@@ -68,7 +68,7 @@ class SolverOptions:
     probe_second_root: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class SolveInfo:
     """Diagnostics for one solve: scalar iterations, final residual norm,
     rest flag, number of starts used (1 for a sliding solve, 0 at rest),
@@ -181,18 +181,37 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     )
 
 
+def _stopping(k) -> tuple[float, float, float]:
+    # the stopping impulse for the unpacked inputs k
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    return (-(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau))
+
+
+def _reachable(stop: tuple[float, float, float], k) -> bool:
+    # whether the stopping impulse lies inside the friction ellipsoid; its
+    # square in ellipsoid units must be a double, and a state-dependent
+    # load can push it past one even when the scenario passed its load check
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    p_t, p_o, p_r = stop
+    try:
+        lhs = (p_t / e_t) ** 2 + (p_o / e_o) ** 2 + (p_r / e_r) ** 2
+        bound = (mu * p_n) ** 2
+    except OverflowError:
+        lhs = bound = _INF
+    if lhs == _INF or bound == _INF:
+        raise ValidationError(
+            "load is too large: the stopping impulse squared in friction-ellipsoid units "
+            "overflows a double"
+        )
+    return lhs <= bound
+
+
 def stopping_impulse(inp: StepInputs) -> tuple[float, float, float]:
     """Tangential impulse that would bring the slider exactly to rest this
     step, absorbing both the current momentum and the applied impulse."""
-    m = inp.params.m
-    I_z = inp.params.I_z
-    s = inp.state
-    a = inp.applied
-    return (
-        -(m * s.v_x + a.p_x),
-        -(m * s.v_y + a.p_y),
-        -(I_z * s.w_z + a.p_ztau),
-    )
+    return _stopping(_unpack(inp))
 
 
 def rest_reachable(inp: StepInputs) -> bool:
@@ -201,27 +220,25 @@ def rest_reachable(inp: StepInputs) -> bool:
     True exactly when the stopping impulse lies inside the friction
     ellipsoid; then the zero-slip branch of the contact model holds (all
     end-of-step slip velocities vanish identically) and no sliding
-    solution with sigma > 0 is needed.
+    solution with sigma > 0 is needed.  Raises ValidationError when the
+    load is too large for the test to be made in double precision.
     """
-    f = inp.friction
-    p_t, p_o, p_r = stopping_impulse(inp)
-    lhs = (p_t / f.e_t) ** 2 + (p_o / f.e_o) ** 2 + (p_r / f.e_r) ** 2
-    return lhs <= (f.mu * inp.p_n) ** 2
+    k = _unpack(inp)
+    return _reachable(_stopping(k), k)
 
 
-def _initial_sigma(inp: StepInputs) -> float:
+def _initial_sigma(k) -> float:
     # slip speed of the max-dissipation impulse at start-of-step velocities,
     # ECP offsets zeroed; applied-adjusted velocities when starting at rest
-    f = inp.friction
-    s = inp.state
-    v_t, v_o, v_r = s.v_x, s.v_y, s.w_z
-    sigma0 = math.sqrt((f.e_t * v_t) ** 2 + (f.e_o * v_o) ** 2 + (f.e_r * v_r) ** 2)
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+    v_t, v_o, v_r = v_x, v_y, w_z
+    sigma0 = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
     if sigma0 < 1e-12:
-        a = inp.applied
-        v_t += a.p_x / inp.params.m
-        v_o += a.p_y / inp.params.m
-        v_r += a.p_ztau / inp.params.I_z
-        sigma0 = math.sqrt((f.e_t * v_t) ** 2 + (f.e_o * v_o) ** 2 + (f.e_r * v_r) ** 2)
+        v_t += p_x / m
+        v_o += p_y / m
+        v_r += p_ztau / I_z
+        sigma0 = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
     return sigma0
 
 
@@ -288,7 +305,9 @@ def solve_step_info(
 
     If friction can absorb the entire momentum within the step, the step
     is a rest step: the returned impulse is the stopping impulse (strictly
-    inside the ellipsoid), sigma is zero, and the rest flag is set.
+    inside the ellipsoid), sigma is zero, and the rest flag is set.  The
+    test is rest_reachable's; like it, it raises ValidationError when the
+    load is too large to be squared in double precision.
 
     Otherwise the solve walks the exact solution curve of the tangential
     equations in sigma, from the warm start guess.sigma (or, without a
@@ -309,19 +328,19 @@ def solve_step_info(
     max_iter iterations.
     """
     opt = options or SolverOptions()
-    f = inp.friction
+    k = _unpack(inp)
+    p_n = inp.p_n
 
-    if rest_reachable(inp):
-        p_t, p_o, p_r = stopping_impulse(inp)
-        imp = ContactImpulse(p_t=p_t, p_o=p_o, p_r=p_r, sigma=0.0, p_n=inp.p_n)
-        return imp, SolveInfo(iters=0, residual_norm=0.0, rest=True, starts=0)
+    stop = _stopping(k)
+    if _reachable(stop, k):
+        imp = ContactImpulse(*stop, 0.0, p_n)  # p_t, p_o, p_r, sigma, p_n
+        return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
 
-    mu_pn = f.mu * inp.p_n
+    mu_pn = inp.friction.mu * p_n
     mu_pn_sq = mu_pn ** 2
     tol = opt.tol * mu_pn_sq
-    k = _unpack(inp)
     point = _gap_curve(k)
-    sig = guess.sigma if guess is not None and guess.sigma > 0.0 else _initial_sigma(inp)
+    sig = guess.sigma if guess is not None and guess.sigma > 0.0 else _initial_sigma(k)
     lo, hi = 0.0, math.inf
     dx = dx_old = math.inf
     for it in range(opt.max_iter + 1):
@@ -377,9 +396,8 @@ def solve_step_info(
         signs = [g > 0.0 for g in map(gap_at, grid) if g != 0.0]
         second = sum(a != b for a, b in zip(signs, signs[1:])) > 1
 
-    imp = ContactImpulse(p_t=z[0], p_o=z[1], p_r=z[2], sigma=sig, p_n=inp.p_n)
-    return imp, SolveInfo(iters=it, residual_norm=rn, rest=sig < opt.sigma_min,
-                          starts=1, second_root=second)
+    imp = ContactImpulse(z[0], z[1], z[2], sig, p_n)
+    return imp, SolveInfo(it, rn, sig < opt.sigma_min, 1, second)
 
 
 def solve_step(

@@ -14,7 +14,6 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
 
 from .core import (
     AnnulusPatch,
@@ -28,8 +27,9 @@ from .core import (
     SliderState,
     SlipVelocity,
     StepInputs,
-    normal_impulse,
-    to_impulse,
+    impulse_over,
+    pressing_load,
+    value_type,
     wrench_at,
 )
 from .errors import PatchSlideError, ToppleRiskError
@@ -52,7 +52,7 @@ __all__ = [
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@value_type
 class StepDiagnostics:
     """Solver diagnostics attached to each record: newton_iters counts the
     scalar iterations of the slip-speed solve, and wall_time covers the
@@ -64,7 +64,7 @@ class StepDiagnostics:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
+@value_type
 class TrajectoryRecord:
     """One completed step: end-of-step state, the contact impulse, the
     equivalent contact point, the applied impulse, and diagnostics."""
@@ -150,7 +150,7 @@ def ecp(
     a_x = pose[0] + d_x
     a_y = pose[1] + d_y
     in_hull, in_patch = validate_patch((a_x, a_y), params.patch, pose)
-    return Ecp(a_x=a_x, a_y=a_y, in_hull=in_hull, in_patch=in_patch)
+    return Ecp(a_x, a_y, in_hull, in_patch)
 
 
 def slip_velocity(state: SliderState, ecp_offset: tuple[float, float]) -> SlipVelocity:
@@ -167,14 +167,9 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     """Sample the schedule at the start of the step, integrate the wrench
     into impulses, and resolve the normal impulse."""
     w = wrench_at(scen.schedule, state_u, state_u.t)
-    return StepInputs(
-        params=scen.params,
-        friction=scen.friction,
-        state=state_u,
-        applied=to_impulse(w, scen.h),
-        p_n=normal_impulse(scen.params, w, scen.h),
-        h=scen.h,
-    )
+    h = scen.h  # positive: Scenario checks it
+    params = scen.params
+    return StepInputs(params, scen.friction, state_u, impulse_over(w, h), h * pressing_load(params, w), h)
 
 
 def step(
@@ -204,23 +199,13 @@ def step(
         v_y1 = state_u.v_y + (impulse.p_o + applied.p_y) / m
         w_z1 = state_u.w_z + (impulse.p_r + applied.p_ztau) / I_z
     h = scen.h
-    state_1 = SliderState(
-        q_x=state_u.q_x + h * v_x1,
-        q_y=state_u.q_y + h * v_y1,
-        theta_z=state_u.theta_z + h * w_z1,
-        v_x=v_x1,
-        v_y=v_y1,
-        w_z=w_z1,
-        t=state_u.t + h,
-    )
-    point = ecp(scen.params, impulse, applied, (state_1.q_x, state_1.q_y, state_1.theta_z))
-    diag = StepDiagnostics(
-        newton_iters=info.iters,
-        residual_norm=info.residual_norm,
-        rest_flag=info.rest,
-        wall_time=wall,
-    )
-    return TrajectoryRecord(state=state_1, impulses=impulse, ecp=point, applied=applied, diagnostics=diag)
+    q_x1 = state_u.q_x + h * v_x1
+    q_y1 = state_u.q_y + h * v_y1
+    theta_z1 = state_u.theta_z + h * w_z1
+    state_1 = SliderState(q_x1, q_y1, theta_z1, v_x1, v_y1, w_z1, state_u.t + h)
+    point = ecp(scen.params, impulse, applied, (q_x1, q_y1, theta_z1))
+    diag = StepDiagnostics(info.iters, info.residual_norm, info.rest, wall)
+    return TrajectoryRecord(state_1, impulse, point, applied, diag)
 
 
 def simulate(scen: Scenario) -> list[TrajectoryRecord]:

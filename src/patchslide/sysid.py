@@ -10,10 +10,9 @@ not separately identifiable from planar sliding data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import median
 
-from .core import AppliedImpulse, SliderState
+from .core import AppliedImpulse, SliderState, value_type
 from .errors import AllDegenerateError, DegenerateStepError, ValidationError
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
 DEGENERACY_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
+@value_type
 class ObservedStep:
     """One observed transition: states at both ends of a step, the
     applied impulse during it, and the normal impulse."""
@@ -46,7 +45,7 @@ class ObservedStep:
             raise ValidationError("normal impulse must be positive")
 
 
-@dataclass(frozen=True)
+@value_type
 class Reconstruction:
     """Friction impulse and end-of-step slip velocity recovered from one
     observed step."""
@@ -74,7 +73,7 @@ def reconstruct(step: ObservedStep, m: float, I_z: float, q_z: float) -> Reconst
     v_t = u1.v_x - u1.w_z * d_y
     v_o = u1.v_y + u1.w_z * d_x
     v_r = u1.w_z
-    return Reconstruction(p_t=p_t, p_o=p_o, p_r=p_r, v_t=v_t, v_o=v_o, v_r=v_r)
+    return Reconstruction(p_t, p_o, p_r, v_t, v_o, v_r)
 
 
 def one_step_estimate(
@@ -107,7 +106,7 @@ def one_step_estimate(
     return (et2mu, ratio_o, ratio_r)
 
 
-@dataclass(frozen=True)
+@value_type
 class FrictionEstimate:
     """Aggregated friction parameters: medians over per-step estimates,
     with median-absolute-deviation dispersion and the skipped-step count."""

@@ -114,10 +114,7 @@ def read_trajectory(path: str | Path) -> list[dict]:
 
 
 def _row_state(row: dict) -> SliderState:
-    return SliderState(
-        q_x=row["q_x"], q_y=row["q_y"], theta_z=row["theta_z"],
-        v_x=row["v_x"], v_y=row["v_y"], w_z=row["w_z"], t=row["t"],
-    )
+    return SliderState(row["q_x"], row["q_y"], row["theta_z"], row["v_x"], row["v_y"], row["w_z"], row["t"])
 
 
 def observed_steps(rows: list[dict]) -> list[ObservedStep]:
@@ -132,13 +129,10 @@ def observed_steps(rows: list[dict]) -> list[ObservedStep]:
     states = list(map(_row_state, rows))
     return [
         ObservedStep(
-            state_u=prev,
-            state_u1=cur,
-            applied=AppliedImpulse(
-                p_x=row["p_x"], p_y=row["p_y"], p_z=0.0,
-                p_xtau=row["p_xtau"], p_ytau=row["p_ytau"], p_ztau=row["p_ztau"],
-            ),
-            p_n=row["p_n"],
+            prev,
+            cur,
+            AppliedImpulse(row["p_x"], row["p_y"], 0.0, row["p_xtau"], row["p_ytau"], row["p_ztau"]),
+            row["p_n"],
         )
         for prev, cur, row in zip(states, states[1:], rows[1:])
     ]

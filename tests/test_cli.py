@@ -2,10 +2,11 @@
 for all five subcommands, driven through main(argv)."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
-from patchslide import read_trajectory, serialize_scenario
+from patchslide import bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario
 from patchslide.cli import main
 
 TRANSLATE_YAML = """
@@ -116,6 +117,24 @@ def test_compare_example2_agrees_through_rest(capsys):
     assert code == 0
     assert "steps 56" in stdout
     assert "OK" in stdout
+
+
+def test_compare_stops_where_simulate_stops(tmp_path, capsys):
+    # with sigma_min 0.1 example1 ends on a slow-slip rest (0 < sigma <
+    # sigma_min) at its 40th step; compare must not check steps past it
+    scen = resolve_scenario("example1")
+    scen = replace(scen, options=replace(scen.options, sigma_min=0.1))
+    path = tmp_path / "slow_rest.yaml"
+    path.write_text(serialize_scenario(scen))
+    code, sim_out, _ = run(capsys, "simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "slow_rest.csv"))
+    assert code == 0
+    assert "steps 40/45  rest=yes" in sim_out
+    last = read_trajectory(tmp_path / "slow_rest.csv")[-1]
+    assert 0.0 < last["sigma"] < 0.1
+    code, cmp_out, _ = run(capsys, "compare", "--scenario", str(path))
+    assert code == 0
+    assert re.search(r"^steps 40  ", cmp_out, re.MULTILINE)
 
 
 def test_compare_loose_solver_tol_fails(capsys):
@@ -251,5 +270,29 @@ def test_simulate_rejects_unusable_numbers_at_load(tmp_path, capsys, needle, rep
     scen.write_text(TRANSLATE_YAML.replace(needle, repl))
     code, _, stderr = run(capsys, "simulate", "--scenario", str(scen),
                           "--out", str(tmp_path / "bad.csv"))
+    assert code == 1
+    assert message in stderr
+
+
+# a finite load whose impulse per step, squared in friction-ellipsoid
+# units, overflows a double: the constant and table schedules fail at load,
+# the state-dependent pusher at its first step, both with exit code 1
+_HUGE_SCHEDULES = [
+    ("schedule: {type: constant, wrench: {lambda_ztau: 1.0e+308}}", "applied load is too large"),
+    ("schedule:\n  type: table\n  rows:\n    - {t: 0.0, wrench: {}}\n"
+     "    - {t: 0.2, wrench: {lambda_x: 1.0e+200}}", "applied load is too large"),
+    ("schedule: {type: body_pusher, point: [-0.025, 0.0, 0.0], direction: [1.0, 0.0],"
+     " force_mean: 1.0e+200, period: 0.1}", "step 0: load is too large"),
+]
+
+
+@pytest.mark.parametrize("schedule, message", _HUGE_SCHEDULES, ids=["constant", "table", "pusher"])
+def test_simulate_rejects_overflowing_load(tmp_path, capsys, schedule, message):
+    text = bundled_scenario_text("example1").replace("schedule:\n  type: constant", schedule)
+    assert schedule in text
+    scen = tmp_path / "huge.yaml"
+    scen.write_text(text)
+    code, _, stderr = run(capsys, "simulate", "--scenario", str(scen),
+                          "--out", str(tmp_path / "huge.csv"))
     assert code == 1
     assert message in stderr

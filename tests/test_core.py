@@ -1,10 +1,15 @@
 """Wrench schedules, impulse integration, normal impulse, and the
 validation rules on the shared types."""
 
+import dataclasses
+import inspect
 import math
+import pickle
+from copy import deepcopy
 
 import pytest
 
+import patchslide
 from patchslide import (
     AnnulusPatch,
     AppliedImpulse,
@@ -24,6 +29,7 @@ from patchslide import (
     to_impulse,
     wrench_at,
 )
+from patchslide.core import value_type
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 
@@ -235,3 +241,190 @@ def test_step_inputs_validation():
         StepInputs(params=p, friction=f, state=s, applied=AppliedImpulse(), p_n=0.0, h=0.01)
     with pytest.raises(ValidationError):
         StepInputs(params=p, friction=f, state=s, applied=AppliedImpulse(), p_n=0.049, h=0.0)
+
+
+# ------------------------------------------------------------- value types
+
+# the constructor signatures of the frozen dataclass-generated __init__s,
+# pinned: the slot-store __init__ must show the same names, defaults and
+# annotations
+SIGNATURES = {
+    "AnnulusPatch": "(r_in: 'float', r_out: 'float') -> None",
+    "AppliedImpulse": "(p_x: 'float' = 0.0, p_y: 'float' = 0.0, p_z: 'float' = 0.0, p_xtau: 'float' = 0.0, p_ytau: 'float' = 0.0, p_ztau: 'float' = 0.0) -> None",
+    "AppliedWrench": "(lambda_x: 'float' = 0.0, lambda_y: 'float' = 0.0, lambda_z: 'float' = 0.0, lambda_xtau: 'float' = 0.0, lambda_ytau: 'float' = 0.0, lambda_ztau: 'float' = 0.0) -> None",
+    "BodyPusherSchedule": "(point_body: 'tuple[float, float, float]', direction_body: 'tuple[float, float]', force_mean: 'float', force_amp: 'float', period: 'float') -> None",
+    "ConstantSchedule": "(wrench: 'AppliedWrench') -> None",
+    "ContactImpulse": "(p_t: 'float', p_o: 'float', p_r: 'float', sigma: 'float', p_n: 'float') -> None",
+    "DiskPatch": "(r: 'float') -> None",
+    "Ecp": "(a_x: 'float', a_y: 'float', in_hull: 'bool', in_patch: 'bool') -> None",
+    "FrictionEstimate": "(et2mu: 'float', ratio_o: 'float', ratio_r: 'float', per_step: 'tuple[tuple[float, float, float], ...]', dispersion: 'tuple[float, float, float]', n_skipped: 'int') -> None",
+    "FrictionParams": "(mu: 'float', e_t: 'float', e_o: 'float', e_r: 'float') -> None",
+    "KktReport": "(residual_norm: 'float', ellipsoid_gap: 'float', sigma_identity_gap: 'float', dissipation_optimality: 'bool') -> None",
+    "ObservedStep": "(state_u: 'SliderState', state_u1: 'SliderState', applied: 'AppliedImpulse', p_n: 'float') -> None",
+    "PolygonPatch": "(vertices: 'tuple[tuple[float, float], ...]') -> None",
+    "QuasiStaticInput": "(contact_point: 'tuple[float, float]', contact_velocity: 'tuple[float, float]', cm: 'tuple[float, float]' = (0.0, 0.0), c: 'float' = 1.0) -> None",
+    "Reconstruction": "(p_t: 'float', p_o: 'float', p_r: 'float', v_t: 'float', v_o: 'float', v_r: 'float') -> None",
+    "RunOptions": "(sigma_min: 'float' = 1e-06, topple_policy: 'str' = 'warn', output_path: 'str | None' = None) -> None",
+    "Scenario": "(params: 'SliderParams', friction: 'FrictionParams', initial: 'SliderState', schedule: 'WrenchSchedule', h: 'float', duration: 'float', options: 'RunOptions' = <factory>) -> None",
+    "SliderParams": "(m: 'float', I_z: 'float', q_z: 'float', g: 'float', patch: 'ContactPatch') -> None",
+    "SliderState": "(q_x: 'float', q_y: 'float', theta_z: 'float', v_x: 'float', v_y: 'float', w_z: 'float', t: 'float') -> None",
+    "SlipVelocity": "(v_t: 'float', v_o: 'float', v_r: 'float') -> None",
+    "SolveInfo": "(iters: 'int', residual_norm: 'float', rest: 'bool', starts: 'int', second_root: 'bool' = False) -> None",
+    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100, sigma_min: 'float' = 1e-06, probe_second_root: 'bool' = False) -> None",
+    "StepDiagnostics": "(newton_iters: 'int', residual_norm: 'float', rest_flag: 'bool', wall_time: 'float' = 0.0) -> None",
+    "StepInputs": "(params: 'SliderParams', friction: 'FrictionParams', state: 'SliderState', applied: 'AppliedImpulse', p_n: 'float', h: 'float') -> None",
+    "TableSchedule": "(times: 'tuple[float, ...]', wrenches: 'tuple[AppliedWrench, ...]') -> None",
+    "TrajectoryRecord": "(state: 'SliderState', impulses: 'ContactImpulse', ecp: 'Ecp', applied: 'AppliedImpulse', diagnostics: 'StepDiagnostics') -> None",
+    "TranslationStep": "(p_t: 'float', p_o: 'float', sigma: 'float', v_next: 'tuple[float, float]', rest: 'bool') -> None",
+}
+
+
+def _examples() -> dict:
+    params = SliderParams(m=0.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE)
+    friction = FrictionParams(mu=0.31, e_t=1.0, e_o=1.2, e_r=0.01)
+    state = SliderState(q_x=0.1, q_y=-0.2, theta_z=0.3, v_x=0.7, v_y=0.9, w_z=10.0, t=0.5)
+    state1 = dataclasses.replace(state, t=0.51)
+    applied = AppliedImpulse(p_x=0.01, p_ztau=-2e-4)
+    impulse = patchslide.ContactImpulse(p_t=-0.006, p_o=-0.013, p_r=-1.4e-5, sigma=1.09, p_n=0.049)
+    point = patchslide.Ecp(a_x=0.1, a_y=-0.19, in_hull=True, in_patch=False)
+    diag = patchslide.StepDiagnostics(newton_iters=3, residual_norm=1e-17, rest_flag=False, wall_time=2e-5)
+    return {
+        "AnnulusPatch": AnnulusPatch(r_in=0.01, r_out=0.03),
+        "AppliedImpulse": applied,
+        "AppliedWrench": AppliedWrench(lambda_x=1.5, lambda_ztau=-0.2),
+        "BodyPusherSchedule": BodyPusherSchedule(
+            point_body=(-0.025, 0.0, 0.01), direction_body=(1.0, 0.0),
+            force_mean=2.2, force_amp=2.0, period=0.1,
+        ),
+        "ConstantSchedule": ConstantSchedule(AppliedWrench(lambda_y=0.4)),
+        "ContactImpulse": impulse,
+        "DiskPatch": DiskPatch(r=0.05),
+        "Ecp": point,
+        "FrictionEstimate": patchslide.FrictionEstimate(
+            et2mu=0.31, ratio_o=1.44, ratio_r=1e-4, per_step=((0.31, 1.44, 1e-4),),
+            dispersion=(0.0, 0.0, 0.0), n_skipped=2,
+        ),
+        "FrictionParams": friction,
+        "KktReport": patchslide.KktReport(
+            residual_norm=1e-17, ellipsoid_gap=0.0, sigma_identity_gap=1e-16, dissipation_optimality=True,
+        ),
+        "ObservedStep": patchslide.ObservedStep(state_u=state, state_u1=state1, applied=applied, p_n=0.049),
+        "PolygonPatch": SQUARE,
+        "QuasiStaticInput": patchslide.QuasiStaticInput(contact_point=(0.02, 0.0), contact_velocity=(0.0, 0.1)),
+        "Reconstruction": patchslide.Reconstruction(p_t=-0.006, p_o=-0.013, p_r=-1e-5, v_t=0.6, v_o=0.8, v_r=9.9),
+        "RunOptions": patchslide.RunOptions(sigma_min=1e-5, topple_policy="error", output_path="out.csv"),
+        "Scenario": patchslide.resolve_scenario("example3"),
+        "SliderParams": params,
+        "SliderState": state,
+        "SlipVelocity": patchslide.SlipVelocity(v_t=0.6, v_o=0.8, v_r=9.9),
+        "SolveInfo": patchslide.SolveInfo(iters=3, residual_norm=1e-17, rest=False, starts=1),
+        "SolverOptions": patchslide.SolverOptions(sigma_min=1e-4),
+        "StepDiagnostics": diag,
+        "StepInputs": StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=0.049, h=0.01),
+        "TableSchedule": TableSchedule(times=(0.0, 0.2), wrenches=(AppliedWrench(), AppliedWrench(lambda_x=1.0))),
+        "TrajectoryRecord": patchslide.TrajectoryRecord(
+            state=state1, impulses=impulse, ecp=point, applied=applied, diagnostics=diag,
+        ),
+        "TranslationStep": patchslide.TranslationStep(p_t=-0.01, p_o=0.0, sigma=0.5, v_next=(0.48, 0.0), rest=False),
+    }
+
+
+@pytest.fixture(scope="module")
+def examples():
+    return _examples()
+
+
+def test_every_exported_frozen_dataclass_is_covered(examples):
+    exported = {
+        name for name in dir(patchslide)
+        if isinstance(getattr(patchslide, name), type) and dataclasses.is_dataclass(getattr(patchslide, name))
+    }
+    assert exported == set(SIGNATURES) == set(examples)
+    for name in exported:
+        assert getattr(patchslide, name).__dataclass_params__.frozen, name
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_value_type_is_slotted_and_frozen(examples, name):
+    obj = examples[name]
+    assert type(obj) is getattr(patchslide, name)
+    assert not hasattr(obj, "__dict__")
+    first = dataclasses.fields(obj)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, first, getattr(obj, first))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.not_a_field = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, first)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_value_type_signature_is_unchanged(name):
+    assert str(inspect.signature(getattr(patchslide, name))) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_value_type_round_trips(examples, name):
+    obj = examples[name]
+    for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj)), deepcopy(obj)):
+        assert type(copy) is type(obj)
+        assert copy == obj
+        assert hash(copy) == hash(obj)
+        assert repr(copy) == repr(obj)
+
+
+def test_value_type_loads_pickles_of_unslotted_instances(examples):
+    # a pickle written when the value types kept a __dict__ carries that
+    # dict as the state; it must not be read as the list of field values
+    s = examples["SliderState"]
+    old = SliderState.__new__(SliderState)
+    old.__setstate__({f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
+    assert old == s
+    assert pickle.loads(pickle.dumps(s, protocol=0)) == s
+
+
+def test_value_type_replace_changes_one_field(examples):
+    s = examples["SliderState"]
+    moved = dataclasses.replace(s, q_x=2.0)
+    assert moved.q_x == 2.0
+    assert moved != s
+    assert dataclasses.replace(moved, q_x=s.q_x) == s
+
+
+def test_value_type_defaults_and_keywords():
+    assert AppliedWrench() == AppliedWrench(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert AppliedImpulse(p_ztau=1.0).p_ztau == 1.0
+    assert patchslide.StepDiagnostics(1, 0.0, True).wall_time == 0.0
+    with pytest.raises(TypeError):
+        SliderState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        DiskPatch(r=0.1, radius=0.1)
+
+
+def test_value_type_post_init_still_validates(examples):
+    inp = examples["StepInputs"]
+    with pytest.raises(ValidationError, match="normal impulse must be positive"):
+        dataclasses.replace(inp, p_n=0.0)
+    obs = examples["ObservedStep"]
+    with pytest.raises(ValidationError, match="observed step must advance time"):
+        dataclasses.replace(obs, state_u1=obs.state_u)
+    with pytest.raises(ValidationError, match="zero area"):
+        PolygonPatch(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
+
+
+def test_scenario_without_options_gets_a_fresh_default(examples):
+    base = examples["Scenario"]
+    args = (base.params, base.friction, base.initial, base.schedule, base.h, base.duration)
+    a = patchslide.Scenario(*args)
+    b = patchslide.Scenario(*args)
+    assert a.options == patchslide.RunOptions()
+    assert a.options is not b.options
+    assert a == b
+
+
+def test_value_type_rejects_fields_outside_the_constructor():
+    with pytest.raises(TypeError, match="every field as a plain argument"):
+        @value_type
+        class Hidden:
+            a: float
+            b: float = dataclasses.field(default=0.0, init=False)

@@ -320,6 +320,23 @@ def test_non_finite_applied_loads_rejected_at_load(schedule, message):
         loads_scenario(MINIMAL + f"\nschedule: {schedule}\n")
 
 
+@pytest.mark.parametrize("schedule", [
+    "{type: constant, wrench: {lambda_ztau: 1.0e+308}}",
+    "{type: constant, wrench: {lambda_z: -1.0e+308}}",
+    "{type: table, rows: [{t: 0.0}, {t: 5.0, wrench: {lambda_y: 1.0e+200}}]}",
+], ids=["torque", "normal", "late-table-row"])
+def test_finite_loads_that_overflow_when_squared_rejected_at_load(schedule):
+    # finite, but the per-step impulse squared in friction-ellipsoid units
+    # is not: the rest test could not be made
+    with pytest.raises(ValidationError, match="applied load is too large"):
+        loads_scenario(MINIMAL + f"\nschedule: {schedule}\n")
+
+
+def test_large_but_squarable_load_still_loads():
+    scen = loads_scenario(MINIMAL + "\nschedule: {type: constant, wrench: {lambda_x: 1.0e+150}}\n")
+    assert scen.schedule.wrench.lambda_x == 1e150
+
+
 # ------------------------------------------------- libyaml and pure Python
 
 YAML_PATHS = {

@@ -7,6 +7,7 @@ reproduce them without sharing any code with that script.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from patchslide import (
     SliderState,
     SlipVelocity,
     StepInputs,
+    ValidationError,
     ZeroSlipError,
     jacobian,
     max_dissipation_impulse,
@@ -300,6 +302,41 @@ def test_rest_stopping_impulse_absorbs_momentum():
 
 def test_fast_slider_cannot_rest_in_one_step():
     assert not rest_reachable(step1_inputs())
+
+
+def test_public_rest_test_agrees_with_the_solve_bit_for_bit():
+    # inputs shrunk toward rest by factors down to 1e-3 straddle the
+    # ellipsoid boundary; on each, rest_reachable decides the solve's rest
+    # branch and stopping_impulse is its impulse, bit for bit
+    rng = np.random.default_rng(17)
+    n_rest = 0
+    for inp in make_sliding_inputs(17, 300):
+        f = 10.0 ** rng.uniform(-3.0, 0.0)
+        s, a = inp.state, inp.applied
+        inp = replace(
+            inp,
+            state=replace(s, v_x=f * s.v_x, v_y=f * s.v_y, w_z=f * s.w_z),
+            applied=replace(a, p_x=f * a.p_x, p_y=f * a.p_y, p_ztau=f * a.p_ztau),
+        )
+        imp, info = solve_step_info(inp)
+        reachable = rest_reachable(inp)
+        assert reachable == (info.iters == 0 and imp.sigma == 0.0)
+        if reachable:
+            n_rest += 1
+            assert info.rest
+            assert stopping_impulse(inp) == (imp.p_t, imp.p_o, imp.p_r)
+    assert 30 <= n_rest <= 270
+
+
+def test_rest_test_overflow_is_validation_error():
+    # finite inputs whose stopping impulse overflows when squared in
+    # ellipsoid units: a documented error, never a raw OverflowError
+    inp = replace(step1_inputs(), applied=AppliedImpulse(p_ztau=1e306))
+    assert all(map(math.isfinite, stopping_impulse(inp)))
+    with pytest.raises(ValidationError, match="load is too large"):
+        rest_reachable(inp)
+    with pytest.raises(ValidationError, match="load is too large"):
+        solve_step_info(inp)
 
 
 def test_no_convergence_raised_when_iteration_cap_exhausted():

@@ -11,6 +11,7 @@ from patchslide import (
     AnnulusPatch,
     AppliedImpulse,
     AppliedWrench,
+    BodyPusherSchedule,
     ConstantSchedule,
     ContactImpulse,
     ContactLossError,
@@ -25,6 +26,7 @@ from patchslide import (
     SlipVelocity,
     TableSchedule,
     ToppleRiskError,
+    ValidationError,
     ecp,
     max_dissipation_impulse,
     simulate,
@@ -417,3 +419,17 @@ def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_s
     for scen, records in ((ex1_scenario, ex1_records), (ex3_scenario, ex3_records)):
         for s in [scen.initial] + [r.state for r in records[4::5]]:
             assert solve_step(assemble_inputs(s, scen)) == step(s, scen).impulses
+
+
+# ------------------------------------------------------ overflowing loads
+
+def test_overflowing_load_fails_at_load_or_names_the_step():
+    # a constant load whose square in ellipsoid units overflows cannot
+    # even make a Scenario
+    with pytest.raises(ValidationError, match="applied load is too large"):
+        make_scenario(wrench=AppliedWrench(lambda_ztau=1e308))
+    # a pusher's load depends on the state, so the rest test catches it
+    pusher = BodyPusherSchedule(point_body=(-0.025, 0.0, 0.0), direction_body=(1.0, 0.0),
+                                force_mean=1e200, force_amp=0.0, period=0.1)
+    with pytest.raises(ValidationError, match=r"^step 0: load is too large"):
+        simulate(make_scenario(schedule=pusher))
