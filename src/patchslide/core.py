@@ -355,8 +355,15 @@ def wrench_at(schedule: WrenchSchedule, state: SliderState, t: float) -> Applied
         if k < 0:
             return AppliedWrench.zero()
         return schedule.wrenches[k]
-    c = math.cos(state.theta_z)
-    s = math.sin(state.theta_z)
+    return AppliedWrench(*pusher_wrench(schedule, state.theta_z, t))
+
+
+def pusher_wrench(schedule: BodyPusherSchedule, theta_z: float, t: float) -> tuple[float, ...]:
+    # the body pusher's wrench at body angle theta_z and time t, as floats in
+    # AppliedWrench's field order (lambda_x, lambda_y, lambda_z, lambda_xtau,
+    # lambda_ytau, lambda_ztau), for callers that need no AppliedWrench
+    c = math.cos(theta_z)
+    s = math.sin(theta_z)
     dx, dy = schedule.direction_body
     mag = schedule.force_mean + schedule.force_amp * math.cos(2.0 * math.pi * t / schedule.period)
     fx = mag * (c * dx - s * dy)
@@ -365,9 +372,8 @@ def wrench_at(schedule: WrenchSchedule, state: SliderState, t: float) -> Applied
     rx = c * px - s * py
     ry = s * px + c * py
     rz = pz
-    # tau = r x f with f_z = 0; (lambda_x, lambda_y, lambda_z, lambda_xtau,
-    # lambda_ytau, lambda_ztau), positional as the per-step code calls them
-    return AppliedWrench(fx, fy, 0.0, -rz * fy, rz * fx, rx * fy - ry * fx)
+    # tau = r x f with f_z = 0
+    return (fx, fy, 0.0, -rz * fy, rz * fx, rx * fy - ry * fx)
 
 
 def impulse_over(wrench: AppliedWrench, h: float) -> AppliedImpulse:
@@ -378,10 +384,10 @@ def impulse_over(wrench: AppliedWrench, h: float) -> AppliedImpulse:
     )
 
 
-def pressing_load(params: SliderParams, wrench: AppliedWrench) -> float:
+def pressing_load(params: SliderParams, lambda_z: float) -> float:
     # the net vertical force m*g - lambda_z; ContactLossError unless it
     # presses the slider onto the plane
-    fn = params.m * params.g - wrench.lambda_z
+    fn = params.m * params.g - lambda_z
     if fn <= 0.0:
         raise ContactLossError(
             f"vertical load {fn:g} N does not press the slider onto the plane"
@@ -402,7 +408,7 @@ def normal_impulse(params: SliderParams, wrench: AppliedWrench, h: float) -> flo
     weight, since the sliding model requires sustained contact.
     """
     _require(h > 0.0, "step length must be positive")
-    return h * pressing_load(params, wrench)
+    return h * pressing_load(params, wrench.lambda_z)
 
 
 @value_type

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "convex_edges",
     "convex_hull",
+    "point_in_convex_edges",
     "point_in_polygon",
     "point_in_convex_polygon",
     "world_to_body",
@@ -88,9 +90,19 @@ def point_in_convex_polygon(px: float, py: float, hull: list[tuple[float, float]
         return abs(px - hull[0][0]) <= _EPS and abs(py - hull[0][1]) <= _EPS
     if n == 2:
         return _on_segment(px, py, hull[0][0], hull[0][1], hull[1][0], hull[1][1])
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -_EPS:
+    return point_in_convex_edges(px, py, convex_edges(hull))
+
+
+def convex_edges(hull: list[tuple[float, float]]) -> tuple[tuple[float, float, float, float], ...]:
+    """Each edge of a polygon as (a_x, a_y, e_x, e_y): its start vertex and
+    the vector to the next vertex, the last edge closing the polygon."""
+    return tuple((ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]))
+
+
+def point_in_convex_edges(px: float, py: float, edges: tuple[tuple[float, float, float, float], ...]) -> bool:
+    """Boundary-inclusive containment in a counterclockwise convex polygon
+    of at least three vertices, given by its convex_edges."""
+    for ax, ay, ex, ey in edges:
+        if ex * (py - ay) - ey * (px - ax) < -_EPS:
             return False
     return True

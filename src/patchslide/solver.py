@@ -247,7 +247,9 @@ def _gap_curve(k):
 
     Returns a function of sigma giving the point (p_t, p_o, p_r, sigma)
     on the curve, the ellipsoid gap there and the gap's derivative along
-    the curve.  The gap is _residuals' fourth residual, bit for bit."""
+    the curve.  The gap is _residuals' fourth residual, bit for bit.
+    solve_step_info evaluates the same expressions inline, in the same
+    order, so that a step builds no closure."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     mu_pn_sq = (mu * p_n) ** 2
@@ -329,29 +331,73 @@ def solve_step_info(
     """
     opt = options or SolverOptions()
     k = _unpack(inp)
-    p_n = inp.p_n
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
 
     stop = _stopping(k)
     if _reachable(stop, k):
         imp = ContactImpulse(*stop, 0.0, p_n)  # p_t, p_o, p_r, sigma, p_n
         return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
 
-    mu_pn = inp.friction.mu * p_n
+    mu_pn = mu * p_n
     mu_pn_sq = mu_pn ** 2
     tol = opt.tol * mu_pn_sq
-    point = _gap_curve(k)
+    # _gap_curve's constants and, in the loop, its point(), term for term
+    alpha = mu * p_n * e_t ** 2
+    beta = mu * p_n * e_o ** 2
+    gamma = mu * p_n * e_r ** 2
+    W0 = w_z + p_ztau / I_z
+    r_damp = gamma / I_z
+    a11 = alpha / m
+    a22 = beta / m
+    q_t = alpha * q_z / p_n
+    q_o = beta * q_z / p_n
+    c_t = -alpha * (v_x + p_x / m)
+    c_o = -beta * (v_y + p_y / m)
+    d_t = -alpha * p_xtau / p_n
+    d_o = -beta * p_ytau / p_n
+    w_t = 2.0 / e_t ** 2
+    w_o = 2.0 / e_o ** 2
+    w_r = 2.0 / e_r ** 2
+    g_W0 = -gamma * W0
     sig = guess.sigma if guess is not None and guess.sigma > 0.0 else _initial_sigma(k)
     lo, hi = 0.0, math.inf
     dx = dx_old = math.inf
     for it in range(opt.max_iter + 1):
-        z, gap, dgap = point(sig)
+        s_r = sig + r_damp
+        p_r = g_W0 / s_r
+        W = w_z + (p_r + p_ztau) / I_z
+        A11 = a11 + sig
+        A22 = a22 + sig
+        A12 = q_t * W
+        A21 = -q_o * W
+        det = A11 * A22 - A12 * A21
+        b1 = c_t + d_t * W
+        b2 = c_o + d_o * W
+        p_t = (b1 * A22 - A12 * b2) / det
+        p_o = (A11 * b2 - A21 * b1) / det
+        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
         # the residual norm is at least |gap|, so the other three residuals
-        # are worth evaluating only once the gap alone meets the tolerance
+        # are worth evaluating only once the gap alone meets the tolerance;
+        # they are _residuals' F1-F3, and the gap is its F4
         rn = None
         if abs(gap) <= tol:
-            rn = _residual_norm(z, k)
+            rn = max(
+                abs(alpha * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sig),
+                abs(beta * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sig),
+                abs(gamma * W + p_r * sig),
+                abs(gap),
+            )
             if rn <= tol:
                 break
+        # the gap's derivative along the curve
+        dp_r = -p_r / s_r
+        dW = dp_r / I_z
+        r1 = d_t * dW - p_t - q_t * dW * p_o
+        r2 = d_o * dW + q_o * dW * p_t - p_o
+        dp_t = (r1 * A22 - A12 * r2) / det
+        dp_o = (A11 * r2 - A21 * r1) / det
+        dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
         # Newton on 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
         # gap but is nearly linear in sigma: exactly so in pure translation
         lhs = mu_pn_sq - gap
@@ -359,6 +405,7 @@ def solve_step_info(
         # near a root the Newton correction is the error in sigma; the floor
         # is worth computing only once that error is down to roundoff
         if abs(newton - sig) <= _SETTLED * sig:
+            z = (p_t, p_o, p_r, sig)
             if rn is None:
                 rn = _residual_norm(z, k)
             if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
@@ -379,13 +426,15 @@ def solve_step_info(
     else:
         raise NoConvergenceError(
             f"slip-speed solve did not reach the tolerance in {opt.max_iter} iterations "
-            f"(bracket [{lo:.17g}, {hi:.17g}], residual {_residual_norm(z, k):.3e})"
+            f"(bracket [{lo:.17g}, {hi:.17g}], residual {_residual_norm((p_t, p_o, p_r, sig), k):.3e})"
         )
 
     second = False
     if opt.probe_second_root:
         # count sign changes of the gap over a uniform grid of [0, top],
         # with the gap positive at top; more than one means another root
+        point = _gap_curve(k)
+
         def gap_at(s):
             return point(s)[1]
 
@@ -396,7 +445,7 @@ def solve_step_info(
         signs = [g > 0.0 for g in map(gap_at, grid) if g != 0.0]
         second = sum(a != b for a, b in zip(signs, signs[1:])) > 1
 
-    imp = ContactImpulse(z[0], z[1], z[2], sig, p_n)
+    imp = ContactImpulse(p_t, p_o, p_r, sig, p_n)
     return imp, SolveInfo(it, rn, sig < opt.sigma_min, 1, second)
 
 

@@ -18,6 +18,7 @@ import warnings
 from .core import (
     AnnulusPatch,
     AppliedImpulse,
+    BodyPusherSchedule,
     ContactImpulse,
     ContactPatch,
     DiskPatch,
@@ -29,11 +30,19 @@ from .core import (
     StepInputs,
     impulse_over,
     pressing_load,
+    pusher_wrench,
     value_type,
     wrench_at,
 )
 from .errors import PatchSlideError, ToppleRiskError
-from .geometry import convex_hull, point_in_convex_polygon, point_in_polygon, world_to_body
+from .geometry import (
+    convex_edges,
+    convex_hull,
+    point_in_convex_edges,
+    point_in_convex_polygon,
+    point_in_polygon,
+    world_to_body,
+)
 from .scenario import Scenario
 from .solver import SolverOptions, solve_step_info
 
@@ -77,21 +86,24 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=256)
-def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], bool]:
+def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], tuple | None, bool]:
     # patches are frozen, so a run computes its patch's hull once; the
     # bound keeps a long sweep over many patches from growing the cache.
+    # The hull's edges are kept for the containment test of each step; a
+    # hull of fewer than three vertices has none and keeps the general test.
     # The patch is convex when its vertices are the hull's, in cyclic order
     # either way round; collinear or repeated vertices and self-intersecting
     # outlines fail this and keep the ray cast.
     hull = tuple(convex_hull(list(patch.vertices)))
     verts = patch.vertices
     n = len(hull)
+    edges = convex_edges(hull) if n >= 3 else None
     convex = False
     if len(verts) == n and verts[0] in hull:
         i = hull.index(verts[0])
         convex = (all(verts[j] == hull[(i + j) % n] for j in range(n))
                   or all(verts[j] == hull[(i - j) % n] for j in range(n)))
-    return hull, convex
+    return hull, edges, convex
 
 
 @functools.lru_cache(maxsize=256)
@@ -115,8 +127,11 @@ def validate_patch(
     """
     bx, by = world_to_body(point[0], point[1], pose[0], pose[1], pose[2])
     if isinstance(patch, PolygonPatch):
-        hull, convex = _hull(patch)
-        in_hull = point_in_convex_polygon(bx, by, hull)
+        hull, edges, convex = _hull(patch)
+        if edges is None:
+            in_hull = point_in_convex_polygon(bx, by, hull)
+        else:
+            in_hull = point_in_convex_edges(bx, by, edges)
         if convex:
             return (in_hull, in_hull)
         # the patch lies inside its hull, whatever the two tests' slacks
@@ -166,10 +181,19 @@ def slip_velocity(state: SliderState, ecp_offset: tuple[float, float]) -> SlipVe
 def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     """Sample the schedule at the start of the step, integrate the wrench
     into impulses, and resolve the normal impulse."""
-    w = wrench_at(scen.schedule, state_u, state_u.t)
+    schedule = scen.schedule
     h = scen.h  # positive: Scenario checks it
     params = scen.params
-    return StepInputs(params, scen.friction, state_u, impulse_over(w, h), h * pressing_load(params, w), h)
+    if isinstance(schedule, BodyPusherSchedule):
+        # the pusher's wrench changes every step: integrate its floats
+        # straight into the impulse, building no AppliedWrench
+        l_x, l_y, l_z, l_xtau, l_ytau, l_ztau = pusher_wrench(schedule, state_u.theta_z, state_u.t)
+        applied = AppliedImpulse(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
+    else:
+        w = wrench_at(schedule, state_u, state_u.t)
+        applied = impulse_over(w, h)
+        l_z = w.lambda_z
+    return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z), h)
 
 
 def step(

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
+
 from patchslide.geometry import (
+    convex_edges,
     convex_hull,
+    point_in_convex_edges,
     point_in_convex_polygon,
     point_in_polygon,
     world_to_body,
@@ -69,6 +73,38 @@ def test_point_in_convex_polygon_boundary_and_degenerate():
     assert point_in_convex_polygon(2.0, 5.0, [(2.0, 5.0)])
     assert point_in_convex_polygon(0.5, 0.5, [(0.0, 0.0), (1.0, 1.0)])  # on segment
     assert not point_in_convex_polygon(0.5, 0.6, [(0.0, 0.0), (1.0, 1.0)])
+
+
+def _in_convex_by_index(px, py, hull):
+    # the vertex-indexed form of the cross-product test with its slack
+    n = len(hull)
+    for i in range(n):
+        ax, ay = hull[i]
+        bx, by = hull[(i + 1) % n]
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -1e-12:
+            return False
+    return True
+
+
+def test_edge_form_of_the_convex_test_decides_as_the_indexed_form():
+    # points scattered over and just around random hulls, many of them
+    # within roundoff of an edge, where the slack decides
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        hull = convex_hull([tuple(p) for p in rng.uniform(-scale, scale, (7, 2))])
+        assert len(hull) >= 3
+        edges = convex_edges(hull)
+        assert len(edges) == len(hull)
+        points = [tuple(p) for p in rng.uniform(-1.2 * scale, 1.2 * scale, (40, 2))]
+        for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+            for u in rng.uniform(0.0, 1.0, 5):
+                for off in (-1e-12, -1e-15, 0.0, 1e-15, 1e-12):
+                    points.append((ax + u * (bx - ax) + off, ay + u * (by - ay) - off))
+        for px, py in points:
+            expected = _in_convex_by_index(px, py, hull)
+            assert point_in_convex_edges(px, py, edges) is expected
+            assert point_in_convex_polygon(px, py, hull) is expected
 
 
 def test_world_to_body_rotation_and_translation():

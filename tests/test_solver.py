@@ -396,3 +396,26 @@ def test_curve_gap_and_reported_norm_are_the_full_residuals():
             assert gap == _residuals(z, k)[3]
         z = (imp.p_t, imp.p_o, imp.p_r, imp.sigma)
         assert info.residual_norm == float(np.max(np.abs(residual(z, inp))))
+
+
+def test_inline_curve_is_the_gap_curve_bit_for_bit():
+    # solve_step_info evaluates _gap_curve's expressions inline rather than
+    # through the closure; the point it returns must be the closure's at the
+    # returned sigma, and its norm the four-residual norm there, to the bit
+    from patchslide.solver import _gap_curve, _residuals, _unpack
+
+    def bits(xs):
+        return tuple(x.hex() for x in xs)
+
+    for inp in make_sliding_inputs(seed=23, n=300):
+        k = _unpack(inp)
+        cold, _ = solve_step_info(inp)
+        off = ContactImpulse(p_t=1.1 * cold.p_t, p_o=1.1 * cold.p_o, p_r=1.1 * cold.p_r,
+                             sigma=1.1 * cold.sigma, p_n=inp.p_n)
+        for guess in (None, off):
+            imp, info = solve_step_info(inp, guess)
+            z, _, _ = _gap_curve(k)(imp.sigma)
+            assert bits((imp.p_t, imp.p_o, imp.p_r, imp.sigma)) == bits(z)
+            assert info.residual_norm.hex() == max(map(abs, _residuals(z, k))).hex()
+    _, info = solve_step_info(step1_inputs(), options=SolverOptions(probe_second_root=True))
+    assert info.second_root is False

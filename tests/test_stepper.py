@@ -3,6 +3,8 @@ containment, rest termination, and trajectory-level invariants."""
 
 import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,13 +29,17 @@ from patchslide import (
     TableSchedule,
     ToppleRiskError,
     ValidationError,
+    assemble_inputs,
     ecp,
     max_dissipation_impulse,
     simulate,
     slip_velocity,
     step,
     validate_patch,
+    wrench_at,
 )
+from patchslide.core import impulse_over, pressing_load
+from patchslide.geometry import convex_hull, point_in_convex_polygon
 from patchslide.scenario import MIN_E_R
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
@@ -211,6 +217,23 @@ def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
     assert validate_patch((0.002, 0.005), BOWTIE, origin) == (True, True)
     assert validate_patch((0.025, 0.01), BOWTIE, origin) == (True, True)
     assert validate_patch((0.01, 0.015), BOWTIE, origin) == (False, False)
+
+
+def test_validate_patch_degenerate_hull_keeps_the_general_test():
+    # nonzero shoelace area from roundoff, yet the hull drops the middle
+    # vertex as collinear: two hull points and no edges to test against
+    thin = PolygonPatch(((0.11288584381185873, -0.15283142922987214),
+                         (0.5617714068014281, -0.3342143955494309),
+                         (0.5893117124160843, -0.3453427158555344)))
+    hull = convex_hull(list(thin.vertices))
+    assert len(hull) == 2
+    origin = (0.0, 0.0, 0.0)
+    (ax, ay), (bx, by) = hull
+    mid = (0.5 * (ax + bx), 0.5 * (ay + by))
+    for point in (mid, (mid[0], mid[1] + 1e-3), (2.0 * bx - ax, 2.0 * by - ay)):
+        in_hull, _ = validate_patch(point, thin, origin)
+        assert in_hull is point_in_convex_polygon(point[0], point[1], hull)
+    assert validate_patch(mid, thin, origin)[0]
 
 
 # ------------------------------------------------------------------- simulate
@@ -433,3 +456,96 @@ def test_overflowing_load_fails_at_load_or_names_the_step():
                                 force_mean=1e200, force_amp=0.0, period=0.1)
     with pytest.raises(ValidationError, match=r"^step 0: load is too large"):
         simulate(make_scenario(schedule=pusher))
+
+
+# ------------------------------------------------- per-step call structure
+
+def _pusher_wrench_reference(sched, theta_z, t):
+    # the body pusher's wrench as wrench_at computed it on an AppliedWrench
+    c = math.cos(theta_z)
+    s = math.sin(theta_z)
+    dx, dy = sched.direction_body
+    mag = sched.force_mean + sched.force_amp * math.cos(2.0 * math.pi * t / sched.period)
+    fx = mag * (c * dx - s * dy)
+    fy = mag * (s * dx + c * dy)
+    px, py, pz = sched.point_body
+    rx = c * px - s * py
+    ry = s * px + c * py
+    return AppliedWrench(fx, fy, 0.0, -pz * fy, pz * fx, rx * fy - ry * fx)
+
+
+def test_assemble_inputs_pusher_floats_match_the_wrench_path():
+    # a pusher step integrates the wrench's floats without building an
+    # AppliedWrench; the impulse and normal impulse keep their bits
+    rng = np.random.default_rng(19)
+    h = 0.01
+    for _ in range(200):
+        phi = rng.uniform(-math.pi, math.pi)
+        sched = BodyPusherSchedule(
+            point_body=(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.01, 0.01)),
+            direction_body=(math.cos(phi), math.sin(phi)),
+            force_mean=rng.uniform(0.0, 3.0), force_amp=rng.uniform(0.0, 2.0),
+            period=rng.uniform(0.05, 0.5),
+        )
+        scen = make_scenario(schedule=sched, h=h)
+        state = dataclasses.replace(scen.initial, theta_z=rng.uniform(-4.0, 4.0), t=rng.uniform(0.0, 3.0))
+        inputs = assemble_inputs(state, scen)
+        w = wrench_at(sched, state, state.t)
+        assert repr(w) == repr(_pusher_wrench_reference(sched, state.theta_z, state.t))
+        assert w.lambda_xtau != 0.0 and w.lambda_ytau != 0.0
+        assert repr(inputs.applied) == repr(impulse_over(w, h))
+        assert inputs.p_n.hex() == (h * pressing_load(scen.params, w.lambda_z)).hex()
+
+
+def test_simulate_runs_each_traced_layer_once_per_step(ex3_scenario, monkeypatch):
+    # the benchmark times these stepper globals by name; a kernel that
+    # stopped calling one would read as a layer that takes no time
+    import patchslide.stepper as stepper_module
+
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(stepper_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    per_step = ("step", "assemble_inputs", "solve_step_info", "ecp", "validate_patch")
+    for name in per_step + ("convex_hull",):
+        monkeypatch.setattr(stepper_module, name, counting(name))
+    stepper_module._hull.cache_clear()
+    with warnings.catch_warnings():
+        # example3's pusher takes the ECP out of the hull
+        warnings.simplefilter("ignore", UserWarning)
+        records = stepper_module.simulate(ex3_scenario)
+    stepper_module._hull.cache_clear()
+    assert len(records) == 300
+    assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, len(records))
+    assert calls["convex_hull"] <= 1
+
+
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_simulate_converges_at_first_order_in_h(name):
+    # backward Euler on the velocities, the configuration updated with the
+    # end-of-step velocities and the load sampled at the start of the step:
+    # each halving of h halves the error at T = 0.2 s against h = 1e-2/128
+    from patchslide import resolve_scenario
+
+    scen = resolve_scenario(name)
+
+    def final_state(h):
+        records = simulate(dataclasses.replace(scen, h=h, duration=0.2))
+        assert len(records) == round(0.2 / h)
+        s = records[-1].state
+        return (s.q_x, s.q_y, s.theta_z, s.v_x, s.v_y, s.w_z)
+
+    ref = final_state(1e-2 / 128)
+    errors = []
+    for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+        errors.append(max(abs(a - b) for a, b in zip(final_state(h), ref)))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.8 <= r <= 2.3 for r in ratios), (errors, ratios)
