@@ -33,7 +33,7 @@ from .errors import (
 from .oracle import oracle_solve_step, verify_kkt
 from .scenario import Scenario, resolve_scenario
 from .solver import SolverOptions, residual, solve_step_info
-from .stepper import StepDiagnostics, TrajectoryRecord, assemble_inputs, ecp, simulate
+from .stepper import StepDiagnostics, TrajectoryRecord, assemble_inputs, ecp, simulate, warm_sigma
 from .sysid import batch_estimate
 from .trajectory import observed_steps, read_trajectory, write_plot_data, write_trajectory
 
@@ -110,7 +110,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         opts = replace(opts, tol=args.solver_tol)
     n_steps = int(round(scen.duration / scen.h))
     state = scen.initial
-    guess: ContactImpulse | None = None
+    # slip speeds of the last three steps, warm-started as simulate does
+    s1 = s2 = s3 = 0.0
     max_dev = 0.0
     worst = -1
     kkt_failures = 0
@@ -120,7 +121,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for k in range(n_steps):
         try:
             inputs = assemble_inputs(state, scen)
-            sol, info = solve_step_info(inputs, guess, opts)
+            sol, info = solve_step_info(inputs, warm_sigma(s1, s2, s3), opts)
             ref = oracle_solve_step(inputs)
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
@@ -151,7 +152,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             w_z=state.w_z + (sol.p_r + inputs.applied.p_ztau) / I_z,
             t=state.t + scen.h,
         )
-        guess = sol
+        s1, s2, s3 = sol.sigma, s1, s2
     print(
         f"steps {steps_done}  max_deviation {max_dev:.3e}"
         + (f" (step {worst})" if worst >= 0 else "")

@@ -12,7 +12,7 @@ and (p_t, p_o) solve a 2x2 system whose determinant is strictly positive.
 Along that exact curve only the ellipsoid gap g(sigma) remains.  g(0) is
 negative exactly when friction cannot stop the slider within the step,
 and g tends to +(mu*p_n)^2 as sigma grows, so a root can always be
-bracketed and is found by safeguarded Newton iteration on g.
+bracketed and is found by a safeguarded Newton-type iteration.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ __all__ = [
 _FLOOR_ULPS = 8.0
 # relative Newton correction below which sigma has settled to roundoff
 _SETTLED = 2.0 ** -40
+# largest factor by which one iteration expands the bracket before a
+# positive gap is seen
+_GROW = 8.0
 # grid points of the sign-change scan behind probe_second_root
 _PROBE_POINTS = 1000
 _INF = math.inf
@@ -188,10 +191,11 @@ def _stopping(k) -> tuple[float, float, float]:
     return (-(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau))
 
 
-def _reachable(stop: tuple[float, float, float], k) -> bool:
-    # whether the stopping impulse lies inside the friction ellipsoid; its
-    # square in ellipsoid units must be a double, and a state-dependent
-    # load can push it past one even when the scenario passed its load check
+def _stopping_lhs(stop: tuple[float, float, float], k) -> float:
+    # the stopping impulse squared in friction-ellipsoid units, the left
+    # side of the rest test; it must be a double, as must (mu*p_n)^2, and a
+    # state-dependent load can push it past one even when the scenario
+    # passed its load check
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     p_t, p_o, p_r = stop
@@ -205,7 +209,12 @@ def _reachable(stop: tuple[float, float, float], k) -> bool:
             "load is too large: the stopping impulse squared in friction-ellipsoid units "
             "overflows a double"
         )
-    return lhs <= bound
+    return lhs
+
+
+def _reachable(stop: tuple[float, float, float], k) -> bool:
+    # whether the stopping impulse lies inside the friction ellipsoid
+    return _stopping_lhs(stop, k) <= (k[3] * k[15]) ** 2
 
 
 def stopping_impulse(inp: StepInputs) -> tuple[float, float, float]:
@@ -300,7 +309,7 @@ def _gap_curve(k):
 
 def solve_step_info(
     inp: StepInputs,
-    guess: ContactImpulse | None = None,
+    guess: ContactImpulse | float | None = None,
     options: SolverOptions | None = None,
 ) -> tuple[ContactImpulse, SolveInfo]:
     """Solve one implicit step; returns the impulse and solve diagnostics.
@@ -312,18 +321,27 @@ def solve_step_info(
     load is too large to be squared in double precision.
 
     Otherwise the solve walks the exact solution curve of the tangential
-    equations in sigma, from the warm start guess.sigma (or, without a
-    positive one, the slip speed of the max-dissipation impulse at the
-    start-of-step velocities).  It keeps a bracket [lo, hi] with the
+    equations in sigma, from a warm start: guess itself when it is a
+    float, guess.sigma when it is a ContactImpulse (nothing else of it is
+    used).  simulate passes the slip speed extrapolated from its last
+    three steps (stepper.warm_sigma).  Without a positive warm start it
+    starts cold, from the slip speed of the max-dissipation impulse at the
+    start-of-step velocities.  It keeps a bracket [lo, hi] with the
     ellipsoid gap negative at lo and positive at hi, starting from
-    [0, inf).  Until a positive gap is seen, each iteration moves right by
-    the Newton step or at most a doubling; after that it takes the Newton
-    step when it lands inside the bracket and shrinks fast enough, and
-    bisects otherwise.  Only guess.sigma is used from the guess.
+    [0, inf).  Each iteration takes a Newton step on
+    f = 1/sqrt(lhs) - 1/(mu*p_n), which has the gap's roots.  Until a
+    positive gap is seen it moves right by that step or at most a factor
+    8.  After that it takes the Newton step when it lands inside the
+    bracket and shrinks fast enough.  Otherwise it takes the root of the
+    linear-fractional model of f that matches f and its slope at the
+    current point and f at the far end of the bracket (at sigma = 0 the
+    curve's point is the stopping impulse), which follows f's curvature
+    where Newton overshoots or creeps; failing that, it bisects.
 
     Root-selection rule: the root returned is the one reached inside the
     bracket that first contains the warm start.  When the gap has several
-    roots, a different warm start may select a different one.
+    roots, a different warm start may select a different one; in a run
+    that warm start is the extrapolated sigma, not the previous step's.
 
     The first point whose four-residual infinity norm meets the tolerance
     (see SolverOptions) is accepted; NoConvergenceError is raised after
@@ -335,12 +353,13 @@ def solve_step_info(
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
 
     stop = _stopping(k)
-    if _reachable(stop, k):
+    lhs0 = _stopping_lhs(stop, k)
+    mu_pn = mu * p_n
+    mu_pn_sq = mu_pn ** 2
+    if lhs0 <= mu_pn_sq:  # _reachable's test
         imp = ContactImpulse(*stop, 0.0, p_n)  # p_t, p_o, p_r, sigma, p_n
         return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
 
-    mu_pn = mu * p_n
-    mu_pn_sq = mu_pn ** 2
     tol = opt.tol * mu_pn_sq
     # _gap_curve's constants and, in the loop, its point(), term for term
     alpha = mu * p_n * e_t ** 2
@@ -360,8 +379,13 @@ def solve_step_info(
     w_o = 2.0 / e_o ** 2
     w_r = 2.0 / e_r ** 2
     g_W0 = -gamma * W0
-    sig = guess.sigma if guess is not None and guess.sigma > 0.0 else _initial_sigma(k)
+    sig = guess.sigma if isinstance(guess, ContactImpulse) else guess
+    if sig is None or not sig > 0.0:
+        sig = _initial_sigma(k)
+    # the bracket, and lhs at its ends for the linear-fractional step; at
+    # sigma = 0 the curve's point is the stopping impulse
     lo, hi = 0.0, math.inf
+    lhs_lo, lhs_hi = lhs0, math.inf
     dx = dx_old = math.inf
     for it in range(opt.max_iter + 1):
         s_r = sig + r_damp
@@ -398,7 +422,7 @@ def solve_step_info(
         dp_t = (r1 * A22 - A12 * r2) / det
         dp_o = (A11 * r2 - A21 * r1) / det
         dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
-        # Newton on 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
+        # Newton on f = 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
         # gap but is nearly linear in sigma: exactly so in pure translation
         lhs = mu_pn_sq - gap
         newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
@@ -411,16 +435,32 @@ def solve_step_info(
             if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
                 break
         if gap < 0.0:
-            lo = sig
+            lo, lhs_lo = sig, lhs
         else:
-            hi = sig
+            hi, lhs_hi = sig, lhs
         if hi == math.inf:
-            # no positive gap seen yet: expand by at most doubling
-            nxt = newton if lo < newton < 2.0 * lo else 2.0 * lo
+            # no positive gap seen yet: expand by at most a factor _GROW
+            nxt = newton if lo < newton < _GROW * lo else _GROW * lo
         elif lo < newton < hi and abs(newton - sig) < 0.5 * dx_old:
             nxt = newton
         else:
-            nxt = 0.5 * (lo + hi)
+            # where f curves away from its tangent (spin coupled through q_z,
+            # say), Newton overshoots from above or creeps up from below.
+            # Take the root of the linear-fractional model of f that matches
+            # its value and slope at sig and its value at the far end of the
+            # bracket, if it lies inside the bracket; bisect otherwise
+            far, lhs_far = (hi, lhs_hi) if gap < 0.0 else (lo, lhs_lo)
+            nxt = math.nan
+            if lhs > 0.0 and lhs_far > 0.0:
+                inv_far = 1.0 / math.sqrt(lhs_far)
+                d = inv_far - 1.0 / math.sqrt(lhs)  # f at far minus f at sig
+                run = far - sig
+                step = sig - newton
+                den = (inv_far - 1.0 / mu_pn) * run - step * d
+                if den != 0.0:
+                    nxt = sig - step * d * run / den
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
         dx_old, dx = dx, abs(nxt - sig)
         sig = nxt
     else:
@@ -451,7 +491,7 @@ def solve_step_info(
 
 def solve_step(
     inp: StepInputs,
-    guess: ContactImpulse | None = None,
+    guess: ContactImpulse | float | None = None,
     options: SolverOptions | None = None,
 ) -> ContactImpulse:
     """Solve one implicit step for the friction impulse and slip speed."""

@@ -55,6 +55,7 @@ __all__ = [
     "slip_velocity",
     "step",
     "simulate",
+    "warm_sigma",
 ]
 
 # geometric slack for boundary containment decisions
@@ -106,6 +107,13 @@ def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], tuple |
     return hull, edges, convex
 
 
+# validate_patch's one-entry cache in front of _hull: the last polygon
+# patch and its _hull entry.  A run tests one patch every step, and an
+# identity check costs less than the lru_cache hit, which hashes every
+# vertex.  Holding the patch itself keeps a reused id from aliasing.
+_last_hull: tuple = (None, None)
+
+
 @functools.lru_cache(maxsize=256)
 def _options(sigma_min: float) -> SolverOptions:
     # one options object per rest threshold instead of one per step
@@ -125,9 +133,14 @@ def validate_patch(
     convex polygon patch the patch is its hull, so in_patch is the hull
     test.
     """
+    global _last_hull
     bx, by = world_to_body(point[0], point[1], pose[0], pose[1], pose[2])
     if isinstance(patch, PolygonPatch):
-        hull, edges, convex = _hull(patch)
+        last, entry = _last_hull
+        if patch is not last:
+            entry = _hull(patch)
+            _last_hull = (patch, entry)
+        hull, edges, convex = entry
         if edges is None:
             in_hull = point_in_convex_polygon(bx, by, hull)
         else:
@@ -196,17 +209,36 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z), h)
 
 
+def warm_sigma(s1: float, s2: float, s3: float) -> float:
+    """Warm-start slip speed for the next solve from the slip speeds of
+    the last three steps, s1 the latest; 0.0 stands for a step not taken.
+
+    Three steps give the quadratic extrapolation 3*s1 - 3*s2 + s3, two
+    the linear 2*s1 - s2, one s1 itself; an extrapolation that is not
+    positive falls back to s1.  With no history it returns 0.0, which
+    the solve takes as a cold start.
+    """
+    if s3 > 0.0:
+        x = 3.0 * (s1 - s2) + s3
+    elif s2 > 0.0:
+        x = 2.0 * s1 - s2
+    else:
+        return s1
+    return x if x > 0.0 else s1
+
+
 def step(
     state_u: SliderState,
     scen: Scenario,
-    guess: ContactImpulse | None = None,
+    guess: ContactImpulse | float | None = None,
 ) -> TrajectoryRecord:
     """Advance one step from state_u under the scenario's schedule.
 
-    The wrench is sampled at the start of the step and held constant
-    over it.  A rest step (friction absorbs all momentum) ends with
-    exactly zero velocities and an unchanged configuration apart from
-    time.
+    guess is the solve's warm start: a slip speed, or an impulse whose
+    sigma is used.  The wrench is sampled at the start of the step and
+    held constant over it.  A rest step (friction absorbs all momentum)
+    ends with exactly zero velocities and an unchanged configuration
+    apart from time.
     """
     inputs = assemble_inputs(state_u, scen)
     applied = inputs.applied
@@ -235,20 +267,22 @@ def step(
 def simulate(scen: Scenario) -> list[TrajectoryRecord]:
     """Run the scenario for round(duration/h) steps.
 
-    Stops early when a step is flagged as rest; the rest record is the
-    terminal marker.  With topple_policy "error", a step whose ECP
-    leaves the support hull raises; the default policy "warn" records
-    the flag, continues, and after the run emits one UserWarning naming
-    the first such step and their count.
+    Each solve is warm-started from warm_sigma of the slip speeds of the
+    last three steps.  Stops early when a step is flagged as rest; the
+    rest record is the terminal marker.  With topple_policy "error", a
+    step whose ECP leaves the support hull raises; the default policy
+    "warn" records the flag, continues, and after the run emits one
+    UserWarning naming the first such step and their count.
     """
     n_steps = int(round(scen.duration / scen.h))
     records: list[TrajectoryRecord] = []
     state = scen.initial
-    guess: ContactImpulse | None = None
+    # slip speeds of the last three steps, latest first, for the warm start
+    s1 = s2 = s3 = 0.0
     outside: list[int] = []
     for k in range(n_steps):
         try:
-            rec = step(state, scen, guess)
+            rec = step(state, scen, warm_sigma(s1, s2, s3))
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
         records.append(rec)
@@ -259,7 +293,7 @@ def simulate(scen: Scenario) -> list[TrajectoryRecord]:
         if rec.diagnostics.rest_flag:
             break
         state = rec.state
-        guess = rec.impulses
+        s1, s2, s3 = rec.impulses.sigma, s1, s2
     if outside:
         warnings.warn(
             f"step {outside[0]}: equivalent contact point left the support hull "

@@ -137,6 +137,35 @@ def test_compare_stops_where_simulate_stops(tmp_path, capsys):
     assert re.search(r"^steps 40  ", cmp_out, re.MULTILINE)
 
 
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_compare_solves_each_step_from_simulates_warm_start(name, capsys, monkeypatch):
+    # compare must check the configuration simulate runs: the same warm
+    # start at every step, so the same sigma to the bit.  The oracle and the
+    # dissipation check are stubbed out; only the solves matter here
+    import patchslide.cli as cli_module
+    from patchslide import simulate
+
+    solved = []
+    real_solve = cli_module.solve_step_info
+
+    def spy(inputs, guess, options):
+        imp, info = real_solve(inputs, guess, options)
+        solved.append(imp.sigma)
+        return imp, info
+
+    class Kkt:
+        dissipation_optimality = True
+
+    monkeypatch.setattr(cli_module, "solve_step_info", spy)
+    monkeypatch.setattr(cli_module, "oracle_solve_step", lambda inputs: real_solve(inputs)[0])
+    monkeypatch.setattr(cli_module, "verify_kkt", lambda sol, inputs, seed: Kkt)
+    code, _, _ = run(capsys, "compare", "--scenario", name)
+    assert code == 0
+    records = simulate(resolve_scenario(name))
+    assert [s.hex() for s in solved] == [r.impulses.sigma.hex() for r in records]
+
+
 def test_compare_loose_solver_tol_fails(capsys):
     code, stdout, stderr = run(capsys, "compare", "--scenario", "example1",
                                "--solver-tol", "1e-3")

@@ -20,7 +20,7 @@ from dataclasses import replace
 from patchslide import resolve_scenario, simulate
 
 GOLDEN_RECORDS = 851
-GOLDEN_SHA256 = "e0ac1f54bd057463e7a25d774c4e995f64c539b9486f31ee6657557f8adcba7a"
+GOLDEN_SHA256 = "c39fa7426decb74a0e2710e7db8a95ec14246d0f7742242fc10e54f3dff13fbe"
 
 
 def _scenarios():

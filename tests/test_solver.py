@@ -419,3 +419,75 @@ def test_inline_curve_is_the_gap_curve_bit_for_bit():
             assert info.residual_norm.hex() == max(map(abs, _residuals(z, k))).hex()
     _, info = solve_step_info(step1_inputs(), options=SolverOptions(probe_second_root=True))
     assert info.second_root is False
+
+
+def test_float_warm_start_equals_an_impulse_with_that_sigma():
+    # simulate passes the predicted slip speed as a plain float; an impulse
+    # carrying the same sigma must give the same solve to the bit
+    def bits(imp, info):
+        return (tuple(x.hex() for x in (imp.p_t, imp.p_o, imp.p_r, imp.sigma, imp.p_n)),
+                info.iters, info.residual_norm.hex(), info.rest)
+
+    for inp in make_sliding_inputs(seed=29, n=200):
+        cold, _ = solve_step_info(inp)
+        for sigma in (0.9 * cold.sigma, cold.sigma, 1.2 * cold.sigma):
+            carrier = ContactImpulse(p_t=0.0, p_o=0.0, p_r=0.0, sigma=sigma, p_n=inp.p_n)
+            assert bits(*solve_step_info(inp, sigma)) == bits(*solve_step_info(inp, carrier))
+    # a non-positive or NaN guess is a cold start, as an impulse's is
+    inp = step1_inputs()
+    cold = bits(*solve_step_info(inp))
+    for sigma in (0.0, -1.0, math.nan):
+        assert bits(*solve_step_info(inp, sigma)) == cold
+
+
+def _draw_extreme_inputs(rng: np.random.Generator) -> StepInputs:
+    # a cold start far from the root: the ECP offset through q_z up to 0.5
+    # and spin up to 1e3 rad/s, which the initial slip speed ignores, and
+    # applied loads up to 3*mu*p_n that can nearly stop the slider in a step
+    m = rng.uniform(0.1, 2.0)
+    h = 0.01
+    params = SliderParams(m=m, I_z=rng.uniform(1e-4, 1e-2), q_z=rng.uniform(0.0, 0.5), g=9.8, patch=SQUARE)
+    friction = FrictionParams(mu=rng.uniform(0.1, 1.0), e_t=rng.uniform(0.5, 2.0),
+                              e_o=rng.uniform(0.5, 2.0), e_r=rng.uniform(0.005, 0.05))
+    state = SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=rng.uniform(-2, 2), v_y=rng.uniform(-2, 2),
+                        w_z=rng.uniform(-1e3, 1e3), t=0.0)
+    p_n = h * m * 9.8
+    scale = friction.mu * p_n
+    applied = AppliedImpulse(
+        p_x=rng.uniform(-3, 3) * scale,
+        p_y=rng.uniform(-3, 3) * scale,
+        p_xtau=rng.uniform(-3, 3) * scale * 0.1,
+        p_ytau=rng.uniform(-3, 3) * scale * 0.1,
+        p_ztau=rng.uniform(-3, 3) * scale * friction.e_r,
+    )
+    return StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n, h=h)
+
+
+def test_cold_starts_far_from_the_root_take_few_iterations():
+    # 3000 cold sliding inputs at the edges of the valid input space: mean
+    # 3.98 and max 7 iterations, against 4.403 and 10 before the solve grew
+    # its bracket 8x per step and took the linear-fractional step.  Roots
+    # are checked against the oracle on every 60th input, relative to the
+    # root's scale: the oracle's own residual floor is coarser on fast spins
+    from patchslide import oracle_solve_step
+
+    rng = np.random.default_rng(5)
+    inputs = []
+    while len(inputs) < 3000:
+        inp = _draw_extreme_inputs(rng)
+        if not rest_reachable(inp):
+            inputs.append(inp)
+    iters = []
+    for i, inp in enumerate(inputs):
+        imp, info = solve_step_info(inp)
+        iters.append(info.iters)
+        if i % 60 == 0:
+            ref = oracle_solve_step(inp)
+            f = inp.friction
+            bound = f.mu * inp.p_n
+            assert abs(imp.p_t - ref.p_t) <= 1e-9 * bound * f.e_t
+            assert abs(imp.p_o - ref.p_o) <= 1e-9 * bound * f.e_o
+            assert abs(imp.p_r - ref.p_r) <= 1e-9 * bound * f.e_r
+            assert abs(imp.sigma - ref.sigma) <= 1e-9 * ref.sigma
+    assert max(iters) <= 8
+    assert sum(iters) / len(iters) < 4.2

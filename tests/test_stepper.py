@@ -549,3 +549,69 @@ def test_simulate_converges_at_first_order_in_h(name):
         errors.append(max(abs(a - b) for a, b in zip(final_state(h), ref)))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert all(1.8 <= r <= 2.3 for r in ratios), (errors, ratios)
+
+
+def test_validate_patch_equal_patches_share_the_hull_entry():
+    # validate_patch keeps the last patch and its _hull entry and checks
+    # identity first; an equal but distinct patch misses that check and
+    # must still get what _hull gives, and a different patch its own hull
+    import patchslide.stepper as stepper_module
+
+    first = _square(0.025)
+    second = _square(0.025)
+    assert first == second and first is not second
+    origin = (0.0, 0.0, 0.0)
+    for patch in (first, second, first):
+        assert validate_patch((0.02, 0.0), patch, origin) == (True, True)
+        last, entry = stepper_module._last_hull
+        assert last is patch
+        assert entry == stepper_module._hull(patch) == stepper_module._hull(second)
+    wide = _square(0.05)
+    assert validate_patch((0.04, 0.0), wide, origin) == (True, True)
+    assert validate_patch((0.04, 0.0), first, origin) == (False, False)
+    assert stepper_module._last_hull[1] == stepper_module._hull(first)
+
+
+def test_warm_sigma_extrapolates_the_slip_speed_history():
+    from patchslide.stepper import warm_sigma
+
+    assert warm_sigma(0.0, 0.0, 0.0) == 0.0  # no history: cold start
+    assert warm_sigma(1.5, 0.0, 0.0) == 1.5
+    assert warm_sigma(1.5, 2.0, 0.0) == 1.0  # 2*s1 - s2
+    assert warm_sigma(2.0, 1.5, 1.25) == 2.75  # 3*s1 - 3*s2 + s3
+    assert warm_sigma(1.0, 1.5, 2.25) == 0.75  # a quadratic is exact
+    # an extrapolation that is not positive falls back to the latest
+    assert warm_sigma(0.5, 1.0, 0.0) == 0.5  # linear 0.0
+    assert warm_sigma(0.5, 1.5, 0.0) == 0.5  # linear -0.5
+    assert warm_sigma(0.5, 1.0, 1.5) == 0.5  # quadratic 0.0
+    assert warm_sigma(0.2, 1.0, 1.0) == 0.2  # quadratic -1.4
+
+
+def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario, monkeypatch):
+    import patchslide.stepper as stepper_module
+    from patchslide.stepper import warm_sigma
+
+    guesses = []
+    real_step = stepper_module.step
+
+    def spy(state, scen, guess=None):
+        guesses.append(guess)
+        return real_step(state, scen, guess)
+
+    monkeypatch.setattr(stepper_module, "step", spy)
+    records = stepper_module.simulate(ex1_scenario)
+    sig = [r.impulses.sigma for r in records]
+    expected = [0.0]
+    for k in range(1, len(records)):
+        history = (sig[k - 1::-1] + [0.0, 0.0])[:3]
+        expected.append(warm_sigma(*history))
+    assert [g.hex() for g in guesses] == [e.hex() for e in expected]
+
+
+def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
+    # example1 at h = 1e-3 takes 1.09 scalar iterations per step; it took
+    # 2.49 when each solve started from the previous step's sigma
+    records = simulate(dataclasses.replace(ex1_scenario, h=1e-3))
+    iters = [r.diagnostics.newton_iters for r in records]
+    assert len(records) > 300
+    assert sum(iters) / len(iters) <= 2.0
