@@ -13,6 +13,7 @@ from .closed_form import (
     TranslationStep,
     pure_translation_step,
     quasi_static_velocity,
+    translation_solve,
 )
 from .core import (
     AnnulusPatch,

@@ -12,10 +12,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .closed_form import QuasiStaticInput, pure_translation_step, quasi_static_velocity
-from .core import ContactImpulse, SliderState
+from .closed_form import QuasiStaticInput, quasi_static_velocity, translation_solve
 from .errors import (
     AllDegenerateError,
     AnisotropicFrictionError,
@@ -23,7 +20,6 @@ from .errors import (
     DegenerateStepError,
     NoConvergenceError,
     OracleFailure,
-    PatchSlideError,
     ScenarioParseError,
     ToppleRiskError,
     ValidationError,
@@ -32,8 +28,8 @@ from .errors import (
 )
 from .oracle import oracle_solve_step, verify_kkt
 from .scenario import Scenario, resolve_scenario
-from .solver import SolverOptions, residual, solve_step_info
-from .stepper import StepDiagnostics, TrajectoryRecord, assemble_inputs, ecp, simulate, warm_sigma
+from .solver import solve_step_info
+from .stepper import TrajectoryRecord, simulate
 from .sysid import batch_estimate
 from .trajectory import observed_steps, read_trajectory, write_plot_data, write_trajectory
 
@@ -87,74 +83,57 @@ def _summary(records: list[TrajectoryRecord], planned: int, wall: float) -> str:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scen = _load(args)
+def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
+    # one simulate run with the given per-step solve: the trajectory CSV,
+    # the summary and, when asked for, the plot data
     t0 = time.perf_counter()
-    records = simulate(scen)
+    records = simulate(scen, solve)
     wall = time.perf_counter() - t0
     out = args.out or scen.options.output_path or "trajectory.csv"
     write_trajectory(records, out)
     print(_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall))
     print(f"trajectory written to {out}")
-    if args.plot_data:
+    if getattr(args, "plot_data", False):
         rows = read_trajectory(out)
         files = write_plot_data(rows, Path(out).with_suffix(""))
         print(f"plot data: {len(files)} files alongside {out}")
     return 0
 
 
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    return _run(args, _load(args))
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     scen = _load(args)
-    opts = SolverOptions(sigma_min=scen.options.sigma_min)
-    if args.solver_tol is not None:
-        opts = replace(opts, tol=args.solver_tol)
-    n_steps = int(round(scen.duration / scen.h))
-    state = scen.initial
-    # slip speeds of the last three steps, warm-started as simulate does
-    s1 = s2 = s3 = 0.0
+    devs: list[float] = []
+    kkt_failures = 0
+
+    def checked(inputs, guess, options):
+        # the production solve, checked against the oracle on the same inputs
+        nonlocal kkt_failures
+        if args.solver_tol is not None:
+            options = replace(options, tol=args.solver_tol)
+        sol, info = solve_step_info(inputs, guess, options)
+        ref = oracle_solve_step(inputs)
+        d_t = abs(sol.p_t - ref.p_t)
+        d_o = abs(sol.p_o - ref.p_o)
+        d_r = abs(sol.p_r - ref.p_r)
+        m = inputs.params.m
+        devs.append(max(d_t, d_o, d_r, d_t / m, d_o / m, d_r / inputs.params.I_z))
+        if not verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
+            kkt_failures += 1
+        return sol, info
+
+    simulate(scen, checked)
     max_dev = 0.0
     worst = -1
-    kkt_failures = 0
-    steps_done = 0
-    m = scen.params.m
-    I_z = scen.params.I_z
-    for k in range(n_steps):
-        try:
-            inputs = assemble_inputs(state, scen)
-            sol, info = solve_step_info(inputs, warm_sigma(s1, s2, s3), opts)
-            ref = oracle_solve_step(inputs)
-        except PatchSlideError as e:
-            raise type(e)(f"step {k}: {e}") from e
-        devs = [
-            abs(sol.p_t - ref.p_t),
-            abs(sol.p_o - ref.p_o),
-            abs(sol.p_r - ref.p_r),
-            abs((sol.p_t - ref.p_t)) / m,
-            abs((sol.p_o - ref.p_o)) / m,
-            abs((sol.p_r - ref.p_r)) / I_z,
-        ]
-        dev = max(devs)
+    for k, dev in enumerate(devs):
         if dev > max_dev:
             max_dev = dev
             worst = k
-        if not verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
-            kkt_failures += 1
-        steps_done += 1
-        # simulate stops on any rest flag, a slow-slip rest (0 < sigma < sigma_min) too
-        if info.rest:
-            break
-        state = SliderState(
-            q_x=state.q_x + scen.h * (state.v_x + (sol.p_t + inputs.applied.p_x) / m),
-            q_y=state.q_y + scen.h * (state.v_y + (sol.p_o + inputs.applied.p_y) / m),
-            theta_z=state.theta_z + scen.h * (state.w_z + (sol.p_r + inputs.applied.p_ztau) / I_z),
-            v_x=state.v_x + (sol.p_t + inputs.applied.p_x) / m,
-            v_y=state.v_y + (sol.p_o + inputs.applied.p_y) / m,
-            w_z=state.w_z + (sol.p_r + inputs.applied.p_ztau) / I_z,
-            t=state.t + scen.h,
-        )
-        s1, s2, s3 = sol.sigma, s1, s2
     print(
-        f"steps {steps_done}  max_deviation {max_dev:.3e}"
+        f"steps {len(devs)}  max_deviation {max_dev:.3e}"
         + (f" (step {worst})" if worst >= 0 else "")
         + f"  dissipation_check_failures {kkt_failures}"
     )
@@ -180,52 +159,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     scen = _load(args)
     if scen.initial.w_z != 0.0:
         raise ValidationError("pure-translation rollout requires w_z = 0 initially")
-    n_steps = int(round(scen.duration / scen.h))
-    state = scen.initial
-    records: list[TrajectoryRecord] = []
-    t0 = time.perf_counter()
-    for k in range(n_steps):
-        inputs = assemble_inputs(state, scen)
-        a = inputs.applied
-        if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:
-            raise ValidationError(f"step {k}: pure-translation rollout requires a torque-free schedule")
-        res = pure_translation_step(
-            (state.v_x, state.v_y), (a.p_x, a.p_y), inputs.p_n, scen.friction, scen.params.m
-        )
-        v_x1, v_y1 = res.v_next
-        state = SliderState(
-            q_x=state.q_x + scen.h * v_x1,
-            q_y=state.q_y + scen.h * v_y1,
-            theta_z=state.theta_z,
-            v_x=v_x1,
-            v_y=v_y1,
-            w_z=0.0,
-            t=state.t + scen.h,
-        )
-        imp = ContactImpulse(p_t=res.p_t, p_o=res.p_o, p_r=0.0, sigma=res.sigma, p_n=inputs.p_n)
-        point = ecp(scen.params, imp, a, (state.q_x, state.q_y, state.theta_z))
-        rnorm = 0.0
-        if not res.rest:
-            rnorm = float(np.max(np.abs(residual((imp.p_t, imp.p_o, imp.p_r, imp.sigma), inputs))))
-        records.append(
-            TrajectoryRecord(
-                state=state,
-                impulses=imp,
-                ecp=point,
-                applied=a,
-                diagnostics=StepDiagnostics(
-                    newton_iters=0, residual_norm=rnorm, rest_flag=res.rest
-                ),
-            )
-        )
-        if res.rest:
-            break
-    wall = time.perf_counter() - t0
-    out = args.out or scen.options.output_path or "trajectory.csv"
-    write_trajectory(records, out)
-    print(_summary(records, planned=n_steps, wall=wall))
-    print(f"trajectory written to {out}")
-    return 0
+    return _run(args, scen, translation_solve)
 
 
 def _cmd_quasistatic(args: argparse.Namespace) -> int:

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import math
 
-from .core import FrictionParams, value_type
+from .core import ContactImpulse, FrictionParams, StepInputs, value_type
 from .errors import AnisotropicFrictionError, ValidationError, ZeroMotionError
+from .solver import SolveInfo, _residual_norm, _unpack
 
 __all__ = [
     "QuasiStaticInput",
     "TranslationStep",
     "quasi_static_velocity",
     "pure_translation_step",
+    "translation_solve",
 ]
 
 
@@ -99,3 +101,24 @@ def pure_translation_step(
     sigma = (f.e_t * S - f.e_t ** 2 * f.mu * p_n) / m
     v_next = (v_u[0] + (p_t + applied[0]) / m, v_u[1] + (p_o + applied[1]) / m)
     return TranslationStep(p_t=p_t, p_o=p_o, sigma=sigma, v_next=v_next, rest=False)
+
+
+def translation_solve(inp: StepInputs, guess=None, options=None) -> tuple[ContactImpulse, SolveInfo]:
+    """pure_translation_step as a per-step solve for stepper.simulate.
+
+    Takes and returns what solver.solve_step_info does, ignoring guess
+    and options.  The closed form needs w_z = 0, which a torque-free step
+    keeps; an applied torque raises ValidationError.  The impulse has
+    p_r = 0, and the info reports 0 iterations, the closed form's rest
+    flag (exact rest only) and the residual norm, 0.0 at rest.
+    """
+    a = inp.applied
+    if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:
+        raise ValidationError("pure-translation rollout requires a torque-free schedule")
+    s = inp.state
+    res = pure_translation_step((s.v_x, s.v_y), (a.p_x, a.p_y), inp.p_n, inp.friction, inp.params.m)
+    imp = ContactImpulse(res.p_t, res.p_o, 0.0, res.sigma, inp.p_n)
+    if res.rest:
+        return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
+    rn = _residual_norm((res.p_t, res.p_o, 0.0, res.sigma), _unpack(inp))
+    return imp, SolveInfo(0, rn, False, 1)

@@ -184,21 +184,14 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     )
 
 
-def _stopping(k) -> tuple[float, float, float]:
-    # the stopping impulse for the unpacked inputs k
+def _stop(k) -> tuple[float, float, float, float]:
+    # the stopping impulse for the unpacked inputs k and its square in
+    # friction-ellipsoid units, the left side of the rest test; that square
+    # must be a double, as must (mu*p_n)^2, and a state-dependent load can
+    # push it past one even when the scenario passed its load check
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
-    return (-(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau))
-
-
-def _stopping_lhs(stop: tuple[float, float, float], k) -> float:
-    # the stopping impulse squared in friction-ellipsoid units, the left
-    # side of the rest test; it must be a double, as must (mu*p_n)^2, and a
-    # state-dependent load can push it past one even when the scenario
-    # passed its load check
-    (m, I_z, q_z, mu, e_t, e_o, e_r,
-     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
-    p_t, p_o, p_r = stop
+    p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
     try:
         lhs = (p_t / e_t) ** 2 + (p_o / e_o) ** 2 + (p_r / e_r) ** 2
         bound = (mu * p_n) ** 2
@@ -209,18 +202,15 @@ def _stopping_lhs(stop: tuple[float, float, float], k) -> float:
             "load is too large: the stopping impulse squared in friction-ellipsoid units "
             "overflows a double"
         )
-    return lhs
-
-
-def _reachable(stop: tuple[float, float, float], k) -> bool:
-    # whether the stopping impulse lies inside the friction ellipsoid
-    return _stopping_lhs(stop, k) <= (k[3] * k[15]) ** 2
+    return p_t, p_o, p_r, lhs
 
 
 def stopping_impulse(inp: StepInputs) -> tuple[float, float, float]:
     """Tangential impulse that would bring the slider exactly to rest this
     step, absorbing both the current momentum and the applied impulse."""
-    return _stopping(_unpack(inp))
+    # _stop's impulse, without the rest test's overflow check
+    p, s, a = inp.params, inp.state, inp.applied
+    return (-(p.m * s.v_x + a.p_x), -(p.m * s.v_y + a.p_y), -(p.I_z * s.w_z + a.p_ztau))
 
 
 def rest_reachable(inp: StepInputs) -> bool:
@@ -232,8 +222,8 @@ def rest_reachable(inp: StepInputs) -> bool:
     solution with sigma > 0 is needed.  Raises ValidationError when the
     load is too large for the test to be made in double precision.
     """
-    k = _unpack(inp)
-    return _reachable(_stopping(k), k)
+    f = inp.friction
+    return _stop(_unpack(inp))[3] <= (f.mu * inp.p_n) ** 2
 
 
 def _initial_sigma(k) -> float:
@@ -352,12 +342,11 @@ def solve_step_info(
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
 
-    stop = _stopping(k)
-    lhs0 = _stopping_lhs(stop, k)
+    stop_t, stop_o, stop_r, lhs0 = _stop(k)
     mu_pn = mu * p_n
     mu_pn_sq = mu_pn ** 2
-    if lhs0 <= mu_pn_sq:  # _reachable's test
-        imp = ContactImpulse(*stop, 0.0, p_n)  # p_t, p_o, p_r, sigma, p_n
+    if lhs0 <= mu_pn_sq:  # rest_reachable's test
+        imp = ContactImpulse(stop_t, stop_o, stop_r, 0.0, p_n)  # sigma 0.0, then p_n
         return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
 
     tol = opt.tol * mu_pn_sq

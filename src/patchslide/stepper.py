@@ -14,6 +14,7 @@ import functools
 import math
 import time
 import warnings
+from collections.abc import Callable
 
 from .core import (
     AnnulusPatch,
@@ -44,7 +45,7 @@ from .geometry import (
     world_to_body,
 )
 from .scenario import Scenario
-from .solver import SolverOptions, solve_step_info
+from .solver import SolveInfo, SolverOptions, solve_step_info
 
 __all__ = [
     "StepDiagnostics",
@@ -60,6 +61,9 @@ __all__ = [
 
 # geometric slack for boundary containment decisions
 _EPS = 1e-12
+
+# a per-step solve, called as solve_step_info: (inputs, guess, options)
+Solve = Callable[..., tuple[ContactImpulse, SolveInfo]]
 
 
 @value_type
@@ -231,19 +235,22 @@ def step(
     state_u: SliderState,
     scen: Scenario,
     guess: ContactImpulse | float | None = None,
+    solve: Solve | None = None,
 ) -> TrajectoryRecord:
     """Advance one step from state_u under the scenario's schedule.
 
     guess is the solve's warm start: a slip speed, or an impulse whose
-    sigma is used.  The wrench is sampled at the start of the step and
-    held constant over it.  A rest step (friction absorbs all momentum)
-    ends with exactly zero velocities and an unchanged configuration
-    apart from time.
+    sigma is used.  solve(inputs, guess, options), with the scenario's
+    SolverOptions, returns the impulse and a SolveInfo; it defaults to
+    solver.solve_step_info.  The wrench is sampled at the start of the
+    step and held constant over it.  A rest step (friction absorbs all
+    momentum) ends with exactly zero velocities and an unchanged
+    configuration apart from time.
     """
     inputs = assemble_inputs(state_u, scen)
     applied = inputs.applied
     t0 = time.perf_counter()
-    impulse, info = solve_step_info(inputs, guess, _options(scen.options.sigma_min))
+    impulse, info = (solve or solve_step_info)(inputs, guess, _options(scen.options.sigma_min))
     wall = time.perf_counter() - t0
 
     m = scen.params.m
@@ -264,25 +271,29 @@ def step(
     return TrajectoryRecord(state_1, impulse, point, applied, diag)
 
 
-def simulate(scen: Scenario) -> list[TrajectoryRecord]:
+def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecord]:
     """Run the scenario for round(duration/h) steps.
 
-    Each solve is warm-started from warm_sigma of the slip speeds of the
-    last three steps.  Stops early when a step is flagged as rest; the
-    rest record is the terminal marker.  With topple_policy "error", a
-    step whose ECP leaves the support hull raises; the default policy
-    "warn" records the flag, continues, and after the run emits one
-    UserWarning naming the first such step and their count.
+    Each step calls solve as step does (solve_step_info by default, or
+    closed_form.translation_solve, say), warm-started from warm_sigma of
+    the slip speeds of the last three steps.  Stops early when a step is
+    flagged as rest; the rest record is the terminal marker.  With
+    topple_policy "error", a step whose ECP leaves the support hull
+    raises; the default policy "warn" records the flag, continues, and
+    after the run emits one UserWarning naming the first such step and
+    their count.  Errors carry the prefix "step k: ".
     """
     n_steps = int(round(scen.duration / scen.h))
     records: list[TrajectoryRecord] = []
     state = scen.initial
+    # bound once per run, so the default path calls step(state, scen, guess)
+    advance = step if solve is None else functools.partial(step, solve=solve)
     # slip speeds of the last three steps, latest first, for the warm start
     s1 = s2 = s3 = 0.0
     outside: list[int] = []
     for k in range(n_steps):
         try:
-            rec = step(state, scen, warm_sigma(s1, s2, s3))
+            rec = advance(state, scen, warm_sigma(s1, s2, s3))
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
         records.append(rec)

@@ -175,6 +175,42 @@ def test_compare_loose_solver_tol_fails(capsys):
     assert m and float(m.group(1)) > 1e-6
 
 
+def test_compare_zero_duration_reports_no_steps(capsys):
+    code, stdout, _ = run(capsys, "compare", "--scenario", "example1", "--duration", "0")
+    assert code == 0
+    assert stdout.splitlines()[0] == "steps 0  max_deviation 0.000e+00  dissipation_check_failures 0"
+
+
+# compare and translate run through simulate's loop, so all three apply the
+# scenario's topple policy; q_z 0.1 puts the ECP outside the square at step 0
+_TOPPLING_YAML = TRANSLATE_YAML.replace("q_z: 0.08", "q_z: 0.1")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "translate"])
+def test_topple_policy_error_stops_every_stepping_command(tmp_path, capsys, command):
+    scen = tmp_path / "topple.yaml"
+    scen.write_text(_TOPPLING_YAML.replace("duration: 0.3}", "duration: 0.3, topple_policy: error}"))
+    argv = [command, "--scenario", str(scen)]
+    if command != "compare":
+        argv += ["--out", str(tmp_path / "topple.csv")]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "step 0: equivalent contact point left the support hull" in stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "translate"])
+def test_topple_policy_warn_warns_once_in_every_stepping_command(tmp_path, capsys, command):
+    scen = tmp_path / "topple.yaml"
+    scen.write_text(_TOPPLING_YAML)
+    argv = [command, "--scenario", str(scen)]
+    if command != "compare":
+        argv += ["--out", str(tmp_path / "topple.csv")]
+    with pytest.warns(UserWarning, match="left the support hull") as caught:
+        code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(caught) == 1
+
+
 # --------------------------------------------------------------------- sysid
 
 def _parse_estimates(stdout):
@@ -244,6 +280,27 @@ schedule:
     code, _, stderr = run(capsys, "translate", "--scenario", str(scen))
     assert code == 1
     assert "torque-free" in stderr
+
+
+def test_translate_zero_duration_writes_header_only(tmp_path, capsys):
+    scen = tmp_path / "slide.yaml"
+    scen.write_text(TRANSLATE_YAML)
+    out = tmp_path / "none.csv"
+    code, stdout, _ = run(capsys, "translate", "--scenario", str(scen),
+                          "--duration", "0", "--out", str(out))
+    assert code == 0
+    assert "steps 0/0" in stdout
+    assert read_trajectory(out) == []
+    assert len(out.read_bytes().splitlines()) == 1
+
+
+def test_translate_rejects_anisotropic_friction_at_step_0(tmp_path, capsys):
+    scen = tmp_path / "aniso.yaml"
+    scen.write_text(TRANSLATE_YAML.replace("e_o: 1.0", "e_o: 1.5"))
+    code, _, stderr = run(capsys, "translate", "--scenario", str(scen),
+                          "--out", str(tmp_path / "aniso.csv"))
+    assert code == 1
+    assert "error: step 0: pure translation requires e_t == e_o" in stderr
 
 
 # --------------------------------------------------------------- quasistatic

@@ -17,10 +17,16 @@ from patchslide import (
     StepInputs,
     ValidationError,
     ZeroMotionError,
+    loads_scenario,
     pure_translation_step,
     quasi_static_velocity,
+    residual,
+    simulate,
     solve_step_info,
+    translation_solve,
 )
+from patchslide.core import ContactImpulse
+from patchslide.stepper import StepDiagnostics, TrajectoryRecord, assemble_inputs, ecp
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 
@@ -205,3 +211,77 @@ def test_pure_translation_matches_implicit_solver():
         assert abs(v1[0] - res.v_next[0]) < 1e-10
         assert abs(v1[1] - res.v_next[1]) < 1e-10
         checked += 1
+
+
+# ------------------------------------------------ translation_solve in simulate
+
+TRANSLATE_YAML = """
+slider: {m: 0.5, I_z: 5.0e-4, q_z: 0.08}
+friction: {mu: 0.31, e_t: 1.0, e_o: 1.0, e_r: 0.01}
+patch:
+  type: polygon
+  vertices: [[-0.025, -0.025], [0.025, -0.025], [0.025, 0.025], [-0.025, 0.025]]
+initial: {v_x: 0.5, v_y: 0.0, w_z: 0.0}
+run: {h: 0.01, duration: 0.3}
+"""
+
+PUSHED_YAML = TRANSLATE_YAML.replace("v_y: 0.0", "v_y: 0.3").replace("duration: 0.3", "duration: 3.0") + """
+schedule:
+  type: constant
+  wrench: {lambda_x: 0.4, lambda_y: -0.2}
+"""
+
+
+def _translate_loop(scen):
+    # the translate command's own rollout loop before it ran through
+    # simulate, kept as the reference for translation_solve
+    n_steps = int(round(scen.duration / scen.h))
+    state = scen.initial
+    records = []
+    for k in range(n_steps):
+        inputs = assemble_inputs(state, scen)
+        a = inputs.applied
+        assert a.p_xtau == 0.0 and a.p_ytau == 0.0 and a.p_ztau == 0.0
+        res = pure_translation_step(
+            (state.v_x, state.v_y), (a.p_x, a.p_y), inputs.p_n, scen.friction, scen.params.m
+        )
+        v_x1, v_y1 = res.v_next
+        state = SliderState(
+            q_x=state.q_x + scen.h * v_x1,
+            q_y=state.q_y + scen.h * v_y1,
+            theta_z=state.theta_z,
+            v_x=v_x1,
+            v_y=v_y1,
+            w_z=0.0,
+            t=state.t + scen.h,
+        )
+        imp = ContactImpulse(p_t=res.p_t, p_o=res.p_o, p_r=0.0, sigma=res.sigma, p_n=inputs.p_n)
+        point = ecp(scen.params, imp, a, (state.q_x, state.q_y, state.theta_z))
+        rnorm = 0.0
+        if not res.rest:
+            rnorm = float(np.max(np.abs(residual((imp.p_t, imp.p_o, imp.p_r, imp.sigma), inputs))))
+        records.append(TrajectoryRecord(
+            state=state, impulses=imp, ecp=point, applied=a,
+            diagnostics=StepDiagnostics(newton_iters=0, residual_norm=rnorm, rest_flag=res.rest),
+        ))
+        if res.rest:
+            break
+    return records
+
+
+def _bits(rec):
+    s, p, e, d = rec.state, rec.impulses, rec.ecp, rec.diagnostics
+    floats = (s.q_x, s.q_y, s.theta_z, s.v_x, s.v_y, s.w_z, s.t,
+              p.p_t, p.p_o, p.p_r, p.sigma, p.p_n, e.a_x, e.a_y, d.residual_norm)
+    return [x.hex() for x in floats] + [e.in_hull, e.in_patch, d.newton_iters, d.rest_flag]
+
+
+@pytest.mark.parametrize("text, n_steps", [(TRANSLATE_YAML, 17), (PUSHED_YAML, 25)],
+                         ids=["unforced", "pushed"])
+def test_translation_solve_in_simulate_matches_the_closed_form_loop(text, n_steps):
+    scen = loads_scenario(text)
+    expected = _translate_loop(scen)
+    records = simulate(scen, translation_solve)
+    assert len(records) == len(expected) == n_steps
+    assert records[-1].diagnostics.rest_flag
+    assert [_bits(r) for r in records] == [_bits(r) for r in expected]
