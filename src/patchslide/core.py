@@ -134,6 +134,11 @@ def value_type(cls):
     return cls
 
 
+# PolygonPatch's zero-area test: 8 units of roundoff (2**-53 each) per term
+# of the shoelace sum, relative to the sum of its products' magnitudes
+_AREA_ROUNDOFF = 2.0 ** -50
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
@@ -155,14 +160,21 @@ class PolygonPatch:
             all(_finite(x, y) for x, y in self.vertices),
             "polygon patch vertices must be finite",
         )
-        # shoelace sum; zero means the vertices are collinear
+        # shoelace sum; zero means the vertices are collinear.  Rounding the
+        # vertices and the sum leaves up to a few units of roundoff of the
+        # products' magnitudes per term, so a sum within _AREA_ROUNDOFF of
+        # them per term is zero as far as doubles can tell
         area2 = 0.0
+        scale = 0.0
         n = len(self.vertices)
         for i in range(n):
             x0, y0 = self.vertices[i]
             x1, y1 = self.vertices[(i + 1) % n]
-            area2 += x0 * y1 - x1 * y0
-        _require(abs(area2) > 0.0, "polygon patch has zero area")
+            a = x0 * y1
+            b = x1 * y0
+            area2 += a - b
+            scale += abs(a) + abs(b)
+        _require(abs(area2) > (n + 1) * _AREA_ROUNDOFF * scale, "polygon patch has zero area")
 
 
 @value_type

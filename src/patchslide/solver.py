@@ -184,20 +184,53 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     )
 
 
-def _stop(k) -> tuple[float, float, float, float]:
-    # the stopping impulse for the unpacked inputs k and its square in
-    # friction-ellipsoid units, the left side of the rest test; that square
-    # must be a double, as must (mu*p_n)^2, and a state-dependent load can
-    # push it past one even when the scenario passed its load check
-    (m, I_z, q_z, mu, e_t, e_o, e_r,
-     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
+def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, tol) -> tuple[float, ...]:
+    # the solve's constants for one slider, friction ellipsoid, normal
+    # impulse and tolerance: over a run of constant p_n they never change,
+    # so solve_step_info keeps the last set.  (mu*p_n)^2 that overflows is
+    # kept as inf for _stop to report; the other squares must be doubles
+    mu_pn = mu * p_n
+    try:
+        mu_pn_sq = mu_pn ** 2
+    except OverflowError:
+        mu_pn_sq = _INF
+    try:
+        alpha = mu * p_n * e_t ** 2
+        beta = mu * p_n * e_o ** 2
+        gamma = mu * p_n * e_r ** 2
+        w_t = 2.0 / e_t ** 2
+        w_o = 2.0 / e_o ** 2
+        w_r = 2.0 / e_r ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            "friction ellipsoid constants are out of range: their squares must be positive doubles"
+        ) from None
+    r_damp = gamma / I_z
+    a11 = alpha / m
+    a22 = beta / m
+    q_t = alpha * q_z / p_n
+    q_o = beta * q_z / p_n
+    return (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, tol * mu_pn_sq,
+            alpha, beta, gamma, r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r)
+
+
+# solve_step_info's one-entry memo of _static: (params, friction, p_n, tol,
+# constants).  It is replaced as one tuple, and it holds the params and
+# friction objects themselves, so a reused id cannot alias.
+_last_static: tuple = (None, None, None, None, None)
+
+
+def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
+    # the stopping impulse and its square in friction-ellipsoid units, the
+    # left side of the rest test; that square must be a double, as must
+    # (mu*p_n)^2, and a state-dependent load can push it past one even when
+    # the scenario passed its load check
     p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
     try:
         lhs = (p_t / e_t) ** 2 + (p_o / e_o) ** 2 + (p_r / e_r) ** 2
-        bound = (mu * p_n) ** 2
     except OverflowError:
-        lhs = bound = _INF
-    if lhs == _INF or bound == _INF:
+        lhs = _INF
+    if lhs == _INF or mu_pn_sq == _INF:
         raise ValidationError(
             "load is too large: the stopping impulse squared in friction-ellipsoid units "
             "overflows a double"
@@ -222,8 +255,11 @@ def rest_reachable(inp: StepInputs) -> bool:
     solution with sigma > 0 is needed.  Raises ValidationError when the
     load is too large for the test to be made in double precision.
     """
-    f = inp.friction
-    return _stop(_unpack(inp))[3] <= (f.mu * inp.p_n) ** 2
+    p, f, s, a = inp.params, inp.friction, inp.state, inp.applied
+    # _static's (mu*p_n)^2, at index 8; inf when it overflows, which _stop reports
+    mu_pn_sq = _static(p.m, p.I_z, p.q_z, f.mu, f.e_t, f.e_o, f.e_r, inp.p_n, 0.0)[8]
+    lhs = _stop(p.m, p.I_z, f.e_t, f.e_o, f.e_r, mu_pn_sq, s.v_x, s.v_y, s.w_z, a.p_x, a.p_y, a.p_ztau)[3]
+    return lhs <= mu_pn_sq
 
 
 def _initial_sigma(k) -> float:
@@ -251,23 +287,13 @@ def _gap_curve(k):
     order, so that a step builds no closure."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
-    mu_pn_sq = (mu * p_n) ** 2
-    alpha = mu * p_n * e_t ** 2
-    beta = mu * p_n * e_o ** 2
-    gamma = mu * p_n * e_r ** 2
+    (_, _, _, _, _, _, _, _, mu_pn_sq, _, alpha, beta, gamma,
+     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, 0.0)
     W0 = w_z + p_ztau / I_z
-    r_damp = gamma / I_z
-    a11 = alpha / m
-    a22 = beta / m
-    q_t = alpha * q_z / p_n
-    q_o = beta * q_z / p_n
     c_t = -alpha * (v_x + p_x / m)
     c_o = -beta * (v_y + p_y / m)
     d_t = -alpha * p_xtau / p_n
     d_o = -beta * p_ytau / p_n
-    w_t = 2.0 / e_t ** 2
-    w_o = 2.0 / e_o ** 2
-    w_r = 2.0 / e_r ** 2
 
     def point(sig):
         # rotational equation: gamma*W + p_r*sig = 0 with W affine in p_r
@@ -336,41 +362,43 @@ def solve_step_info(
     The first point whose four-residual infinity norm meets the tolerance
     (see SolverOptions) is accepted; NoConvergenceError is raised after
     max_iter iterations.
-    """
-    opt = options or SolverOptions()
-    k = _unpack(inp)
-    (m, I_z, q_z, mu, e_t, e_o, e_r,
-     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
 
-    stop_t, stop_o, stop_r, lhs0 = _stop(k)
-    mu_pn = mu * p_n
-    mu_pn_sq = mu_pn ** 2
+    The constants that depend only on inp.params, inp.friction, inp.p_n
+    and the tolerance are kept from the last call made with the same
+    params and friction objects and equal p_n and tol, so the steps of a
+    run compute them once; the result is the same either way.
+    """
+    global _last_static
+    opt = options or SolverOptions()
+    params, friction, p_n = inp.params, inp.friction, inp.p_n
+    last_params, last_friction, last_p_n, last_tol, static = _last_static
+    if params is not last_params or friction is not last_friction or p_n != last_p_n or opt.tol != last_tol:
+        static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
+                         friction.e_r, p_n, opt.tol)
+        _last_static = (params, friction, p_n, opt.tol, static)
+    # tol, from here on, is opt.tol * (mu*p_n)^2
+    (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, tol, alpha, beta, gamma,
+     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
+    s = inp.state
+    a = inp.applied
+    v_x, v_y, w_z = s.v_x, s.v_y, s.w_z
+    p_x, p_y, p_xtau, p_ytau, p_ztau = a.p_x, a.p_y, a.p_xtau, a.p_ytau, a.p_ztau
+
+    stop_t, stop_o, stop_r, lhs0 = _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau)
     if lhs0 <= mu_pn_sq:  # rest_reachable's test
         imp = ContactImpulse(stop_t, stop_o, stop_r, 0.0, p_n)  # sigma 0.0, then p_n
         return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
 
-    tol = opt.tol * mu_pn_sq
-    # _gap_curve's constants and, in the loop, its point(), term for term
-    alpha = mu * p_n * e_t ** 2
-    beta = mu * p_n * e_o ** 2
-    gamma = mu * p_n * e_r ** 2
+    # _gap_curve's per-step constants and, in the loop, its point(), term for term
     W0 = w_z + p_ztau / I_z
-    r_damp = gamma / I_z
-    a11 = alpha / m
-    a22 = beta / m
-    q_t = alpha * q_z / p_n
-    q_o = beta * q_z / p_n
     c_t = -alpha * (v_x + p_x / m)
     c_o = -beta * (v_y + p_y / m)
     d_t = -alpha * p_xtau / p_n
     d_o = -beta * p_ytau / p_n
-    w_t = 2.0 / e_t ** 2
-    w_o = 2.0 / e_o ** 2
-    w_r = 2.0 / e_r ** 2
     g_W0 = -gamma * W0
     sig = guess.sigma if isinstance(guess, ContactImpulse) else guess
     if sig is None or not sig > 0.0:
-        sig = _initial_sigma(k)
+        sig = _initial_sigma(_unpack(inp))
     # the bracket, and lhs at its ends for the linear-fractional step; at
     # sigma = 0 the curve's point is the stopping impulse
     lo, hi = 0.0, math.inf
@@ -419,6 +447,7 @@ def solve_step_info(
         # is worth computing only once that error is down to roundoff
         if abs(newton - sig) <= _SETTLED * sig:
             z = (p_t, p_o, p_r, sig)
+            k = _unpack(inp)
             if rn is None:
                 rn = _residual_norm(z, k)
             if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
@@ -455,14 +484,15 @@ def solve_step_info(
     else:
         raise NoConvergenceError(
             f"slip-speed solve did not reach the tolerance in {opt.max_iter} iterations "
-            f"(bracket [{lo:.17g}, {hi:.17g}], residual {_residual_norm((p_t, p_o, p_r, sig), k):.3e})"
+            f"(bracket [{lo:.17g}, {hi:.17g}], "
+            f"residual {_residual_norm((p_t, p_o, p_r, sig), _unpack(inp)):.3e})"
         )
 
     second = False
     if opt.probe_second_root:
         # count sign changes of the gap over a uniform grid of [0, top],
         # with the gap positive at top; more than one means another root
-        point = _gap_curve(k)
+        point = _gap_curve(_unpack(inp))
 
         def gap_at(s):
             return point(s)[1]

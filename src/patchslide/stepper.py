@@ -118,6 +118,13 @@ def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], tuple |
 _last_hull: tuple = (None, None)
 
 
+# assemble_inputs' one-entry memo: the last wrench that wrench_at gave, h,
+# and their impulse.  A constant load, or a table row held over several
+# steps, gives the same wrench object every step.  Holding the wrench
+# itself keeps a reused id from aliasing.
+_last_impulse: tuple = (None, None, None)
+
+
 @functools.lru_cache(maxsize=256)
 def _options(sigma_min: float) -> SolverOptions:
     # one options object per rest threshold instead of one per step
@@ -198,6 +205,7 @@ def slip_velocity(state: SliderState, ecp_offset: tuple[float, float]) -> SlipVe
 def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     """Sample the schedule at the start of the step, integrate the wrench
     into impulses, and resolve the normal impulse."""
+    global _last_impulse
     schedule = scen.schedule
     h = scen.h  # positive: Scenario checks it
     params = scen.params
@@ -208,7 +216,10 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
         applied = AppliedImpulse(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
     else:
         w = wrench_at(schedule, state_u, state_u.t)
-        applied = impulse_over(w, h)
+        last_w, last_h, applied = _last_impulse
+        if w is not last_w or h != last_h:
+            applied = impulse_over(w, h)
+            _last_impulse = (w, h, applied)
         l_z = w.lambda_z
     return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z), h)
 

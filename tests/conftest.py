@@ -17,6 +17,8 @@ from patchslide import (
     resolve_scenario,
     simulate,
 )
+import patchslide.solver as solver_module
+import patchslide.stepper as stepper_module
 from patchslide.solver import rest_reachable
 
 
@@ -103,6 +105,44 @@ def make_sliding_inputs(seed: int, n: int) -> list[StepInputs]:
 @pytest.fixture
 def sliding_inputs_factory():
     return make_sliding_inputs
+
+
+# ------------------------------------------------------------ run-level memos
+
+def forget_memos() -> None:
+    """Empty the solve's and assemble_inputs' one-entry memos, so that the
+    next call computes its constants and impulse anew."""
+    solver_module._last_static = (None, None, None, None, None)
+    stepper_module._last_impulse = (None, None, None)
+
+
+def record_lines(records) -> list[str]:
+    """Each record's state, contact impulse, ECP and applied impulse, its
+    iterations, residual norm bits and rest flag: everything but its wall
+    time, as tests/test_golden.py hashes it."""
+    return [
+        f"{(r.state, r.impulses, r.ecp, r.applied)!r}|{r.diagnostics.newton_iters}|"
+        f"{r.diagnostics.residual_norm.hex()}|{r.diagnostics.rest_flag}"
+        for r in records
+    ]
+
+
+def simulate_without_memos(scen) -> list:
+    """simulate(scen) with both memos emptied before every step."""
+    solve, assemble = stepper_module.solve_step_info, stepper_module.assemble_inputs
+
+    def fresh_solve(*args):
+        forget_memos()
+        return solve(*args)
+
+    def fresh_assemble(*args):
+        forget_memos()
+        return assemble(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper_module, "solve_step_info", fresh_solve)
+        mp.setattr(stepper_module, "assemble_inputs", fresh_assemble)
+        return stepper_module.simulate(scen)
 
 
 # --------------------------------------------------------- acceptance report

@@ -7,6 +7,7 @@ import math
 import pickle
 from copy import deepcopy
 
+import numpy as np
 import pytest
 
 import patchslide
@@ -212,6 +213,33 @@ def test_patch_validation():
     with pytest.raises(ValidationError):
         DiskPatch(r=0.0)
     AnnulusPatch(r_in=0.0, r_out=0.1)  # degenerate-to-disk ring is allowed
+
+
+def test_polygon_patch_rejects_collinear_vertices_with_roundoff_area():
+    # a vertex interpolated between two others lies on their line up to the
+    # rounding of its coordinates; the shoelace sum of such a triple is
+    # nonzero only by roundoff, and its hull is a segment or a sliver.  Every
+    # one is zero area; thin but real patches, anywhere in the plane, are not
+    rng = np.random.default_rng(29)
+    ends = rng.uniform(-1.0, 1.0, (20_000, 2, 2))
+    ts = rng.uniform(0.0, 1.0, 20_000)
+    accepted = []
+    for (p0, p2), t in zip(ends, ts):
+        p1 = p0 + t * (p2 - p0)
+        verts = tuple((float(x), float(y)) for x, y in (p0, p1, p2))
+        try:
+            PolygonPatch(verts)
+        except ValidationError as e:
+            assert "zero area" in str(e)
+        else:
+            accepted.append(verts)
+    assert accepted == []
+    for width in (1e-9, 1e-6, 1e-3):
+        for cx, cy in ((0.0, 0.0), (0.7, -0.4), (30.0, 30.0)):
+            sliver = ((cx - 0.5, cy), (cx + 0.5, cy), (cx, cy + width))
+            assert PolygonPatch(sliver).vertices == sliver
+            rect = ((cx, cy), (cx + 1.0, cy), (cx + 1.0, cy + width), (cx, cy + width))
+            assert PolygonPatch(rect).vertices == rect
 
 
 def test_pusher_schedule_validation():

@@ -7,6 +7,7 @@ reproduce them without sharing any code with that script.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,15 +25,17 @@ from patchslide import (
     StepInputs,
     ValidationError,
     ZeroSlipError,
+    assemble_inputs,
     jacobian,
     max_dissipation_impulse,
     residual,
+    simulate,
     solve_step,
     solve_step_info,
 )
 from patchslide.solver import SolverOptions, rest_reachable, stopping_impulse
 
-from conftest import make_sliding_inputs
+from conftest import forget_memos, make_sliding_inputs
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 
@@ -339,6 +342,20 @@ def test_rest_test_overflow_is_validation_error():
         solve_step_info(inp)
 
 
+def test_ellipsoid_constants_whose_squares_leave_the_doubles_are_validation_errors():
+    # the solve's constants square e_t, e_o and e_r; a constant whose square
+    # overflows or underflows to zero is a documented error on every step,
+    # rest or sliding, never a raw OverflowError or ZeroDivisionError
+    for e in (1e-170, 1e160):
+        friction = FrictionParams(mu=0.31, e_t=1.0, e_o=e, e_r=0.01)
+        for inp in (step1_inputs(), rest_state_inputs()):
+            inp = replace(inp, friction=friction, state=replace(inp.state, v_y=0.0))
+            with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
+                solve_step_info(inp)
+            with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
+                rest_reachable(inp)
+
+
 def test_no_convergence_raised_when_iteration_cap_exhausted():
     inp = step1_inputs()
     with pytest.raises(NoConvergenceError):
@@ -491,3 +508,79 @@ def test_cold_starts_far_from_the_root_take_few_iterations():
             assert abs(imp.sigma - ref.sigma) <= 1e-9 * ref.sigma
     assert max(iters) <= 8
     assert sum(iters) / len(iters) < 4.2
+
+
+# ------------------------------------------------- the run-constant memo
+
+def _bits(imp, info):
+    return (tuple(x.hex() for x in (imp.p_t, imp.p_o, imp.p_r, imp.sigma, imp.p_n)),
+            info.iters, info.residual_norm.hex(), info.rest)
+
+
+def _fresh_bits(inp, guess=None, options=None):
+    # the same solve with the memo emptied first, as a miss
+    forget_memos()
+    return _bits(*solve_step_info(inp, guess, options))
+
+
+def _run_inputs(scen, records):
+    # the inputs of each step of a run, from the state each step started at
+    return [assemble_inputs(s, scen) for s in [scen.initial] + [r.state for r in records[:-1]]]
+
+
+def test_solve_memo_alternating_runs_match_fresh_solves(ex1_scenario, ex1_records, ex3_scenario):
+    # two runs' inputs interleaved step by step: each solve keys on its own
+    # params, friction, p_n and tol, never on the other run's.  example1
+    # runs beside example3's pusher on the same mass, so that p_n and tol
+    # are shared, once with example1's params object and other friction and
+    # once with example1's friction object and another slider
+    others = (
+        replace(ex3_scenario, params=ex1_scenario.params,
+                friction=FrictionParams(mu=0.5, e_t=1.0, e_o=1.3, e_r=0.02)),
+        replace(ex3_scenario, params=replace(ex1_scenario.params, I_z=8e-4, q_z=0.03),
+                friction=ex1_scenario.friction),
+    )
+    pairs_a = [(inp, rec.impulses.sigma)
+               for inp, rec in zip(_run_inputs(ex1_scenario, ex1_records), ex1_records)]
+    for scen_b in others:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            records_b = simulate(scen_b)[:len(ex1_records)]
+        pairs_b = [(inp, rec.impulses.sigma) for inp, rec in zip(_run_inputs(scen_b, records_b), records_b)]
+        assert pairs_a[0][0].p_n == pairs_b[0][0].p_n
+        order = [pair for both in zip(pairs_a, pairs_b) for pair in both]
+        got = [_bits(*solve_step_info(inp, 1.01 * sigma)) for inp, sigma in order]
+        want = [_fresh_bits(inp, 1.01 * sigma) for inp, sigma in order]
+        assert got == want
+        # and each run alone, where every step after the first hits the memo
+        for run in (pairs_a, pairs_b):
+            got = [_bits(*solve_step_info(inp, 1.01 * sigma)) for inp, sigma in run]
+            assert got == [_fresh_bits(inp, 1.01 * sigma) for inp, sigma in run]
+
+
+def test_solve_memo_keys_on_the_tolerance():
+    # the same inputs at a loose tolerance, then at the default
+    loose = SolverOptions(tol=1e-6)
+    fewer = 0
+    for inp in make_sliding_inputs(seed=31, n=100):
+        got_loose = _bits(*solve_step_info(inp, options=loose))
+        got_default = _bits(*solve_step_info(inp))
+        assert got_loose == _fresh_bits(inp, options=loose)
+        assert got_default == _fresh_bits(inp)
+        fewer += got_loose[1] < got_default[1]
+    # the loose solve stops earlier on some inputs, so the two differ
+    assert fewer > 0
+
+
+def test_solve_memo_equal_but_distinct_objects_give_the_same_solve():
+    # an equal copy of params or friction misses the identity check and
+    # computes the same constants again
+    for inp in make_sliding_inputs(seed=37, n=50):
+        twins = (replace(inp, params=replace(inp.params)),
+                 replace(inp, friction=replace(inp.friction)),
+                 replace(inp, params=replace(inp.params), friction=replace(inp.friction)))
+        want = _fresh_bits(inp)
+        assert _bits(*solve_step_info(inp)) == want
+        for twin in twins:
+            assert twin.params == inp.params and twin.friction == inp.friction
+            assert _bits(*solve_step_info(twin)) == want

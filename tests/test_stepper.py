@@ -42,6 +42,8 @@ from patchslide.core import impulse_over, pressing_load
 from patchslide.geometry import convex_hull, point_in_convex_polygon
 from patchslide.scenario import MIN_E_R
 
+from conftest import record_lines, simulate_without_memos
+
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 ISO = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
 # non-convex: the hull adds the triangle (0.02, 0.01), (0.01, 0.02), (0.01, 0.01)
@@ -221,10 +223,17 @@ def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
 
 def test_validate_patch_degenerate_hull_keeps_the_general_test():
     # nonzero shoelace area from roundoff, yet the hull drops the middle
-    # vertex as collinear: two hull points and no edges to test against
-    thin = PolygonPatch(((0.11288584381185873, -0.15283142922987214),
-                         (0.5617714068014281, -0.3342143955494309),
-                         (0.5893117124160843, -0.3453427158555344)))
+    # vertex as collinear: construction rejects it as zero area.  Unpickling
+    # skips __post_init__, so a patch pickled before that check comes back
+    # with two hull points and no edges, and validate_patch keeps the
+    # general test for it
+    verts = ((0.11288584381185873, -0.15283142922987214),
+             (0.5617714068014281, -0.3342143955494309),
+             (0.5893117124160843, -0.3453427158555344))
+    with pytest.raises(ValidationError, match="zero area"):
+        PolygonPatch(verts)
+    thin = PolygonPatch.__new__(PolygonPatch)
+    thin.__setstate__([verts])
     hull = convex_hull(list(thin.vertices))
     assert len(hull) == 2
     origin = (0.0, 0.0, 0.0)
@@ -615,3 +624,35 @@ def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
     iters = [r.diagnostics.newton_iters for r in records]
     assert len(records) > 300
     assert sum(iters) / len(iters) <= 2.0
+
+
+# ------------------------------------------------------ run-level memos
+
+def test_memos_follow_a_table_load_whose_normal_force_changes():
+    # lambda_z changes at each row, so p_n changes mid-run while params stays
+    # the same object; each row is also held over several steps
+    rows = (0.0, 0.1, 0.2, 0.3)
+    wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_x=-0.3, lambda_z=1.5),
+                AppliedWrench(lambda_y=0.4, lambda_z=-2.0, lambda_ztau=0.002),
+                AppliedWrench(lambda_z=3.0))
+    scen = make_scenario(schedule=TableSchedule(rows, wrenches), duration=0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = simulate(scen)
+        fresh = simulate_without_memos(scen)
+    assert len(records) == 40
+    assert len({r.impulses.p_n for r in records}) == 4
+    assert record_lines(records) == record_lines(fresh)
+
+
+def test_load_memo_keys_on_the_step_length():
+    # one ConstantSchedule wrench object run at two step lengths back to
+    # back: the second run's impulses are its own h times the wrench
+    schedule = ConstantSchedule(AppliedWrench(lambda_x=0.3, lambda_y=-0.1, lambda_z=1.0, lambda_ztau=0.001))
+    coarse = make_scenario(schedule=schedule, h=0.01, duration=0.1)
+    fine = dataclasses.replace(coarse, h=0.005)
+    assert fine.schedule is coarse.schedule
+    runs = [simulate(scen) for scen in (coarse, fine, coarse)]
+    for scen, records in zip((coarse, fine, coarse), runs):
+        assert record_lines(records) == record_lines(simulate_without_memos(scen))
+        assert all(r.applied == impulse_over(schedule.wrench, scen.h) for r in records)
