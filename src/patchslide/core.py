@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 from .errors import ContactLossError, ValidationError
+from .geometry import convex_hull
 
 __all__ = [
     "PolygonPatch",
@@ -64,7 +65,8 @@ def value_type(cls):
     assignment.  It has the signature dataclass would give (names,
     defaults, annotations), calls default factories and __post_init__ as
     dataclass does, and leaves equality, hashing, repr, replace and
-    pickling to the dataclass machinery.
+    pickling to the dataclass machinery, except that unpickling, copy and
+    deepcopy run __post_init__ too, so they pass the constructor's checks.
 
     The per-step code calls value types with positional arguments, in
     field order: a class call with keywords first gathers them in a dict.
@@ -118,6 +120,7 @@ def value_type(cls):
         super(cls, self).__delattr__(name)
 
     setters = [closure[f"_set_{f.name}"] for f in flds]
+    post_init = getattr(cls, "__post_init__", None)
 
     def __setstate__(self, state):
         # dataclass's own takes the field values as a list, but a pickle
@@ -126,6 +129,8 @@ def value_type(cls):
             state = [state[f.name] for f in flds]
         for set_field, value in zip(setters, state):
             set_field(self, value)
+        if post_init is not None:
+            post_init(self)
 
     for method in (init, __setattr__, __delattr__, __setstate__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
@@ -135,8 +140,10 @@ def value_type(cls):
 
 
 # PolygonPatch's zero-area test: 8 units of roundoff (2**-53 each) per term
-# of the shoelace sum, relative to the sum of its products' magnitudes
+# of the shoelace sum, relative to the sum of its products' magnitudes, and
+# 4 units per vertex coordinate, relative to that coordinate
 _AREA_ROUNDOFF = 2.0 ** -50
+_VERTEX_ROUNDOFF = 2.0 ** -51
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -160,21 +167,32 @@ class PolygonPatch:
             all(_finite(x, y) for x, y in self.vertices),
             "polygon patch vertices must be finite",
         )
-        # shoelace sum; zero means the vertices are collinear.  Rounding the
-        # vertices and the sum leaves up to a few units of roundoff of the
-        # products' magnitudes per term, so a sum within _AREA_ROUNDOFF of
-        # them per term is zero as far as doubles can tell
-        area2 = 0.0
-        scale = 0.0
-        n = len(self.vertices)
+        # shoelace sum over differences from the first vertex, so that its
+        # roundoff scales with the patch wherever it lies.  A sum within that
+        # roundoff (_AREA_ROUNDOFF per term of its products' magnitudes), or
+        # within what rounding each vertex's own coordinates moves it by (that
+        # times the chord between its neighbours), is zero as far as doubles
+        # can tell: a vertex interpolated between two others is off their line
+        # by such a rounding.  The hull must keep three points too, as
+        # stepper's containment test walks its edges
+        verts = self.vertices
+        n = len(verts)
+        x0, y0 = verts[0]
+        area2 = scale = moved = 0.0
         for i in range(n):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % n]
-            a = x0 * y1
-            b = x1 * y0
+            xp, yp = verts[i - 1]
+            x, y = verts[i]
+            xn, yn = verts[(i + 1) % n]
+            a = (x - x0) * (yn - y0)
+            b = (xn - x0) * (y - y0)
             area2 += a - b
             scale += abs(a) + abs(b)
-        _require(abs(area2) > (n + 1) * _AREA_ROUNDOFF * scale, "polygon patch has zero area")
+            moved += abs(x) * abs(yn - yp) + abs(y) * abs(xn - xp)
+        _require(
+            abs(area2) > (n + 1) * _AREA_ROUNDOFF * scale + _VERTEX_ROUNDOFF * moved
+            and len(convex_hull(list(verts))) >= 3,
+            "polygon patch has zero area",
+        )
 
 
 @value_type
@@ -269,9 +287,14 @@ class AppliedWrench:
     lambda_ytau: float = 0.0
     lambda_ztau: float = 0.0
 
-    @classmethod
-    def zero(cls) -> "AppliedWrench":
-        return cls()
+    @staticmethod
+    def zero() -> "AppliedWrench":
+        """The zero wrench, one shared instance: the type is frozen, and
+        identity is what assemble_inputs' load memo keys on."""
+        return _ZERO_WRENCH
+
+
+_ZERO_WRENCH = AppliedWrench()
 
 
 def _wrench_finite(w: AppliedWrench) -> bool:

@@ -9,7 +9,6 @@ __all__ = [
     "convex_hull",
     "point_in_convex_edges",
     "point_in_polygon",
-    "point_in_convex_polygon",
     "world_to_body",
 ]
 
@@ -79,18 +78,6 @@ def point_in_polygon(px: float, py: float, vertices: list[tuple[float, float]]) 
             if px < x_cross:
                 inside = not inside
     return inside
-
-
-def point_in_convex_polygon(px: float, py: float, hull: list[tuple[float, float]]) -> bool:
-    """Boundary-inclusive containment in a counterclockwise convex polygon."""
-    n = len(hull)
-    if n == 0:
-        return False
-    if n == 1:
-        return abs(px - hull[0][0]) <= _EPS and abs(py - hull[0][1]) <= _EPS
-    if n == 2:
-        return _on_segment(px, py, hull[0][0], hull[0][1], hull[1][0], hull[1][1])
-    return point_in_convex_edges(px, py, convex_edges(hull))
 
 
 def convex_edges(hull: list[tuple[float, float]]) -> tuple[tuple[float, float, float, float], ...]:

@@ -44,8 +44,6 @@ _SETTLED = 2.0 ** -40
 # largest factor by which one iteration expands the bracket before a
 # positive gap is seen
 _GROW = 8.0
-# grid points of the sign-change scan behind probe_second_root
-_PROBE_POINTS = 1000
 _INF = math.inf
 
 
@@ -60,28 +58,24 @@ class SolverOptions:
     better and the target stays attainable at any scale.
     max_iter caps the scalar iterations (bracket expansions included).
     sigma_min is the slip speed below which a converged solution is
-    flagged as rest.  probe_second_root makes the solver count sign
-    changes of the ellipsoid gap and report whether more than one root
-    with sigma >= 0 exists.
+    flagged as rest.
     """
 
     tol: float = 1e-12
     max_iter: int = 100
     sigma_min: float = 1e-6
-    probe_second_root: bool = False
 
 
 @value_type
 class SolveInfo:
     """Diagnostics for one solve: scalar iterations, final residual norm,
-    rest flag, number of starts used (1 for a sliding solve, 0 at rest),
-    and whether a second root with sigma >= 0 was detected."""
+    rest flag, and number of starts used (1 for a sliding solve, 0 at
+    rest)."""
 
     iters: int
     residual_norm: float
     rest: bool
     starts: int
-    second_root: bool = False
 
 
 def _unpack(inp: StepInputs) -> tuple[float, ...]:
@@ -283,8 +277,9 @@ def _gap_curve(k):
     Returns a function of sigma giving the point (p_t, p_o, p_r, sigma)
     on the curve, the ellipsoid gap there and the gap's derivative along
     the curve.  The gap is _residuals' fourth residual, bit for bit.
-    solve_step_info evaluates the same expressions inline, in the same
-    order, so that a step builds no closure."""
+    No solve calls it: solve_step_info evaluates the same expressions
+    inline, in the same order, so that a step builds no closure.  This is
+    the reference the tests hold that loop to, bit for bit."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     (_, _, _, _, _, _, _, _, mu_pn_sq, _, alpha, beta, gamma,
@@ -354,10 +349,19 @@ def solve_step_info(
     curve's point is the stopping impulse), which follows f's curvature
     where Newton overshoots or creeps; failing that, it bisects.
 
+    With q_z = 0 and p_xtau = p_ytau = 0, the curve's |p_t|, |p_o| and
+    |p_r| each fall strictly in sigma (or stay zero), so the gap rises
+    strictly and has one root.  q_z (through W in the 2x2 system's
+    off-diagonal) and the applied x/y torques (through W on its right side)
+    couple p_t and p_o to the spin, and then the gap can have several roots.
+
     Root-selection rule: the root returned is the one reached inside the
     bracket that first contains the warm start.  When the gap has several
-    roots, a different warm start may select a different one; in a run
-    that warm start is the extrapolated sigma, not the previous step's.
+    roots, a different warm start may select a different one.
+    THREE_ROOTS_FLAT in tests/test_solver.py (q_z = 0, applied x/y
+    torques) has roots at sigma = 2.609e-5, 1.280e-4 and 7.514e-4: a cold
+    start returns 7.514e-4, a warm start of 1e-6 returns 2.609e-5.  In a
+    run that warm start is the extrapolated sigma, not the previous step's.
 
     The first point whose four-residual infinity norm meets the tolerance
     (see SolverOptions) is accepted; NoConvergenceError is raised after
@@ -488,24 +492,8 @@ def solve_step_info(
             f"residual {_residual_norm((p_t, p_o, p_r, sig), _unpack(inp)):.3e})"
         )
 
-    second = False
-    if opt.probe_second_root:
-        # count sign changes of the gap over a uniform grid of [0, top],
-        # with the gap positive at top; more than one means another root
-        point = _gap_curve(_unpack(inp))
-
-        def gap_at(s):
-            return point(s)[1]
-
-        top = 2.0 * sig
-        while gap_at(top) <= 0.0:
-            top *= 2.0
-        grid = (top * i / _PROBE_POINTS for i in range(_PROBE_POINTS + 1))
-        signs = [g > 0.0 for g in map(gap_at, grid) if g != 0.0]
-        second = sum(a != b for a, b in zip(signs, signs[1:])) > 1
-
     imp = ContactImpulse(p_t, p_o, p_r, sig, p_n)
-    return imp, SolveInfo(it, rn, sig < opt.sigma_min, 1, second)
+    return imp, SolveInfo(it, rn, sig < opt.sigma_min, 1)
 
 
 def solve_step(

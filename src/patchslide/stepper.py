@@ -40,7 +40,6 @@ from .geometry import (
     convex_edges,
     convex_hull,
     point_in_convex_edges,
-    point_in_convex_polygon,
     point_in_polygon,
     world_to_body,
 )
@@ -91,24 +90,24 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=256)
-def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float], ...], tuple | None, bool]:
+def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float, float, float], ...], bool]:
     # patches are frozen, so a run computes its patch's hull once; the
     # bound keeps a long sweep over many patches from growing the cache.
-    # The hull's edges are kept for the containment test of each step; a
-    # hull of fewer than three vertices has none and keeps the general test.
+    # The hull's edges are kept for the containment test of each step
+    # (PolygonPatch admits no hull of fewer than three vertices).
     # The patch is convex when its vertices are the hull's, in cyclic order
     # either way round; collinear or repeated vertices and self-intersecting
     # outlines fail this and keep the ray cast.
     hull = tuple(convex_hull(list(patch.vertices)))
     verts = patch.vertices
     n = len(hull)
-    edges = convex_edges(hull) if n >= 3 else None
+    edges = convex_edges(hull)
     convex = False
     if len(verts) == n and verts[0] in hull:
         i = hull.index(verts[0])
         convex = (all(verts[j] == hull[(i + j) % n] for j in range(n))
                   or all(verts[j] == hull[(i - j) % n] for j in range(n)))
-    return hull, edges, convex
+    return edges, convex
 
 
 # validate_patch's one-entry cache in front of _hull: the last polygon
@@ -151,11 +150,8 @@ def validate_patch(
         if patch is not last:
             entry = _hull(patch)
             _last_hull = (patch, entry)
-        hull, edges, convex = entry
-        if edges is None:
-            in_hull = point_in_convex_polygon(bx, by, hull)
-        else:
-            in_hull = point_in_convex_edges(bx, by, edges)
+        edges, convex = entry
+        in_hull = point_in_convex_edges(bx, by, edges)
         if convex:
             return (in_hull, in_hull)
         # the patch lies inside its hull, whatever the two tests' slacks

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import struct
 from copy import deepcopy
 
 import numpy as np
@@ -242,6 +243,28 @@ def test_polygon_patch_rejects_collinear_vertices_with_roundoff_area():
             assert PolygonPatch(rect).vertices == rect
 
 
+def test_polygon_patch_rejects_collinear_vertices_on_lines_through_the_origin():
+    # with two vertices near the origin the shoelace products are small
+    # while the interpolated vertex keeps the rounding of its own
+    # coordinates; a bound on the products alone let such triples through
+    rng = np.random.default_rng(31)
+    n = 200_000
+    angle = rng.uniform(-math.pi, math.pi, n)
+    d = np.stack((np.cos(angle), np.sin(angle)), axis=1)
+    p0 = rng.uniform(-1.0, 1.0, (n, 1)) * d
+    p2 = rng.uniform(-1.0, 1.0, (n, 1)) * d
+    p1 = p0 + rng.uniform(0.0, 1.0, (n, 1)) * (p2 - p0)
+    accepted = 0
+    for verts in zip(map(tuple, p0.tolist()), map(tuple, p1.tolist()), map(tuple, p2.tolist())):
+        try:
+            PolygonPatch(verts)
+        except ValidationError as e:
+            assert "zero area" in str(e)
+        else:
+            accepted += 1
+    assert accepted == 0
+
+
 def test_pusher_schedule_validation():
     with pytest.raises(ValidationError):
         BodyPusherSchedule(point_body=(0, 0, 0), direction_body=(1.0, 1.0),
@@ -297,8 +320,8 @@ SIGNATURES = {
     "SliderParams": "(m: 'float', I_z: 'float', q_z: 'float', g: 'float', patch: 'ContactPatch') -> None",
     "SliderState": "(q_x: 'float', q_y: 'float', theta_z: 'float', v_x: 'float', v_y: 'float', w_z: 'float', t: 'float') -> None",
     "SlipVelocity": "(v_t: 'float', v_o: 'float', v_r: 'float') -> None",
-    "SolveInfo": "(iters: 'int', residual_norm: 'float', rest: 'bool', starts: 'int', second_root: 'bool' = False) -> None",
-    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100, sigma_min: 'float' = 1e-06, probe_second_root: 'bool' = False) -> None",
+    "SolveInfo": "(iters: 'int', residual_norm: 'float', rest: 'bool', starts: 'int') -> None",
+    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100, sigma_min: 'float' = 1e-06) -> None",
     "StepDiagnostics": "(newton_iters: 'int', residual_norm: 'float', rest_flag: 'bool', wall_time: 'float' = 0.0) -> None",
     "StepInputs": "(params: 'SliderParams', friction: 'FrictionParams', state: 'SliderState', applied: 'AppliedImpulse', p_n: 'float', h: 'float') -> None",
     "TableSchedule": "(times: 'tuple[float, ...]', wrenches: 'tuple[AppliedWrench, ...]') -> None",
@@ -409,6 +432,25 @@ def test_value_type_loads_pickles_of_unslotted_instances(examples):
     old.__setstate__({f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
     assert old == s
     assert pickle.loads(pickle.dumps(s, protocol=0)) == s
+
+
+def test_unpickling_runs_the_constructor_checks():
+    # pickle.loads, copy and deepcopy restore a value type through
+    # __setstate__, which runs __post_init__ as the constructor does: a
+    # patch whose hull is a segment and an edited pickle are both rejected
+    verts = ((0.11288584381185873, -0.15283142922987214),
+             (0.5617714068014281, -0.3342143955494309),
+             (0.5893117124160843, -0.3453427158555344))
+    with pytest.raises(ValidationError, match="zero area"):
+        PolygonPatch(verts)
+    thin = PolygonPatch.__new__(PolygonPatch)
+    with pytest.raises(ValidationError, match="zero area"):
+        thin.__setstate__([verts])
+    good = pickle.dumps(SliderParams(m=1.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE))
+    assert good.count(struct.pack(">d", 1.5)) == 1
+    edited = good.replace(struct.pack(">d", 1.5), struct.pack(">d", -1.5))
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        pickle.loads(edited)
 
 
 def test_value_type_replace_changes_one_field(examples):

@@ -8,7 +8,6 @@ from patchslide.geometry import (
     convex_edges,
     convex_hull,
     point_in_convex_edges,
-    point_in_convex_polygon,
     point_in_polygon,
     world_to_body,
 )
@@ -42,11 +41,11 @@ def test_hull_handles_duplicates_and_collinear_input():
 
 def test_l_shape_notch_is_in_hull_but_not_in_patch():
     # the notch point (1.5, 1.5) lies inside the hull of the L but not in the L
-    hull = convex_hull(L_SHAPE)
-    assert point_in_convex_polygon(1.5, 1.5, hull)
+    edges = convex_edges(convex_hull(L_SHAPE))
+    assert point_in_convex_edges(1.5, 1.5, edges)
     assert not point_in_polygon(1.5, 1.5, L_SHAPE)
     # a point in the foot of the L is in both
-    assert point_in_convex_polygon(0.5, 0.5, hull)
+    assert point_in_convex_edges(0.5, 0.5, edges)
     assert point_in_polygon(0.5, 0.5, L_SHAPE)
 
 
@@ -65,14 +64,10 @@ def test_point_in_polygon_nonconvex_ray_crossings():
     assert point_in_polygon(1.0, 1.5, L_SHAPE)     # on the notch edge
 
 
-def test_point_in_convex_polygon_boundary_and_degenerate():
-    hull = convex_hull(SQUARE)
-    assert point_in_convex_polygon(-1.0, 0.0, hull)
-    assert not point_in_convex_polygon(-1.0 - 1e-9, 0.0, hull)
-    assert not point_in_convex_polygon(0.0, 0.0, [])
-    assert point_in_convex_polygon(2.0, 5.0, [(2.0, 5.0)])
-    assert point_in_convex_polygon(0.5, 0.5, [(0.0, 0.0), (1.0, 1.0)])  # on segment
-    assert not point_in_convex_polygon(0.5, 0.6, [(0.0, 0.0), (1.0, 1.0)])
+def test_point_in_convex_edges_boundary_inclusive():
+    edges = convex_edges(convex_hull(SQUARE))
+    assert point_in_convex_edges(-1.0, 0.0, edges)
+    assert not point_in_convex_edges(-1.0 - 1e-9, 0.0, edges)
 
 
 def _in_convex_by_index(px, py, hull):
@@ -102,9 +97,7 @@ def test_edge_form_of_the_convex_test_decides_as_the_indexed_form():
                 for off in (-1e-12, -1e-15, 0.0, 1e-15, 1e-12):
                     points.append((ax + u * (bx - ax) + off, ay + u * (by - ay) - off))
         for px, py in points:
-            expected = _in_convex_by_index(px, py, hull)
-            assert point_in_convex_edges(px, py, edges) is expected
-            assert point_in_convex_polygon(px, py, hull) is expected
+            assert point_in_convex_edges(px, py, edges) is _in_convex_by_index(px, py, hull)
 
 
 def test_world_to_body_rotation_and_translation():

@@ -231,9 +231,117 @@ def test_solve_step_warm_start_accepts_immediately():
     assert imp2.p_t == imp.p_t and imp2.sigma == imp.sigma
 
 
-def test_solve_step_no_second_root_detected_on_step1():
-    _, info = solve_step_info(step1_inputs(), options=SolverOptions(probe_second_root=True))
-    assert info.second_root is False
+# ----------------------------------------------------- roots of the gap curve
+
+def _inputs(m, I_z, q_z, mu, e, v, applied, p_n, h) -> StepInputs:
+    # one step's inputs from its floats: e = (e_t, e_o, e_r),
+    # v = (v_x, v_y, w_z), applied = (p_x, p_y, p_z, p_xtau, p_ytau, p_ztau)
+    return StepInputs(
+        params=SliderParams(m=m, I_z=I_z, q_z=q_z, g=9.8, patch=SQUARE),
+        friction=FrictionParams(mu, *e),
+        state=SliderState(0.0, 0.0, 0.0, *v, 0.0),
+        applied=AppliedImpulse(*applied), p_n=p_n, h=h,
+    )
+
+
+def _gap_roots(inp: StepInputs) -> list[float]:
+    # every sign change of the curve's ellipsoid gap over sigma = 0 and a
+    # log grid up to 1e6, each bisected down to adjacent doubles
+    from patchslide.solver import _gap_curve, _unpack
+
+    point = _gap_curve(_unpack(inp))
+
+    def positive(sig):
+        return point(sig)[1] > 0.0
+
+    grid = [0.0, *np.logspace(-10.0, 6.0, 3000).tolist()]
+    roots = []
+    for lo, hi in zip(grid, grid[1:]):
+        side = positive(lo)
+        if side == positive(hi):
+            continue
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if positive(mid) == side:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots
+
+
+def _four_residual_norm(imp: ContactImpulse, inp: StepInputs) -> float:
+    z = (imp.p_t, imp.p_o, imp.p_r, imp.sigma)
+    return float(np.max(np.abs(residual(z, inp))))
+
+
+# found by a seeded scan of the gap over sliding inputs: q_z = 0, but the applied
+# x/y torques couple p_t and p_o to the spin, and the gap has three roots
+THREE_ROOTS_FLAT = _inputs(
+    m=22.26164360730912, I_z=0.0039027695705332217, q_z=0.0, mu=0.9437036404313599,
+    e=(0.9743998192820961, 0.4722237435858535, 0.0016600709478150283),
+    v=(-0.0019119080115995405, 0.0008612544085703236, 0.016618134986304683),
+    applied=(0.003632011792968908, 0.031057516109490254, 0.0,
+             -0.0008117332109412185, 0.012047755712056836, -0.0002451507218714545),
+    p_n=0.09291367125818788, h=0.00048287482595714464,
+)
+# the same search with q_z > 0: two roots close to zero and one far out
+THREE_ROOTS_TALL = _inputs(
+    m=34.608940401785595, I_z=0.004591991309526558, q_z=2.065018209085637, mu=0.2844913982878376,
+    e=(3.5450930287536937, 3.7427637415687363, 0.5509703816709702),
+    v=(-0.0010476667333520174, 0.0066969621485360245, -3.144354747301471),
+    applied=(1.9961222174230913, 6.432245692549319, 0.0,
+             0.8375831557303728, 55.81759023895566, -0.1154102299789685),
+    p_n=3.7264253448051816, h=0.0947993396221465,
+)
+
+
+def test_three_roots_with_q_z_zero_and_the_warm_start_picks_one():
+    inp = THREE_ROOTS_FLAT
+    scale = (inp.friction.mu * inp.p_n) ** 2
+    roots = _gap_roots(inp)
+    assert roots == pytest.approx([2.6091e-5, 1.2803e-4, 7.5143e-4], rel=1e-4)
+    cold, _ = solve_step_info(inp)
+    assert cold.sigma == pytest.approx(roots[2], rel=1e-12)
+    assert _four_residual_norm(cold, inp) <= 1e-12 * scale
+    for guess in (1e-6, 1e-4):
+        warm, _ = solve_step_info(inp, guess)
+        assert warm.sigma == pytest.approx(roots[0], rel=1e-12)
+        assert warm.sigma != pytest.approx(cold.sigma, rel=0.5)
+        assert _four_residual_norm(warm, inp) <= 1e-12 * scale
+
+
+def test_three_roots_with_q_z_positive_and_a_cold_start_takes_the_largest():
+    inp = THREE_ROOTS_TALL
+    scale = (inp.friction.mu * inp.p_n) ** 2
+    roots = _gap_roots(inp)
+    assert roots == pytest.approx([0.015274, 0.052209, 1498.835], rel=1e-4)
+    imp, info = solve_step_info(inp)
+    assert imp.sigma == pytest.approx(1498.8, rel=1e-4)
+    assert imp.sigma == pytest.approx(roots[2], rel=1e-12)
+    assert info.residual_norm == _four_residual_norm(imp, inp) <= 1e-12 * scale
+
+
+def test_gap_rises_without_q_z_or_applied_x_y_torques():
+    # then |p_t|, |p_o| and |p_r| each fall along the curve, so the gap
+    # rises, to roundoff, from g(0) < 0 and changes sign once: at the
+    # solve's root
+    from patchslide.solver import _gap_curve, _unpack
+
+    grid = [0.0, *np.logspace(-10.0, 5.0, 400).tolist()]
+    for inp in make_sliding_inputs(seed=41, n=200):
+        inp = replace(inp, params=replace(inp.params, q_z=0.0),
+                      applied=replace(inp.applied, p_xtau=0.0, p_ytau=0.0))
+        point = _gap_curve(_unpack(inp))
+        gaps = [point(sig)[1] for sig in grid]
+        slack = 4.0 * math.ulp((inp.friction.mu * inp.p_n) ** 2)
+        assert all(b >= a - slack for a, b in zip(gaps, gaps[1:]))
+        changes = [i for i in range(len(grid) - 1) if (gaps[i] > 0.0) != (gaps[i + 1] > 0.0)]
+        assert gaps[0] < 0.0 and len(changes) == 1
+        imp, _ = solve_step_info(inp)
+        assert grid[changes[0]] <= imp.sigma <= grid[changes[0] + 1]
 
 
 def test_solve_step_properties_on_randomized_inputs():
@@ -434,8 +542,6 @@ def test_inline_curve_is_the_gap_curve_bit_for_bit():
             z, _, _ = _gap_curve(k)(imp.sigma)
             assert bits((imp.p_t, imp.p_o, imp.p_r, imp.sigma)) == bits(z)
             assert info.residual_norm.hex() == max(map(abs, _residuals(z, k))).hex()
-    _, info = solve_step_info(step1_inputs(), options=SolverOptions(probe_second_root=True))
-    assert info.second_root is False
 
 
 def test_float_warm_start_equals_an_impulse_with_that_sigma():

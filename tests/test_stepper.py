@@ -39,7 +39,6 @@ from patchslide import (
     wrench_at,
 )
 from patchslide.core import impulse_over, pressing_load
-from patchslide.geometry import convex_hull, point_in_convex_polygon
 from patchslide.scenario import MIN_E_R
 
 from conftest import record_lines, simulate_without_memos
@@ -219,30 +218,6 @@ def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
     assert validate_patch((0.002, 0.005), BOWTIE, origin) == (True, True)
     assert validate_patch((0.025, 0.01), BOWTIE, origin) == (True, True)
     assert validate_patch((0.01, 0.015), BOWTIE, origin) == (False, False)
-
-
-def test_validate_patch_degenerate_hull_keeps_the_general_test():
-    # nonzero shoelace area from roundoff, yet the hull drops the middle
-    # vertex as collinear: construction rejects it as zero area.  Unpickling
-    # skips __post_init__, so a patch pickled before that check comes back
-    # with two hull points and no edges, and validate_patch keeps the
-    # general test for it
-    verts = ((0.11288584381185873, -0.15283142922987214),
-             (0.5617714068014281, -0.3342143955494309),
-             (0.5893117124160843, -0.3453427158555344))
-    with pytest.raises(ValidationError, match="zero area"):
-        PolygonPatch(verts)
-    thin = PolygonPatch.__new__(PolygonPatch)
-    thin.__setstate__([verts])
-    hull = convex_hull(list(thin.vertices))
-    assert len(hull) == 2
-    origin = (0.0, 0.0, 0.0)
-    (ax, ay), (bx, by) = hull
-    mid = (0.5 * (ax + bx), 0.5 * (ay + by))
-    for point in (mid, (mid[0], mid[1] + 1e-3), (2.0 * bx - ax, 2.0 * by - ay)):
-        in_hull, _ = validate_patch(point, thin, origin)
-        assert in_hull is point_in_convex_polygon(point[0], point[1], hull)
-    assert validate_patch(mid, thin, origin)[0]
 
 
 # ------------------------------------------------------------------- simulate
@@ -642,6 +617,25 @@ def test_memos_follow_a_table_load_whose_normal_force_changes():
         fresh = simulate_without_memos(scen)
     assert len(records) == 40
     assert len({r.impulses.p_n for r in records}) == 4
+    assert record_lines(records) == record_lines(fresh)
+
+
+def test_steps_before_a_tables_first_row_share_one_zero_load():
+    # wrench_at gives one shared zero wrench before the first row, so the
+    # load memo hits on each of those steps and they share one impulse
+    rows = (0.105, 0.2)
+    wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_y=-0.3, lambda_ztau=0.002))
+    scen = make_scenario(schedule=TableSchedule(rows, wrenches), duration=0.3)
+    assert wrench_at(scen.schedule, scen.initial, 0.0) is wrench_at(scen.schedule, scen.initial, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = simulate(scen)
+        fresh = simulate_without_memos(scen)
+    assert len(records) == 30
+    # steps 0-10 start before the first row
+    assert all(r.applied is records[0].applied for r in records[:11])
+    assert records[0].applied == AppliedImpulse()
+    assert records[11].applied == impulse_over(wrenches[0], scen.h)
     assert record_lines(records) == record_lines(fresh)
 
 
