@@ -2,7 +2,10 @@
 
 A change to what a step computes is checked by comparing its records with
 its parent's on every scenario of the `spin`, `push` and `sweep` workloads
-at seeds 7 and 11, built by `benchmark/workloads.build_scenarios`.
+at seeds 7 and 11, built by `benchmark/workloads.build_scenarios`, on the
+three bundled examples, and on example1 with an L-shaped patch: no
+benchmark workload has a non-convex polygon patch, so that run is the one
+whose patch flag comes from the ray cast.
 
     python3 scripts/compare_records.py dump --out change.json
     python3 scripts/compare_records.py dump --src ../parent/src --out parent.json
@@ -23,6 +26,7 @@ is timed: `benchmark/run.py` is the harness.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import sys
@@ -32,6 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("spin", "push", "sweep")
 SEEDS = (7, 11)
+EXAMPLES = ("example1", "example2", "example3")
+# a 6 cm square with its +x, +y quadrant cut away: braking shifts
+# example1's ECP forward of the CM, into the notch, and its steps take each
+# of the flag pairs (in_hull, in_patch) = (1, 1), (1, 0) and (0, 0)
+L_PATCH = ((-0.03, -0.03), (0.03, -0.03), (0.03, 0.0), (0.0, 0.0), (0.0, 0.03), (-0.03, 0.03))
 FIELDS = {
     "state": ("q_x", "q_y", "theta_z", "v_x", "v_y", "w_z", "t"),
     "impulses": ("p_t", "p_o", "p_r", "sigma", "p_n"),
@@ -76,6 +85,11 @@ def dump(src: Path, out: Path) -> None:
             scenarios = workloads.build_scenarios(ps, workload, seed, n, lambda: None)
             for i, scen in enumerate(scenarios):
                 runs[f"{workload}/{seed}/{i}"] = _run(ps, scen)
+    for name in EXAMPLES:
+        runs[f"examples/{name}"] = _run(ps, ps.resolve_scenario(name))
+    ex1 = ps.resolve_scenario("example1")
+    l_params = dataclasses.replace(ex1.params, patch=ps.PolygonPatch(L_PATCH))
+    runs["examples/example1-l"] = _run(ps, dataclasses.replace(ex1, params=l_params))
     out.write_text(json.dumps({"package": ps.__file__, "runs": runs}))
     print(f"{len(runs)} runs of {ps.__file__} written to {out}")
 
@@ -111,7 +125,7 @@ def diff(a_path: Path, b_path: Path) -> int:
             differ[flag] += ra[flag] != rb[flag]
         for field in fields:
             worst[field] = max(worst[field], _largest_change(ra[field], rb[field]))
-    for workload in WORKLOADS:
+    for workload in WORKLOADS + ("examples",):
         n = sum(key.startswith(f"{workload}/") for key in a)
         print(f"{workload}: {n} runs")
     print("runs that differ in " + ", ".join(f"{k} {v}" for k, v in differ.items()))

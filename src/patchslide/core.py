@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
 from .errors import ContactLossError, ValidationError
-from .geometry import convex_hull
+from .geometry import convex_edges, convex_hull
 
 __all__ = [
     "PolygonPatch",
@@ -64,17 +64,23 @@ def value_type(cls):
     bound once per class; the frozen __setattr__ still rejects every later
     assignment.  It has the signature dataclass would give (names,
     defaults, annotations), calls default factories and __post_init__ as
-    dataclass does, and leaves equality, hashing, repr, replace and
-    pickling to the dataclass machinery, except that unpickling, copy and
-    deepcopy run __post_init__ too, so they pass the constructor's checks.
+    dataclass does, and leaves equality, hashing, repr and replace to the
+    dataclass machinery.  Unpickling, copy and deepcopy run __post_init__
+    too, so they pass the constructor's checks.  A derived field, declared
+    field(init=False, repr=False, compare=False) and set by __post_init__
+    through object.__setattr__, is left out of the __init__, the pickled
+    state, equality, hashing and repr: wherever an instance is built or
+    restored, it is computed anew.
 
     The per-step code calls value types with positional arguments, in
     field order: a class call with keywords first gathers them in a dict.
     """
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    flds = fields(cls)
-    if len(flds) != len(cls.__dataclass_fields__) or any(f.kw_only or not f.init for f in flds):
-        raise TypeError(f"{cls.__name__}: value types take every field as a plain argument")
+    every = fields(cls)
+    flds = [f for f in every if f.init]
+    if (len(every) != len(cls.__dataclass_fields__) or any(f.kw_only for f in every)
+            or any(f.repr or f.compare for f in every if not f.init)):
+        raise TypeError(f"{cls.__name__}: value types take every field as a plain argument, or derive it")
     closure: dict = {"_factory": _FACTORY}
     stores = []
     defaults = []
@@ -107,7 +113,7 @@ def value_type(cls):
     # dataclass's frozen __setattr__ and __delattr__ name the class it had
     # before it added slots, so assigning a name that is not a field raised
     # TypeError instead of FrozenInstanceError; these name the final class
-    names = frozenset(f.name for f in flds)
+    names = frozenset(f.name for f in every)
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
@@ -122,9 +128,12 @@ def value_type(cls):
     setters = [closure[f"_set_{f.name}"] for f in flds]
     post_init = getattr(cls, "__post_init__", None)
 
+    def __getstate__(self):
+        return [getattr(self, f.name) for f in flds]
+
     def __setstate__(self, state):
-        # dataclass's own takes the field values as a list, but a pickle
-        # written before the value types had slots holds their __dict__
+        # the field values as a list, but a pickle written before the value
+        # types had slots holds their __dict__
         if isinstance(state, dict):
             state = [state[f.name] for f in flds]
         for set_field, value in zip(setters, state):
@@ -132,7 +141,7 @@ def value_type(cls):
         if post_init is not None:
             post_init(self)
 
-    for method in (init, __setattr__, __delattr__, __setstate__):
+    for method in (init, __setattr__, __delattr__, __getstate__, __setstate__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         method.__module__ = cls.__module__
         setattr(cls, method.__name__, method)
@@ -157,9 +166,13 @@ def _finite(*values: float) -> bool:
 
 @value_type
 class PolygonPatch:
-    """Contact patch bounded by a simple polygon, vertices in body frame."""
+    """Contact patch bounded by a simple polygon, vertices in body frame.
+    Derived from them: hull_edges, their hull's convex_edges, and convex,
+    whether the patch is its own hull."""
 
     vertices: tuple[tuple[float, float], ...]
+    hull_edges: tuple[tuple[float, float, float, float, float], ...] = field(init=False, repr=False, compare=False)
+    convex: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(len(self.vertices) >= 3, "polygon patch needs at least 3 vertices")
@@ -174,7 +187,7 @@ class PolygonPatch:
         # times the chord between its neighbours), is zero as far as doubles
         # can tell: a vertex interpolated between two others is off their line
         # by such a rounding.  The hull must keep three points too, as
-        # stepper's containment test walks its edges
+        # the containment test walks its edges
         verts = self.vertices
         n = len(verts)
         x0, y0 = verts[0]
@@ -188,11 +201,22 @@ class PolygonPatch:
             area2 += a - b
             scale += abs(a) + abs(b)
             moved += abs(x) * abs(yn - yp) + abs(y) * abs(xn - xp)
+        hull = convex_hull(list(verts))
         _require(
             abs(area2) > (n + 1) * _AREA_ROUNDOFF * scale + _VERTEX_ROUNDOFF * moved
-            and len(convex_hull(list(verts))) >= 3,
+            and len(hull) >= 3,
             "polygon patch has zero area",
         )
+        # the patch is convex when its vertices are the hull's, in cyclic
+        # order either way round; collinear or repeated vertices and
+        # self-intersecting outlines fail this and keep the ray cast
+        convex = len(hull) == n and verts[0] in hull
+        if convex:
+            i = hull.index(verts[0])
+            ring = hull[i:] + hull[:i]
+            convex = list(verts) in (ring, ring[:1] + ring[:0:-1])
+        object.__setattr__(self, "hull_edges", convex_edges(hull))
+        object.__setattr__(self, "convex", convex)
 
 
 @value_type
@@ -261,6 +285,10 @@ class FrictionParams:
         _require(_finite(self.mu, self.e_t, self.e_o, self.e_r), "friction parameters must be finite")
         _require(self.mu > 0.0, "friction coefficient must be positive")
         _require(self.e_t > 0.0 and self.e_o > 0.0 and self.e_r > 0.0, "ellipsoid constants must be positive")
+        _require(
+            all(0.0 < e * e < math.inf and 2.0 / (e * e) < math.inf for e in (self.e_t, self.e_o, self.e_r)),
+            "friction ellipsoid constants are out of range: each square e^2 and 2/e^2 must be positive doubles",
+        )
 
 
 @value_type

@@ -9,10 +9,11 @@ __all__ = [
     "convex_hull",
     "point_in_convex_edges",
     "point_in_polygon",
+    "radius_in_ring",
     "world_to_body",
 ]
 
-# absolute slack for boundary classification; patches are O(0.01..1) m
+# the boundary rule of every containment test: a point within _EPS m of a region is in it
 _EPS = 1e-12
 
 
@@ -52,13 +53,15 @@ def convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    seg = math.hypot(bx - ax, by - ay)
-    if abs(cross) > _EPS * max(1.0, seg):
-        return False
-    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
-    return -_EPS <= dot <= seg * seg + _EPS
+def _near_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    # within _EPS of the segment ab: beside it by point_in_convex_edges' cross
+    # product, so both decide alike on a hull edge; elsewhere, and on a
+    # segment of length 0, by the distance to a (b is the next segment's a)
+    ex, ey = bx - ax, by - ay
+    seg = math.hypot(ex, ey)
+    if 0.0 < ex * (px - ax) + ey * (py - ay) <= seg * seg:
+        return abs(ex * (py - ay) - ey * (px - ax)) <= _EPS * seg
+    return math.hypot(px - ax, py - ay) <= _EPS
 
 
 def point_in_polygon(px: float, py: float, vertices: list[tuple[float, float]]) -> bool:
@@ -67,7 +70,7 @@ def point_in_polygon(px: float, py: float, vertices: list[tuple[float, float]]) 
     for i in range(n):
         ax, ay = vertices[i]
         bx, by = vertices[(i + 1) % n]
-        if _on_segment(px, py, ax, ay, bx, by):
+        if _near_segment(px, py, ax, ay, bx, by):
             return True
     inside = False
     for i in range(n):
@@ -80,16 +83,24 @@ def point_in_polygon(px: float, py: float, vertices: list[tuple[float, float]]) 
     return inside
 
 
-def convex_edges(hull: list[tuple[float, float]]) -> tuple[tuple[float, float, float, float], ...]:
-    """Each edge of a polygon as (a_x, a_y, e_x, e_y): its start vertex and
-    the vector to the next vertex, the last edge closing the polygon."""
-    return tuple((ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]))
+def convex_edges(hull: list[tuple[float, float]]) -> tuple[tuple[float, float, float, float, float], ...]:
+    """Each edge of a polygon as (a_x, a_y, e_x, e_y, slack): its start
+    vertex, the vector to the next vertex (the last edge closing the
+    polygon), and -_EPS*|e|, the cross product e x (p - a) of a point p
+    at _EPS outside the edge."""
+    return tuple((ax, ay, bx - ax, by - ay, -_EPS * math.hypot(bx - ax, by - ay))
+                 for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]))
 
 
-def point_in_convex_edges(px: float, py: float, edges: tuple[tuple[float, float, float, float], ...]) -> bool:
+def point_in_convex_edges(px: float, py: float, edges: tuple[tuple[float, float, float, float, float], ...]) -> bool:
     """Boundary-inclusive containment in a counterclockwise convex polygon
     of at least three vertices, given by its convex_edges."""
-    for ax, ay, ex, ey in edges:
-        if ex * (py - ay) - ey * (px - ax) < -_EPS:
+    for ax, ay, ex, ey, slack in edges:
+        if ex * (py - ay) - ey * (px - ax) < slack:
             return False
     return True
+
+
+def radius_in_ring(r: float, r_in: float, r_out: float) -> bool:
+    """Boundary-inclusive containment, r from the center, in the ring r_in <= r <= r_out."""
+    return r_in - _EPS <= r <= r_out + _EPS

@@ -178,27 +178,26 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     )
 
 
+def _square_or_inf(x: float) -> float:
+    # (mu*p_n)^2 that overflows is kept as inf for _stop to report
+    try:
+        return x ** 2
+    except OverflowError:
+        return _INF
+
+
 def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, tol) -> tuple[float, ...]:
     # the solve's constants for one slider, friction ellipsoid, normal
     # impulse and tolerance: over a run of constant p_n they never change,
-    # so solve_step_info keeps the last set.  (mu*p_n)^2 that overflows is
-    # kept as inf for _stop to report; the other squares must be doubles
+    # so solve_step_info keeps the last set
     mu_pn = mu * p_n
-    try:
-        mu_pn_sq = mu_pn ** 2
-    except OverflowError:
-        mu_pn_sq = _INF
-    try:
-        alpha = mu * p_n * e_t ** 2
-        beta = mu * p_n * e_o ** 2
-        gamma = mu * p_n * e_r ** 2
-        w_t = 2.0 / e_t ** 2
-        w_o = 2.0 / e_o ** 2
-        w_r = 2.0 / e_r ** 2
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(
-            "friction ellipsoid constants are out of range: their squares must be positive doubles"
-        ) from None
+    mu_pn_sq = _square_or_inf(mu_pn)
+    alpha = mu * p_n * e_t ** 2
+    beta = mu * p_n * e_o ** 2
+    gamma = mu * p_n * e_r ** 2
+    w_t = 2.0 / e_t ** 2
+    w_o = 2.0 / e_o ** 2
+    w_r = 2.0 / e_r ** 2
     r_damp = gamma / I_z
     a11 = alpha / m
     a22 = beta / m
@@ -250,8 +249,7 @@ def rest_reachable(inp: StepInputs) -> bool:
     load is too large for the test to be made in double precision.
     """
     p, f, s, a = inp.params, inp.friction, inp.state, inp.applied
-    # _static's (mu*p_n)^2, at index 8; inf when it overflows, which _stop reports
-    mu_pn_sq = _static(p.m, p.I_z, p.q_z, f.mu, f.e_t, f.e_o, f.e_r, inp.p_n, 0.0)[8]
+    mu_pn_sq = _square_or_inf(f.mu * inp.p_n)
     lhs = _stop(p.m, p.I_z, f.e_t, f.e_o, f.e_r, mu_pn_sq, s.v_x, s.v_y, s.w_z, a.p_x, a.p_y, a.p_ztau)[3]
     return lhs <= mu_pn_sq
 

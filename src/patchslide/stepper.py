@@ -37,10 +37,10 @@ from .core import (
 )
 from .errors import PatchSlideError, ToppleRiskError
 from .geometry import (
-    convex_edges,
-    convex_hull,
+    convex_hull,  # noqa: F401  benchmark/layers.py times it as a stepper global
     point_in_convex_edges,
     point_in_polygon,
+    radius_in_ring,
     world_to_body,
 )
 from .scenario import Scenario
@@ -57,9 +57,6 @@ __all__ = [
     "simulate",
     "warm_sigma",
 ]
-
-# geometric slack for boundary containment decisions
-_EPS = 1e-12
 
 # a per-step solve, called as solve_step_info: (inputs, guess, options)
 Solve = Callable[..., tuple[ContactImpulse, SolveInfo]]
@@ -89,34 +86,6 @@ class TrajectoryRecord:
     diagnostics: StepDiagnostics
 
 
-@functools.lru_cache(maxsize=256)
-def _hull(patch: PolygonPatch) -> tuple[tuple[tuple[float, float, float, float], ...], bool]:
-    # patches are frozen, so a run computes its patch's hull once; the
-    # bound keeps a long sweep over many patches from growing the cache.
-    # The hull's edges are kept for the containment test of each step
-    # (PolygonPatch admits no hull of fewer than three vertices).
-    # The patch is convex when its vertices are the hull's, in cyclic order
-    # either way round; collinear or repeated vertices and self-intersecting
-    # outlines fail this and keep the ray cast.
-    hull = tuple(convex_hull(list(patch.vertices)))
-    verts = patch.vertices
-    n = len(hull)
-    edges = convex_edges(hull)
-    convex = False
-    if len(verts) == n and verts[0] in hull:
-        i = hull.index(verts[0])
-        convex = (all(verts[j] == hull[(i + j) % n] for j in range(n))
-                  or all(verts[j] == hull[(i - j) % n] for j in range(n)))
-    return edges, convex
-
-
-# validate_patch's one-entry cache in front of _hull: the last polygon
-# patch and its _hull entry.  A run tests one patch every step, and an
-# identity check costs less than the lru_cache hit, which hashes every
-# vertex.  Holding the patch itself keeps a reused id from aliasing.
-_last_hull: tuple = (None, None)
-
-
 # assemble_inputs' one-entry memo: the last wrench that wrench_at gave, h,
 # and their impulse.  A constant load, or a table row held over several
 # steps, gives the same wrench object every step.  Holding the wrench
@@ -139,29 +108,21 @@ def validate_patch(
 
     Returns (in_hull, in_patch): the convex hull bounds where sliding
     without toppling is possible; the patch itself may be smaller (an
-    annulus hull is its outer disk), so in_patch implies in_hull.  For a
-    convex polygon patch the patch is its hull, so in_patch is the hull
-    test.
+    annulus hull is its outer disk), and both tests take geometry's one
+    boundary rule, so in_patch implies in_hull.  For a convex polygon patch
+    the patch is its hull, so in_patch is the hull test.
     """
-    global _last_hull
     bx, by = world_to_body(point[0], point[1], pose[0], pose[1], pose[2])
     if isinstance(patch, PolygonPatch):
-        last, entry = _last_hull
-        if patch is not last:
-            entry = _hull(patch)
-            _last_hull = (patch, entry)
-        edges, convex = entry
-        in_hull = point_in_convex_edges(bx, by, edges)
-        if convex:
+        in_hull = point_in_convex_edges(bx, by, patch.hull_edges)
+        if patch.convex:
             return (in_hull, in_hull)
-        # the patch lies inside its hull, whatever the two tests' slacks
-        return (in_hull, in_hull and point_in_polygon(bx, by, patch.vertices))
+        return (in_hull, point_in_polygon(bx, by, patch.vertices))
     r = math.hypot(bx, by)
     if isinstance(patch, AnnulusPatch):
-        in_hull = r <= patch.r_out + _EPS
-        return (in_hull, in_hull and r >= patch.r_in - _EPS)
+        return (radius_in_ring(r, 0.0, patch.r_out), radius_in_ring(r, patch.r_in, patch.r_out))
     if isinstance(patch, DiskPatch):
-        inside = r <= patch.r + _EPS
+        inside = radius_in_ring(r, 0.0, patch.r)
         return (inside, inside)
     raise TypeError(f"unknown patch type {type(patch).__name__}")
 

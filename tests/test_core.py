@@ -6,7 +6,7 @@ import inspect
 import math
 import pickle
 import struct
-from copy import deepcopy
+from copy import copy, deepcopy
 
 import numpy as np
 import pytest
@@ -498,3 +498,53 @@ def test_value_type_rejects_fields_outside_the_constructor():
         class Hidden:
             a: float
             b: float = dataclasses.field(default=0.0, init=False)
+    # a field outside the constructor must stay out of equality and repr
+    for flags in ({"repr": False}, {"compare": False}):
+        with pytest.raises(TypeError, match="every field as a plain argument"):
+            @value_type
+            class Shown:
+                a: float
+                b: float = dataclasses.field(init=False, **flags)
+
+
+L_VERTICES = ((0.0, 0.0), (0.02, 0.0), (0.02, 0.01), (0.01, 0.01), (0.01, 0.02), (0.0, 0.02))
+
+
+def _derived(patch):
+    return (patch.hull_edges, patch.convex)
+
+
+def test_polygon_patch_derives_its_hull_from_its_vertices():
+    from patchslide.geometry import convex_edges, convex_hull
+
+    l_shape = PolygonPatch(L_VERTICES)
+    assert _derived(l_shape) == (convex_edges(convex_hull(list(L_VERTICES))), False)
+    assert _derived(SQUARE) == (convex_edges(convex_hull(list(SQUARE.vertices))), True)
+    # equal patches stay equal, hash alike and print alike; the derived
+    # fields are in none of the three
+    twin = PolygonPatch(L_VERTICES)
+    assert twin == l_shape and hash(twin) == hash(l_shape) and _derived(twin) == _derived(l_shape)
+    assert repr(l_shape) == f"PolygonPatch(vertices={L_VERTICES!r})"
+    assert l_shape.__getstate__() == [L_VERTICES]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        l_shape.convex = True
+
+
+def test_polygon_patch_restores_recompute_the_derived_fields():
+    l_shape = PolygonPatch(L_VERTICES)
+    old = PolygonPatch.__new__(PolygonPatch)
+    old.__setstate__({"vertices": L_VERTICES})
+    restored = [
+        old,
+        pickle.loads(pickle.dumps(l_shape)),
+        pickle.loads(pickle.dumps(l_shape, protocol=0)),
+        copy(l_shape),
+        deepcopy(l_shape),
+        dataclasses.replace(l_shape),
+    ]
+    for patch in restored:
+        assert patch == l_shape and _derived(patch) == _derived(l_shape)
+    moved = dataclasses.replace(l_shape, vertices=SQUARE.vertices)
+    assert moved == SQUARE and _derived(moved) == _derived(SQUARE)
+    with pytest.raises(ValueError):
+        dataclasses.replace(l_shape, convex=True)

@@ -71,12 +71,13 @@ def test_point_in_convex_edges_boundary_inclusive():
 
 
 def _in_convex_by_index(px, py, hull):
-    # the vertex-indexed form of the cross-product test with its slack
+    # the vertex-indexed form of the cross-product test with its slack:
+    # 1e-12 m from each edge's line, so 1e-12 times the edge's length
     n = len(hull)
     for i in range(n):
         ax, ay = hull[i]
         bx, by = hull[(i + 1) % n]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -1e-12:
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -1e-12 * math.hypot(bx - ax, by - ay):
             return False
     return True
 
@@ -98,6 +99,30 @@ def test_edge_form_of_the_convex_test_decides_as_the_indexed_form():
                     points.append((ax + u * (bx - ax) + off, ay + u * (by - ay) - off))
         for px, py in points:
             assert point_in_convex_edges(px, py, edges) is _in_convex_by_index(px, py, hull)
+
+
+def test_ray_cast_never_admits_a_point_the_hull_rejects():
+    # L-shapes from 0.01 to 10 m, in either orientation and from any start
+    # vertex, with points within 3e-12 m of each edge: a point within
+    # 1e-12 m of a region is in it, for the ray cast as for the hull test
+    rng = np.random.default_rng(12)
+    in_polygon = outside_hull = 0
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        poly = [(x * scale, y * scale) for x, y in L_SHAPE]
+        if rng.random() < 0.5:
+            poly.reverse()
+        k = int(rng.integers(len(poly)))
+        poly = poly[k:] + poly[:k]
+        edges = convex_edges(convex_hull(poly))
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            for u, dx, dy in zip(rng.uniform(-0.01, 1.01, 100), *rng.uniform(-3e-12, 3e-12, (2, 100))):
+                px, py = ax + u * (bx - ax) + dx, ay + u * (by - ay) + dy
+                if point_in_polygon(px, py, poly):
+                    in_polygon += 1
+                    outside_hull += not point_in_convex_edges(px, py, edges)
+    assert in_polygon > 10_000
+    assert outside_hull == 0
 
 
 def test_world_to_body_rotation_and_translation():

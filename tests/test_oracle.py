@@ -19,7 +19,7 @@ from patchslide import (
     solve_step,
     verify_kkt,
 )
-from patchslide.oracle import _grid_search, _newton_refine
+from patchslide.oracle import _grid_search, _newton, _newton_refine
 
 from conftest import make_sliding_inputs
 from test_solver import STEP1_P_O, STEP1_P_R, STEP1_P_T, STEP1_SIGMA, step1_inputs
@@ -88,6 +88,27 @@ def test_grid_search_brackets_the_root():
     assert abs(z[1] - STEP1_P_O) < 1e-3
     assert abs(z[2] - STEP1_P_R) < 1e-4
     assert abs(z[3] - STEP1_SIGMA) < 1e-2
+
+
+def test_oracle_stages_escape_the_negative_sigma_basin():
+    # on this input the grid search stalls in the basin of a spurious
+    # negative-sigma root, with p_r of the wrong sign; Newton from there
+    # converges to that root, and only the refinement's sign-flip restarts
+    # reach the root with sigma >= 0 that the solver returns
+    inp = make_sliding_inputs(seed=31, n=100)[89]
+    ref = solve_step(inp)
+    scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
+    z, rnorm = _grid_search(inp)
+    assert rnorm == pytest.approx(5.1e-4, rel=0.01)
+    assert z[2] * ref.p_r < 0.0
+    z_newton, rn_newton = _newton(z, inp, 1e-12 * scale)
+    assert rn_newton <= 1e-12 * scale
+    assert z_newton[3] == pytest.approx(-0.139, abs=1e-3)
+    z_refined, rn_refined = _newton_refine(z, inp, 1e-12 * scale)
+    assert rn_refined <= 1e-12 * scale
+    assert z_refined[3] >= 0.0
+    for got, want in zip(z_refined, (ref.p_t, ref.p_o, ref.p_r, ref.sigma)):
+        assert abs(got - want) <= 1e-9
 
 
 def test_newton_refine_reaches_the_floor():

@@ -450,18 +450,28 @@ def test_rest_test_overflow_is_validation_error():
         solve_step_info(inp)
 
 
-def test_ellipsoid_constants_whose_squares_leave_the_doubles_are_validation_errors():
-    # the solve's constants square e_t, e_o and e_r; a constant whose square
-    # overflows or underflows to zero is a documented error on every step,
-    # rest or sliding, never a raw OverflowError or ZeroDivisionError
-    for e in (1e-170, 1e160):
-        friction = FrictionParams(mu=0.31, e_t=1.0, e_o=e, e_r=0.01)
-        for inp in (step1_inputs(), rest_state_inputs()):
-            inp = replace(inp, friction=friction, state=replace(inp.state, v_y=0.0))
-            with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
-                solve_step_info(inp)
-            with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
-                rest_reachable(inp)
+def test_ellipsoid_constants_whose_squares_leave_the_doubles_are_validation_errors(tmp_path, capsys):
+    # the solve squares e_t, e_o and e_r and divides 2 by each square; a
+    # constant whose square overflows (1e160) or underflows to zero
+    # (1e-170), or whose 2/e^2 overflows (1e-154), is rejected where the
+    # friction parameters are made, so a scenario file holding one fails to
+    # load and the CLI exits 1
+    from patchslide import bundled_scenario_text, loads_scenario
+    from patchslide.cli import main
+
+    text = bundled_scenario_text("example1")
+    for e in (1e-170, 1e-154, 1e160):
+        with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
+            FrictionParams(mu=0.31, e_t=1.0, e_o=e, e_r=0.01)
+        bad = text.replace("e_o: 1.0", f"e_o: {e:.1e}")
+        assert bad != text
+        with pytest.raises(ValidationError, match="friction ellipsoid constants are out of range"):
+            loads_scenario(bad)
+        path = tmp_path / "bad.yaml"
+        path.write_text(bad)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "bad.csv")]) == 1
+        assert "friction ellipsoid constants are out of range" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_no_convergence_raised_when_iteration_cap_exhausted():

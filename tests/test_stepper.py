@@ -186,10 +186,17 @@ def test_validate_patch_polygon_notch_is_in_hull_not_in_patch():
 
 
 def test_validate_patch_non_convex_polygon_never_in_patch_outside_the_hull():
-    # with 4 m edges the ray cast's boundary slack accepts this point just
-    # below the bottom edge, which the hull test rejects
+    # one boundary rule for both tests: a point within 1e-12 m of the
+    # patch is in it, whatever the length of the edge it is near (4 m here)
     big_l = PolygonPatch(((0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 2.0), (2.0, 4.0), (0.0, 4.0)))
-    assert validate_patch((1.0, -5e-13), big_l, (0.0, 0.0, 0.0)) == (False, False)
+    assert validate_patch((1.0, -5e-13), big_l, (0.0, 0.0, 0.0)) == (True, True)
+    assert validate_patch((1.0, -2e-12), big_l, (0.0, 0.0, 0.0)) == (False, False)
+    # a repeated vertex is an edge of length 0: only points within the
+    # slack of that vertex are near it
+    repeated = PolygonPatch(L_SHAPE.vertices[:2] + L_SHAPE.vertices[1:])
+    assert not repeated.convex
+    assert validate_patch((0.03, 0.0), repeated, (0.0, 0.0, 0.0)) == (False, False)
+    assert validate_patch((0.02 + 5e-13, 0.0), repeated, (0.0, 0.0, 0.0)) == (True, True)
 
 
 def test_validate_patch_convex_polygon_in_either_orientation_skips_the_ray_cast(monkeypatch):
@@ -205,10 +212,9 @@ def test_validate_patch_convex_polygon_in_either_orientation_skips_the_ray_cast(
     shifted = PolygonPatch(SQUARE.vertices[2:] + SQUARE.vertices[:2])
     for patch in (SQUARE, clockwise, shifted):
         assert [validate_patch(p, patch, (0.0, 0.0, 0.0)) for p in points] == expected
-    # the patch flag takes the hull test's boundary slack, so it never
-    # accepts a point the hull rejects (the ray cast's slack grows with
-    # edge length, and 4 m edges let it accept this one)
-    assert validate_patch((0.0, -2.0 - 5e-13), _square(2.0), (0.0, 0.0, 0.0)) == (False, False)
+    # the boundary slack is 1e-12 m, whatever the length of the edge
+    assert validate_patch((0.0, -2.0 - 5e-13), _square(2.0), (0.0, 0.0, 0.0)) == (True, True)
+    assert validate_patch((0.0, -2.0 - 2e-12), _square(2.0), (0.0, 0.0, 0.0)) == (False, False)
 
 
 def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
@@ -500,15 +506,14 @@ def test_simulate_runs_each_traced_layer_once_per_step(ex3_scenario, monkeypatch
     per_step = ("step", "assemble_inputs", "solve_step_info", "ecp", "validate_patch")
     for name in per_step + ("convex_hull",):
         monkeypatch.setattr(stepper_module, name, counting(name))
-    stepper_module._hull.cache_clear()
     with warnings.catch_warnings():
         # example3's pusher takes the ECP out of the hull
         warnings.simplefilter("ignore", UserWarning)
         records = stepper_module.simulate(ex3_scenario)
-    stepper_module._hull.cache_clear()
     assert len(records) == 300
     assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, len(records))
-    assert calls["convex_hull"] <= 1
+    # the patch carries its hull from construction: no step builds one
+    assert calls["convex_hull"] == 0
 
 
 @pytest.mark.filterwarnings("ignore:step .* left the support hull")
@@ -535,25 +540,21 @@ def test_simulate_converges_at_first_order_in_h(name):
     assert all(1.8 <= r <= 2.3 for r in ratios), (errors, ratios)
 
 
-def test_validate_patch_equal_patches_share_the_hull_entry():
-    # validate_patch keeps the last patch and its _hull entry and checks
-    # identity first; an equal but distinct patch misses that check and
-    # must still get what _hull gives, and a different patch its own hull
-    import patchslide.stepper as stepper_module
-
+def test_validate_patch_equal_patches_carry_equal_hull_fields():
+    # each patch computes its hull on construction; equal but distinct
+    # patches carry equal hull fields and get the same answers, and a
+    # different patch its own hull
     first = _square(0.025)
     second = _square(0.025)
     assert first == second and first is not second
+    assert (first.hull_edges, first.convex) == (second.hull_edges, second.convex)
     origin = (0.0, 0.0, 0.0)
     for patch in (first, second, first):
         assert validate_patch((0.02, 0.0), patch, origin) == (True, True)
-        last, entry = stepper_module._last_hull
-        assert last is patch
-        assert entry == stepper_module._hull(patch) == stepper_module._hull(second)
     wide = _square(0.05)
+    assert wide.hull_edges != first.hull_edges
     assert validate_patch((0.04, 0.0), wide, origin) == (True, True)
     assert validate_patch((0.04, 0.0), first, origin) == (False, False)
-    assert stepper_module._last_hull[1] == stepper_module._hull(first)
 
 
 def test_warm_sigma_extrapolates_the_slip_speed_history():
