@@ -3,9 +3,15 @@
 A change to what a step computes is checked by comparing its records with
 its parent's on every scenario of the `spin`, `push` and `sweep` workloads
 at seeds 7 and 11, built by `benchmark/workloads.build_scenarios`, on the
-three bundled examples, and on example1 with an L-shaped patch: no
-benchmark workload has a non-convex polygon patch, so that run is the one
-whose patch flag comes from the ray cast.
+three bundled examples, and on three runs that reach what no benchmark
+workload does:
+
+* example1 with an L-shaped patch, the one run whose patch flag comes from
+  the ray cast;
+* example1 under a table schedule with a stretch before its first row,
+  rows held over several steps and lambda_z changing between rows;
+* example1 without spin, run with `translation_solve` as the per-step solve
+  (the `translate` command) at sigma_min 1e-6 and 0.05.
 
     python3 scripts/compare_records.py dump --out change.json
     python3 scripts/compare_records.py dump --src ../parent/src --out parent.json
@@ -18,9 +24,9 @@ every state, impulse, applied-impulse and ECP field and the residual norm
 as `float.hex`.  A run that raises is recorded by its exception class and
 message.  `diff` prints, for each field, the largest change over a run
 relative to that field's largest magnitude in the run, the maximum over
-all runs, and counts the runs whose step counts, flags or iterations
-differ.  It exits 0 when the two dumps are equal and 1 otherwise.  Nothing
-is timed: `benchmark/run.py` is the harness.
+all runs, and counts and names the runs whose step counts, flags or
+iterations differ.  It exits 0 when the two dumps are equal and 1
+otherwise.  Nothing is timed: `benchmark/run.py` is the harness.
 """
 
 from __future__ import annotations
@@ -48,16 +54,26 @@ FIELDS = {
     "ecp": ("a_x", "a_y"),
     "diagnostics": ("residual_norm",),
 }
+# a table run: the zero wrench until its first row at 0.055 s, then rows
+# held 7-12 steps each at h = 0.01, with lambda_z (N) changing between rows
+TABLE_TIMES = (0.055, 0.15, 0.27, 0.34)
+TABLE_WRENCHES = (
+    {"lambda_x": 0.2, "lambda_z": 1.5},
+    {"lambda_x": -0.3, "lambda_z": -2.0, "lambda_ztau": 0.002},
+    {"lambda_y": 0.4, "lambda_z": 3.0},
+    {"lambda_y": -0.1},
+)
 # compared for equality, step by step
 FLAGS = ("rest", "in_hull", "in_patch", "iters")
 
 
-def _run(ps, scen) -> dict:
+def _run(ps, scen, solve=None) -> dict:
+    # one simulate run with the given per-step solve (solve_step_info when None)
     try:
         with warnings.catch_warnings():
             # a pusher can take the ECP out of the hull; the flags record it
             warnings.simplefilter("ignore", UserWarning)
-            records = ps.simulate(scen)
+            records = ps.simulate(scen, solve)
     except ps.PatchSlideError as e:
         return {"error": f"{type(e).__name__}: {e}"}
     out = {
@@ -90,6 +106,13 @@ def dump(src: Path, out: Path) -> None:
     ex1 = ps.resolve_scenario("example1")
     l_params = dataclasses.replace(ex1.params, patch=ps.PolygonPatch(L_PATCH))
     runs["examples/example1-l"] = _run(ps, dataclasses.replace(ex1, params=l_params))
+    table = ps.TableSchedule(TABLE_TIMES, tuple(ps.AppliedWrench(**w) for w in TABLE_WRENCHES))
+    runs["examples/example1-table"] = _run(ps, dataclasses.replace(ex1, schedule=table))
+    sliding = dataclasses.replace(ex1.initial, w_z=0.0)
+    for sigma_min in (1e-6, 0.05):
+        options = dataclasses.replace(ex1.options, sigma_min=sigma_min)
+        scen = dataclasses.replace(ex1, initial=sliding, options=options)
+        runs[f"examples/example1-translate-{sigma_min:g}"] = _run(ps, scen, ps.translation_solve)
     out.write_text(json.dumps({"package": ps.__file__, "runs": runs}))
     print(f"{len(runs)} runs of {ps.__file__} written to {out}")
 
@@ -113,22 +136,31 @@ def diff(a_path: Path, b_path: Path) -> int:
     fields = [f"{part}.{name}" for part, names in FIELDS.items() for name in names]
     worst = dict.fromkeys(fields, 0.0)
     differ = {"error": 0, "steps": 0, **dict.fromkeys(FLAGS, 0)}
+    named = []
     for key, ra in a.items():
         rb = b[key]
         if "error" in ra or "error" in rb:
-            differ["error"] += ra.get("error") != rb.get("error")
+            if ra.get("error") != rb.get("error"):
+                differ["error"] += 1
+                named.append(key)
             continue
         if ra["steps"] != rb["steps"]:
             differ["steps"] += 1
+            named.append(f"{key} (steps {ra['steps']} and {rb['steps']})")
             continue
-        for flag in FLAGS:
-            differ[flag] += ra[flag] != rb[flag]
+        flags = [flag for flag in FLAGS if ra[flag] != rb[flag]]
+        for flag in flags:
+            differ[flag] += 1
+        if flags:
+            named.append(key)
         for field in fields:
             worst[field] = max(worst[field], _largest_change(ra[field], rb[field]))
     for workload in WORKLOADS + ("examples",):
         n = sum(key.startswith(f"{workload}/") for key in a)
         print(f"{workload}: {n} runs")
     print("runs that differ in " + ", ".join(f"{k} {v}" for k, v in differ.items()))
+    if named:
+        print("  " + "\n  ".join(named))
     print("largest change relative to the field's largest magnitude in its run:")
     for field in fields:
         print(f"  {field:26s} {worst[field]:.3e}")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .oracle import oracle_solve_step, verify_kkt
 from .scenario import Scenario, resolve_scenario
-from .solver import solve_step_info
+from .solver import SolverOptions, solve_step_info
 from .stepper import TrajectoryRecord, simulate
 from .sysid import batch_estimate
 from .trajectory import observed_steps, read_trajectory, write_plot_data, write_trajectory
@@ -106,14 +106,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scen = _load(args)
+    options = None if args.solver_tol is None else SolverOptions(tol=args.solver_tol)
     devs: list[float] = []
     kkt_failures = 0
 
-    def checked(inputs, guess, options):
+    def checked(inputs, guess):
         # the production solve, checked against the oracle on the same inputs
         nonlocal kkt_failures
-        if args.solver_tol is not None:
-            options = replace(options, tol=args.solver_tol)
         sol, info = solve_step_info(inputs, guess, options)
         ref = oracle_solve_step(inputs)
         d_t = abs(sol.p_t - ref.p_t)

@@ -103,14 +103,14 @@ def pure_translation_step(
     return TranslationStep(p_t=p_t, p_o=p_o, sigma=sigma, v_next=v_next, rest=False)
 
 
-def translation_solve(inp: StepInputs, guess=None, options=None) -> tuple[ContactImpulse, SolveInfo]:
+def translation_solve(inp: StepInputs, guess: float | None = None) -> tuple[ContactImpulse, SolveInfo]:
     """pure_translation_step as a per-step solve for stepper.simulate.
 
-    Takes and returns what solver.solve_step_info does, ignoring guess
-    and options.  The closed form needs w_z = 0, which a torque-free step
-    keeps; an applied torque raises ValidationError.  The impulse has
-    p_r = 0, and the info reports 0 iterations, the closed form's rest
-    flag (exact rest only) and the residual norm, 0.0 at rest.
+    Takes and returns what solver.solve_step_info does, ignoring guess.
+    The closed form needs w_z = 0, which a torque-free step keeps; an
+    applied torque raises ValidationError.  The impulse has p_r = 0, and
+    the info reports 0 iterations, whether the step was clamped to rest
+    (sigma = 0) and the residual norm, 0.0 at rest.
     """
     a = inp.applied
     if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:

@@ -317,8 +317,7 @@ class AppliedWrench:
 
     @staticmethod
     def zero() -> "AppliedWrench":
-        """The zero wrench, one shared instance: the type is frozen, and
-        identity is what assemble_inputs' load memo keys on."""
+        """The zero wrench, one shared instance: the type is frozen."""
         return _ZERO_WRENCH
 
 
@@ -411,14 +410,28 @@ def wrench_at(schedule: WrenchSchedule, state: SliderState, t: float) -> Applied
     moment is the cross product of the world-frame arm from the center
     of mass to the contact point with the world-frame force.
     """
+    if isinstance(schedule, BodyPusherSchedule):
+        return AppliedWrench(*pusher_wrench(schedule, state.theta_z, t))
+    return held_wrenches(schedule)[hold_index(schedule, t)]
+
+
+def held_wrenches(schedule: WrenchSchedule) -> tuple[AppliedWrench, ...]:
+    # what hold_index indexes: the zero wrench, which a table holds before
+    # its first row and whose normal load is a body pusher's, then a
+    # constant schedule's wrench or a table's rows
     if isinstance(schedule, ConstantSchedule):
-        return schedule.wrench
+        return (_ZERO_WRENCH, schedule.wrench)
     if isinstance(schedule, TableSchedule):
-        k = bisect_right(schedule.times, t) - 1
-        if k < 0:
-            return AppliedWrench.zero()
-        return schedule.wrenches[k]
-    return AppliedWrench(*pusher_wrench(schedule, state.theta_z, t))
+        return (_ZERO_WRENCH,) + schedule.wrenches
+    return (_ZERO_WRENCH,)
+
+
+def hold_index(schedule: ConstantSchedule | TableSchedule, t: float) -> int:
+    # the zero-order hold: the index in held_wrenches(schedule) of the
+    # wrench a constant or table schedule applies at time t
+    if isinstance(schedule, ConstantSchedule):
+        return 1
+    return bisect_right(schedule.times, t)
 
 
 def pusher_wrench(schedule: BodyPusherSchedule, theta_z: float, t: float) -> tuple[float, ...]:

@@ -17,6 +17,7 @@ import yaml
 
 from .core import (
     AnnulusPatch,
+    AppliedImpulse,
     AppliedWrench,
     BodyPusherSchedule,
     ConstantSchedule,
@@ -28,6 +29,8 @@ from .core import (
     SliderState,
     TableSchedule,
     WrenchSchedule,
+    held_wrenches,
+    impulse_over,
     value_type,
 )
 from .errors import ScenarioParseError, ValidationError
@@ -75,7 +78,9 @@ class RunOptions:
 
 @value_type
 class Scenario:
-    """A complete, validated simulation description."""
+    """A complete, validated simulation description.  Derived from it:
+    impulses and lambda_z, the step impulse and vertical force of each
+    wrench of core.held_wrenches(schedule), indexed by core.hold_index."""
 
     params: SliderParams
     friction: FrictionParams
@@ -84,6 +89,8 @@ class Scenario:
     h: float
     duration: float
     options: RunOptions = field(default_factory=RunOptions)
+    impulses: tuple[AppliedImpulse, ...] = field(init=False, repr=False, compare=False)
+    lambda_z: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -102,13 +109,8 @@ class Scenario:
             raise ValidationError("initial momentum is too large: its square overflows a double")
         # the rest test squares each step's applied impulse in the same
         # units, against (mu*p_n)^2: check every wrench the schedule gives
-        # whatever the state (the zero wrench stands for the time before a
-        # table's first row and for a pusher's normal load)
-        wrenches = (AppliedWrench.zero(),)
-        if isinstance(self.schedule, ConstantSchedule):
-            wrenches += (self.schedule.wrench,)
-        elif isinstance(self.schedule, TableSchedule):
-            wrenches += self.schedule.wrenches
+        # whatever the state
+        wrenches = held_wrenches(self.schedule)
         h = self.h
         for w in wrenches:
             scaled = (h * w.lambda_x / f.e_t, h * w.lambda_y / f.e_o, h * w.lambda_ztau / f.e_r,
@@ -118,6 +120,8 @@ class Scenario:
                     "applied load is too large: its impulse per step squared in "
                     "friction-ellipsoid units overflows a double"
                 )
+        object.__setattr__(self, "impulses", tuple(impulse_over(w, h) for w in wrenches))
+        object.__setattr__(self, "lambda_z", tuple(w.lambda_z for w in wrenches))
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:

@@ -56,21 +56,31 @@ class SolverOptions:
     equations, expanded as polynomials in the unknowns, is accepted as
     well: that is the roundoff of evaluating them, so no double can do
     better and the target stays attainable at any scale.
-    max_iter caps the scalar iterations (bracket expansions included).
-    sigma_min is the slip speed below which a converged solution is
-    flagged as rest.
+    tol must be finite and nonnegative.  max_iter, an integer of at least
+    1, caps the scalar iterations (bracket expansions included).
     """
 
     tol: float = 1e-12
     max_iter: int = 100
-    sigma_min: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) or not 0.0 <= self.tol < _INF:
+            raise ValidationError(f"solver tol must be finite and nonnegative, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValidationError(f"solver max_iter must be an integer of at least 1, got {self.max_iter!r}")
+
+
+# the options of a solve given none; no step builds its own
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 @value_type
 class SolveInfo:
     """Diagnostics for one solve: scalar iterations, final residual norm,
-    rest flag, and number of starts used (1 for a sliding solve, 0 at
-    rest)."""
+    whether friction stopped the slider within the step (sigma = 0), and
+    number of starts used (1 for a sliding solve, 0 at rest).  Whether a
+    slow slip ends the run is the run's decision (stepper.step), not the
+    solve's."""
 
     iters: int
     residual_norm: float
@@ -318,26 +328,25 @@ def _gap_curve(k):
 
 def solve_step_info(
     inp: StepInputs,
-    guess: ContactImpulse | float | None = None,
+    guess: float | None = None,
     options: SolverOptions | None = None,
 ) -> tuple[ContactImpulse, SolveInfo]:
     """Solve one implicit step; returns the impulse and solve diagnostics.
 
     If friction can absorb the entire momentum within the step, the step
     is a rest step: the returned impulse is the stopping impulse (strictly
-    inside the ellipsoid), sigma is zero, and the rest flag is set.  The
+    inside the ellipsoid), sigma is zero, and SolveInfo.rest is set.  The
     test is rest_reachable's; like it, it raises ValidationError when the
     load is too large to be squared in double precision.
 
     Otherwise the solve walks the exact solution curve of the tangential
-    equations in sigma, from a warm start: guess itself when it is a
-    float, guess.sigma when it is a ContactImpulse (nothing else of it is
-    used).  simulate passes the slip speed extrapolated from its last
-    three steps (stepper.warm_sigma).  Without a positive warm start it
-    starts cold, from the slip speed of the max-dissipation impulse at the
-    start-of-step velocities.  It keeps a bracket [lo, hi] with the
-    ellipsoid gap negative at lo and positive at hi, starting from
-    [0, inf).  Each iteration takes a Newton step on
+    equations in sigma, from a warm start: guess, a slip speed.  simulate
+    passes the slip speed extrapolated from its last three steps
+    (stepper.warm_sigma).  A guess that is not a finite positive float
+    (None, 0.0, nan, inf) starts cold, from the slip speed of the
+    max-dissipation impulse at the start-of-step velocities.  It keeps a
+    bracket [lo, hi] with the ellipsoid gap negative at lo and positive at
+    hi, starting from [0, inf).  Each iteration takes a Newton step on
     f = 1/sqrt(lhs) - 1/(mu*p_n), which has the gap's roots.  Until a
     positive gap is seen it moves right by that step or at most a factor
     8.  After that it takes the Newton step when it lands inside the
@@ -345,7 +354,10 @@ def solve_step_info(
     linear-fractional model of f that matches f and its slope at the
     current point and f at the far end of the bracket (at sigma = 0 the
     curve's point is the stopping impulse), which follows f's curvature
-    where Newton overshoots or creeps; failing that, it bisects.
+    where Newton overshoots or creeps; failing that, it bisects, except
+    that from a bracket [0, hi] with hi more than 8 times the cold start it
+    steps to the cold start, since halving down from a huge warm start
+    gains one bit per iteration.
 
     With q_z = 0 and p_xtau = p_ytau = 0, the curve's |p_t|, |p_o| and
     |p_r| each fall strictly in sigma (or stay zero), so the gap rises
@@ -362,8 +374,8 @@ def solve_step_info(
     run that warm start is the extrapolated sigma, not the previous step's.
 
     The first point whose four-residual infinity norm meets the tolerance
-    (see SolverOptions) is accepted; NoConvergenceError is raised after
-    max_iter iterations.
+    (see SolverOptions; without options, its defaults) is accepted;
+    NoConvergenceError is raised after max_iter iterations.
 
     The constants that depend only on inp.params, inp.friction, inp.p_n
     and the tolerance are kept from the last call made with the same
@@ -371,7 +383,7 @@ def solve_step_info(
     run compute them once; the result is the same either way.
     """
     global _last_static
-    opt = options or SolverOptions()
+    opt = _DEFAULT_OPTIONS if options is None else options
     params, friction, p_n = inp.params, inp.friction, inp.p_n
     last_params, last_friction, last_p_n, last_tol, static = _last_static
     if params is not last_params or friction is not last_friction or p_n != last_p_n or opt.tol != last_tol:
@@ -398,9 +410,7 @@ def solve_step_info(
     d_t = -alpha * p_xtau / p_n
     d_o = -beta * p_ytau / p_n
     g_W0 = -gamma * W0
-    sig = guess.sigma if isinstance(guess, ContactImpulse) else guess
-    if sig is None or not sig > 0.0:
-        sig = _initial_sigma(_unpack(inp))
+    sig = guess if guess is not None and 0.0 < guess < _INF else _initial_sigma(_unpack(inp))
     # the bracket, and lhs at its ends for the linear-fractional step; at
     # sigma = 0 the curve's point is the stopping impulse
     lo, hi = 0.0, math.inf
@@ -480,7 +490,10 @@ def solve_step_info(
                 if den != 0.0:
                     nxt = sig - step * d * run / den
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
+                # halving from a huge warm start down to lo = 0 would gain
+                # one bit per iteration: step to the cold start instead
+                sigma0 = _initial_sigma(_unpack(inp)) if lo == 0.0 else 0.0
+                nxt = sigma0 if 0.0 < _GROW * sigma0 < hi else 0.5 * (lo + hi)
         dx_old, dx = dx, abs(nxt - sig)
         sig = nxt
     else:
@@ -491,12 +504,12 @@ def solve_step_info(
         )
 
     imp = ContactImpulse(p_t, p_o, p_r, sig, p_n)
-    return imp, SolveInfo(it, rn, sig < opt.sigma_min, 1)
+    return imp, SolveInfo(it, rn, False, 1)
 
 
 def solve_step(
     inp: StepInputs,
-    guess: ContactImpulse | float | None = None,
+    guess: float | None = None,
     options: SolverOptions | None = None,
 ) -> ContactImpulse:
     """Solve one implicit step for the friction impulse and slip speed."""

@@ -29,11 +29,10 @@ from .core import (
     SliderState,
     SlipVelocity,
     StepInputs,
-    impulse_over,
+    hold_index,
     pressing_load,
     pusher_wrench,
     value_type,
-    wrench_at,
 )
 from .errors import PatchSlideError, ToppleRiskError
 from .geometry import (
@@ -44,7 +43,7 @@ from .geometry import (
     world_to_body,
 )
 from .scenario import Scenario
-from .solver import SolveInfo, SolverOptions, solve_step_info
+from .solver import SolveInfo, solve_step_info
 
 __all__ = [
     "StepDiagnostics",
@@ -58,15 +57,16 @@ __all__ = [
     "warm_sigma",
 ]
 
-# a per-step solve, called as solve_step_info: (inputs, guess, options)
-Solve = Callable[..., tuple[ContactImpulse, SolveInfo]]
+# a per-step solve, called as solve_step_info: solve(inputs, guess)
+Solve = Callable[[StepInputs, float | None], tuple[ContactImpulse, SolveInfo]]
 
 
 @value_type
 class StepDiagnostics:
     """Solver diagnostics attached to each record: newton_iters counts the
-    scalar iterations of the slip-speed solve, and wall_time covers the
-    impulse solve only."""
+    scalar iterations of the slip-speed solve, rest_flag marks a slip
+    speed below the scenario's sigma_min (the run ends there), and
+    wall_time covers the impulse solve only."""
 
     newton_iters: int
     residual_norm: float
@@ -84,19 +84,6 @@ class TrajectoryRecord:
     ecp: Ecp
     applied: AppliedImpulse
     diagnostics: StepDiagnostics
-
-
-# assemble_inputs' one-entry memo: the last wrench that wrench_at gave, h,
-# and their impulse.  A constant load, or a table row held over several
-# steps, gives the same wrench object every step.  Holding the wrench
-# itself keeps a reused id from aliasing.
-_last_impulse: tuple = (None, None, None)
-
-
-@functools.lru_cache(maxsize=256)
-def _options(sigma_min: float) -> SolverOptions:
-    # one options object per rest threshold instead of one per step
-    return SolverOptions(sigma_min=sigma_min)
 
 
 def validate_patch(
@@ -161,8 +148,9 @@ def slip_velocity(state: SliderState, ecp_offset: tuple[float, float]) -> SlipVe
 
 def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     """Sample the schedule at the start of the step, integrate the wrench
-    into impulses, and resolve the normal impulse."""
-    global _last_impulse
+    into impulses, and resolve the normal impulse.  A constant or table
+    load's impulse and vertical force are the scenario's own, built once
+    with it (Scenario.impulses and Scenario.lambda_z)."""
     schedule = scen.schedule
     h = scen.h  # positive: Scenario checks it
     params = scen.params
@@ -172,12 +160,9 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
         l_x, l_y, l_z, l_xtau, l_ytau, l_ztau = pusher_wrench(schedule, state_u.theta_z, state_u.t)
         applied = AppliedImpulse(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
     else:
-        w = wrench_at(schedule, state_u, state_u.t)
-        last_w, last_h, applied = _last_impulse
-        if w is not last_w or h != last_h:
-            applied = impulse_over(w, h)
-            _last_impulse = (w, h, applied)
-        l_z = w.lambda_z
+        k = hold_index(schedule, state_u.t)
+        applied = scen.impulses[k]
+        l_z = scen.lambda_z[k]
     return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z), h)
 
 
@@ -202,28 +187,29 @@ def warm_sigma(s1: float, s2: float, s3: float) -> float:
 def step(
     state_u: SliderState,
     scen: Scenario,
-    guess: ContactImpulse | float | None = None,
+    guess: float | None = None,
     solve: Solve | None = None,
 ) -> TrajectoryRecord:
     """Advance one step from state_u under the scenario's schedule.
 
-    guess is the solve's warm start: a slip speed, or an impulse whose
-    sigma is used.  solve(inputs, guess, options), with the scenario's
-    SolverOptions, returns the impulse and a SolveInfo; it defaults to
+    guess is the solve's warm start, a slip speed.  solve(inputs, guess)
+    returns the impulse and a SolveInfo; it defaults to
     solver.solve_step_info.  The wrench is sampled at the start of the
-    step and held constant over it.  A rest step (friction absorbs all
-    momentum) ends with exactly zero velocities and an unchanged
-    configuration apart from time.
+    step and held constant over it.  The step, not the solve, decides
+    rest: its rest flag is set exactly when the slip speed is below the
+    scenario's sigma_min.  A step whose slip speed is 0.0 (friction
+    absorbs all momentum) ends with exactly zero velocities and an
+    unchanged configuration apart from time.
     """
     inputs = assemble_inputs(state_u, scen)
     applied = inputs.applied
     t0 = time.perf_counter()
-    impulse, info = (solve or solve_step_info)(inputs, guess, _options(scen.options.sigma_min))
+    impulse, info = (solve or solve_step_info)(inputs, guess)
     wall = time.perf_counter() - t0
 
     m = scen.params.m
     I_z = scen.params.I_z
-    if info.rest and impulse.sigma == 0.0:
+    if impulse.sigma == 0.0:
         v_x1 = v_y1 = w_z1 = 0.0
     else:
         v_x1 = state_u.v_x + (impulse.p_t + applied.p_x) / m
@@ -235,7 +221,7 @@ def step(
     theta_z1 = state_u.theta_z + h * w_z1
     state_1 = SliderState(q_x1, q_y1, theta_z1, v_x1, v_y1, w_z1, state_u.t + h)
     point = ecp(scen.params, impulse, applied, (q_x1, q_y1, theta_z1))
-    diag = StepDiagnostics(info.iters, info.residual_norm, info.rest, wall)
+    diag = StepDiagnostics(info.iters, info.residual_norm, impulse.sigma < scen.options.sigma_min, wall)
     return TrajectoryRecord(state_1, impulse, point, applied, diag)
 
 
@@ -245,7 +231,8 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
     Each step calls solve as step does (solve_step_info by default, or
     closed_form.translation_solve, say), warm-started from warm_sigma of
     the slip speeds of the last three steps.  Stops early when a step is
-    flagged as rest; the rest record is the terminal marker.  With
+    flagged as rest (its slip speed is below sigma_min, whichever solve
+    ran); the rest record is the terminal marker.  With
     topple_policy "error", a step whose ECP leaves the support hull
     raises; the default policy "warn" records the flag, continues, and
     after the run emits one UserWarning naming the first such step and

@@ -107,13 +107,12 @@ def sliding_inputs_factory():
     return make_sliding_inputs
 
 
-# ------------------------------------------------------------ run-level memos
+# ------------------------------------------------------------ run-level memo
 
 def forget_memos() -> None:
-    """Empty the solve's and assemble_inputs' one-entry memos, so that the
-    next call computes its constants and impulse anew."""
+    """Empty the solve's one-entry memo, the package's only run memo, so
+    that the next solve computes its constants anew."""
     solver_module._last_static = (None, None, None, None, None)
-    stepper_module._last_impulse = (None, None, None)
 
 
 def record_lines(records) -> list[str]:
@@ -128,20 +127,15 @@ def record_lines(records) -> list[str]:
 
 
 def simulate_without_memos(scen) -> list:
-    """simulate(scen) with both memos emptied before every step."""
-    solve, assemble = stepper_module.solve_step_info, stepper_module.assemble_inputs
+    """simulate(scen) with the solve's memo emptied before every step."""
+    solve = stepper_module.solve_step_info
 
     def fresh_solve(*args):
         forget_memos()
         return solve(*args)
 
-    def fresh_assemble(*args):
-        forget_memos()
-        return assemble(*args)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stepper_module, "solve_step_info", fresh_solve)
-        mp.setattr(stepper_module, "assemble_inputs", fresh_assemble)
         return stepper_module.simulate(scen)
 
 

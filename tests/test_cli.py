@@ -175,6 +175,15 @@ def test_compare_loose_solver_tol_fails(capsys):
     assert m and float(m.group(1)) > 1e-6
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_rejects_an_invalid_solver_tol(tol, capsys):
+    # both used to print OK and exit 0
+    code, stdout, stderr = run(capsys, "compare", "--scenario", "example1", "--solver-tol", tol)
+    assert code == 1
+    assert "OK" not in stdout
+    assert "solver tol must be finite and nonnegative" in stderr
+
+
 def test_compare_zero_duration_reports_no_steps(capsys):
     code, stdout, _ = run(capsys, "compare", "--scenario", "example1", "--duration", "0")
     assert code == 0
@@ -260,6 +269,27 @@ def test_translate_runs_to_rest(tmp_path, capsys):
     assert rows[-1]["v_x"] == 0.0 and rows[-1]["v_y"] == 0.0
     assert rows[-1]["sigma"] == 0.0
     assert rows[0]["v_x"] == pytest.approx(0.46962, abs=1e-12)
+
+
+def test_translate_and_simulate_stop_at_the_same_step(tmp_path, capsys):
+    # the run decides rest by one rule whatever the solve: example1 without
+    # spin at sigma_min 0.05 slides on at sigma 0.046 after 36 steps, which
+    # ends both runs; translate used to run on to exact rest at step 38
+    from patchslide import simulate, translation_solve
+
+    scen = resolve_scenario("example1")
+    scen = replace(scen, initial=replace(scen.initial, w_z=0.0),
+                   options=replace(scen.options, sigma_min=0.05))
+    flags = [[r.diagnostics.rest_flag for r in simulate(scen, solve)] for solve in (None, translation_solve)]
+    assert flags[0] == flags[1] == [False] * 35 + [True]
+    path = tmp_path / "slide.yaml"
+    path.write_text(serialize_scenario(scen))
+    for command in ("simulate", "translate"):
+        out = tmp_path / f"{command}.csv"
+        code, stdout, _ = run(capsys, command, "--scenario", str(path), "--out", str(out))
+        assert code == 0
+        assert stdout.startswith("steps 36/45  rest=yes")
+        assert 0.0 < read_trajectory(out)[-1]["sigma"] < 0.05
 
 
 def test_translate_rejects_initial_spin(tmp_path, capsys):

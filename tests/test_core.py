@@ -321,7 +321,7 @@ SIGNATURES = {
     "SliderState": "(q_x: 'float', q_y: 'float', theta_z: 'float', v_x: 'float', v_y: 'float', w_z: 'float', t: 'float') -> None",
     "SlipVelocity": "(v_t: 'float', v_o: 'float', v_r: 'float') -> None",
     "SolveInfo": "(iters: 'int', residual_norm: 'float', rest: 'bool', starts: 'int') -> None",
-    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100, sigma_min: 'float' = 1e-06) -> None",
+    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100) -> None",
     "StepDiagnostics": "(newton_iters: 'int', residual_norm: 'float', rest_flag: 'bool', wall_time: 'float' = 0.0) -> None",
     "StepInputs": "(params: 'SliderParams', friction: 'FrictionParams', state: 'SliderState', applied: 'AppliedImpulse', p_n: 'float', h: 'float') -> None",
     "TableSchedule": "(times: 'tuple[float, ...]', wrenches: 'tuple[AppliedWrench, ...]') -> None",
@@ -369,7 +369,7 @@ def _examples() -> dict:
         "SliderState": state,
         "SlipVelocity": patchslide.SlipVelocity(v_t=0.6, v_o=0.8, v_r=9.9),
         "SolveInfo": patchslide.SolveInfo(iters=3, residual_norm=1e-17, rest=False, starts=1),
-        "SolverOptions": patchslide.SolverOptions(sigma_min=1e-4),
+        "SolverOptions": patchslide.SolverOptions(tol=1e-10, max_iter=50),
         "StepDiagnostics": diag,
         "StepInputs": StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=0.049, h=0.01),
         "TableSchedule": TableSchedule(times=(0.0, 0.2), wrenches=(AppliedWrench(), AppliedWrench(lambda_x=1.0))),

@@ -226,7 +226,7 @@ def test_solve_step_warm_start_accepts_immediately():
     inp = step1_inputs()
     imp, info = solve_step_info(inp)
     assert info.iters > 0 and not info.rest
-    imp2, info2 = solve_step_info(inp, guess=imp)
+    imp2, info2 = solve_step_info(inp, guess=imp.sigma)
     assert info2.iters == 0  # convergence is checked before the first update
     assert imp2.p_t == imp.p_t and imp2.sigma == imp.sigma
 
@@ -480,11 +480,24 @@ def test_no_convergence_raised_when_iteration_cap_exhausted():
         solve_step(inp, options=SolverOptions(tol=1e-16, max_iter=1))
 
 
+@pytest.mark.parametrize("fields", [
+    {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}, {"tol": "1e-12"},
+    {"max_iter": -1}, {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+], ids=["tol-nan", "tol-negative", "tol-inf", "tol-str",
+        "max_iter-negative", "max_iter-zero", "max_iter-float", "max_iter-bool"])
+def test_solver_options_reject_invalid_fields(fields):
+    # max_iter=-1 used to reach the solve, which then raised a raw
+    # UnboundLocalError; a NaN or negative tol was accepted silently
+    with pytest.raises(ValidationError, match="solver"):
+        SolverOptions(**fields)
+    assert SolverOptions(tol=0.0, max_iter=1) == SolverOptions(0.0, 1)
+
+
 def test_solver_guess_must_not_poison_the_solve():
     # a wildly wrong warm start still converges via the restarts
     inp = step1_inputs()
     bad = ContactImpulse(p_t=0.015, p_o=0.015, p_r=1e-4, sigma=40.0, p_n=inp.p_n)
-    imp = solve_step(inp, guess=bad)
+    imp = solve_step(inp, guess=bad.sigma)
     assert imp.p_t == pytest.approx(STEP1_P_T, abs=1e-8)
     assert imp.sigma == pytest.approx(STEP1_SIGMA, abs=1e-8)
 
@@ -498,7 +511,7 @@ def test_solve_step_cold_and_warm_starts_agree_with_oracle():
         ref = oracle_solve_step(inp)
         off = ContactImpulse(p_t=1.1 * ref.p_t, p_o=1.1 * ref.p_o, p_r=1.1 * ref.p_r,
                              sigma=1.1 * ref.sigma, p_n=inp.p_n)
-        for got in (solve_step(inp), solve_step(inp, guess=off)):
+        for got in (solve_step(inp), solve_step(inp, guess=off.sigma)):
             assert abs(got.p_t - ref.p_t) <= 1e-9
             assert abs(got.p_o - ref.p_o) <= 1e-9
             assert abs(got.p_r - ref.p_r) <= 1e-9
@@ -547,7 +560,7 @@ def test_inline_curve_is_the_gap_curve_bit_for_bit():
         cold, _ = solve_step_info(inp)
         off = ContactImpulse(p_t=1.1 * cold.p_t, p_o=1.1 * cold.p_o, p_r=1.1 * cold.p_r,
                              sigma=1.1 * cold.sigma, p_n=inp.p_n)
-        for guess in (None, off):
+        for guess in (None, off.sigma):
             imp, info = solve_step_info(inp, guess)
             z, _, _ = _gap_curve(k)(imp.sigma)
             assert bits((imp.p_t, imp.p_o, imp.p_r, imp.sigma)) == bits(z)
@@ -555,22 +568,41 @@ def test_inline_curve_is_the_gap_curve_bit_for_bit():
 
 
 def test_float_warm_start_equals_an_impulse_with_that_sigma():
-    # simulate passes the predicted slip speed as a plain float; an impulse
-    # carrying the same sigma must give the same solve to the bit
+    # a non-positive or NaN guess is a cold start
     def bits(imp, info):
         return (tuple(x.hex() for x in (imp.p_t, imp.p_o, imp.p_r, imp.sigma, imp.p_n)),
                 info.iters, info.residual_norm.hex(), info.rest)
 
-    for inp in make_sliding_inputs(seed=29, n=200):
-        cold, _ = solve_step_info(inp)
-        for sigma in (0.9 * cold.sigma, cold.sigma, 1.2 * cold.sigma):
-            carrier = ContactImpulse(p_t=0.0, p_o=0.0, p_r=0.0, sigma=sigma, p_n=inp.p_n)
-            assert bits(*solve_step_info(inp, sigma)) == bits(*solve_step_info(inp, carrier))
-    # a non-positive or NaN guess is a cold start, as an impulse's is
     inp = step1_inputs()
     cold = bits(*solve_step_info(inp))
     for sigma in (0.0, -1.0, math.nan):
         assert bits(*solve_step_info(inp, sigma)) == cold
+
+
+def test_a_huge_or_infinite_warm_start_does_not_exhaust_the_solve():
+    # from a huge warm start the bracket reaches [0, hi] with hi far above
+    # the root; halving from there took 77 iterations for 1e30 and ran out
+    # of iterations for 1e200, 1e300 and inf.  The solve steps to the cold
+    # start instead, and an infinite guess starts cold
+    inp = step1_inputs()
+    cold, cold_info = solve_step_info(inp)
+    assert cold_info.iters == 3
+    iters = []
+    for guess in (1e30, 1e200, 1e300, math.inf):
+        imp, info = solve_step_info(inp, guess)
+        iters.append(info.iters)
+        for got, want in zip((imp.p_t, imp.p_o, imp.p_r, imp.sigma), (cold.p_t, cold.p_o, cold.p_r, cold.sigma)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert iters == [4, 4, 4, 3]
+    # and on randomized sliding inputs, every huge warm start converges
+    worst = 0
+    for inp in make_sliding_inputs(41, 300):
+        cold = solve_step(inp)
+        for guess in (1e10, 1e100, 1e300):
+            imp, info = solve_step_info(inp, guess)
+            worst = max(worst, info.iters)
+            assert imp.sigma == pytest.approx(cold.sigma, rel=1e-9)
+    assert worst <= 8
 
 
 def _draw_extreme_inputs(rng: np.random.Generator) -> StepInputs:

@@ -602,11 +602,12 @@ def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
     assert sum(iters) / len(iters) <= 2.0
 
 
-# ------------------------------------------------------ run-level memos
+# ------------------------------------------- a scenario's derived loads
 
 def test_memos_follow_a_table_load_whose_normal_force_changes():
     # lambda_z changes at each row, so p_n changes mid-run while params stays
-    # the same object; each row is also held over several steps
+    # the same object; each row is also held over several steps, and the
+    # solve's memo must follow p_n
     rows = (0.0, 0.1, 0.2, 0.3)
     wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_x=-0.3, lambda_z=1.5),
                 AppliedWrench(lambda_y=0.4, lambda_z=-2.0, lambda_ztau=0.002),
@@ -619,35 +620,70 @@ def test_memos_follow_a_table_load_whose_normal_force_changes():
     assert len(records) == 40
     assert len({r.impulses.p_n for r in records}) == 4
     assert record_lines(records) == record_lines(fresh)
+    # each row's steps share the row's impulse, built with the scenario
+    assert {id(r.applied) for r in records} == {id(a) for a in scen.impulses[1:]}
+    assert ({r.impulses.p_n for r in records}
+            == {scen.h * pressing_load(scen.params, l_z) for l_z in scen.lambda_z[1:]})
 
 
 def test_steps_before_a_tables_first_row_share_one_zero_load():
-    # wrench_at gives one shared zero wrench before the first row, so the
-    # load memo hits on each of those steps and they share one impulse
+    # before the first row a table holds the zero wrench, whose impulse the
+    # scenario keeps first: those steps share it
     rows = (0.105, 0.2)
     wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_y=-0.3, lambda_ztau=0.002))
     scen = make_scenario(schedule=TableSchedule(rows, wrenches), duration=0.3)
     assert wrench_at(scen.schedule, scen.initial, 0.0) is wrench_at(scen.schedule, scen.initial, 0.1)
+    assert scen.impulses == (AppliedImpulse(),) + tuple(impulse_over(w, scen.h) for w in wrenches)
+    assert scen.lambda_z == (0.0, 0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = simulate(scen)
         fresh = simulate_without_memos(scen)
     assert len(records) == 30
     # steps 0-10 start before the first row
-    assert all(r.applied is records[0].applied for r in records[:11])
-    assert records[0].applied == AppliedImpulse()
-    assert records[11].applied == impulse_over(wrenches[0], scen.h)
+    assert all(r.applied is scen.impulses[0] for r in records[:11])
+    assert all(r.applied is scen.impulses[1] for r in records[11:20])
+    assert all(r.applied is scen.impulses[2] for r in records[20:])
     assert record_lines(records) == record_lines(fresh)
 
 
-def test_load_memo_keys_on_the_step_length():
+def test_every_step_of_a_constant_load_shares_one_impulse():
+    wrench = AppliedWrench(lambda_x=0.3, lambda_y=-0.1, lambda_z=1.0, lambda_ztau=0.001)
+    scen = make_scenario(wrench=wrench, duration=0.1)
+    assert scen.impulses == (AppliedImpulse(), impulse_over(wrench, scen.h))
+    assert scen.lambda_z == (0.0, 1.0)
+    records = simulate(scen)
+    assert len(records) == 10
+    assert all(r.applied is scen.impulses[1] for r in records)
+
+
+def test_derived_loads_follow_the_step_length():
     # one ConstantSchedule wrench object run at two step lengths back to
-    # back: the second run's impulses are its own h times the wrench
+    # back: replace(scen, h=...) rebuilds the impulses with its own h
     schedule = ConstantSchedule(AppliedWrench(lambda_x=0.3, lambda_y=-0.1, lambda_z=1.0, lambda_ztau=0.001))
     coarse = make_scenario(schedule=schedule, h=0.01, duration=0.1)
     fine = dataclasses.replace(coarse, h=0.005)
     assert fine.schedule is coarse.schedule
+    assert fine.impulses[1] == impulse_over(schedule.wrench, 0.005) != coarse.impulses[1]
     runs = [simulate(scen) for scen in (coarse, fine, coarse)]
     for scen, records in zip((coarse, fine, coarse), runs):
         assert record_lines(records) == record_lines(simulate_without_memos(scen))
         assert all(r.applied == impulse_over(schedule.wrench, scen.h) for r in records)
+
+
+def test_derived_loads_are_rebuilt_on_copy_and_ignored_by_equality_and_repr():
+    import copy
+    import pickle
+
+    rows = (0.05, 0.15)
+    wrenches = (AppliedWrench(lambda_x=0.2, lambda_z=1.5), AppliedWrench(lambda_y=-0.3, lambda_z=-2.0))
+    scen = make_scenario(schedule=TableSchedule(rows, wrenches))
+    for twin in (pickle.loads(pickle.dumps(scen)), copy.copy(scen), copy.deepcopy(scen),
+                 dataclasses.replace(scen)):
+        assert twin == scen and hash(twin) == hash(scen) and repr(twin) == repr(scen)
+        assert twin.impulses == scen.impulses and twin.lambda_z == scen.lambda_z == (0.0, 1.5, -2.0)
+    # equality, hashing and repr read only the declared fields
+    twin = copy.copy(scen)
+    object.__setattr__(twin, "impulses", ())
+    object.__setattr__(twin, "lambda_z", ())
+    assert twin == scen and hash(twin) == hash(scen) and repr(twin) == repr(scen)
