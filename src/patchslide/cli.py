@@ -14,16 +14,12 @@ from pathlib import Path
 
 from .closed_form import QuasiStaticInput, quasi_static_velocity, translation_solve
 from .errors import (
-    AllDegenerateError,
-    AnisotropicFrictionError,
     ContactLossError,
-    DegenerateStepError,
     NoConvergenceError,
     OracleFailure,
-    ScenarioParseError,
+    PatchSlideError,
     ToppleRiskError,
     ValidationError,
-    ZeroMotionError,
     ZeroSlipError,
 )
 from .oracle import oracle_solve_step, verify_kkt
@@ -37,14 +33,8 @@ __all__ = ["main"]
 
 COMPARE_TOLERANCE = 1e-6
 
-_VALIDATION_ERRORS = (
-    ScenarioParseError,
-    ValidationError,
-    AllDegenerateError,
-    DegenerateStepError,
-    AnisotropicFrictionError,
-    ZeroMotionError,
-)
+# solver failures exit 2; every other PatchSlideError is a validation or
+# input problem and exits 1
 _SOLVER_ERRORS = (
     NoConvergenceError,
     ContactLossError,
@@ -230,12 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as e:
+    except PatchSlideError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except _SOLVER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, _SOLVER_ERRORS) else 1
 
 
 if __name__ == "__main__":

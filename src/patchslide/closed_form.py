@@ -45,6 +45,12 @@ def quasi_static_velocity(inp: QuasiStaticInput) -> tuple[float, float, float]:
     angular rate satisfies c^2 * w_z = dx*v_y - dy*v_x, with (dx, dy) the
     contact point relative to the CM.  Contact at the CM itself gives
     pure translation with the contact velocity, exactly.
+
+    The dynamic model reproduces it only for q_z = 0, e_t = e_o and
+    e_r = c*e_t: then the constant wrench that balances sliding friction
+    at this velocity is the push at the contact point, and simulate keeps
+    the velocity as a fixed point.  With q_z > 0 the equivalent contact
+    point moves with the friction impulse, and no such tie is shown.
     """
     dx = inp.contact_point[0] - inp.cm[0]
     dy = inp.contact_point[1] - inp.cm[1]

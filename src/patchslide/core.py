@@ -44,16 +44,6 @@ __all__ = [
 ]
 
 
-class _Factory:
-    # stands for "call the default factory" among an __init__'s defaults,
-    # and reads as dataclass's own marker does in a signature
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
 def value_type(cls):
     """Class decorator for the package's value types: a frozen, slotted
     dataclass whose __init__ stores each field straight into its slot.
@@ -63,14 +53,15 @@ def value_type(cls):
     object.  The __init__ made here calls each slot descriptor's __set__,
     bound once per class; the frozen __setattr__ still rejects every later
     assignment.  It has the signature dataclass would give (names,
-    defaults, annotations), calls default factories and __post_init__ as
-    dataclass does, and leaves equality, hashing, repr and replace to the
-    dataclass machinery.  Unpickling, copy and deepcopy run __post_init__
+    defaults, annotations), calls __post_init__ as dataclass does, and
+    leaves equality, hashing, repr and replace to the dataclass
+    machinery.  Unpickling, copy and deepcopy run __post_init__
     too, so they pass the constructor's checks.  A derived field, declared
     field(init=False, repr=False, compare=False) and set by __post_init__
     through object.__setattr__, is left out of the __init__, the pickled
     state, equality, hashing and repr: wherever an instance is built or
-    restored, it is computed anew.
+    restored, it is computed anew.  A default is a value, not a factory:
+    the types are frozen, so one default instance can be shared.
 
     The per-step code calls value types with positional arguments, in
     field order: a class call with keywords first gathers them in a dict.
@@ -81,21 +72,18 @@ def value_type(cls):
     if (len(every) != len(cls.__dataclass_fields__) or any(f.kw_only for f in every)
             or any(f.repr or f.compare for f in every if not f.init)):
         raise TypeError(f"{cls.__name__}: value types take every field as a plain argument, or derive it")
-    closure: dict = {"_factory": _FACTORY}
+    if any(f.default_factory is not MISSING for f in every):
+        raise TypeError(f"{cls.__name__}: value types take a shared default value, not a default factory")
+    closure: dict = {}
     stores = []
     defaults = []
     for f in flds:
         closure[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        value = f.name
         if f.default is not MISSING:
             defaults.append(f.default)
-        elif f.default_factory is not MISSING:
-            closure[f"_new_{f.name}"] = f.default_factory
-            defaults.append(_FACTORY)
-            value = f"_new_{f.name}() if {f.name} is _factory else {f.name}"
         elif defaults:
             raise TypeError(f"{cls.__name__}: field {f.name!r} without a default follows one with a default")
-        stores.append(f"_set_{f.name}(self, {value})")
+        stores.append(f"_set_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         stores.append("self.__post_init__()")
     src = (

@@ -122,8 +122,11 @@ def _grid_search(inp: StepInputs) -> tuple[tuple[float, float, float, float], fl
     """Exhaustive search over the impulse box, refined around the
     incumbent until every axis spacing is at or below the resolution
     target.  For each impulse candidate the slip speed is the
-    nonnegative minimizer of the three tangential residuals (linear in
-    sigma), which is exact at a root of the system."""
+    least-squares minimizer of the three tangential residuals (linear in
+    sigma), which is exact at a root of the system.  A candidate whose
+    minimizer is negative is no solution (sigma >= 0) and is ruled out:
+    clamping its sigma to 0 instead makes a spurious incumbent that the
+    refinement can zoom into."""
     p = inp.params
     f = inp.friction
     s = inp.state
@@ -151,12 +154,12 @@ def _grid_search(inp: StepInputs) -> tuple[tuple[float, float, float, float], fl
         denom = P_t ** 2 + P_o ** 2 + P_r ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma = np.where(denom > 0.0, -(a1 * P_t + a2 * P_o + a3 * P_r) / denom, 0.0)
-        sigma = np.maximum(sigma, 0.0)
         F4 = (mu * p_n) ** 2 - (P_r / e_r) ** 2 - (P_t / e_t) ** 2 - (P_o / e_o) ** 2
         rn = np.abs(a1 + P_t * sigma)
         np.maximum(rn, np.abs(a2 + P_o * sigma), out=rn)
         np.maximum(rn, np.abs(a3 + P_r * sigma), out=rn)
         np.maximum(rn, np.abs(F4), out=rn)
+        rn[sigma < 0.0] = math.inf
         k = int(np.argmin(rn))
         if float(rn[k]) < best_rn:
             best_rn = float(rn[k])

@@ -1,7 +1,13 @@
 """Scenario files: a YAML document with six sections (slider, friction,
 patch, initial, schedule, run) describing one simulation.
 
-Unknown keys are rejected at every level so that typos fail loudly.
+A section's keys, in order, and their defaults are the fields of the
+value type it builds: slider (SliderParams without its patch), friction
+(FrictionParams), initial (SliderState), each wrench (AppliedWrench),
+annulus and disk patches, a body pusher's numbers, and run (the
+Scenario's h and duration, then RunOptions).  Unknown keys are rejected at
+every level so that typos fail loudly.
+
 Loading a file, serializing the result, and loading the serialization
 yields an identical Scenario.
 """
@@ -9,7 +15,8 @@ yields an identical Scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import field
+from dataclasses import MISSING, field, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -88,7 +95,7 @@ class Scenario:
     schedule: WrenchSchedule
     h: float
     duration: float
-    options: RunOptions = field(default_factory=RunOptions)
+    options: RunOptions = RunOptions()
     impulses: tuple[AppliedImpulse, ...] = field(init=False, repr=False, compare=False)
     lambda_z: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -124,6 +131,30 @@ class Scenario:
         object.__setattr__(self, "lambda_z", tuple(w.lambda_z for w in wrenches))
 
 
+# the file format's defaults for fields that have none in their value type
+_FORMAT_DEFAULTS = {
+    SliderParams: dict(g=9.8),
+    SliderState: dict.fromkeys((f.name for f in fields(SliderState)), 0.0),
+    BodyPusherSchedule: dict(force_amp=0.0),
+}
+
+
+@cache
+def _number_fields(cls) -> tuple[tuple[str, object], ...]:
+    # the number keys of a section that builds cls: its constructor's fields
+    # annotated float, in field order, each with its default (MISSING when
+    # the key is required)
+    defaults = _FORMAT_DEFAULTS.get(cls, {})
+    return tuple(
+        (f.name, defaults.get(f.name, f.default))
+        for f in fields(cls) if f.init and f.type == "float"
+    )
+
+
+def _keys(cls) -> set[str]:
+    return {name for name, _ in _number_fields(cls)}
+
+
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -145,15 +176,27 @@ def _float(v: int | float, name: str) -> float:
         raise ValidationError(f"{name} is out of range for a double") from None
 
 
-def _num(mapping: dict, key: str, context: str, default: float | None = None) -> float:
+def _num(mapping: dict, key: str, context: str, default=MISSING) -> float:
     if key not in mapping:
-        if default is None:
+        if default is MISSING:
             raise ValidationError(f"missing required key {key!r} in {context}")
         return default
     v = mapping[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{context}.{key} must be a number, got {v!r}")
     return _float(v, f"{context}.{key}")
+
+
+def _read(mapping: dict, cls, context: str) -> dict:
+    # cls's number fields from a section whose keys have been checked
+    return {k: _num(mapping, k, context, default) for k, default in _number_fields(cls)}
+
+
+def _build(value, cls, context: str, *other: str):
+    # cls from a section that holds its number fields and the keys in other
+    mapping = _as_map(value, context)
+    _check_keys(mapping, _keys(cls).union(other), context)
+    return cls(**_read(mapping, cls, context))
 
 
 def _num_list(value, n: int, context: str) -> tuple[float, ...]:
@@ -176,34 +219,19 @@ def _parse_patch(section: dict) -> ContactPatch:
             raise ValidationError("patch.vertices must list at least 3 [x, y] pairs")
         return PolygonPatch(tuple(_num_list(v, 2, "patch.vertices entry") for v in verts))
     if kind == "annulus":
-        _check_keys(section, {"type", "r_in", "r_out"}, "patch")
-        return AnnulusPatch(r_in=_num(section, "r_in", "patch"), r_out=_num(section, "r_out", "patch"))
+        return _build(section, AnnulusPatch, "patch", "type")
     if kind == "disk":
-        _check_keys(section, {"type", "r"}, "patch")
-        return DiskPatch(r=_num(section, "r", "patch"))
+        return _build(section, DiskPatch, "patch", "type")
     raise ValidationError(f"patch.type must be polygon, annulus, or disk, got {kind!r}")
-
-
-_WRENCH_KEYS = ("lambda_x", "lambda_y", "lambda_z", "lambda_xtau", "lambda_ytau", "lambda_ztau")
-
-
-def _parse_wrench(section, context: str) -> AppliedWrench:
-    m = _as_map(section, context)
-    _check_keys(m, set(_WRENCH_KEYS), context)
-    return AppliedWrench(**{k: _num(m, k, context, default=0.0) for k in _WRENCH_KEYS})
 
 
 def _parse_schedule(section: dict) -> WrenchSchedule:
     kind = section.get("type")
     if kind == "constant":
         _check_keys(section, {"type", "wrench"}, "schedule")
-        return ConstantSchedule(_parse_wrench(section.get("wrench"), "schedule.wrench"))
+        return ConstantSchedule(_build(section.get("wrench"), AppliedWrench, "schedule.wrench"))
     if kind == "body_pusher":
-        _check_keys(
-            section,
-            {"type", "point", "direction", "force_mean", "force_amp", "period"},
-            "schedule",
-        )
+        _check_keys(section, _keys(BodyPusherSchedule) | {"type", "point", "direction"}, "schedule")
         point = _num_list(section.get("point"), 3, "schedule.point")
         direction = _num_list(section.get("direction"), 2, "schedule.direction")
         norm = math.hypot(*direction)
@@ -212,9 +240,7 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
         return BodyPusherSchedule(
             point_body=point,
             direction_body=(direction[0] / norm, direction[1] / norm),
-            force_mean=_num(section, "force_mean", "schedule"),
-            force_amp=_num(section, "force_amp", "schedule", default=0.0),
-            period=_num(section, "period", "schedule"),
+            **_read(section, BodyPusherSchedule, "schedule"),
         )
     if kind == "table":
         _check_keys(section, {"type", "rows"}, "schedule")
@@ -227,7 +253,7 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
             rm = _as_map(row, f"schedule.rows[{i}]")
             _check_keys(rm, {"t", "wrench"}, f"schedule.rows[{i}]")
             times.append(_num(rm, "t", f"schedule.rows[{i}]"))
-            wrenches.append(_parse_wrench(rm.get("wrench"), f"schedule.rows[{i}].wrench"))
+            wrenches.append(_build(rm.get("wrench"), AppliedWrench, f"schedule.rows[{i}].wrench"))
         return TableSchedule(times=tuple(times), wrenches=tuple(wrenches))
     raise ValidationError(f"schedule.type must be constant, body_pusher, or table, got {kind!r}")
 
@@ -250,63 +276,35 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ValidationError(f"missing required section {required!r}")
 
     slider = _as_map(doc["slider"], "slider")
-    _check_keys(slider, {"m", "I_z", "q_z", "g"}, "slider")
+    _check_keys(slider, _keys(SliderParams), "slider")
     patch = _parse_patch(_as_map(doc["patch"], "patch"))
-    params = SliderParams(
-        m=_num(slider, "m", "slider"),
-        I_z=_num(slider, "I_z", "slider"),
-        q_z=_num(slider, "q_z", "slider"),
-        g=_num(slider, "g", "slider", default=9.8),
-        patch=patch,
-    )
-
-    fric = _as_map(doc["friction"], "friction")
-    _check_keys(fric, {"mu", "e_t", "e_o", "e_r"}, "friction")
-    friction = FrictionParams(
-        mu=_num(fric, "mu", "friction"),
-        e_t=_num(fric, "e_t", "friction"),
-        e_o=_num(fric, "e_o", "friction"),
-        e_r=_num(fric, "e_r", "friction"),
-    )
-
-    init = _as_map(doc.get("initial"), "initial")
-    _check_keys(init, {"q_x", "q_y", "theta_z", "v_x", "v_y", "w_z", "t"}, "initial")
-    initial = SliderState(
-        q_x=_num(init, "q_x", "initial", default=0.0),
-        q_y=_num(init, "q_y", "initial", default=0.0),
-        theta_z=_num(init, "theta_z", "initial", default=0.0),
-        v_x=_num(init, "v_x", "initial", default=0.0),
-        v_y=_num(init, "v_y", "initial", default=0.0),
-        w_z=_num(init, "w_z", "initial", default=0.0),
-        t=_num(init, "t", "initial", default=0.0),
-    )
+    params = SliderParams(**_read(slider, SliderParams, "slider"), patch=patch)
+    friction = _build(doc["friction"], FrictionParams, "friction")
+    initial = _build(doc.get("initial"), SliderState, "initial")
 
     if "schedule" in doc:
         schedule = _parse_schedule(_as_map(doc["schedule"], "schedule"))
     else:
         schedule = ConstantSchedule(AppliedWrench.zero())
 
+    # run holds the Scenario's numbers and every RunOptions field; the text
+    # fields are checked before any number is read
     run = _as_map(doc["run"], "run")
-    _check_keys(run, {"h", "duration", "sigma_min", "topple_policy", "output_path"}, "run")
-    policy = run.get("topple_policy", "warn")
-    if not isinstance(policy, str):
-        raise ValidationError("run.topple_policy must be a string")
-    out_path = run.get("output_path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ValidationError("run.output_path must be a string")
-    options = RunOptions(
-        sigma_min=_num(run, "sigma_min", "run", default=1e-6),
-        topple_policy=policy,
-        output_path=out_path,
-    )
+    _check_keys(run, _keys(Scenario) | {f.name for f in fields(RunOptions)}, "run")
+    texts = {}
+    for f in fields(RunOptions):
+        if f.type != "float":
+            v = texts[f.name] = run.get(f.name, f.default)
+            if not isinstance(v, str) and not (v is None and f.default is None):
+                raise ValidationError(f"run.{f.name} must be a string")
+    options = RunOptions(**_read(run, RunOptions, "run"), **texts)
     return Scenario(
         params=params,
         friction=friction,
         initial=initial,
         schedule=schedule,
-        h=_num(run, "h", "run"),
-        duration=_num(run, "duration", "run"),
         options=options,
+        **_read(run, Scenario, "run"),
     )
 
 
@@ -320,8 +318,12 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(text, source=str(p))
 
 
+def _number_values(value) -> dict:
+    return {k: getattr(value, k) for k, _ in _number_fields(type(value))}
+
+
 def _wrench_dict(w: AppliedWrench) -> dict:
-    return {k: getattr(w, k) for k in _WRENCH_KEYS if getattr(w, k) != 0.0}
+    return {k: v for k, v in _number_values(w).items() if v != 0.0}
 
 
 def _schedule_dict(s: WrenchSchedule) -> dict:
@@ -332,9 +334,7 @@ def _schedule_dict(s: WrenchSchedule) -> dict:
             "type": "body_pusher",
             "point": list(s.point_body),
             "direction": list(s.direction_body),
-            "force_mean": s.force_mean,
-            "force_amp": s.force_amp,
-            "period": s.period,
+            **_number_values(s),
         }
     return {
         "type": "table",
@@ -345,43 +345,20 @@ def _schedule_dict(s: WrenchSchedule) -> dict:
 def _patch_dict(p: ContactPatch) -> dict:
     if isinstance(p, PolygonPatch):
         return {"type": "polygon", "vertices": [list(v) for v in p.vertices]}
-    if isinstance(p, AnnulusPatch):
-        return {"type": "annulus", "r_in": p.r_in, "r_out": p.r_out}
-    return {"type": "disk", "r": p.r}
+    return {"type": "annulus" if isinstance(p, AnnulusPatch) else "disk", **_number_values(p)}
 
 
 def serialize_scenario(scen: Scenario) -> str:
     """Render a Scenario back to scenario-file text.  Loading the result
     reproduces the Scenario exactly (floats survive via repr)."""
-    run: dict = {"h": scen.h, "duration": scen.duration, "sigma_min": scen.options.sigma_min,
-                 "topple_policy": scen.options.topple_policy}
-    if scen.options.output_path is not None:
-        run["output_path"] = scen.options.output_path
+    options = {f.name: getattr(scen.options, f.name) for f in fields(RunOptions)}
     doc = {
-        "slider": {
-            "m": scen.params.m,
-            "I_z": scen.params.I_z,
-            "q_z": scen.params.q_z,
-            "g": scen.params.g,
-        },
-        "friction": {
-            "mu": scen.friction.mu,
-            "e_t": scen.friction.e_t,
-            "e_o": scen.friction.e_o,
-            "e_r": scen.friction.e_r,
-        },
+        "slider": _number_values(scen.params),
+        "friction": _number_values(scen.friction),
         "patch": _patch_dict(scen.params.patch),
-        "initial": {
-            "q_x": scen.initial.q_x,
-            "q_y": scen.initial.q_y,
-            "theta_z": scen.initial.theta_z,
-            "v_x": scen.initial.v_x,
-            "v_y": scen.initial.v_y,
-            "w_z": scen.initial.w_z,
-            "t": scen.initial.t,
-        },
+        "initial": _number_values(scen.initial),
         "schedule": _schedule_dict(scen.schedule),
-        "run": run,
+        "run": _number_values(scen) | {k: v for k, v in options.items() if v is not None},
     }
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 

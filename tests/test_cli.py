@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+import patchslide.cli as cli_module
 from patchslide import bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario
 from patchslide.cli import main
+from patchslide.errors import NoConvergenceError, PatchSlideError, ToppleRiskError, ValidationError
 
 TRANSLATE_YAML = """
 slider: {m: 0.5, I_z: 5.0e-4, q_z: 0.08}
@@ -412,3 +414,21 @@ def test_simulate_rejects_overflowing_load(tmp_path, capsys, schedule, message):
                           "--out", str(tmp_path / "huge.csv"))
     assert code == 1
     assert message in stderr
+
+
+class _UnnamedError(PatchSlideError):
+    """A package error that the CLI does not name."""
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (_UnnamedError, 1), (ValidationError, 1), (NoConvergenceError, 2), (ToppleRiskError, 2),
+], ids=["unnamed", "validation", "no-convergence", "topple"])
+def test_every_package_error_exits_with_its_code(capsys, monkeypatch, error, exit_code):
+    # solver failures exit 2 and every other PatchSlideError exits 1, so a
+    # new subclass never escapes as a traceback
+    def fail(inp):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_module, "quasi_static_velocity", fail)
+    assert run(capsys, "quasistatic", "--contact-x", "0.05", "--contact-y", "0",
+               "--vx", "0", "--vy", "0.1", "--c", "0.01") == (exit_code, "", "error: boom\n")

@@ -8,9 +8,13 @@ import pytest
 from patchslide import (
     AnisotropicFrictionError,
     AppliedImpulse,
+    AppliedWrench,
+    ConstantSchedule,
+    DiskPatch,
     FrictionParams,
     PolygonPatch,
     QuasiStaticInput,
+    Scenario,
     SliderParams,
     SliderState,
     SolverOptions,
@@ -98,6 +102,40 @@ def test_quasi_static_reconstruction_error():
         dx, dy = contact - cm
         assert abs((v_x - w_z * dy) - v_c[0]) < 1e-12
         assert abs((v_y + w_z * dx) - v_c[1]) < 1e-12
+
+
+def test_quasi_static_velocity_is_a_fixed_point_of_simulate():
+    # the dynamic model's limit with q_z = 0, e_t = e_o and e_r = c*e_t: the
+    # constant wrench that balances sliding friction at the quasi-static
+    # velocity, F = mu*m*g*e_t^2*(v_x, v_y)/sigma and tau = mu*m*g*e_r^2*w_z/sigma,
+    # is the push at d along the contact velocity (tau = d x F), and under it
+    # simulate keeps that velocity step after step
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(20):
+        d_x, d_y, v_cx, v_cy, c, m, mu, e_t = map(float, rng.uniform(
+            (-0.05, -0.05, -1.0, -1.0, 0.005, 0.2, 0.1, 0.5), (0.05, 0.05, 1.0, 1.0, 0.05, 2.0, 1.0, 2.0)))
+        v_x, v_y, w_z = quasi_static_velocity(QuasiStaticInput((d_x, d_y), (v_cx, v_cy), c=c))
+        e_r = c * e_t
+        sigma = math.sqrt((e_t * v_x) ** 2 + (e_t * v_y) ** 2 + (e_r * w_z) ** 2)
+        load = mu * m * 9.8 / sigma
+        f_x, f_y, tau = load * e_t ** 2 * v_x, load * e_t ** 2 * v_y, load * e_r ** 2 * w_z
+        assert abs(tau - (d_x * f_y - d_y * f_x)) <= 1e-14 * math.hypot(f_x, f_y)
+        scen = Scenario(
+            params=SliderParams(m=m, I_z=1e-3 * m, q_z=0.0, g=9.8, patch=DiskPatch(r=0.1)),
+            friction=FrictionParams(mu=mu, e_t=e_t, e_o=e_t, e_r=e_r),
+            initial=SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=v_x, v_y=v_y, w_z=w_z, t=0.0),
+            schedule=ConstantSchedule(AppliedWrench(lambda_x=f_x, lambda_y=f_y, lambda_ztau=tau)),
+            h=0.01,
+            duration=0.5,
+        )
+        records = simulate(scen)
+        assert len(records) == 50
+        for r in records:
+            s = r.state
+            change = math.dist((s.v_x, s.v_y, c * s.w_z), (v_x, v_y, c * w_z))
+            worst = max(worst, change / math.hypot(v_x, v_y, c * w_z))
+    assert worst <= 1e-14
 
 
 def test_quasi_static_rejects_bad_ratio():

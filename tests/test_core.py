@@ -316,7 +316,7 @@ SIGNATURES = {
     "QuasiStaticInput": "(contact_point: 'tuple[float, float]', contact_velocity: 'tuple[float, float]', cm: 'tuple[float, float]' = (0.0, 0.0), c: 'float' = 1.0) -> None",
     "Reconstruction": "(p_t: 'float', p_o: 'float', p_r: 'float', v_t: 'float', v_o: 'float', v_r: 'float') -> None",
     "RunOptions": "(sigma_min: 'float' = 1e-06, topple_policy: 'str' = 'warn', output_path: 'str | None' = None) -> None",
-    "Scenario": "(params: 'SliderParams', friction: 'FrictionParams', initial: 'SliderState', schedule: 'WrenchSchedule', h: 'float', duration: 'float', options: 'RunOptions' = <factory>) -> None",
+    "Scenario": "(params: 'SliderParams', friction: 'FrictionParams', initial: 'SliderState', schedule: 'WrenchSchedule', h: 'float', duration: 'float', options: 'RunOptions' = RunOptions(sigma_min=1e-06, topple_policy='warn', output_path=None)) -> None",
     "SliderParams": "(m: 'float', I_z: 'float', q_z: 'float', g: 'float', patch: 'ContactPatch') -> None",
     "SliderState": "(q_x: 'float', q_y: 'float', theta_z: 'float', v_x: 'float', v_y: 'float', w_z: 'float', t: 'float') -> None",
     "SlipVelocity": "(v_t: 'float', v_o: 'float', v_r: 'float') -> None",
@@ -488,8 +488,15 @@ def test_scenario_without_options_gets_a_fresh_default(examples):
     a = patchslide.Scenario(*args)
     b = patchslide.Scenario(*args)
     assert a.options == patchslide.RunOptions()
-    assert a.options is not b.options
     assert a == b
+
+
+def test_value_type_rejects_default_factories():
+    with pytest.raises(TypeError, match="not a default factory"):
+        @value_type
+        class Made:
+            a: float
+            b: tuple = dataclasses.field(default_factory=tuple)
 
 
 def test_value_type_rejects_fields_outside_the_constructor():

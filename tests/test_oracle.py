@@ -77,6 +77,25 @@ def test_oracle_agrees_with_solver_on_randomized_inputs():
         assert abs(fast.sigma - ref.sigma) <= 1e-6
 
 
+def test_oracle_grid_search_rules_out_negative_slip_speeds():
+    # a cold sliding input on which the grid search, when it clamped each
+    # candidate's slip speed to 0, zoomed into a spurious sigma = 0
+    # candidate, and the oracle failed with a residual of 1.452e-05
+    inp = StepInputs(
+        params=SliderParams(m=1.8672, I_z=0.0069759, q_z=0.044791, g=9.8, patch=SQUARE),
+        friction=FrictionParams(mu=0.26066, e_t=1.10398, e_o=1.26223, e_r=0.0238259),
+        state=SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=-0.019895, v_y=-0.045668, w_z=0.11286, t=0.0),
+        applied=AppliedImpulse(0.073342, 0.079246, 0.0, -0.013214, 0.0077172, 0.0025272),
+        p_n=0.18299,
+        h=0.01,
+    )
+    fast = solve_step(inp)
+    ref = oracle_solve_step(inp)
+    assert fast.sigma == pytest.approx(0.0079311, abs=1e-7)
+    for got, want in zip((ref.p_t, ref.p_o, ref.p_r, ref.sigma), (fast.p_t, fast.p_o, fast.p_r, fast.sigma)):
+        assert abs(got - want) <= 1e-12
+
+
 def test_grid_search_brackets_the_root():
     # the box grid alone stalls in the slip-speed valley; it must still
     # land in the root's neighborhood for the curve stage to matter

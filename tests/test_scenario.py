@@ -197,6 +197,9 @@ schedule:
     # YAML ints too large for float()
     ("m: 0.5", "m: 1" + "0" * 400, r"slider\.m is out of range for a double"),
     ("[0.025, 0.025]", "[1" + "0" * 400 + ", 0.025]", r"patch\.vertices entry is out of range for a double"),
+    ("m: 0.5, ", "", "missing required key 'm' in slider"),
+    ("[0.025, 0.025]", "[0.025, wide]", r"patch\.vertices entry must contain only numbers"),
+    ("duration: 0.45", "duration: 0.45, topple_policy: 3", r"run\.topple_policy must be a string"),
 ])
 def test_bad_values_rejected(needle, repl, message):
     with pytest.raises(ValidationError, match=message):
@@ -218,6 +221,39 @@ def test_missing_required_sections(section):
         out.append(ln)
     with pytest.raises(ValidationError, match=f"missing required section '{section}'"):
         loads_scenario("\n".join(out))
+
+
+WRENCH_KEYS = ["lambda_x", "lambda_y", "lambda_z", "lambda_xtau", "lambda_ytau", "lambda_ztau"]
+# every key of every section, in the order serialize_scenario writes them
+FULL_DOCUMENTS = [
+    {
+        "slider": {"m": 0.5, "I_z": 5.0e-4, "q_z": 0.08, "g": 9.8},
+        "friction": {"mu": 0.31, "e_t": 1.0, "e_o": 1.0, "e_r": 0.01},
+        "patch": {"type": "annulus", "r_in": 0.01, "r_out": 0.05},
+        "initial": {"q_x": 0.1, "q_y": 0.2, "theta_z": 0.3, "v_x": 0.7, "v_y": 0.9, "w_z": 10.0, "t": 0.5},
+        "schedule": {"type": "table", "rows": [{"t": 0.0, "wrench": dict.fromkeys(WRENCH_KEYS, 1.0)}]},
+        "run": {"h": 0.01, "duration": 0.45, "sigma_min": 1.0e-6, "topple_policy": "warn",
+                "output_path": "out.csv"},
+    },
+    {"patch": {"type": "disk", "r": 0.05},
+     "schedule": {"type": "constant", "wrench": dict.fromkeys(WRENCH_KEYS, 1.0)}},
+    {"schedule": {"type": "body_pusher", "point": [0.0, 0.0, 0.0], "direction": [1.0, 0.0],
+                  "force_mean": 1.0, "force_amp": 0.5, "period": 0.1}},
+]
+
+
+@pytest.mark.parametrize("changed", FULL_DOCUMENTS, ids=["annulus-table", "disk-constant", "pusher"])
+def test_section_keys_are_pinned(changed):
+    # the keys come from the fields of each section's value type: renaming
+    # a field must not change the file format unnoticed
+    doc = {**FULL_DOCUMENTS[0], **changed}
+    written = yaml.safe_load(serialize_scenario(loads_scenario(yaml.safe_dump(doc))))
+    # equal, and in the same order at every level
+    assert yaml.safe_dump(written, sort_keys=False) == yaml.safe_dump(doc, sort_keys=False)
+    for section in ("slider", "friction", "initial", "run"):
+        typo = {**doc, section: {**doc[section], "typo": 1}}
+        with pytest.raises(ValidationError, match=rf"unknown key\(s\) \['typo'\] in {section}"):
+            loads_scenario(yaml.safe_dump(typo))
 
 
 def test_initial_section_is_optional():

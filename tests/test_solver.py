@@ -450,6 +450,15 @@ def test_rest_test_overflow_is_validation_error():
         solve_step_info(inp)
 
 
+def test_normal_load_whose_square_overflows_is_validation_error():
+    # (mu*p_n)^2 overflows: the rest test has no bound to compare against
+    inp = replace(step1_inputs(), p_n=1e200)
+    with pytest.raises(ValidationError, match="load is too large"):
+        rest_reachable(inp)
+    with pytest.raises(ValidationError, match="load is too large"):
+        solve_step_info(inp)
+
+
 def test_ellipsoid_constants_whose_squares_leave_the_doubles_are_validation_errors(tmp_path, capsys):
     # the solve squares e_t, e_o and e_r and divides 2 by each square; a
     # constant whose square overflows (1e160) or underflows to zero
@@ -516,6 +525,24 @@ def test_solve_step_cold_and_warm_starts_agree_with_oracle():
             assert abs(got.p_o - ref.p_o) <= 1e-9
             assert abs(got.p_r - ref.p_r) <= 1e-9
             assert abs(got.sigma - ref.sigma) <= 1e-9
+
+
+def test_cold_start_from_rest_takes_the_applied_velocity(ex1_scenario):
+    # a slider at rest has no slip direction of its own: the cold start
+    # takes the max-dissipation slip speed of the velocity the applied
+    # impulse alone would give
+    from patchslide import AppliedWrench, ConstantSchedule, oracle_solve_step
+
+    at_rest = replace(ex1_scenario.initial, v_x=0.0, v_y=0.0, w_z=0.0)
+    pushed = ConstantSchedule(AppliedWrench(lambda_x=3.0, lambda_y=-1.0, lambda_ztau=0.01))
+    inp = assemble_inputs(at_rest, replace(ex1_scenario, initial=at_rest, schedule=pushed))
+    assert not rest_reachable(inp)
+    imp, info = solve_step_info(inp)
+    assert info.iters == 2
+    assert imp.sigma == pytest.approx(0.0328014, abs=1e-7)
+    ref = oracle_solve_step(inp)
+    for got, want in zip((imp.p_t, imp.p_o, imp.p_r, imp.sigma), (ref.p_t, ref.p_o, ref.p_r, ref.sigma)):
+        assert abs(got - want) <= 1e-6
 
 
 def test_zero_tolerance_stops_at_the_roundoff_floor():

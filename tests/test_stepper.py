@@ -161,6 +161,11 @@ def test_validate_patch_square_and_disk():
     assert validate_patch((0.05, 0.0), disk, (0.0, 0.0, 0.0)) == (True, True)
 
 
+def test_validate_patch_rejects_an_unknown_patch_type():
+    with pytest.raises(TypeError, match="unknown patch type tuple"):
+        validate_patch((0.0, 0.0), ((0.0, 0.0),), (0.0, 0.0, 0.0))
+
+
 def test_validate_patch_annulus_hull_vs_material():
     ring = AnnulusPatch(r_in=0.05, r_out=0.1)
     assert validate_patch((0.02, 0.0), ring, (0.0, 0.0, 0.0)) == (True, False)

@@ -10,6 +10,7 @@ from patchslide import (
     AppliedImpulse,
     DegenerateStepError,
     ObservedStep,
+    Reconstruction,
     SliderState,
     ValidationError,
     batch_estimate,
@@ -54,6 +55,14 @@ def test_pure_translation_step_is_degenerate():
     assert rec.p_r == 0.0
     assert rec.v_r == 0.0
     with pytest.raises(DegenerateStepError):
+        one_step_estimate(rec, 0.049)
+
+
+def test_nonpositive_first_identity_is_degenerate():
+    # every denominator clears the floor, but the first sliding identity
+    # has no square root: no maximum-dissipation impulse gives these signs
+    rec = Reconstruction(p_t=0.01, p_o=-1.0, p_r=0.01, v_t=1.0, v_o=1.0, v_r=1.0)
+    with pytest.raises(DegenerateStepError, match="first sliding identity nonpositive"):
         one_step_estimate(rec, 0.049)
 
 
