@@ -64,7 +64,6 @@ from .scenario import (
 )
 from .solver import (
     SolveInfo,
-    SolverOptions,
     jacobian,
     max_dissipation_impulse,
     residual,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or input problems, 2 solver failures,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .oracle import oracle_solve_step, verify_kkt
 from .scenario import Scenario, resolve_scenario
-from .solver import SolverOptions, solve_step_info
+from .solver import solve_step_info
 from .stepper import TrajectoryRecord, simulate
 from .sysid import batch_estimate
 from .trajectory import observed_steps, read_trajectory, write_plot_data, write_trajectory
@@ -96,14 +97,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scen = _load(args)
-    options = None if args.solver_tol is None else SolverOptions(tol=args.solver_tol)
+    if args.seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {args.seed}")
     devs: list[float] = []
     kkt_failures = 0
 
     def checked(inputs, guess):
-        # the production solve, checked against the oracle on the same inputs
+        # the one solve simulate runs, checked against the oracle on the
+        # same inputs
         nonlocal kkt_failures
-        sol, info = solve_step_info(inputs, guess, options)
+        sol, info = solve_step_info(inputs, guess)
         ref = oracle_solve_step(inputs)
         d_t = abs(sol.p_t - ref.p_t)
         d_o = abs(sol.p_o - ref.p_o)
@@ -138,8 +141,9 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
     steps = observed_steps(rows)
     est = batch_estimate(steps, m=args.m, I_z=args.I_z, q_z=args.q_z, floor=args.floor)
     print(f"et2mu   = {est.et2mu:.10g}   (mad {est.dispersion[0]:.3e})  first-identity root, equals e_t*mu")
-    print(f"ratio_o = {est.ratio_o:.10g}   (mad {est.dispersion[1]:.3e})  (e_o/e_t)^2; e_o/e_t = {est.ratio_o ** 0.5:.10g}")
-    print(f"ratio_r = {est.ratio_r:.10g}   (mad {est.dispersion[2]:.3e})  (e_r/e_t)^2; e_r/e_t = {est.ratio_r ** 0.5:.10g}")
+    for i, (axis, ratio) in enumerate((("o", est.ratio_o), ("r", est.ratio_r)), start=1):
+        root = math.sqrt(ratio) if ratio >= 0.0 else math.nan  # a negative median has no root
+        print(f"ratio_{axis} = {ratio:.10g}   (mad {est.dispersion[i]:.3e})  (e_{axis}/e_t)^2; e_{axis}/e_t = {root:.10g}")
     print(f"steps used {len(est.per_step)} of {len(steps)} ({est.n_skipped} skipped)")
     return 0
 
@@ -184,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both solution paths and report deviations")
     _add_scenario_args(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the dissipation sampling check")
-    p.add_argument(
-        "--solver-tol",
-        type=float,
-        default=None,
-        help="diagnostic: override the solver tolerance, relative to (mu*p_n)^2",
-    )
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sysid", help="estimate friction parameters from a trajectory CSV")

@@ -24,7 +24,8 @@ class QuasiStaticInput:
 
     contact_point is where the pusher touches the slider,
     contact_velocity the imposed velocity there, cm the center of mass,
-    all in the world plane; c = e_r/e_t carries meters.
+    all in the world plane; c = e_r/e_t carries meters.  Every number must
+    be finite, and c^2 + |contact_point - cm|^2 a double.
     """
 
     contact_point: tuple[float, float]
@@ -35,6 +36,12 @@ class QuasiStaticInput:
     def __post_init__(self) -> None:
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ValidationError("ellipsoid ratio c must be positive")
+        if not all(map(math.isfinite, (*self.contact_point, *self.contact_velocity, *self.cm))):
+            raise ValidationError("contact point, contact velocity and cm must be finite")
+        dx = self.contact_point[0] - self.cm[0]
+        dy = self.contact_point[1] - self.cm[1]
+        if not math.isfinite(self.c * self.c + dx * dx + dy * dy):
+            raise ValidationError("c^2 + |contact point - cm|^2 overflows a double")
 
 
 def quasi_static_velocity(inp: QuasiStaticInput) -> tuple[float, float, float]:
@@ -44,7 +51,8 @@ def quasi_static_velocity(inp: QuasiStaticInput) -> tuple[float, float, float]:
     velocity at the contact point equals the pusher velocity and the
     angular rate satisfies c^2 * w_z = dx*v_y - dy*v_x, with (dx, dy) the
     contact point relative to the CM.  Contact at the CM itself gives
-    pure translation with the contact velocity, exactly.
+    pure translation with the contact velocity, exactly.  A velocity that
+    overflows a double raises ValidationError.
 
     The dynamic model reproduces it only for q_z = 0, e_t = e_o and
     e_r = c*e_t: then the constant wrench that balances sliding friction
@@ -59,6 +67,8 @@ def quasi_static_velocity(inp: QuasiStaticInput) -> tuple[float, float, float]:
     w_z = (dx * v_cy - dy * v_cx) / D
     v_x = v_cx + w_z * dy
     v_y = v_cy - w_z * dx
+    if not all(map(math.isfinite, (v_x, v_y, w_z))):
+        raise ValidationError("quasi-static velocity overflows a double")
     return (v_x, v_y, w_z)
 
 

@@ -485,14 +485,11 @@ class StepInputs:
     state: SliderState
     applied: AppliedImpulse
     p_n: float
-    h: float
 
     def __post_init__(self) -> None:
-        # every step builds one, so the checks are inline
+        # every step builds one, so the check is inline
         if not self.p_n > 0.0:
             raise ValidationError("normal impulse must be positive")
-        if not self.h > 0.0:
-            raise ValidationError("step length must be positive")
 
 
 @value_type

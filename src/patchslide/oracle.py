@@ -5,9 +5,10 @@ The reference path shares no solve code with the production solver,
 which walks the slip-speed-parameterized solution curve: it iterates a
 fixed point in end-of-step velocity space and, when that stalls, falls
 back to an exhaustive grid search over the friction impulse box followed
-by damped Newton iteration on all four equations.  The solver module's
-residual and Jacobian are reused only to evaluate the system, which
-keeps the two solution methods disjoint.
+by damped Newton iteration on all four equations.  Only the solver
+module's evaluation of the system is reused: its residual and Jacobian,
+and the plain-float residual norm that residual wraps, which keeps the
+two solution methods disjoint.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import ContactImpulse, StepInputs, value_type
 from .errors import OracleFailure
-from .solver import jacobian, residual
+from .solver import _residual_norm, _unpack, jacobian, residual
 
 __all__ = ["KktReport", "oracle_solve_step", "verify_kkt"]
 
@@ -33,7 +34,7 @@ _NEWTON_ITERS = 100
 
 
 def _rnorm(z: tuple[float, float, float, float], inp: StepInputs) -> float:
-    return float(np.max(np.abs(residual(z, inp))))
+    return _residual_norm(z, _unpack(inp))
 
 
 def oracle_solve_step(inp: StepInputs) -> ContactImpulse:

@@ -104,6 +104,8 @@ class Scenario:
             raise ValidationError("step length h must be positive")
         if not (self.duration >= 0.0 and math.isfinite(self.duration)):
             raise ValidationError("duration must be nonnegative")
+        if not math.isfinite(self.duration / self.h):
+            raise ValidationError("duration / h, the step count, overflows a double")
         if self.friction.e_r < MIN_E_R:
             raise ValidationError(f"e_r must be at least {MIN_E_R:g} m")
         s = self.initial

@@ -18,6 +18,7 @@ bracketed and is found by a safeguarded Newton-type iteration.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .core import ContactImpulse, FrictionParams, SlipVelocity, StepInputs, valu
 from .errors import NoConvergenceError, ValidationError, ZeroSlipError
 
 __all__ = [
-    "SolverOptions",
     "SolveInfo",
     "residual",
     "jacobian",
@@ -47,31 +47,15 @@ _GROW = 8.0
 _INF = math.inf
 
 
-@value_type
-class SolverOptions:
-    """Solve knobs.
-
-    tol is the target for the residual infinity norm relative to
-    (mu*p_n)^2.  A residual within 8 ulps of the largest term of the four
-    equations, expanded as polynomials in the unknowns, is accepted as
-    well: that is the roundoff of evaluating them, so no double can do
-    better and the target stays attainable at any scale.
-    tol must be finite and nonnegative.  max_iter, an integer of at least
-    1, caps the scalar iterations (bracket expansions included).
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self) -> None:
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) or not 0.0 <= self.tol < _INF:
-            raise ValidationError(f"solver tol must be finite and nonnegative, got {self.tol!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValidationError(f"solver max_iter must be an integer of at least 1, got {self.max_iter!r}")
-
-
-# the options of a solve given none; no step builds its own
-_DEFAULT_OPTIONS = SolverOptions()
+# the tolerance contract of every solve, stated once.  _TOL is the target
+# for the residual infinity norm relative to (mu*p_n)^2.  A residual within
+# 8 ulps of the largest term of the four equations, expanded as polynomials
+# in the unknowns, is accepted as well: that is the roundoff of evaluating
+# them, so no double can do better and the target stays attainable at any
+# scale where (mu*p_n)^2 is a normal double (_stop rejects the others).
+# _MAX_ITER caps the scalar iterations, bracket expansions included.
+_TOL = 1e-12
+_MAX_ITER = 100
 
 
 @value_type
@@ -196,10 +180,10 @@ def _square_or_inf(x: float) -> float:
         return _INF
 
 
-def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, tol) -> tuple[float, ...]:
-    # the solve's constants for one slider, friction ellipsoid, normal
-    # impulse and tolerance: over a run of constant p_n they never change,
-    # so solve_step_info keeps the last set
+def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
+    # the solve's constants for one slider, friction ellipsoid and normal
+    # impulse: over a run of constant p_n they never change, so
+    # solve_step_info keeps the last set
     mu_pn = mu * p_n
     mu_pn_sq = _square_or_inf(mu_pn)
     alpha = mu * p_n * e_t ** 2
@@ -213,21 +197,22 @@ def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, tol) -> tuple[float, ...]:
     a22 = beta / m
     q_t = alpha * q_z / p_n
     q_o = beta * q_z / p_n
-    return (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, tol * mu_pn_sq,
+    return (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq,
             alpha, beta, gamma, r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r)
 
 
-# solve_step_info's one-entry memo of _static: (params, friction, p_n, tol,
-# constants).  It is replaced as one tuple, and it holds the params and
-# friction objects themselves, so a reused id cannot alias.
-_last_static: tuple = (None, None, None, None, None)
+# solve_step_info's one-entry memo of _static: (params, friction, p_n,
+# constants), replaced as one tuple.  It holds the params and friction
+# objects themselves, so a reused id cannot alias, and no tolerance.
+_last_static: tuple = (None, None, None, None)
 
 
 def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
     # the stopping impulse and its square in friction-ellipsoid units, the
     # left side of the rest test; that square must be a double, as must
     # (mu*p_n)^2, and a state-dependent load can push it past one even when
-    # the scenario passed its load check
+    # the scenario passed its load check.  (mu*p_n)^2 must also be a normal
+    # double, or the tolerance relative to it is not attainable
     p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
     try:
         lhs = (p_t / e_t) ** 2 + (p_o / e_o) ** 2 + (p_r / e_r) ** 2
@@ -238,6 +223,8 @@ def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> t
             "load is too large: the stopping impulse squared in friction-ellipsoid units "
             "overflows a double"
         )
+    if mu_pn_sq < sys.float_info.min:
+        raise ValidationError("normal impulse is too small: (mu*p_n)^2 is not a normal double")
     return p_t, p_o, p_r, lhs
 
 
@@ -256,7 +243,7 @@ def rest_reachable(inp: StepInputs) -> bool:
     ellipsoid; then the zero-slip branch of the contact model holds (all
     end-of-step slip velocities vanish identically) and no sliding
     solution with sigma > 0 is needed.  Raises ValidationError when the
-    load is too large for the test to be made in double precision.
+    load is too large, or p_n too small, for the test in double precision.
     """
     p, f, s, a = inp.params, inp.friction, inp.state, inp.applied
     mu_pn_sq = _square_or_inf(f.mu * inp.p_n)
@@ -290,8 +277,8 @@ def _gap_curve(k):
     the reference the tests hold that loop to, bit for bit."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
-    (_, _, _, _, _, _, _, _, mu_pn_sq, _, alpha, beta, gamma,
-     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n, 0.0)
+    (_, _, _, _, _, _, _, _, mu_pn_sq, alpha, beta, gamma,
+     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n)
     W0 = w_z + p_ztau / I_z
     c_t = -alpha * (v_x + p_x / m)
     c_o = -beta * (v_y + p_y / m)
@@ -326,18 +313,14 @@ def _gap_curve(k):
     return point
 
 
-def solve_step_info(
-    inp: StepInputs,
-    guess: float | None = None,
-    options: SolverOptions | None = None,
-) -> tuple[ContactImpulse, SolveInfo]:
+def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[ContactImpulse, SolveInfo]:
     """Solve one implicit step; returns the impulse and solve diagnostics.
 
     If friction can absorb the entire momentum within the step, the step
     is a rest step: the returned impulse is the stopping impulse (strictly
     inside the ellipsoid), sigma is zero, and SolveInfo.rest is set.  The
     test is rest_reachable's; like it, it raises ValidationError when the
-    load is too large to be squared in double precision.
+    load is too large, or p_n too small, for the test in double precision.
 
     Otherwise the solve walks the exact solution curve of the tangential
     equations in sigma, from a warm start: guess, a slip speed.  simulate
@@ -374,25 +357,24 @@ def solve_step_info(
     run that warm start is the extrapolated sigma, not the previous step's.
 
     The first point whose four-residual infinity norm meets the tolerance
-    (see SolverOptions; without options, its defaults) is accepted;
-    NoConvergenceError is raised after max_iter iterations.
+    contract (_TOL relative to (mu*p_n)^2, or the roundoff floor) is
+    accepted; NoConvergenceError is raised after _MAX_ITER iterations.
 
-    The constants that depend only on inp.params, inp.friction, inp.p_n
-    and the tolerance are kept from the last call made with the same
-    params and friction objects and equal p_n and tol, so the steps of a
-    run compute them once; the result is the same either way.
+    The constants that depend only on inp.params, inp.friction and inp.p_n
+    are kept from the last call made with the same params and friction
+    objects and equal p_n, so the steps of a run compute them once; the
+    result is the same either way.
     """
     global _last_static
-    opt = _DEFAULT_OPTIONS if options is None else options
     params, friction, p_n = inp.params, inp.friction, inp.p_n
-    last_params, last_friction, last_p_n, last_tol, static = _last_static
-    if params is not last_params or friction is not last_friction or p_n != last_p_n or opt.tol != last_tol:
+    last_params, last_friction, last_p_n, static = _last_static
+    if params is not last_params or friction is not last_friction or p_n != last_p_n:
         static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
-                         friction.e_r, p_n, opt.tol)
-        _last_static = (params, friction, p_n, opt.tol, static)
-    # tol, from here on, is opt.tol * (mu*p_n)^2
-    (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, tol, alpha, beta, gamma,
+                         friction.e_r, p_n)
+        _last_static = (params, friction, p_n, static)
+    (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, alpha, beta, gamma,
      r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
+    tol = _TOL * mu_pn_sq
     s = inp.state
     a = inp.applied
     v_x, v_y, w_z = s.v_x, s.v_y, s.w_z
@@ -416,7 +398,7 @@ def solve_step_info(
     lo, hi = 0.0, math.inf
     lhs_lo, lhs_hi = lhs0, math.inf
     dx = dx_old = math.inf
-    for it in range(opt.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         s_r = sig + r_damp
         p_r = g_W0 / s_r
         W = w_z + (p_r + p_ztau) / I_z
@@ -498,7 +480,7 @@ def solve_step_info(
         sig = nxt
     else:
         raise NoConvergenceError(
-            f"slip-speed solve did not reach the tolerance in {opt.max_iter} iterations "
+            f"slip-speed solve did not reach the tolerance in {_MAX_ITER} iterations "
             f"(bracket [{lo:.17g}, {hi:.17g}], "
             f"residual {_residual_norm((p_t, p_o, p_r, sig), _unpack(inp)):.3e})"
         )
@@ -507,11 +489,7 @@ def solve_step_info(
     return imp, SolveInfo(it, rn, False, 1)
 
 
-def solve_step(
-    inp: StepInputs,
-    guess: float | None = None,
-    options: SolverOptions | None = None,
-) -> ContactImpulse:
+def solve_step(inp: StepInputs, guess: float | None = None) -> ContactImpulse:
     """Solve one implicit step for the friction impulse and slip speed."""
-    imp, _ = solve_step_info(inp, guess, options)
+    imp, _ = solve_step_info(inp, guess)
     return imp

@@ -163,7 +163,7 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
         k = hold_index(schedule, state_u.t)
         applied = scen.impulses[k]
         l_z = scen.lambda_z[k]
-    return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z), h)
+    return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z))
 
 
 def warm_sigma(s1: float, s2: float, s3: float) -> float:

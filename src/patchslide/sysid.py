@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from statistics import median
 
-from .core import AppliedImpulse, SliderState, value_type
+from .core import AppliedImpulse, SliderState, _finite, _require, value_type
 from .errors import AllDegenerateError, DegenerateStepError, ValidationError
 
 __all__ = [
@@ -88,16 +88,22 @@ def one_step_estimate(
     and ratio_r = p_r*v_t/(p_t*v_r) = (e_r/e_t)^2.
 
     Raises DegenerateStepError when any denominator magnitude (v_t, v_o,
-    v_r, p_t) is below the floor, or the first identity is nonpositive.
+    v_r, p_t) is below the floor or zero, or the first identity is
+    nonpositive or too large to be squared in double precision.
     """
     for name, val in (("v_t", rec.v_t), ("v_o", rec.v_o), ("v_r", rec.v_r), ("p_t", rec.p_t)):
-        if abs(val) < floor:
+        if abs(val) < floor or val == 0.0:
             raise DegenerateStepError(f"denominator {name} = {val:g} below floor {floor:g}")
-    first = (
-        (rec.p_t / p_n) ** 2
-        + rec.p_t * rec.p_o * rec.v_o / (p_n ** 2 * rec.v_t)
-        + rec.p_t * rec.p_r * rec.v_r / (p_n ** 2 * rec.v_t)
-    )
+    try:
+        first = (
+            (rec.p_t / p_n) ** 2
+            + rec.p_t * rec.p_o * rec.v_o / (p_n ** 2 * rec.v_t)
+            + rec.p_t * rec.p_r * rec.v_r / (p_n ** 2 * rec.v_t)
+        )
+    except (OverflowError, ZeroDivisionError):  # a square over or under the doubles
+        first = math.inf
+    if not first < math.inf:  # inf, or nan from inf - inf
+        raise DegenerateStepError("first sliding identity overflows a double")
     if first <= 0.0:
         raise DegenerateStepError(f"first sliding identity nonpositive ({first:g})")
     et2mu = math.sqrt(first)
@@ -128,7 +134,13 @@ def batch_estimate(
 ) -> FrictionEstimate:
     """Estimate friction parameters over a trajectory, skipping degenerate
     steps.  Medians rather than means: one-step estimates are heavy-tailed
-    near sign changes of the slip components."""
+    near sign changes of the slip components.  m, I_z and q_z are checked
+    as SliderParams checks them; floor must be finite and nonnegative."""
+    _require(_finite(m, I_z, q_z), "slider parameters must be finite")
+    _require(m > 0.0, "mass must be positive")
+    _require(I_z > 0.0, "moment of inertia must be positive")
+    _require(q_z >= 0.0, "center-of-mass height must be nonnegative")
+    _require(_finite(floor) and floor >= 0.0, "degeneracy floor must be finite and nonnegative")
     per_step: list[tuple[float, float, float]] = []
     skipped = 0
     for step in traj:

@@ -87,7 +87,7 @@ def _draw_inputs(rng: np.random.Generator) -> StepInputs:
         p_ytau=rng.uniform(-0.05, 0.05) * scale,
         p_ztau=rng.uniform(-0.05, 0.05) * scale,
     )
-    return StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n, h=h)
+    return StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n)
 
 
 def make_sliding_inputs(seed: int, n: int) -> list[StepInputs]:
@@ -112,7 +112,7 @@ def sliding_inputs_factory():
 def forget_memos() -> None:
     """Empty the solve's one-entry memo, the package's only run memo, so
     that the next solve computes its constants anew."""
-    solver_module._last_static = (None, None, None, None, None)
+    solver_module._last_static = (None, None, None, None)
 
 
 def record_lines(records) -> list[str]:

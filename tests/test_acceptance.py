@@ -21,7 +21,6 @@ from patchslide import (
     Scenario,
     SliderParams,
     SliderState,
-    SolverOptions,
     StepInputs,
     assemble_inputs,
     jacobian,
@@ -143,9 +142,9 @@ def test_criterion_04_closed_form_equivalence():
             continue
         params = SliderParams(m=m, I_z=1e-3, q_z=0.06, g=9.8, patch=SQUARE)
         state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=v[0], v_y=v[1], w_z=0.0, t=0.0)
-        inp = StepInputs(params=params, friction=f, state=state, applied=applied, p_n=p_n, h=0.01)
+        inp = StepInputs(params=params, friction=f, state=state, applied=applied, p_n=p_n)
         want = pure_translation_step(v, (applied.p_x, applied.p_y), p_n, f, m)
-        got, info = solve_step_info(inp, options=SolverOptions(tol=1e-14))
+        got, info = solve_step_info(inp)
         assert not info.rest
         v1 = (v[0] + (got.p_t + applied.p_x) / m, v[1] + (got.p_o + applied.p_y) / m)
         dev = max(

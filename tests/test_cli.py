@@ -151,8 +151,8 @@ def test_compare_solves_each_step_from_simulates_warm_start(name, capsys, monkey
     solved = []
     real_solve = cli_module.solve_step_info
 
-    def spy(inputs, guess, options):
-        imp, info = real_solve(inputs, guess, options)
+    def spy(inputs, guess):
+        imp, info = real_solve(inputs, guess)
         solved.append(imp.sigma)
         return imp, info
 
@@ -168,22 +168,20 @@ def test_compare_solves_each_step_from_simulates_warm_start(name, capsys, monkey
     assert [s.hex() for s in solved] == [r.impulses.sigma.hex() for r in records]
 
 
-def test_compare_loose_solver_tol_fails(capsys):
-    code, stdout, stderr = run(capsys, "compare", "--scenario", "example1",
-                               "--solver-tol", "1e-3")
+def test_compare_deviation_above_tolerance_fails(capsys, monkeypatch):
+    # an oracle that moves the solve's p_t by 2e-6 on every step
+    real_solve = cli_module.solve_step_info
+
+    def off(inputs):
+        imp = real_solve(inputs)[0]
+        return replace(imp, p_t=imp.p_t + 2e-6)
+
+    monkeypatch.setattr(cli_module, "oracle_solve_step", off)
+    code, stdout, stderr = run(capsys, "compare", "--scenario", "example1")
     assert code == 3
     assert "FAIL: deviation exceeds 1e-06" in stderr
     m = re.search(r"max_deviation (\S+)", stdout)
     assert m and float(m.group(1)) > 1e-6
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1"])
-def test_compare_rejects_an_invalid_solver_tol(tol, capsys):
-    # both used to print OK and exit 0
-    code, stdout, stderr = run(capsys, "compare", "--scenario", "example1", "--solver-tol", tol)
-    assert code == 1
-    assert "OK" not in stdout
-    assert "solver tol must be finite and nonnegative" in stderr
 
 
 def test_compare_zero_duration_reports_no_steps(capsys):
@@ -432,3 +430,103 @@ def test_every_package_error_exits_with_its_code(capsys, monkeypatch, error, exi
     monkeypatch.setattr(cli_module, "quasi_static_velocity", fail)
     assert run(capsys, "quasistatic", "--contact-x", "0.05", "--contact-y", "0",
                "--vx", "0", "--vy", "0.1", "--c", "0.01") == (exit_code, "", "error: boom\n")
+
+
+# ------------------------------------------------------ numeric flag edges
+
+# each subcommand with arguments that make it valid; sysid reads example1's
+# trajectory, written once for the module
+_EDGE_BASE = {
+    "simulate": ["--scenario", "example1"],
+    "compare": ["--scenario", "example1"],
+    "translate": ["--scenario", "example1"],
+    "sysid": ["--trajectory", "EX1_CSV", "--m", "0.5", "--I-z", "5e-4", "--q-z", "0.08"],
+    "quasistatic": ["--contact-x", "0.05", "--contact-y", "0", "--vx", "0", "--vy", "0.1", "--c", "0.01"],
+}
+_EDGE_FLAGS = {
+    "simulate": ["--duration", "--h"],
+    "compare": ["--duration", "--h", "--seed"],
+    "translate": ["--duration", "--h"],
+    "sysid": ["--m", "--I-z", "--q-z", "--floor"],
+    "quasistatic": ["--contact-x", "--contact-y", "--vx", "--vy", "--cm-x", "--cm-y", "--c"],
+}
+_EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+# Left out: a huge but finite --duration whose step count is still a double
+# (1e300 at h = 0.01, say) on a scenario that never comes to rest, such as
+# example3's pusher, would run for about 1e302 steps.  example1 slides to
+# rest within 65 steps, and its 1e308 overflows the step count, so every
+# case below ends quickly.
+_EDGE_CASES = [
+    (command, flag, value)
+    for command, flags in _EDGE_FLAGS.items()
+    for flag in flags
+    for value in _EDGE_VALUES + (["1e-300"] if flag == "--h" else [])
+]
+
+
+@pytest.fixture(scope="module")
+def ex1_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edges") / "ex1.csv"
+    assert main(["simulate", "--scenario", "example1", "--out", str(path)]) == 0
+    return path
+
+
+def _edge_argv(command, extra, tmp_path, ex1_csv):
+    # "flag=value" keeps argparse from reading a value such as -inf as a flag
+    argv = [command] + [str(ex1_csv) if a == "EX1_CSV" else a for a in _EDGE_BASE[command]]
+    if command in ("simulate", "translate"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    return argv + [extra]
+
+
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+@pytest.mark.parametrize("command, flag, value", _EDGE_CASES,
+                         ids=[f"{c} {f}={v}" for c, f, v in _EDGE_CASES])
+def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, ex1_csv, command, flag, value):
+    # a bad number fails with a package error or argparse's usage error
+    # (exit 2, for a value that --seed cannot parse as an int), never with
+    # a raw exception
+    try:
+        code = main(_edge_argv(command, f"{flag}={value}", tmp_path, ex1_csv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.out + captured.err
+    if code != 0:
+        assert re.search(r"(^|: )error: ", captured.err, re.MULTILINE)
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", "--h=1e-300", "normal impulse is too small"),
+    ("simulate", "--duration=1e308", "the step count, overflows a double"),
+    ("compare", "--seed=-1", "seed must be nonnegative"),
+    ("sysid", "--m=nan", "slider parameters must be finite"),
+    ("sysid", "--m=-0.5", "mass must be positive"),
+    ("sysid", "--floor=nan", "degeneracy floor must be finite and nonnegative"),
+    ("sysid", "--m=1e308", "all 44 observed steps were degenerate"),
+    ("quasistatic", "--contact-x=nan", "contact point, contact velocity and cm must be finite"),
+    ("quasistatic", "--c=1e200", "c^2 + |contact point - cm|^2 overflows a double"),
+    ("quasistatic", "--vy=1e308", "quasi-static velocity overflows a double"),
+])
+def test_bad_numbers_at_the_edge_are_validation_errors(tmp_path, capsys, ex1_csv, command, extra, message):
+    # each used to end in a raw exception, a solver error (exit 2 after 100
+    # iterations, for h = 1e-300), or a printed nan or complex estimate
+    code, stdout, stderr = run(capsys, *_edge_argv(command, extra, tmp_path, ex1_csv))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and message in stderr
+
+
+def test_sysid_prints_no_root_of_a_negative_ratio(tmp_path, capsys, monkeypatch, ex1_csv):
+    # the printed e_o/e_t and e_r/e_t are real roots, or nan; a negative
+    # median ratio used to print a complex number
+    from patchslide import FrictionEstimate
+
+    est = FrictionEstimate(et2mu=0.31, ratio_o=-0.25, ratio_r=1e-4, per_step=((0.31, -0.25, 1e-4),),
+                           dispersion=(0.0, 0.0, 0.0), n_skipped=0)
+    monkeypatch.setattr(cli_module, "batch_estimate", lambda steps, m, I_z, q_z, floor: est)
+    code, stdout, _ = run(capsys, *_edge_argv("sysid", "--floor=1e-8", tmp_path, ex1_csv))
+    assert code == 0
+    assert "e_o/e_t = nan" in stdout
+    assert "e_r/e_t = 0.01\n" in stdout

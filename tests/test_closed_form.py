@@ -17,7 +17,6 @@ from patchslide import (
     Scenario,
     SliderParams,
     SliderState,
-    SolverOptions,
     StepInputs,
     ValidationError,
     ZeroMotionError,
@@ -235,11 +234,11 @@ def test_pure_translation_matches_implicit_solver():
             continue  # keep clearly-sliding cases; rest equality is tested separately
         params = SliderParams(m=m, I_z=1e-3, q_z=0.06, g=9.8, patch=SQUARE)
         state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=v[0], v_y=v[1], w_z=0.0, t=0.0)
-        inp = StepInputs(params=params, friction=f, state=state, applied=applied, p_n=p_n, h=0.01)
+        inp = StepInputs(params=params, friction=f, state=state, applied=applied, p_n=p_n)
 
         res = pure_translation_step(v, (applied.p_x, applied.p_y), p_n, f, m)
-        # tighten the residual target so component agreement reaches 1e-10
-        imp, info = solve_step_info(inp, options=SolverOptions(tol=1e-14))
+        # the one tolerance contract gives component agreement to 1e-10
+        imp, info = solve_step_info(inp)
         assert not info.rest
         assert abs(imp.p_t - res.p_t) < 1e-10
         assert abs(imp.p_o - res.p_o) < 1e-10

@@ -289,9 +289,7 @@ def test_step_inputs_validation():
     f = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
     s = _state()
     with pytest.raises(ValidationError):
-        StepInputs(params=p, friction=f, state=s, applied=AppliedImpulse(), p_n=0.0, h=0.01)
-    with pytest.raises(ValidationError):
-        StepInputs(params=p, friction=f, state=s, applied=AppliedImpulse(), p_n=0.049, h=0.0)
+        StepInputs(params=p, friction=f, state=s, applied=AppliedImpulse(), p_n=0.0)
 
 
 # ------------------------------------------------------------- value types
@@ -321,9 +319,8 @@ SIGNATURES = {
     "SliderState": "(q_x: 'float', q_y: 'float', theta_z: 'float', v_x: 'float', v_y: 'float', w_z: 'float', t: 'float') -> None",
     "SlipVelocity": "(v_t: 'float', v_o: 'float', v_r: 'float') -> None",
     "SolveInfo": "(iters: 'int', residual_norm: 'float', rest: 'bool', starts: 'int') -> None",
-    "SolverOptions": "(tol: 'float' = 1e-12, max_iter: 'int' = 100) -> None",
     "StepDiagnostics": "(newton_iters: 'int', residual_norm: 'float', rest_flag: 'bool', wall_time: 'float' = 0.0) -> None",
-    "StepInputs": "(params: 'SliderParams', friction: 'FrictionParams', state: 'SliderState', applied: 'AppliedImpulse', p_n: 'float', h: 'float') -> None",
+    "StepInputs": "(params: 'SliderParams', friction: 'FrictionParams', state: 'SliderState', applied: 'AppliedImpulse', p_n: 'float') -> None",
     "TableSchedule": "(times: 'tuple[float, ...]', wrenches: 'tuple[AppliedWrench, ...]') -> None",
     "TrajectoryRecord": "(state: 'SliderState', impulses: 'ContactImpulse', ecp: 'Ecp', applied: 'AppliedImpulse', diagnostics: 'StepDiagnostics') -> None",
     "TranslationStep": "(p_t: 'float', p_o: 'float', sigma: 'float', v_next: 'tuple[float, float]', rest: 'bool') -> None",
@@ -369,9 +366,8 @@ def _examples() -> dict:
         "SliderState": state,
         "SlipVelocity": patchslide.SlipVelocity(v_t=0.6, v_o=0.8, v_r=9.9),
         "SolveInfo": patchslide.SolveInfo(iters=3, residual_norm=1e-17, rest=False, starts=1),
-        "SolverOptions": patchslide.SolverOptions(tol=1e-10, max_iter=50),
         "StepDiagnostics": diag,
-        "StepInputs": StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=0.049, h=0.01),
+        "StepInputs": StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=0.049),
         "TableSchedule": TableSchedule(times=(0.0, 0.2), wrenches=(AppliedWrench(), AppliedWrench(lambda_x=1.0))),
         "TrajectoryRecord": patchslide.TrajectoryRecord(
             state=state1, impulses=impulse, ecp=point, applied=applied, diagnostics=diag,

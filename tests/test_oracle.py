@@ -46,7 +46,7 @@ def test_oracle_matches_pure_translation_closed_form():
     params = SliderParams(m=0.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE)
     state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.5, v_y=-0.3, w_z=0.0, t=0.0)
     inp = StepInputs(params=params, friction=f, state=state,
-                     applied=AppliedImpulse(), p_n=0.049, h=0.01)
+                     applied=AppliedImpulse(), p_n=0.049)
     want = pure_translation_step((0.5, -0.3), (0.0, 0.0), 0.049, f, 0.5)
     got = oracle_solve_step(inp)
     assert abs(got.p_t - want.p_t) < 1e-7
@@ -60,7 +60,7 @@ def test_oracle_rest_matches_solver_convention():
     params = SliderParams(m=0.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE)
     state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.02, v_y=-0.01, w_z=0.0, t=0.0)
     inp = StepInputs(params=params, friction=f, state=state,
-                     applied=AppliedImpulse(), p_n=0.049, h=0.01)
+                     applied=AppliedImpulse(), p_n=0.049)
     ref = oracle_solve_step(inp)
     fast = solve_step(inp)
     assert ref.sigma == 0.0
@@ -87,7 +87,6 @@ def test_oracle_grid_search_rules_out_negative_slip_speeds():
         state=SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=-0.019895, v_y=-0.045668, w_z=0.11286, t=0.0),
         applied=AppliedImpulse(0.073342, 0.079246, 0.0, -0.013214, 0.0077172, 0.0025272),
         p_n=0.18299,
-        h=0.01,
     )
     fast = solve_step(inp)
     ref = oracle_solve_step(inp)

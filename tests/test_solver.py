@@ -33,7 +33,8 @@ from patchslide import (
     solve_step,
     solve_step_info,
 )
-from patchslide.solver import SolverOptions, rest_reachable, stopping_impulse
+import patchslide.solver as solver_module
+from patchslide.solver import rest_reachable, stopping_impulse
 
 from conftest import forget_memos, make_sliding_inputs
 
@@ -56,7 +57,7 @@ def step1_inputs() -> StepInputs:
     state = SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=0.7, v_y=0.9, w_z=10.0, t=0.0)
     return StepInputs(
         params=params, friction=friction, state=state,
-        applied=AppliedImpulse(), p_n=0.01 * 0.5 * 9.8, h=0.01,
+        applied=AppliedImpulse(), p_n=0.01 * 0.5 * 9.8,
     )
 
 
@@ -66,7 +67,7 @@ def rest_state_inputs() -> StepInputs:
     state = SliderState(q_x=0.0, q_y=0.0, theta_z=0.0, v_x=0.0, v_y=0.0, w_z=0.0, t=0.0)
     return StepInputs(
         params=params, friction=friction, state=state,
-        applied=AppliedImpulse(), p_n=0.049, h=0.01,
+        applied=AppliedImpulse(), p_n=0.049,
     )
 
 
@@ -111,7 +112,7 @@ def test_residual_vanishes_on_pure_translation_closed_form():
     state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.8, v_y=-0.5, w_z=0.0, t=0.0)
     p_n = 0.01 * 0.7 * 9.8
     applied = AppliedImpulse(p_x=0.003, p_y=-0.001)
-    inp = StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n, h=0.01)
+    inp = StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n)
     res = pure_translation_step((0.8, -0.5), (0.003, -0.001), p_n, friction, 0.7)
     assert not res.rest
     F = residual((res.p_t, res.p_o, 0.0, res.sigma), inp)
@@ -233,14 +234,14 @@ def test_solve_step_warm_start_accepts_immediately():
 
 # ----------------------------------------------------- roots of the gap curve
 
-def _inputs(m, I_z, q_z, mu, e, v, applied, p_n, h) -> StepInputs:
+def _inputs(m, I_z, q_z, mu, e, v, applied, p_n) -> StepInputs:
     # one step's inputs from its floats: e = (e_t, e_o, e_r),
     # v = (v_x, v_y, w_z), applied = (p_x, p_y, p_z, p_xtau, p_ytau, p_ztau)
     return StepInputs(
         params=SliderParams(m=m, I_z=I_z, q_z=q_z, g=9.8, patch=SQUARE),
         friction=FrictionParams(mu, *e),
         state=SliderState(0.0, 0.0, 0.0, *v, 0.0),
-        applied=AppliedImpulse(*applied), p_n=p_n, h=h,
+        applied=AppliedImpulse(*applied), p_n=p_n,
     )
 
 
@@ -285,7 +286,7 @@ THREE_ROOTS_FLAT = _inputs(
     v=(-0.0019119080115995405, 0.0008612544085703236, 0.016618134986304683),
     applied=(0.003632011792968908, 0.031057516109490254, 0.0,
              -0.0008117332109412185, 0.012047755712056836, -0.0002451507218714545),
-    p_n=0.09291367125818788, h=0.00048287482595714464,
+    p_n=0.09291367125818788,
 )
 # the same search with q_z > 0: two roots close to zero and one far out
 THREE_ROOTS_TALL = _inputs(
@@ -294,7 +295,7 @@ THREE_ROOTS_TALL = _inputs(
     v=(-0.0010476667333520174, 0.0066969621485360245, -3.144354747301471),
     applied=(1.9961222174230913, 6.432245692549319, 0.0,
              0.8375831557303728, 55.81759023895566, -0.1154102299789685),
-    p_n=3.7264253448051816, h=0.0947993396221465,
+    p_n=3.7264253448051816,
 )
 
 
@@ -398,7 +399,7 @@ def test_rest_stopping_impulse_absorbs_momentum():
     friction = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
     state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.02, v_y=-0.01, w_z=0.0, t=0.0)
     inp = StepInputs(params=params, friction=friction, state=state,
-                     applied=AppliedImpulse(), p_n=0.049, h=0.01)
+                     applied=AppliedImpulse(), p_n=0.049)
     assert rest_reachable(inp)  # |m v| = 0.0112 < mu p_n = 0.015190
     imp, info = solve_step_info(inp)
     assert info.rest and imp.sigma == 0.0
@@ -483,23 +484,11 @@ def test_ellipsoid_constants_whose_squares_leave_the_doubles_are_validation_erro
     assert not (tmp_path / "bad.csv").exists()
 
 
-def test_no_convergence_raised_when_iteration_cap_exhausted():
+def test_no_convergence_raised_when_iteration_cap_exhausted(monkeypatch):
     inp = step1_inputs()
-    with pytest.raises(NoConvergenceError):
-        solve_step(inp, options=SolverOptions(tol=1e-16, max_iter=1))
-
-
-@pytest.mark.parametrize("fields", [
-    {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}, {"tol": "1e-12"},
-    {"max_iter": -1}, {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
-], ids=["tol-nan", "tol-negative", "tol-inf", "tol-str",
-        "max_iter-negative", "max_iter-zero", "max_iter-float", "max_iter-bool"])
-def test_solver_options_reject_invalid_fields(fields):
-    # max_iter=-1 used to reach the solve, which then raised a raw
-    # UnboundLocalError; a NaN or negative tol was accepted silently
-    with pytest.raises(ValidationError, match="solver"):
-        SolverOptions(**fields)
-    assert SolverOptions(tol=0.0, max_iter=1) == SolverOptions(0.0, 1)
+    monkeypatch.setattr(solver_module, "_MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError, match="in 1 iterations"):
+        solve_step(inp)
 
 
 def test_solver_guess_must_not_poison_the_solve():
@@ -545,11 +534,12 @@ def test_cold_start_from_rest_takes_the_applied_velocity(ex1_scenario):
         assert abs(got - want) <= 1e-6
 
 
-def test_zero_tolerance_stops_at_the_roundoff_floor():
+def test_zero_tolerance_stops_at_the_roundoff_floor(monkeypatch):
     # a target below roundoff is met by the 8-ulp floor, not by exhausting
     # the iterations
     inp = step1_inputs()
-    imp, info = solve_step_info(inp, options=SolverOptions(tol=0.0))
+    monkeypatch.setattr(solver_module, "_TOL", 0.0)
+    imp, info = solve_step_info(inp)
     assert info.iters < 10
     # the largest summand of step 1 is |p_o| * sigma < 0.02
     assert info.residual_norm <= 8 * math.ulp(0.02)
@@ -652,7 +642,7 @@ def _draw_extreme_inputs(rng: np.random.Generator) -> StepInputs:
         p_ytau=rng.uniform(-3, 3) * scale * 0.1,
         p_ztau=rng.uniform(-3, 3) * scale * friction.e_r,
     )
-    return StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n, h=h)
+    return StepInputs(params=params, friction=friction, state=state, applied=applied, p_n=p_n)
 
 
 def test_cold_starts_far_from_the_root_take_few_iterations():
@@ -692,10 +682,10 @@ def _bits(imp, info):
             info.iters, info.residual_norm.hex(), info.rest)
 
 
-def _fresh_bits(inp, guess=None, options=None):
+def _fresh_bits(inp, guess=None):
     # the same solve with the memo emptied first, as a miss
     forget_memos()
-    return _bits(*solve_step_info(inp, guess, options))
+    return _bits(*solve_step_info(inp, guess))
 
 
 def _run_inputs(scen, records):
@@ -733,14 +723,20 @@ def test_solve_memo_alternating_runs_match_fresh_solves(ex1_scenario, ex1_record
             assert got == [_fresh_bits(inp, 1.01 * sigma) for inp, sigma in run]
 
 
-def test_solve_memo_keys_on_the_tolerance():
-    # the same inputs at a loose tolerance, then at the default
-    loose = SolverOptions(tol=1e-6)
+def test_solve_memo_holds_no_tolerance(monkeypatch):
+    # each solve scales the memo's (mu*p_n)^2 by _TOL itself, so a solve at
+    # a patched tolerance leaves nothing behind for the next solve with the
+    # same memo entry: the same inputs at a loose tolerance, then at the
+    # default, each without emptying the memo in between
     fewer = 0
     for inp in make_sliding_inputs(seed=31, n=100):
-        got_loose = _bits(*solve_step_info(inp, options=loose))
+        with monkeypatch.context() as patched:
+            patched.setattr(solver_module, "_TOL", 1e-6)
+            got_loose = _bits(*solve_step_info(inp))
+            assert got_loose == _fresh_bits(inp)
+            solve_step_info(inp)
+        assert solver_module._last_static[0] is inp.params
         got_default = _bits(*solve_step_info(inp))
-        assert got_loose == _fresh_bits(inp, options=loose)
         assert got_default == _fresh_bits(inp)
         fewer += got_loose[1] < got_default[1]
     # the loose solve stops earlier on some inputs, so the two differ
