@@ -1,7 +1,7 @@
 """Command line interface: simulate, compare, sysid, translate, quasistatic.
 
-Exit codes: 0 success, 1 validation or input problems, 2 solver failures,
-3 comparison deviation above tolerance.
+Exit codes: 0 success, 1 validation or input problems (usage errors
+included), 2 solver failures, 3 comparison deviation above tolerance.
 """
 
 from __future__ import annotations
@@ -168,6 +168,16 @@ def _cmd_quasistatic(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error (a missing flag, or a value its type cannot parse) is an
+    # input problem: argparse's message, then exit 1 rather than argparse's
+    # 2, which is the code of solver failures.  add_subparsers builds the
+    # subcommands' parsers with this class too
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_scenario_args(p: argparse.ArgumentParser, with_out: bool = False) -> None:
     p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
     p.add_argument("--duration", type=float, default=None, help="override run duration (s)")
@@ -177,7 +187,7 @@ def _add_scenario_args(p: argparse.ArgumentParser, with_out: bool = False) -> No
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="patchslide", description=__doc__)
+    parser = _Parser(prog="patchslide", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario and write the trajectory CSV")

@@ -183,7 +183,7 @@ def _square_or_inf(x: float) -> float:
 def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
     # the solve's constants for one slider, friction ellipsoid and normal
     # impulse: over a run of constant p_n they never change, so
-    # solve_step_info keeps the last set
+    # stepper.simulate computes them once per held load
     mu_pn = mu * p_n
     mu_pn_sq = _square_or_inf(mu_pn)
     alpha = mu * p_n * e_t ** 2
@@ -199,12 +199,6 @@ def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
     q_o = beta * q_z / p_n
     return (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq,
             alpha, beta, gamma, r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r)
-
-
-# solve_step_info's one-entry memo of _static: (params, friction, p_n,
-# constants), replaced as one tuple.  It holds the params and friction
-# objects themselves, so a reused id cannot alias, and no tolerance.
-_last_static: tuple = (None, None, None, None)
 
 
 def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
@@ -272,7 +266,7 @@ def _gap_curve(k):
     Returns a function of sigma giving the point (p_t, p_o, p_r, sigma)
     on the curve, the ellipsoid gap there and the gap's derivative along
     the curve.  The gap is _residuals' fourth residual, bit for bit.
-    No solve calls it: solve_step_info evaluates the same expressions
+    No solve calls it: _solve_floats evaluates the same expressions
     inline, in the same order, so that a step builds no closure.  This is
     the reference the tests hold that loop to, bit for bit."""
     (m, I_z, q_z, mu, e_t, e_o, e_r,
@@ -311,6 +305,134 @@ def _gap_curve(k):
         return (p_t, p_o, p_r, sig), gap, dgap
 
     return point
+
+
+def _inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) -> tuple[float, ...]:
+    # _unpack's tuple from the float solve's arguments, for its rare paths:
+    # the cold start, the roundoff floor and the error message
+    m, I_z, q_z, mu, e_t, e_o, e_r = static[:7]
+    return (m, I_z, q_z, mu, e_t, e_o, e_r, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n)
+
+
+def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, guess):
+    # solve_step_info in plain floats: static is _static's tuple for the
+    # slider, the friction ellipsoid and p_n, then come the start-of-step
+    # velocities and the applied impulse.  Returns (p_t, p_o, p_r, sigma,
+    # iters, residual_norm), with sigma 0.0 on a rest step
+    (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, alpha, beta, gamma,
+     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
+    tol = _TOL * mu_pn_sq
+
+    stop_t, stop_o, stop_r, lhs0 = _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau)
+    if lhs0 <= mu_pn_sq:  # rest_reachable's test
+        return stop_t, stop_o, stop_r, 0.0, 0, 0.0
+
+    # _gap_curve's per-step constants and, in the loop, its point(), term for term
+    W0 = w_z + p_ztau / I_z
+    c_t = -alpha * (v_x + p_x / m)
+    c_o = -beta * (v_y + p_y / m)
+    d_t = -alpha * p_xtau / p_n
+    d_o = -beta * p_ytau / p_n
+    g_W0 = -gamma * W0
+    if guess is not None and 0.0 < guess < _INF:
+        sig = guess
+    else:
+        sig = _initial_sigma(_inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n))
+    # the bracket, and lhs at its ends for the linear-fractional step; at
+    # sigma = 0 the curve's point is the stopping impulse
+    lo, hi = 0.0, math.inf
+    lhs_lo, lhs_hi = lhs0, math.inf
+    dx = dx_old = math.inf
+    for it in range(_MAX_ITER + 1):
+        s_r = sig + r_damp
+        p_r = g_W0 / s_r
+        W = w_z + (p_r + p_ztau) / I_z
+        A11 = a11 + sig
+        A22 = a22 + sig
+        A12 = q_t * W
+        A21 = -q_o * W
+        det = A11 * A22 - A12 * A21
+        b1 = c_t + d_t * W
+        b2 = c_o + d_o * W
+        p_t = (b1 * A22 - A12 * b2) / det
+        p_o = (A11 * b2 - A21 * b1) / det
+        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
+        # the residual norm is at least |gap|, so the other three residuals
+        # are worth evaluating only once the gap alone meets the tolerance;
+        # they are _residuals' F1-F3, and the gap is its F4
+        rn = None
+        if abs(gap) <= tol:
+            rn = max(
+                abs(alpha * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sig),
+                abs(beta * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sig),
+                abs(gamma * W + p_r * sig),
+                abs(gap),
+            )
+            if rn <= tol:
+                break
+        # the gap's derivative along the curve
+        dp_r = -p_r / s_r
+        dW = dp_r / I_z
+        r1 = d_t * dW - p_t - q_t * dW * p_o
+        r2 = d_o * dW + q_o * dW * p_t - p_o
+        dp_t = (r1 * A22 - A12 * r2) / det
+        dp_o = (A11 * r2 - A21 * r1) / det
+        dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
+        # Newton on f = 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
+        # gap but is nearly linear in sigma: exactly so in pure translation
+        lhs = mu_pn_sq - gap
+        newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
+        # near a root the Newton correction is the error in sigma; the floor
+        # is worth computing only once that error is down to roundoff
+        if abs(newton - sig) <= _SETTLED * sig:
+            z = (p_t, p_o, p_r, sig)
+            k = _inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n)
+            if rn is None:
+                rn = _residual_norm(z, k)
+            if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
+                break
+        if gap < 0.0:
+            lo, lhs_lo = sig, lhs
+        else:
+            hi, lhs_hi = sig, lhs
+        if hi == math.inf:
+            # no positive gap seen yet: expand by at most a factor _GROW
+            nxt = newton if lo < newton < _GROW * lo else _GROW * lo
+        elif lo < newton < hi and abs(newton - sig) < 0.5 * dx_old:
+            nxt = newton
+        else:
+            # where f curves away from its tangent (spin coupled through q_z,
+            # say), Newton overshoots from above or creeps up from below.
+            # Take the root of the linear-fractional model of f that matches
+            # its value and slope at sig and its value at the far end of the
+            # bracket, if it lies inside the bracket; bisect otherwise
+            far, lhs_far = (hi, lhs_hi) if gap < 0.0 else (lo, lhs_lo)
+            nxt = math.nan
+            if lhs > 0.0 and lhs_far > 0.0:
+                inv_far = 1.0 / math.sqrt(lhs_far)
+                d = inv_far - 1.0 / math.sqrt(lhs)  # f at far minus f at sig
+                run = far - sig
+                step = sig - newton
+                den = (inv_far - 1.0 / mu_pn) * run - step * d
+                if den != 0.0:
+                    nxt = sig - step * d * run / den
+            if not lo < nxt < hi:
+                # halving from a huge warm start down to lo = 0 would gain
+                # one bit per iteration: step to the cold start instead
+                sigma0 = 0.0
+                if lo == 0.0:
+                    sigma0 = _initial_sigma(_inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n))
+                nxt = sigma0 if 0.0 < _GROW * sigma0 < hi else 0.5 * (lo + hi)
+        dx_old, dx = dx, abs(nxt - sig)
+        sig = nxt
+    else:
+        k = _inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n)
+        raise NoConvergenceError(
+            f"slip-speed solve did not reach the tolerance in {_MAX_ITER} iterations "
+            f"(bracket [{lo:.17g}, {hi:.17g}], "
+            f"residual {_residual_norm((p_t, p_o, p_r, sig), k):.3e})"
+        )
+    return p_t, p_o, p_r, sig, it, rn
 
 
 def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[ContactImpulse, SolveInfo]:
@@ -360,133 +482,18 @@ def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[Contac
     contract (_TOL relative to (mu*p_n)^2, or the roundoff floor) is
     accepted; NoConvergenceError is raised after _MAX_ITER iterations.
 
-    The constants that depend only on inp.params, inp.friction and inp.p_n
-    are kept from the last call made with the same params and friction
-    objects and equal p_n, so the steps of a run compute them once; the
-    result is the same either way.
+    This wraps the plain-float solve that stepper.simulate calls on every
+    step with the constants of _static, which a run computes once per held
+    load; here they are computed for each call.
     """
-    global _last_static
-    params, friction, p_n = inp.params, inp.friction, inp.p_n
-    last_params, last_friction, last_p_n, static = _last_static
-    if params is not last_params or friction is not last_friction or p_n != last_p_n:
-        static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
-                         friction.e_r, p_n)
-        _last_static = (params, friction, p_n, static)
-    (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, alpha, beta, gamma,
-     r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
-    tol = _TOL * mu_pn_sq
-    s = inp.state
-    a = inp.applied
-    v_x, v_y, w_z = s.v_x, s.v_y, s.w_z
-    p_x, p_y, p_xtau, p_ytau, p_ztau = a.p_x, a.p_y, a.p_xtau, a.p_ytau, a.p_ztau
-
-    stop_t, stop_o, stop_r, lhs0 = _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau)
-    if lhs0 <= mu_pn_sq:  # rest_reachable's test
-        imp = ContactImpulse(stop_t, stop_o, stop_r, 0.0, p_n)  # sigma 0.0, then p_n
-        return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
-
-    # _gap_curve's per-step constants and, in the loop, its point(), term for term
-    W0 = w_z + p_ztau / I_z
-    c_t = -alpha * (v_x + p_x / m)
-    c_o = -beta * (v_y + p_y / m)
-    d_t = -alpha * p_xtau / p_n
-    d_o = -beta * p_ytau / p_n
-    g_W0 = -gamma * W0
-    sig = guess if guess is not None and 0.0 < guess < _INF else _initial_sigma(_unpack(inp))
-    # the bracket, and lhs at its ends for the linear-fractional step; at
-    # sigma = 0 the curve's point is the stopping impulse
-    lo, hi = 0.0, math.inf
-    lhs_lo, lhs_hi = lhs0, math.inf
-    dx = dx_old = math.inf
-    for it in range(_MAX_ITER + 1):
-        s_r = sig + r_damp
-        p_r = g_W0 / s_r
-        W = w_z + (p_r + p_ztau) / I_z
-        A11 = a11 + sig
-        A22 = a22 + sig
-        A12 = q_t * W
-        A21 = -q_o * W
-        det = A11 * A22 - A12 * A21
-        b1 = c_t + d_t * W
-        b2 = c_o + d_o * W
-        p_t = (b1 * A22 - A12 * b2) / det
-        p_o = (A11 * b2 - A21 * b1) / det
-        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
-        # the residual norm is at least |gap|, so the other three residuals
-        # are worth evaluating only once the gap alone meets the tolerance;
-        # they are _residuals' F1-F3, and the gap is its F4
-        rn = None
-        if abs(gap) <= tol:
-            rn = max(
-                abs(alpha * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sig),
-                abs(beta * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sig),
-                abs(gamma * W + p_r * sig),
-                abs(gap),
-            )
-            if rn <= tol:
-                break
-        # the gap's derivative along the curve
-        dp_r = -p_r / s_r
-        dW = dp_r / I_z
-        r1 = d_t * dW - p_t - q_t * dW * p_o
-        r2 = d_o * dW + q_o * dW * p_t - p_o
-        dp_t = (r1 * A22 - A12 * r2) / det
-        dp_o = (A11 * r2 - A21 * r1) / det
-        dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
-        # Newton on f = 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
-        # gap but is nearly linear in sigma: exactly so in pure translation
-        lhs = mu_pn_sq - gap
-        newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
-        # near a root the Newton correction is the error in sigma; the floor
-        # is worth computing only once that error is down to roundoff
-        if abs(newton - sig) <= _SETTLED * sig:
-            z = (p_t, p_o, p_r, sig)
-            k = _unpack(inp)
-            if rn is None:
-                rn = _residual_norm(z, k)
-            if rn <= _FLOOR_ULPS * math.ulp(_largest_summand(z, k)):
-                break
-        if gap < 0.0:
-            lo, lhs_lo = sig, lhs
-        else:
-            hi, lhs_hi = sig, lhs
-        if hi == math.inf:
-            # no positive gap seen yet: expand by at most a factor _GROW
-            nxt = newton if lo < newton < _GROW * lo else _GROW * lo
-        elif lo < newton < hi and abs(newton - sig) < 0.5 * dx_old:
-            nxt = newton
-        else:
-            # where f curves away from its tangent (spin coupled through q_z,
-            # say), Newton overshoots from above or creeps up from below.
-            # Take the root of the linear-fractional model of f that matches
-            # its value and slope at sig and its value at the far end of the
-            # bracket, if it lies inside the bracket; bisect otherwise
-            far, lhs_far = (hi, lhs_hi) if gap < 0.0 else (lo, lhs_lo)
-            nxt = math.nan
-            if lhs > 0.0 and lhs_far > 0.0:
-                inv_far = 1.0 / math.sqrt(lhs_far)
-                d = inv_far - 1.0 / math.sqrt(lhs)  # f at far minus f at sig
-                run = far - sig
-                step = sig - newton
-                den = (inv_far - 1.0 / mu_pn) * run - step * d
-                if den != 0.0:
-                    nxt = sig - step * d * run / den
-            if not lo < nxt < hi:
-                # halving from a huge warm start down to lo = 0 would gain
-                # one bit per iteration: step to the cold start instead
-                sigma0 = _initial_sigma(_unpack(inp)) if lo == 0.0 else 0.0
-                nxt = sigma0 if 0.0 < _GROW * sigma0 < hi else 0.5 * (lo + hi)
-        dx_old, dx = dx, abs(nxt - sig)
-        sig = nxt
-    else:
-        raise NoConvergenceError(
-            f"slip-speed solve did not reach the tolerance in {_MAX_ITER} iterations "
-            f"(bracket [{lo:.17g}, {hi:.17g}], "
-            f"residual {_residual_norm((p_t, p_o, p_r, sig), _unpack(inp)):.3e})"
-        )
-
-    imp = ContactImpulse(p_t, p_o, p_r, sig, p_n)
-    return imp, SolveInfo(it, rn, False, 1)
+    params, friction, s, a = inp.params, inp.friction, inp.state, inp.applied
+    p_n = inp.p_n
+    static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
+                     friction.e_r, p_n)
+    p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
+        static, s.v_x, s.v_y, s.w_z, a.p_x, a.p_y, a.p_xtau, a.p_ytau, a.p_ztau, p_n, guess)
+    rest = sigma == 0.0
+    return ContactImpulse(p_t, p_o, p_r, sigma, p_n), SolveInfo(iters, rn, rest, 0 if rest else 1)
 
 
 def solve_step(inp: StepInputs, guess: float | None = None) -> ContactImpulse:

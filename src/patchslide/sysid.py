@@ -88,8 +88,9 @@ def one_step_estimate(
     and ratio_r = p_r*v_t/(p_t*v_r) = (e_r/e_t)^2.
 
     Raises DegenerateStepError when any denominator magnitude (v_t, v_o,
-    v_r, p_t) is below the floor or zero, or the first identity is
-    nonpositive or too large to be squared in double precision.
+    v_r, p_t) is below the floor or zero, the first identity is
+    nonpositive or too large to be squared in double precision, or a ratio
+    is not a finite double.
     """
     for name, val in (("v_t", rec.v_t), ("v_o", rec.v_o), ("v_r", rec.v_r), ("p_t", rec.p_t)):
         if abs(val) < floor or val == 0.0:
@@ -107,8 +108,13 @@ def one_step_estimate(
     if first <= 0.0:
         raise DegenerateStepError(f"first sliding identity nonpositive ({first:g})")
     et2mu = math.sqrt(first)
-    ratio_o = rec.p_o * rec.v_t / (rec.p_t * rec.v_o)
-    ratio_r = rec.p_r * rec.v_t / (rec.p_t * rec.v_r)
+    try:
+        ratio_o = rec.p_o * rec.v_t / (rec.p_t * rec.v_o)
+        ratio_r = rec.p_r * rec.v_t / (rec.p_t * rec.v_r)
+    except ZeroDivisionError:  # a denominator below the doubles
+        ratio_o = ratio_r = math.inf
+    if not (math.isfinite(ratio_o) and math.isfinite(ratio_r)):  # inf, or nan from inf/inf
+        raise DegenerateStepError("a ratio of the sliding identities overflows a double")
     return (et2mu, ratio_o, ratio_r)
 
 

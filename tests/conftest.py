@@ -17,8 +17,8 @@ from patchslide import (
     resolve_scenario,
     simulate,
 )
-import patchslide.solver as solver_module
 import patchslide.stepper as stepper_module
+from patchslide.errors import PatchSlideError, ToppleRiskError
 from patchslide.solver import rest_reachable
 
 
@@ -107,13 +107,7 @@ def sliding_inputs_factory():
     return make_sliding_inputs
 
 
-# ------------------------------------------------------------ run-level memo
-
-def forget_memos() -> None:
-    """Empty the solve's one-entry memo, the package's only run memo, so
-    that the next solve computes its constants anew."""
-    solver_module._last_static = (None, None, None, None)
-
+# ------------------------------------------------------- step by step
 
 def record_lines(records) -> list[str]:
     """Each record's state, contact impulse, ECP and applied impulse, its
@@ -126,17 +120,28 @@ def record_lines(records) -> list[str]:
     ]
 
 
-def simulate_without_memos(scen) -> list:
-    """simulate(scen) with the solve's memo emptied before every step."""
-    solve = stepper_module.solve_step_info
-
-    def fresh_solve(*args):
-        forget_memos()
-        return solve(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepper_module, "solve_step_info", fresh_solve)
-        return stepper_module.simulate(scen)
+def simulate_by_steps(scen, solve=None) -> list:
+    """simulate(scen, solve) as a loop of public step calls, each given the
+    warm_sigma of the last three slip speeds: every step computes its load
+    and the solve's constants afresh, where simulate computes them once per
+    run.  It stops, prefixes errors and applies topple_policy "error" as
+    simulate does, and emits no warning."""
+    records = []
+    state = scen.initial
+    s1 = s2 = s3 = 0.0
+    for k in range(int(round(scen.duration / scen.h))):
+        try:
+            rec = stepper_module.step(state, scen, stepper_module.warm_sigma(s1, s2, s3), solve)
+        except PatchSlideError as e:
+            raise type(e)(f"step {k}: {e}") from e
+        records.append(rec)
+        if not rec.ecp.in_hull and scen.options.topple_policy == "error":
+            raise ToppleRiskError(f"step {k}: equivalent contact point left the support hull")
+        if rec.diagnostics.rest_flag:
+            break
+        state = rec.state
+        s1, s2, s3 = rec.impulses.sigma, s1, s2
+    return records
 
 
 # --------------------------------------------------------- acceptance report

@@ -484,7 +484,7 @@ def _edge_argv(command, extra, tmp_path, ex1_csv):
                          ids=[f"{c} {f}={v}" for c, f, v in _EDGE_CASES])
 def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, ex1_csv, command, flag, value):
     # a bad number fails with a package error or argparse's usage error
-    # (exit 2, for a value that --seed cannot parse as an int), never with
+    # (exit 1, for a value that --seed cannot parse as an int), never with
     # a raw exception
     try:
         code = main(_edge_argv(command, f"{flag}={value}", tmp_path, ex1_csv))
@@ -516,6 +516,34 @@ def test_bad_numbers_at_the_edge_are_validation_errors(tmp_path, capsys, ex1_csv
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: ") and message in stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--scenario", "example1", "--seed=nan"], "argument --seed: invalid int value: 'nan'"),
+    (["compare", "--scenario", "example1", "--seed=1e308"], "argument --seed: invalid int value: '1e308'"),
+    (["simulate", "--h=0.01"], "the following arguments are required: --scenario"),
+    (["simulate", "--scenario", "example1", "--h=abc"], "argument --h: invalid float value: 'abc'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # a mistyped flag is an input problem, told apart from a solver failure
+    # (exit 2) by its exit status; argparse alone would exit 2
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert e.value.code == 1
+    assert captured.out == ""
+    assert re.search(r"^patchslide( \w+)?: error: ", captured.err, re.MULTILINE)
+    assert message in captured.err
+
+
+def test_sysid_skips_steps_whose_ratio_overflows(tmp_path, capsys, ex1_csv):
+    # --q-z 1e308 makes ratio_o overflow on most steps; those steps are
+    # skipped as degenerate, where the median used to print as -inf
+    code, stdout, _ = run(capsys, *_edge_argv("sysid", "--q-z=1e308", tmp_path, ex1_csv))
+    assert code == 0
+    assert "inf" not in stdout and "mad nan" not in stdout
+    assert "steps used 4 of 44 (40 skipped)" in stdout
 
 
 def test_sysid_prints_no_root_of_a_negative_ratio(tmp_path, capsys, monkeypatch, ex1_csv):

@@ -1,8 +1,9 @@
 """Seeded scenario fuzz: scenarios drawn across the valid input space go
 through serialize_scenario -> loads_scenario -> simulate back to back in
 one process.  Every outcome is a run or a documented PatchSlideError, and
-a rerun with the run-level memos emptied before every step gives the same
-outcome, so nothing leaks from one run, or one step, into the next."""
+a rerun as a loop of single steps, each computing its load and the solve's
+constants afresh, gives the same outcome, so nothing leaks from one run,
+or one step, into the next."""
 
 import math
 import warnings
@@ -29,7 +30,7 @@ from patchslide import (
     simulate,
 )
 
-from conftest import record_lines, simulate_without_memos
+from conftest import record_lines, simulate_by_steps
 
 RUNS = 300
 GRAVITY = 9.8
@@ -120,7 +121,7 @@ def test_seeded_scenario_fuzz_round_trips_and_reruns_identically():
         load_kind = ("constant", "table", "pusher")[int(rng.integers(3))]
         scen = loads_scenario(serialize_scenario(_scenario(rng, patch_kind, load_kind)))
         got = _outcome(simulate, scen)
-        assert got == _outcome(simulate_without_memos, scen)
+        assert got == _outcome(simulate_by_steps, scen)
         kinds[patch_kind, load_kind] += 1
         outcomes["run" if isinstance(got, list) else got.split(":")[0]] += 1
     # every patch with every load, and mostly runs that complete

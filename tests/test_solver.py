@@ -7,7 +7,6 @@ reproduce them without sharing any code with that script.
 """
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +35,7 @@ from patchslide import (
 import patchslide.solver as solver_module
 from patchslide.solver import rest_reachable, stopping_impulse
 
-from conftest import forget_memos, make_sliding_inputs
+from conftest import make_sliding_inputs
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 
@@ -675,83 +674,21 @@ def test_cold_starts_far_from_the_root_take_few_iterations():
     assert sum(iters) / len(iters) < 4.2
 
 
-# ------------------------------------------------- the run-constant memo
+# ------------------------------------------------- the solve's constants
 
 def _bits(imp, info):
     return (tuple(x.hex() for x in (imp.p_t, imp.p_o, imp.p_r, imp.sigma, imp.p_n)),
             info.iters, info.residual_norm.hex(), info.rest)
 
 
-def _fresh_bits(inp, guess=None):
-    # the same solve with the memo emptied first, as a miss
-    forget_memos()
-    return _bits(*solve_step_info(inp, guess))
-
-
-def _run_inputs(scen, records):
-    # the inputs of each step of a run, from the state each step started at
-    return [assemble_inputs(s, scen) for s in [scen.initial] + [r.state for r in records[:-1]]]
-
-
-def test_solve_memo_alternating_runs_match_fresh_solves(ex1_scenario, ex1_records, ex3_scenario):
-    # two runs' inputs interleaved step by step: each solve keys on its own
-    # params, friction, p_n and tol, never on the other run's.  example1
-    # runs beside example3's pusher on the same mass, so that p_n and tol
-    # are shared, once with example1's params object and other friction and
-    # once with example1's friction object and another slider
-    others = (
-        replace(ex3_scenario, params=ex1_scenario.params,
-                friction=FrictionParams(mu=0.5, e_t=1.0, e_o=1.3, e_r=0.02)),
-        replace(ex3_scenario, params=replace(ex1_scenario.params, I_z=8e-4, q_z=0.03),
-                friction=ex1_scenario.friction),
-    )
-    pairs_a = [(inp, rec.impulses.sigma)
-               for inp, rec in zip(_run_inputs(ex1_scenario, ex1_records), ex1_records)]
-    for scen_b in others:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            records_b = simulate(scen_b)[:len(ex1_records)]
-        pairs_b = [(inp, rec.impulses.sigma) for inp, rec in zip(_run_inputs(scen_b, records_b), records_b)]
-        assert pairs_a[0][0].p_n == pairs_b[0][0].p_n
-        order = [pair for both in zip(pairs_a, pairs_b) for pair in both]
-        got = [_bits(*solve_step_info(inp, 1.01 * sigma)) for inp, sigma in order]
-        want = [_fresh_bits(inp, 1.01 * sigma) for inp, sigma in order]
-        assert got == want
-        # and each run alone, where every step after the first hits the memo
-        for run in (pairs_a, pairs_b):
-            got = [_bits(*solve_step_info(inp, 1.01 * sigma)) for inp, sigma in run]
-            assert got == [_fresh_bits(inp, 1.01 * sigma) for inp, sigma in run]
-
-
-def test_solve_memo_holds_no_tolerance(monkeypatch):
-    # each solve scales the memo's (mu*p_n)^2 by _TOL itself, so a solve at
-    # a patched tolerance leaves nothing behind for the next solve with the
-    # same memo entry: the same inputs at a loose tolerance, then at the
-    # default, each without emptying the memo in between
-    fewer = 0
-    for inp in make_sliding_inputs(seed=31, n=100):
-        with monkeypatch.context() as patched:
-            patched.setattr(solver_module, "_TOL", 1e-6)
-            got_loose = _bits(*solve_step_info(inp))
-            assert got_loose == _fresh_bits(inp)
-            solve_step_info(inp)
-        assert solver_module._last_static[0] is inp.params
-        got_default = _bits(*solve_step_info(inp))
-        assert got_default == _fresh_bits(inp)
-        fewer += got_loose[1] < got_default[1]
-    # the loose solve stops earlier on some inputs, so the two differ
-    assert fewer > 0
-
-
 def test_solve_memo_equal_but_distinct_objects_give_the_same_solve():
-    # an equal copy of params or friction misses the identity check and
-    # computes the same constants again
+    # the solve reads only the values of params and friction: an equal
+    # copy of either gives the same bits
     for inp in make_sliding_inputs(seed=37, n=50):
         twins = (replace(inp, params=replace(inp.params)),
                  replace(inp, friction=replace(inp.friction)),
                  replace(inp, params=replace(inp.params), friction=replace(inp.friction)))
-        want = _fresh_bits(inp)
-        assert _bits(*solve_step_info(inp)) == want
+        want = _bits(*solve_step_info(inp))
         for twin in twins:
             assert twin.params == inp.params and twin.friction == inp.friction
             assert _bits(*solve_step_info(twin)) == want

@@ -41,7 +41,7 @@ from patchslide import (
 from patchslide.core import impulse_over, pressing_load
 from patchslide.scenario import MIN_E_R
 
-from conftest import record_lines, simulate_without_memos
+from conftest import record_lines, simulate_by_steps
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 ISO = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
@@ -493,8 +493,9 @@ def test_assemble_inputs_pusher_floats_match_the_wrench_path():
 
 
 def test_simulate_runs_each_traced_layer_once_per_step(ex3_scenario, monkeypatch):
-    # the benchmark times these stepper globals by name; a kernel that
-    # stopped calling one would read as a layer that takes no time
+    # the kernel's per-step calls are stepper globals, looked up at each
+    # call, so that a tracer can wrap them by name: the float solve and the
+    # ECP containment, once per step each
     import patchslide.stepper as stepper_module
 
     calls = Counter()
@@ -508,17 +509,16 @@ def test_simulate_runs_each_traced_layer_once_per_step(ex3_scenario, monkeypatch
 
         return wrapper
 
-    per_step = ("step", "assemble_inputs", "solve_step_info", "ecp", "validate_patch")
-    for name in per_step + ("convex_hull",):
+    per_step = ("_solve_floats", "_contains")
+    for name in per_step:
         monkeypatch.setattr(stepper_module, name, counting(name))
-    with warnings.catch_warnings():
-        # example3's pusher takes the ECP out of the hull
-        warnings.simplefilter("ignore", UserWarning)
-        records = stepper_module.simulate(ex3_scenario)
+    records = stepper_module.simulate(ex3_scenario)
     assert len(records) == 300
-    assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, len(records))
-    # the patch carries its hull from construction: no step builds one
-    assert calls["convex_hull"] == 0
+    assert dict(calls) == dict.fromkeys(per_step, len(records))
+    # the benchmark's tracer resolves these stepper globals by name, and
+    # fails without them
+    for name in ("step", "assemble_inputs", "solve_step_info", "ecp", "validate_patch", "convex_hull"):
+        assert callable(getattr(stepper_module, name)), name
 
 
 @pytest.mark.filterwarnings("ignore:step .* left the support hull")
@@ -582,13 +582,13 @@ def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario
     from patchslide.stepper import warm_sigma
 
     guesses = []
-    real_step = stepper_module.step
+    real_solve = stepper_module._solve_floats
 
-    def spy(state, scen, guess=None):
-        guesses.append(guess)
-        return real_step(state, scen, guess)
+    def spy(*args):
+        guesses.append(args[-1])
+        return real_solve(*args)
 
-    monkeypatch.setattr(stepper_module, "step", spy)
+    monkeypatch.setattr(stepper_module, "_solve_floats", spy)
     records = stepper_module.simulate(ex1_scenario)
     sig = [r.impulses.sigma for r in records]
     expected = [0.0]
@@ -596,6 +596,65 @@ def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario
         history = (sig[k - 1::-1] + [0.0, 0.0])[:3]
         expected.append(warm_sigma(*history))
     assert [g.hex() for g in guesses] == [e.hex() for e in expected]
+
+
+def _one_path_scenarios():
+    from patchslide import resolve_scenario
+    from patchslide.closed_form import translation_solve
+
+    ex1 = resolve_scenario("example1")
+    replace = dataclasses.replace
+    table = TableSchedule((0.055, 0.15, 0.27), (AppliedWrench(lambda_x=0.2, lambda_z=1.5),
+                                                AppliedWrench(lambda_x=-0.3, lambda_z=-2.0, lambda_ztau=0.002),
+                                                AppliedWrench(lambda_y=0.4, lambda_z=3.0)))
+    # a 6 cm square without its +x, +y quadrant: example1's ECP enters the
+    # notch, so the ray cast decides in_patch
+    notched = PolygonPatch(((-0.03, -0.03), (0.03, -0.03), (0.03, 0.0), (0.0, 0.0), (0.0, 0.03), (-0.03, 0.03)))
+    no_spin = replace(ex1.initial, w_z=0.0)
+    lifted = TableSchedule((0.115,), (AppliedWrench(lambda_z=6.0),))
+    anisotropic = FrictionParams(mu=0.31, e_t=1.0, e_o=1.3, e_r=0.01)
+    return {
+        "example1": (ex1, None),
+        "example2": (resolve_scenario("example2"), None),
+        "example3": (resolve_scenario("example3"), None),
+        "example1 h=1e-3": (replace(ex1, h=1e-3), None),
+        "table": (replace(ex1, schedule=table), None),
+        "L-shaped patch": (replace(ex1, params=replace(ex1.params, patch=notched)), None),
+        # the ECP leaves this square's hull at steps 6 and later
+        "outside the hull": (make_scenario(patch=_square(0.022)), None),
+        "translation": (replace(ex1, initial=no_spin), translation_solve),
+        # errors: a table row that lifts the slider from step 12, a step
+        # outside the hull under topple_policy "error", and a closed form
+        # that rejects anisotropic friction
+        "contact loss": (replace(ex1, schedule=lifted), None),
+        "topple": (make_scenario(patch=_square(0.022), options=RunOptions(topple_policy="error")), None),
+        "anisotropic translation": (replace(ex1, initial=no_spin, friction=anisotropic), translation_solve),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+@pytest.mark.parametrize("name", list(_one_path_scenarios()))
+def test_simulate_is_a_loop_of_steps(name):
+    # simulate computes each load's constants once per run and step for
+    # each call: both run one kernel, so the records are the same bits, and
+    # simulate's errors name the step as the loop's do
+    scen, solve = _one_path_scenarios()[name]
+
+    def outcome(run):
+        try:
+            return record_lines(run(scen, solve))
+        except PatchSlideError as e:
+            return f"{type(e).__name__}: {e}"
+
+    got = outcome(simulate)
+    assert got == outcome(simulate_by_steps)
+    if name in ("contact loss", "topple", "anisotropic translation"):
+        assert isinstance(got, str) and ": step " in got, got
+    else:
+        assert len(got) > 10
+    if name == "L-shaped patch":
+        flags = {(r.ecp.in_hull, r.ecp.in_patch) for r in simulate(scen)}
+        assert (True, False) in flags
 
 
 def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
@@ -612,7 +671,7 @@ def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
 def test_memos_follow_a_table_load_whose_normal_force_changes():
     # lambda_z changes at each row, so p_n changes mid-run while params stays
     # the same object; each row is also held over several steps, and the
-    # solve's memo must follow p_n
+    # solve's constants, computed once per row in a run, must follow p_n
     rows = (0.0, 0.1, 0.2, 0.3)
     wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_x=-0.3, lambda_z=1.5),
                 AppliedWrench(lambda_y=0.4, lambda_z=-2.0, lambda_ztau=0.002),
@@ -621,7 +680,7 @@ def test_memos_follow_a_table_load_whose_normal_force_changes():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = simulate(scen)
-        fresh = simulate_without_memos(scen)
+        fresh = simulate_by_steps(scen)
     assert len(records) == 40
     assert len({r.impulses.p_n for r in records}) == 4
     assert record_lines(records) == record_lines(fresh)
@@ -643,7 +702,7 @@ def test_steps_before_a_tables_first_row_share_one_zero_load():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = simulate(scen)
-        fresh = simulate_without_memos(scen)
+        fresh = simulate_by_steps(scen)
     assert len(records) == 30
     # steps 0-10 start before the first row
     assert all(r.applied is scen.impulses[0] for r in records[:11])
@@ -672,7 +731,7 @@ def test_derived_loads_follow_the_step_length():
     assert fine.impulses[1] == impulse_over(schedule.wrench, 0.005) != coarse.impulses[1]
     runs = [simulate(scen) for scen in (coarse, fine, coarse)]
     for scen, records in zip((coarse, fine, coarse), runs):
-        assert record_lines(records) == record_lines(simulate_without_memos(scen))
+        assert record_lines(records) == record_lines(simulate_by_steps(scen))
         assert all(r.applied == impulse_over(schedule.wrench, scen.h) for r in records)
 
 

@@ -66,6 +66,21 @@ def test_nonpositive_first_identity_is_degenerate():
         one_step_estimate(rec, 0.049)
 
 
+@pytest.mark.parametrize("rec, floor", [
+    # p_o*v_t overflows: ratio_o is inf where the first identity is 1e290
+    (Reconstruction(p_t=1.0, p_o=1e300, p_r=0.01, v_t=1e10, v_o=1.0, v_r=1.0), 1e-8),
+    # p_r*v_t overflows the same way, in ratio_r
+    (Reconstruction(p_t=1.0, p_o=0.01, p_r=1e300, v_t=1e10, v_o=1.0, v_r=1.0), 1e-8),
+    # with no floor, p_t*v_o underflows to 0 under a positive first identity
+    (Reconstruction(p_t=1e-170, p_o=1e300, p_r=0.0, v_t=1e-10, v_o=1e-170, v_r=1.0), 0.0),
+])
+def test_a_ratio_that_leaves_the_doubles_is_degenerate(rec, floor):
+    # the ratios were returned as inf, or raised ZeroDivisionError, and an
+    # inf per-step estimate made the median -inf and its dispersion nan
+    with pytest.raises(DegenerateStepError, match="ratio of the sliding identities overflows"):
+        one_step_estimate(rec, 1.0, floor)
+
+
 def test_one_step_estimates_recover_parameters(ex1_scenario, ex1_records):
     p = ex1_scenario.params
     f = ex1_scenario.friction
