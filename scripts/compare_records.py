@@ -25,8 +25,11 @@ as `float.hex`.  A run that raises is recorded by its exception class and
 message.  `diff` prints, for each field, the largest change over a run
 relative to that field's largest magnitude in the run, the maximum over
 all runs, and counts and names the runs whose step counts, flags or
-iterations differ.  It exits 0 when the two dumps are equal and 1
-otherwise.  Nothing is timed: `benchmark/run.py` is the harness.
+iterations differ.  Of the runs with equal step counts it also counts
+those, and their steps, in which any float field moved at all, so that a
+roundoff-level change says how much of the corpus it touched.  It exits 0
+when the two dumps are equal and 1 otherwise.  Nothing is timed:
+`benchmark/run.py` is the harness.
 """
 
 from __future__ import annotations
@@ -137,6 +140,8 @@ def diff(a_path: Path, b_path: Path) -> int:
     worst = dict.fromkeys(fields, 0.0)
     differ = {"error": 0, "steps": 0, **dict.fromkeys(FLAGS, 0)}
     named = []
+    # runs compared step by step, and those runs and steps where any float moved
+    compared = steps = moved_runs = moved_steps = 0
     for key, ra in a.items():
         rb = b[key]
         if "error" in ra or "error" in rb:
@@ -153,14 +158,22 @@ def diff(a_path: Path, b_path: Path) -> int:
             differ[flag] += 1
         if flags:
             named.append(key)
+        moved = set()
         for field in fields:
             worst[field] = max(worst[field], _largest_change(ra[field], rb[field]))
+            moved.update(i for i, (x, y) in enumerate(zip(ra[field], rb[field])) if x != y)
+        compared += 1
+        steps += ra["steps"]
+        moved_runs += bool(moved)
+        moved_steps += len(moved)
     for workload in WORKLOADS + ("examples",):
         n = sum(key.startswith(f"{workload}/") for key in a)
         print(f"{workload}: {n} runs")
     print("runs that differ in " + ", ".join(f"{k} {v}" for k, v in differ.items()))
     if named:
         print("  " + "\n  ".join(named))
+    print(f"runs with any float field moved: {moved_runs} of {compared}, "
+          f"steps: {moved_steps} of {steps}")
     print("largest change relative to the field's largest magnitude in its run:")
     for field in fields:
         print(f"  {field:26s} {worst[field]:.3e}")

@@ -63,8 +63,12 @@ def value_type(cls):
     restored, it is computed anew.  A default is a value, not a factory:
     the types are frozen, so one default instance can be shared.
 
-    The per-step code calls value types with positional arguments, in
-    field order: a class call with keywords first gathers them in a dict.
+    The class call is the public constructor.  Each class also has a
+    positional builder, cls._new(*fields), which gives what the class call
+    gives at about half the cost (see _builder); the stepping loop builds
+    its per-step records with it.  A class call with keywords first
+    gathers them in a dict, so code that builds many objects passes the
+    fields positionally.
     """
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     every = fields(cls)
@@ -133,7 +137,40 @@ def value_type(cls):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         method.__module__ = cls.__module__
         setattr(cls, method.__name__, method)
+    cls._new = _Builder()
     return cls
+
+
+def _builder(cls):
+    # cls._new: it makes the instance as an unfrozen twin class with the
+    # same __slots__, fills the slots by plain attribute stores (which
+    # CPython specialises to direct slot writes, where __init__'s descriptor
+    # __set__ calls each cost a method-wrapper call), then makes it a cls by
+    # assigning its __class__ and runs __post_init__
+    flds = [f for f in fields(cls) if f.init]
+    twin = type(f"_{cls.__name__}Builder", (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
+    lines = ["self = _make_object(_twin)", *(f"self.{f.name} = {f.name}" for f in flds), "self.__class__ = _cls"]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    src = (f"def _new({', '.join(f.name for f in flds)}):\n"
+           + "".join(f"    {line}\n" for line in lines) + "    return self\n")
+    namespace = {"_make_object": object.__new__, "_twin": twin, "_cls": cls}
+    exec(src, namespace)
+    new = namespace["_new"]
+    new.__defaults__ = cls.__init__.__defaults__
+    new.__qualname__ = f"{cls.__qualname__}._new"
+    new.__module__ = cls.__module__
+    return new
+
+
+class _Builder:
+    # cls._new, compiled by _builder on first use: built with every class,
+    # the builders of all the value types added about 3 % to the benchmark's
+    # set-up, which imports the package
+    def __get__(self, obj, cls):
+        new = _builder(cls)
+        cls._new = staticmethod(new)
+        return new
 
 
 # PolygonPatch's zero-area test: 8 units of roundoff (2**-53 each) per term

@@ -45,6 +45,8 @@ _SETTLED = 2.0 ** -40
 # positive gap is seen
 _GROW = 8.0
 _INF = math.inf
+# the smallest normal double, which (mu*p_n)^2 must reach
+_MIN_NORMAL = sys.float_info.min
 
 
 # the tolerance contract of every solve, stated once.  _TOL is the target
@@ -96,7 +98,8 @@ def _residuals(z, k) -> tuple[float, float, float, float]:
     F1 = mu * p_n * e_t ** 2 * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sigma
     F2 = mu * p_n * e_o ** 2 * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sigma
     F3 = mu * p_n * e_r ** 2 * W + p_r * sigma
-    F4 = (mu * p_n) ** 2 - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
+    x_r, x_t, x_o = p_r / e_r, p_t / e_t, p_o / e_o
+    F4 = (mu * p_n) ** 2 - x_r * x_r - x_t * x_t - x_o * x_o
     return F1, F2, F3, F4
 
 
@@ -107,19 +110,24 @@ def _residual_norm(z, k) -> float:
 
 def _largest_summand(z, k) -> float:
     # magnitude of the largest monomial of the four residuals, expanded as
-    # polynomials in z; it sets the scale of the roundoff in _residuals
+    # polynomials in z; it sets the scale of the roundoff in _residuals.
+    # Products that overflow give inf rather than raising; a summand that
+    # is not a finite double gives 0.0, so that no roundoff floor is
+    # granted (math.ulp(inf) would accept any residual)
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     p_t, p_o, p_r, sigma = z
     a = mu * p_n
     W = max(abs(w_z), abs(p_r) / I_z, abs(p_ztau) / I_z)
-    return max(
+    x_r, x_t, x_o = p_r / e_r, p_t / e_t, p_o / e_o
+    largest = max(
         a * e_t ** 2 * max(abs(v_x), abs(p_t) / m, abs(p_x) / m, max(abs(p_xtau), abs(p_o * q_z)) * W / p_n),
         a * e_o ** 2 * max(abs(v_y), abs(p_o) / m, abs(p_y) / m, max(abs(p_ytau), abs(p_t * q_z)) * W / p_n),
         a * e_r ** 2 * W,
         abs(sigma) * max(abs(p_t), abs(p_o), abs(p_r)),
-        a * a, (p_r / e_r) ** 2, (p_t / e_t) ** 2, (p_o / e_o) ** 2,
+        a * a, x_r * x_r, x_t * x_t, x_o * x_o,
     )
+    return largest if largest < _INF else 0.0
 
 
 def residual(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
@@ -203,21 +211,20 @@ def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
 
 def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
     # the stopping impulse and its square in friction-ellipsoid units, the
-    # left side of the rest test; that square must be a double, as must
-    # (mu*p_n)^2, and a state-dependent load can push it past one even when
-    # the scenario passed its load check.  (mu*p_n)^2 must also be a normal
-    # double, or the tolerance relative to it is not attainable
+    # left side of the rest test; that square (inf when a product overflows)
+    # must be a double, as must (mu*p_n)^2, and a state-dependent load can
+    # push it past one even when the scenario passed its load check.
+    # (mu*p_n)^2 must also be a normal double, or the tolerance relative to
+    # it is not attainable
     p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
-    try:
-        lhs = (p_t / e_t) ** 2 + (p_o / e_o) ** 2 + (p_r / e_r) ** 2
-    except OverflowError:
-        lhs = _INF
+    x_t, x_o, x_r = p_t / e_t, p_o / e_o, p_r / e_r
+    lhs = x_t * x_t + x_o * x_o + x_r * x_r
     if lhs == _INF or mu_pn_sq == _INF:
         raise ValidationError(
             "load is too large: the stopping impulse squared in friction-ellipsoid units "
             "overflows a double"
         )
-    if mu_pn_sq < sys.float_info.min:
+    if mu_pn_sq < _MIN_NORMAL:
         raise ValidationError("normal impulse is too small: (mu*p_n)^2 is not a normal double")
     return p_t, p_o, p_r, lhs
 
@@ -300,7 +307,8 @@ def _gap_curve(k):
         r2 = d_o * dW + q_o * dW * p_t - p_o
         dp_t = (r1 * A22 - A12 * r2) / det
         dp_o = (A11 * r2 - A21 * r1) / det
-        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
+        x_r, x_t, x_o = p_r / e_r, p_t / e_t, p_o / e_o
+        gap = mu_pn_sq - x_r * x_r - x_t * x_t - x_o * x_o
         dgap = -(w_t * p_t * dp_t + w_o * p_o * dp_o + w_r * p_r * dp_r)
         return (p_t, p_o, p_r, sig), gap, dgap
 
@@ -356,7 +364,8 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
         b2 = c_o + d_o * W
         p_t = (b1 * A22 - A12 * b2) / det
         p_o = (A11 * b2 - A21 * b1) / det
-        gap = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
+        x_r, x_t, x_o = p_r / e_r, p_t / e_t, p_o / e_o
+        gap = mu_pn_sq - x_r * x_r - x_t * x_t - x_o * x_o
         # the residual norm is at least |gap|, so the other three residuals
         # are worth evaluating only once the gap alone meets the tolerance;
         # they are _residuals' F1-F3, and the gap is its F4

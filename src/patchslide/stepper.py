@@ -251,6 +251,9 @@ def _run(
     loads: list = [None] * len(scen.lambda_z)
     k = 0 if pusher else hold_index(schedule, t)
     clock = time.perf_counter
+    # the records' positional builders (core.value_type)
+    new_state, new_impulse, new_ecp = SliderState._new, ContactImpulse._new, Ecp._new
+    new_diagnostics, new_record, new_applied = StepDiagnostics._new, TrajectoryRecord._new, AppliedImpulse._new
     outside: list[int] = []
     for n in range(n_steps):
         if table:
@@ -263,7 +266,7 @@ def _run(
             # the pusher's wrench changes every step: integrate its floats
             # straight into the impulse, building no AppliedWrench
             l_x, l_y, l_z, l_xtau, l_ytau, l_ztau = pusher_wrench(schedule, theta_z, t)
-            applied = AppliedImpulse(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
+            applied = new_applied(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
         p_x, p_y, p_xtau, p_ytau, p_ztau = applied.p_x, applied.p_y, applied.p_xtau, applied.p_ytau, applied.p_ztau
         guess = warm_sigma(s1, s2, s3)
         if solve is None:
@@ -271,7 +274,7 @@ def _run(
             p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
                 static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, guess)
             wall = clock() - t0
-            impulse = ContactImpulse(p_t, p_o, p_r, sigma, p_n)
+            impulse = new_impulse(p_t, p_o, p_r, sigma, p_n)
         else:
             inputs = StepInputs(params, friction, state, applied, p_n)
             t0 = clock()
@@ -289,14 +292,14 @@ def _run(
         q_y = q_y + h * v_y
         theta_z = theta_z + h * w_z
         t = t + h
-        state = SliderState(q_x, q_y, theta_z, v_x, v_y, w_z, t)
+        state = new_state(q_x, q_y, theta_z, v_x, v_y, w_z, t)
         # the equivalent contact point, as ecp places it
         a_x = q_x + (p_ytau - p_t * q_z) / impulse.p_n
         a_y = q_y + (-p_xtau - p_o * q_z) / impulse.p_n
         in_hull, in_patch = _contains(region, a_x, a_y, q_x, q_y, theta_z)
         rest = sigma < sigma_min
-        records.append(TrajectoryRecord(state, impulse, Ecp(a_x, a_y, in_hull, in_patch), applied,
-                                        StepDiagnostics(iters, rn, rest, wall)))
+        records.append(new_record(state, impulse, new_ecp(a_x, a_y, in_hull, in_patch), applied,
+                                  new_diagnostics(iters, rn, rest, wall)))
         if not in_hull:
             outside.append(n)
             if stop_outside:

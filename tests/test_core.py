@@ -420,6 +420,66 @@ def test_value_type_round_trips(examples, name):
         assert repr(copy) == repr(obj)
 
 
+def _init_fields(obj, **changes) -> list:
+    # obj's constructor arguments in field order, some of them changed
+    return [changes.get(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init]
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_builder_gives_what_the_class_call_gives(examples, name):
+    cls = getattr(patchslide, name)
+    args = _init_fields(examples[name])
+    want = cls(*args)
+    got = cls._new(*args)
+    assert type(got) is cls
+    assert not hasattr(got, "__dict__")
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    # derived fields too, which equality and repr leave out
+    for f in dataclasses.fields(cls):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    restored = pickle.loads(pickle.dumps(got))
+    assert type(restored) is cls and restored == want
+    first = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(got, first, getattr(got, first))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.not_a_field = 1.0
+
+
+def _invalid_fields(ex) -> dict:
+    # for each type with checks, constructor arguments that fail them
+    return {
+        "AnnulusPatch": _init_fields(ex["AnnulusPatch"], r_in=math.nan),
+        "BodyPusherSchedule": _init_fields(ex["BodyPusherSchedule"], period=0.0),
+        "ConstantSchedule": _init_fields(ex["ConstantSchedule"], wrench=AppliedWrench(lambda_x=math.inf)),
+        "DiskPatch": _init_fields(ex["DiskPatch"], r=-1.0),
+        "FrictionParams": _init_fields(ex["FrictionParams"], e_r=1e-170),
+        "ObservedStep": _init_fields(ex["ObservedStep"], p_n=0.0),
+        "PolygonPatch": _init_fields(ex["PolygonPatch"], vertices=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))),
+        "QuasiStaticInput": _init_fields(ex["QuasiStaticInput"], c=-1.0),
+        "RunOptions": _init_fields(ex["RunOptions"], sigma_min=math.nan),
+        "Scenario": _init_fields(ex["Scenario"], h=0.0),
+        "SliderParams": _init_fields(ex["SliderParams"], m=-0.5),
+        "StepInputs": _init_fields(ex["StepInputs"], p_n=0.0),
+        "TableSchedule": _init_fields(ex["TableSchedule"], times=(0.2, 0.0)),
+    }
+
+
+def test_builder_runs_the_constructor_checks(examples):
+    invalid = _invalid_fields(examples)
+    assert set(invalid) == {name for name in SIGNATURES if hasattr(getattr(patchslide, name), "__post_init__")}
+    for name, args in invalid.items():
+        cls = getattr(patchslide, name)
+        with pytest.raises(ValidationError) as by_call:
+            cls(*args)
+        with pytest.raises(ValidationError) as by_builder:
+            cls._new(*args)
+        assert type(by_builder.value) is type(by_call.value), name
+        assert str(by_builder.value) == str(by_call.value), name
+
+
 def test_value_type_loads_pickles_of_unslotted_instances(examples):
     # a pickle written when the value types kept a __dict__ carries that
     # dict as the state; it must not be read as the list of field values

@@ -583,6 +583,56 @@ def test_inline_curve_is_the_gap_curve_bit_for_bit():
             assert info.residual_norm.hex() == max(map(abs, _residuals(z, k))).hex()
 
 
+def test_loop_gap_squares_as_the_residuals_do(monkeypatch):
+    # the loop's gap, _gap_curve's and _residuals' F4 square each quotient
+    # by multiplication.  libm's pow is not correctly rounded, so x**2 and
+    # x*x differ now and then; on the points where the gap summed from
+    # pow's squares differs from F4, the solve's own gap must still be F4.
+    # With the tolerance at (mu*p_n)^2 the solve accepts its warm start,
+    # and its reported norm there is the loop's |gap|: on the curve the
+    # three tangential residuals are roundoff beside a gap 1e-3 off the root
+    from patchslide.solver import _gap_curve, _residuals, _unpack
+
+    inputs = make_sliding_inputs(seed=23, n=300)
+    roots = [solve_step(inp).sigma for inp in inputs]
+    monkeypatch.setattr(solver_module, "_TOL", 1.0)
+    split = []
+    for inp, root in zip(inputs, roots):
+        k = _unpack(inp)
+        e_t, e_o, e_r = k[4:7]
+        mu_pn_sq = (inp.friction.mu * inp.p_n) ** 2
+        for j in range(1, 21):
+            for guess in (root * (1.0 + j * 1e-3), root * (1.0 - j * 1e-3)):
+                (p_t, p_o, p_r, _), gap, _ = _gap_curve(k)(guess)
+                by_pow = mu_pn_sq - (p_r / e_r) ** 2 - (p_t / e_t) ** 2 - (p_o / e_o) ** 2
+                if abs(by_pow) != abs(gap):
+                    split.append((inp, guess))
+    if not split:
+        pytest.skip("this libm's pow rounds every square here as x*x does")
+    for inp, guess in split:
+        k = _unpack(inp)
+        imp, info = solve_step_info(inp, guess)
+        z, gap, _ = _gap_curve(k)(guess)
+        F = _residuals(z, k)
+        assert info.iters == 0 and imp.sigma == guess
+        assert gap == F[3] and abs(F[3]) == max(map(abs, F))
+        assert info.residual_norm == abs(F[3])
+
+
+def test_largest_summand_of_a_huge_point_grants_no_floor():
+    # components near 1e200 square past the doubles: the summand must come
+    # out finite, not as a raw OverflowError (pow raised one) nor as inf,
+    # whose ulp would accept any residual as roundoff
+    from patchslide.solver import _largest_summand, _unpack
+
+    k = _unpack(step1_inputs())
+    for z in ((1e200, -1e200, 1e200, 1.0), (1e200, 0.0, 0.0, 0.0), (0.0, 0.0, 1e200, 0.0), (1e3, 0.0, 0.0, 1e306)):
+        floor = 8.0 * math.ulp(_largest_summand(z, k))
+        assert floor < 1e-300, z
+    # a finite point keeps its floor
+    assert _largest_summand((1e100, 0.0, 0.0, 0.0), k) == 1e200
+
+
 def test_float_warm_start_equals_an_impulse_with_that_sigma():
     # a non-positive or NaN guess is a cold start
     def bits(imp, info):
