@@ -62,7 +62,8 @@ class DegenerateStepError(PatchSlideError):
 
 
 class AllDegenerateError(PatchSlideError):
-    """Every observed step in a batch was degenerate."""
+    """No observed step in a batch gave an estimate: the batch was empty,
+    or every step in it was degenerate."""
 
 
 class OracleFailure(PatchSlideError):

@@ -9,6 +9,8 @@ simulate and translate commands and read back by sysid.
 from __future__ import annotations
 
 import csv
+from itertools import repeat, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from .core import AppliedImpulse, SliderState
@@ -110,11 +112,12 @@ def read_trajectory(path: str | Path) -> list[dict]:
     except ValueError:
         _raise_first_error(path, raw)
         raise
-    return [dict(zip(COLUMNS, values)) for values in zip(*columns)]
+    return list(map(dict, map(zip, repeat(COLUMNS), zip(*columns))))
 
 
-def _row_state(row: dict) -> SliderState:
-    return SliderState(row["q_x"], row["q_y"], row["theta_z"], row["v_x"], row["v_y"], row["w_z"], row["t"])
+# a row's SliderState fields, and the impulses that end a transition at it
+_STATE_CELLS = itemgetter("q_x", "q_y", "theta_z", "v_x", "v_y", "w_z", "t")
+_STEP_CELLS = itemgetter("p_x", "p_y", "p_xtau", "p_ytau", "p_ztau", "p_n")
 
 
 def observed_steps(rows: list[dict]) -> list[ObservedStep]:
@@ -125,16 +128,14 @@ def observed_steps(rows: list[dict]) -> list[ObservedStep]:
     applied and normal impulses.  N rows yield N-1 transitions; the
     initial state is not recoverable from the file.
     """
-    # one frozen state per row, shared by the two transitions it ends and starts
-    states = list(map(_row_state, rows))
+    # one frozen state per row, shared by the two transitions it ends and
+    # starts; the positional builders give what the class calls give
+    states = list(starmap(SliderState._new, map(_STATE_CELLS, rows)))
+    new_applied = AppliedImpulse._new
+    new_step = ObservedStep._new
     return [
-        ObservedStep(
-            prev,
-            cur,
-            AppliedImpulse(row["p_x"], row["p_y"], 0.0, row["p_xtau"], row["p_ytau"], row["p_ztau"]),
-            row["p_n"],
-        )
-        for prev, cur, row in zip(states, states[1:], rows[1:])
+        new_step(prev, cur, new_applied(p_x, p_y, 0.0, p_xtau, p_ytau, p_ztau), p_n)
+        for prev, cur, (p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) in zip(states, states[1:], map(_STEP_CELLS, rows[1:]))
     ]
 
 
@@ -143,12 +144,12 @@ def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
     <prefix>.<column>.dat, ready for external plotting tools."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
+    # every file's first column, formatted once
+    times = ["%.17g\t" % row["t"] for row in rows]
     written = []
-    for col in COLUMNS:
-        if col == "t":
-            continue
+    for col in COLUMNS[1:]:
         out = prefix.with_name(f"{prefix.name}.{col}.dat")
         with open(out, "w") as fh:
-            fh.write("".join(["%.17g\t%.17g\n" % (row["t"], float(row[col])) for row in rows]))
+            fh.write("".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]))
         written.append(out)
     return written

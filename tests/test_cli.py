@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import patchslide.cli as cli_module
-from patchslide import bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario
+from patchslide import bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario, write_trajectory
 from patchslide.cli import main
 from patchslide.errors import NoConvergenceError, PatchSlideError, ToppleRiskError, ValidationError
 
@@ -252,6 +252,19 @@ def test_sysid_empty_trajectory_is_validation_error(tmp_path, capsys):
                           "--m", "0.5", "--I-z", "5e-4", "--q-z", "0.08")
     assert code == 1
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_sysid_without_a_transition_says_it_needs_two_rows(tmp_path, capsys, ex1_records, n_rows):
+    # a header-only or one-row file pairs into no observed step at all,
+    # which used to be reported as "all 0 observed steps were degenerate"
+    out = tmp_path / f"rows{n_rows}.csv"
+    write_trajectory(ex1_records[:n_rows], out)
+    code, stdout, stderr = run(capsys, "sysid", "--trajectory", str(out),
+                               "--m", "0.5", "--I-z", "5e-4", "--q-z", "0.08")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: no observed steps: a trajectory needs at least two rows\n"
 
 
 # ----------------------------------------------------------------- translate

@@ -1,6 +1,7 @@
 """Friction-parameter recovery from observed step transitions."""
 
 import math
+from statistics import median
 
 import numpy as np
 import pytest
@@ -182,3 +183,101 @@ def test_custom_floor_controls_skipping(ex1_scenario, ex1_records):
     steps = _steps_from_records(ex1_scenario, ex1_records)
     with pytest.raises(AllDegenerateError):
         batch_estimate(steps, p.m, p.I_z, p.q_z, floor=1e6)
+
+
+@pytest.mark.parametrize("name", ["v_t", "v_o", "v_r", "p_t"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_denominator_that_is_not_finite_is_named(name, value):
+    # a nan slip component passes a floor test (abs(nan) < floor is False)
+    # and was reported as "first sliding identity overflows a double"
+    fields = dict(p_t=0.01, p_o=0.01, p_r=1e-6, v_t=1.0, v_o=1.0, v_r=1.0)
+    fields[name] = value
+    with pytest.raises(DegenerateStepError, match=rf"^denominator {name} = -?(nan|inf) is not finite$"):
+        one_step_estimate(Reconstruction(**fields), 0.049)
+
+
+def test_empty_batch_says_a_trajectory_needs_two_rows():
+    with pytest.raises(AllDegenerateError, match=r"^no observed steps: a trajectory needs at least two rows$"):
+        batch_estimate([], 0.5, 5e-4, 0.08)
+
+
+def _fuzz_component(rng) -> float:
+    # mostly log-uniform magnitudes of either sign, and some zeros, values
+    # that leave the doubles in a product, and non-finite values
+    u = rng.uniform()
+    if u < 0.08:
+        return 0.0
+    if u < 0.1:
+        return float(rng.choice([math.nan, math.inf, -math.inf]))
+    scale = 10.0 ** rng.uniform(150.0, 300.0) if u < 0.13 else 10.0 ** rng.uniform(-12.0, 3.0)
+    return float(rng.choice([-1.0, 1.0])) * scale
+
+
+def _fuzz_steps(rng, n: int) -> list[ObservedStep]:
+    def state(t):
+        return SliderState(*(_fuzz_component(rng) for _ in range(6)), t=t)
+
+    def applied():
+        return AppliedImpulse(*(_fuzz_component(rng) for _ in range(6)))
+
+    return [ObservedStep(state(0.0), state(0.01), applied(), 10.0 ** rng.uniform(-6.0, 3.0)) for _ in range(n)]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _check_batch_is_the_public_loop(steps, m, I_z, q_z, floor=1e-8):
+    # batch_estimate against a loop of reconstruct and one_step_estimate,
+    # aggregated as its docstring says, bit for bit
+    per_step = []
+    skipped = 0
+    for step in steps:
+        try:
+            per_step.append(one_step_estimate(reconstruct(step, m, I_z, q_z), step.p_n, floor))
+        except DegenerateStepError:
+            skipped += 1
+    est = batch_estimate(steps, m, I_z, q_z, floor)
+    assert est.n_skipped == skipped
+    assert [_hex(e) for e in est.per_step] == [_hex(e) for e in per_step]
+    cols = list(zip(*per_step))
+    meds = [median(c) for c in cols]
+    mads = [median([abs(x - m_) for x in c]) for c, m_ in zip(cols, meds)]
+    assert _hex((est.et2mu, est.ratio_o, est.ratio_r)) == _hex(meds)
+    assert _hex(est.dispersion) == _hex(mads)
+    return est
+
+
+def test_batch_estimate_is_the_public_loop_on_the_bundled_examples(
+        ex1_scenario, ex1_records, ex2_scenario, ex2_records, ex3_scenario, ex3_records):
+    for scen, records in ((ex1_scenario, ex1_records), (ex2_scenario, ex2_records), (ex3_scenario, ex3_records)):
+        p = scen.params
+        _check_batch_is_the_public_loop(_steps_from_records(scen, records), p.m, p.I_z, p.q_z)
+
+
+def _is_degenerate(rec, p_n, floor) -> bool:
+    try:
+        one_step_estimate(rec, p_n, floor)
+    except DegenerateStepError:
+        return True
+    return False
+
+
+def test_batch_estimate_is_the_public_loop_on_a_fuzz_corpus():
+    rng = np.random.default_rng(2718)
+    skipped = used = 0
+    for _ in range(200):
+        steps = _fuzz_steps(rng, int(rng.integers(1, 12)))
+        m, I_z, q_z = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 0.1)
+        floor = float(rng.choice([0.0, 1e-8, 1e-3]))
+        try:
+            est = _check_batch_is_the_public_loop(steps, m, I_z, q_z, floor)
+        except AllDegenerateError:
+            skipped += len(steps)
+            assert all(_is_degenerate(reconstruct(s, m, I_z, q_z), s.p_n, floor) for s in steps)
+            continue
+        skipped += est.n_skipped
+        used += len(est.per_step)
+    # the corpus reaches both the estimates and the degenerate steps
+    assert used > 100 and skipped > 100
+

@@ -2,6 +2,7 @@
 transition pairing, and strict read-side validation."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -11,6 +12,7 @@ from patchslide import (
     AppliedImpulse,
     ContactImpulse,
     Ecp,
+    ObservedStep,
     SliderState,
     StepDiagnostics,
     TrajectoryRecord,
@@ -160,6 +162,81 @@ def test_write_plot_data_per_column(ex1_records, tmp_path):
     for col in ("v_x", "in_hull", "newton_iters"):
         reference = "".join(f"{row['t']:.17g}\t{float(row[col]):.17g}\n" for row in rows)
         assert (tmp_path / "plots" / f"ex1.{col}.dat").read_bytes() == reference.encode()
+
+
+# example1's 22 plot files as write_plot_data wrote them when it formatted
+# the t column once per output file: SHA-256 over each file's name, a NUL
+# and its bytes, in the order returned.  Like tests/test_golden.py's digest
+# it moves with example1's records, and only with them.
+PLOT_FILES_SHA256 = "1c3e6894857a22b09eb91bd182bfb234486507e1732d2fb24a7ad1fd0f476b58"
+
+
+def test_write_plot_data_bytes_are_pinned(ex1_records, tmp_path):
+    path = tmp_path / "ex1.csv"
+    write_trajectory(ex1_records, path)
+    files = write_plot_data(read_trajectory(path), tmp_path / "plots" / "ex1")
+    digest = hashlib.sha256()
+    for f in files:
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert len(files) == 22
+    assert digest.hexdigest() == PLOT_FILES_SHA256
+
+
+def _class_call_steps(rows):
+    # observed_steps as the class calls build it
+    states = [
+        SliderState(row["q_x"], row["q_y"], row["theta_z"], row["v_x"], row["v_y"], row["w_z"], row["t"])
+        for row in rows
+    ]
+    return [
+        ObservedStep(
+            prev, cur,
+            AppliedImpulse(row["p_x"], row["p_y"], 0.0, row["p_xtau"], row["p_ytau"], row["p_ztau"]),
+            row["p_n"],
+        )
+        for prev, cur, row in zip(states, states[1:], rows[1:])
+    ]
+
+
+def _assert_same_steps(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        for part in ("state_u", "state_u1", "applied"):
+            assert type(getattr(a, part)) is type(getattr(b, part))
+        assert a == b
+        assert repr(a) == repr(b)  # == cannot tell -0.0 from 0.0
+
+
+def test_observed_steps_equal_the_class_call_construction(
+        ex1_records, ex2_records, ex3_records, tmp_path):
+    awkward = [_awkward_record(0.1, True, 0), _awkward_record(42.0, False, 10**15)]
+    for k, records in enumerate((ex1_records, ex2_records, ex3_records, awkward)):
+        path = tmp_path / f"{k}.csv"
+        write_trajectory(records, path)
+        rows = read_trajectory(path)
+        _assert_same_steps(observed_steps(rows), _class_call_steps(rows))
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    ("t", None, "observed step must advance time"),
+    ("t", float("nan"), "observed step must advance time"),
+    ("p_n", 0.0, "normal impulse must be positive"),
+    ("p_n", -1.0, "normal impulse must be positive"),
+    ("p_n", float("nan"), "normal impulse must be positive"),
+])
+def test_observed_steps_reject_a_bad_transition_as_the_class_calls_do(
+        ex1_records, tmp_path, cell, value, message):
+    path = tmp_path / "ex1.csv"
+    write_trajectory(ex1_records, path)
+    rows = read_trajectory(path)
+    # None: row 3's time repeats row 2's, so that transition does not advance
+    rows[3][cell] = rows[2][cell] if value is None else value
+    with pytest.raises(ValidationError) as want:
+        _class_call_steps(rows)
+    with pytest.raises(ValidationError) as got:
+        observed_steps(rows)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_read_rejects_wrong_header(tmp_path):
