@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .closed_form import QuasiStaticInput, quasi_static_velocity, translation_solve
+from . import _lazy_getattr
 from .errors import (
     ContactLossError,
     NoConvergenceError,
@@ -23,14 +23,28 @@ from .errors import (
     ValidationError,
     ZeroSlipError,
 )
-from .oracle import oracle_solve_step, verify_kkt
 from .scenario import Scenario, resolve_scenario
 from .solver import solve_step_info
 from .stepper import TrajectoryRecord, simulate
-from .sysid import batch_estimate
-from .trajectory import observed_steps, read_trajectory, write_plot_data, write_trajectory
 
 __all__ = ["main"]
+
+# the names each subcommand loads on first use, by the module that defines
+# them; the commands read them through _cli, so a name set on this module
+# is the one they call
+__getattr__ = _lazy_getattr(globals(), {
+    "QuasiStaticInput": "closed_form",
+    "quasi_static_velocity": "closed_form",
+    "translation_solve": "closed_form",
+    "oracle_solve_step": "oracle",
+    "verify_kkt": "oracle",
+    "batch_estimate": "sysid",
+    "observed_steps": "trajectory",
+    "read_trajectory": "trajectory",
+    "write_plot_data": "trajectory",
+    "write_trajectory": "trajectory",
+})
+_cli = sys.modules[__name__]
 
 COMPARE_TOLERANCE = 1e-6
 
@@ -81,12 +95,12 @@ def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
     records = simulate(scen, solve)
     wall = time.perf_counter() - t0
     out = args.out or scen.options.output_path or "trajectory.csv"
-    write_trajectory(records, out)
+    _cli.write_trajectory(records, out)
     print(_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall))
     print(f"trajectory written to {out}")
     if getattr(args, "plot_data", False):
-        rows = read_trajectory(out)
-        files = write_plot_data(rows, Path(out).with_suffix(""))
+        rows = _cli.read_trajectory(out)
+        files = _cli.write_plot_data(rows, Path(out).with_suffix(""))
         print(f"plot data: {len(files)} files alongside {out}")
     return 0
 
@@ -107,13 +121,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # same inputs
         nonlocal kkt_failures
         sol, info = solve_step_info(inputs, guess)
-        ref = oracle_solve_step(inputs)
+        ref = _cli.oracle_solve_step(inputs)
         d_t = abs(sol.p_t - ref.p_t)
         d_o = abs(sol.p_o - ref.p_o)
         d_r = abs(sol.p_r - ref.p_r)
         m = inputs.params.m
         devs.append(max(d_t, d_o, d_r, d_t / m, d_o / m, d_r / inputs.params.I_z))
-        if not verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
+        if not _cli.verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
             kkt_failures += 1
         return sol, info
 
@@ -137,9 +151,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sysid(args: argparse.Namespace) -> int:
-    rows = read_trajectory(args.trajectory)
-    steps = observed_steps(rows)
-    est = batch_estimate(steps, m=args.m, I_z=args.I_z, q_z=args.q_z, floor=args.floor)
+    rows = _cli.read_trajectory(args.trajectory)
+    steps = _cli.observed_steps(rows)
+    est = _cli.batch_estimate(steps, m=args.m, I_z=args.I_z, q_z=args.q_z, floor=args.floor)
     print(f"et2mu   = {est.et2mu:.10g}   (mad {est.dispersion[0]:.3e})  first-identity root, equals e_t*mu")
     for i, (axis, ratio) in enumerate((("o", est.ratio_o), ("r", est.ratio_r)), start=1):
         root = math.sqrt(ratio) if ratio >= 0.0 else math.nan  # a negative median has no root
@@ -152,12 +166,12 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     scen = _load(args)
     if scen.initial.w_z != 0.0:
         raise ValidationError("pure-translation rollout requires w_z = 0 initially")
-    return _run(args, scen, translation_solve)
+    return _run(args, scen, _cli.translation_solve)
 
 
 def _cmd_quasistatic(args: argparse.Namespace) -> int:
-    v = quasi_static_velocity(
-        QuasiStaticInput(
+    v = _cli.quasi_static_velocity(
+        _cli.QuasiStaticInput(
             contact_point=(args.contact_x, args.contact_y),
             contact_velocity=(args.vx, args.vy),
             cm=(args.cm_x, args.cm_y),

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ContactImpulse, FrictionParams, SlipVelocity, StepInputs, value_type
 from .errors import NoConvergenceError, ValidationError, ZeroSlipError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolveInfo",
@@ -133,12 +135,16 @@ def _largest_summand(z, k) -> float:
 def residual(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
     """Four residuals of the per-step quadratic system at z = (p_t, p_o,
     p_r, sigma).  Zero exactly at a sliding solution."""
+    import numpy as np  # only here and in jacobian, so that a step needs no numpy
+
     return np.array(_residuals(z, _unpack(inp)))
 
 
 def jacobian(z: tuple[float, float, float, float], inp: StepInputs) -> np.ndarray:
     """Analytic Jacobian of residual() with respect to z.  The system is
     quadratic, so every entry is affine in z."""
+    import numpy as np
+
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = _unpack(inp)
     p_t, p_o, p_r, sigma = z

@@ -41,10 +41,18 @@ class ObservedStep:
     p_n: float
 
     def __post_init__(self) -> None:
-        if not self.state_u1.t - self.state_u.t > 0.0:
-            raise ValidationError("observed step must advance time")
-        if not self.p_n > 0.0:
-            raise ValidationError("normal impulse must be positive")
+        # one chained comparison each: a valid step makes no further call
+        dt = self.state_u1.t - self.state_u.t
+        if not 0.0 < dt < _INF:
+            if not dt > 0.0:
+                raise ValidationError("observed step must advance time")
+            raise ValidationError(
+                f"observed step length is not finite: t = {self.state_u.t!r} to {self.state_u1.t!r}"
+            )
+        if not 0.0 < self.p_n < _INF:
+            if not self.p_n > 0.0:
+                raise ValidationError("normal impulse must be positive")
+            raise ValidationError(f"normal impulse is not finite, got {self.p_n!r}")
 
 
 @value_type

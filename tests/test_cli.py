@@ -267,6 +267,26 @@ def test_sysid_without_a_transition_says_it_needs_two_rows(tmp_path, capsys, ex1
     assert stderr == "error: no observed steps: a trajectory needs at least two rows\n"
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("p_n", "normal impulse is not finite, got inf"),
+    ("t", "observed step length is not finite: t = "),
+])
+def test_sysid_rejects_an_infinite_cell(tmp_path, capsys, ex1_csv, cell, message):
+    # an inf p_n used to be read, paired and skipped as a degenerate step:
+    # "steps used 43 of 44 (1 skipped)", exit 0
+    rows = ex1_csv.read_text().splitlines()
+    cells = rows[5].split(",")
+    cells[rows[0].split(",").index(cell)] = "inf"
+    rows[5] = ",".join(cells)
+    out = tmp_path / "inf.csv"
+    out.write_text("\n".join(rows) + "\n")
+    code, stdout, stderr = run(capsys, "sysid", "--trajectory", str(out),
+                               "--m", "0.5", "--I-z", "5e-4", "--q-z", "0.08")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {message}")
+
+
 # ----------------------------------------------------------------- translate
 
 def test_translate_runs_to_rest(tmp_path, capsys):

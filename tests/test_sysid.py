@@ -177,6 +177,24 @@ def test_observed_step_validation():
         ObservedStep(state_u=s0, state_u1=s1, applied=AppliedImpulse(), p_n=0.0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.01), (-1e308, 1e308)])
+def test_observed_step_rejects_a_step_length_that_is_not_finite(t0, t1):
+    s0 = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0, v_y=0, w_z=0, t=t0)
+    s1 = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0, v_y=0, w_z=0, t=t1)
+    with pytest.raises(ValidationError, match=r"^observed step length is not finite: t = "):
+        ObservedStep(state_u=s0, state_u1=s1, applied=AppliedImpulse(), p_n=0.049)
+
+
+def test_observed_step_rejects_an_infinite_normal_impulse():
+    # an inf p_n used to pass, and every p/p_n term of the estimate read 0
+    s0 = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0, v_y=0, w_z=0, t=0.0)
+    s1 = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0, v_y=0, w_z=0, t=0.01)
+    with pytest.raises(ValidationError, match=r"^normal impulse is not finite, got inf$"):
+        ObservedStep(state_u=s0, state_u1=s1, applied=AppliedImpulse(), p_n=math.inf)
+    with pytest.raises(ValidationError, match=r"^normal impulse must be positive$"):
+        ObservedStep(state_u=s0, state_u1=s1, applied=AppliedImpulse(), p_n=-math.inf)
+
+
 def test_custom_floor_controls_skipping(ex1_scenario, ex1_records):
     # an absurdly large floor rejects every step
     p = ex1_scenario.params

@@ -239,6 +239,22 @@ def test_observed_steps_reject_a_bad_transition_as_the_class_calls_do(
     assert str(got.value) == str(want.value) == message
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("p_n", "normal impulse is not finite, got inf"),
+    ("t", "observed step length is not finite: t = 0.03 to inf"),
+])
+def test_observed_steps_reject_an_infinite_cell_as_the_class_calls_do(ex1_records, tmp_path, cell, message):
+    path = tmp_path / "ex1.csv"
+    write_trajectory(ex1_records, path)
+    rows = read_trajectory(path)
+    rows[3][cell] = float("inf")
+    with pytest.raises(ValidationError) as want:
+        _class_call_steps(rows)
+    with pytest.raises(ValidationError) as got:
+        observed_steps(rows)
+    assert str(got.value) == str(want.value) == message
+
+
 def test_read_rejects_wrong_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,x,y\n1,2,3\n")
