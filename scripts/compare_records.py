@@ -25,11 +25,13 @@ as `float.hex`.  A run that raises is recorded by its exception class and
 message.  `diff` prints, for each field, the largest change over a run
 relative to that field's largest magnitude in the run, the maximum over
 all runs, and counts and names the runs whose step counts, flags or
-iterations differ.  Of the runs with equal step counts it also counts
-those, and their steps, in which any float field moved at all, so that a
-roundoff-level change says how much of the corpus it touched.  It exits 0
-when the two dumps are equal and 1 otherwise.  Nothing is timed:
-`benchmark/run.py` is the harness.
+iterations differ.  For each dump it prints every workload's total solve
+iterations and their mean per step, so that a change to the warm start
+reports its effect on the solve.  Of the runs with equal step counts it
+also counts those, and their steps, in which any float field moved at
+all, so that a roundoff-level change says how much of the corpus it
+touched.  It exits 0 when the two dumps are equal and 1 otherwise.
+Nothing is timed: `benchmark/run.py` is the harness.
 """
 
 from __future__ import annotations
@@ -130,6 +132,15 @@ def _largest_change(a: list[str], b: list[str]) -> float:
     return change / scale if scale > 0.0 else float("inf")
 
 
+def _iterations(runs: dict, workload: str) -> str:
+    # the total solve iterations over a workload's runs that did not raise,
+    # and their mean per step
+    iters = [n for key, run in runs.items() if key.startswith(f"{workload}/") and "error" not in run
+             for n in run["iters"]]
+    mean = sum(iters) / len(iters) if iters else float("nan")
+    return f"{sum(iters)} ({mean:.3f} per step)"
+
+
 def diff(a_path: Path, b_path: Path) -> int:
     a = json.loads(a_path.read_text())["runs"]
     b = json.loads(b_path.read_text())["runs"]
@@ -168,7 +179,8 @@ def diff(a_path: Path, b_path: Path) -> int:
         moved_steps += len(moved)
     for workload in WORKLOADS + ("examples",):
         n = sum(key.startswith(f"{workload}/") for key in a)
-        print(f"{workload}: {n} runs")
+        print(f"{workload}: {n} runs, solve iterations " + ", ".join(
+            _iterations(runs, workload) for runs in (a, b)))
     print("runs that differ in " + ", ".join(f"{k} {v}" for k, v in differ.items()))
     if named:
         print("  " + "\n  ".join(named))

@@ -461,8 +461,8 @@ def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[Contac
 
     Otherwise the solve walks the exact solution curve of the tangential
     equations in sigma, from a warm start: guess, a slip speed.  simulate
-    passes the slip speed extrapolated from its last three steps
-    (stepper.warm_sigma).  A guess that is not a finite positive float
+    passes the slip speed extrapolated from its last five steps, by the
+    quartic through them (stepper.warm_sigma).  A guess that is not a finite positive float
     (None, 0.0, nan, inf) starts cold, from the slip speed of the
     max-dissipation impulse at the start-of-step velocities.  It keeps a
     bracket [lo, hi] with the ellipsoid gap negative at lo and positive at

@@ -93,23 +93,58 @@ class TrajectoryRecord:
     diagnostics: StepDiagnostics
 
 
+# the margin, relative to a patch's size, by which _region's inner disk or
+# band keeps off the patch boundary: far above the roundoff of rotating a
+# point into the body frame and of testing it there, so that a point the
+# disk accepts is one the full test accepts too
+_MARGIN = 1e-9
+# the squared radii of a band that no point lies in
+_NO_BAND = (math.inf, -math.inf)
+
+
+def _band(lo: float, hi: float) -> tuple[float, float]:
+    # the squared radii (lo2, hi2) of the band lo <= r <= hi; none when hi
+    # is not positive or its square is not finite, so that an overflowing
+    # d2 = inf is never taken as inside
+    hi2 = hi * hi
+    if not (hi > 0.0 and hi2 < math.inf):
+        return _NO_BAND
+    return (lo * lo, hi2)
+
+
 def _region(patch: ContactPatch) -> tuple:
     # what _contains needs of a patch, read once per run: a polygon's
     # hull edges and, unless the patch is its own hull, its vertices; an
-    # annulus's or a disk's radii (a disk is a ring with r_in = 0)
+    # annulus's or a disk's radii (a disk is a ring with r_in = 0); and the
+    # squared radii lo2 <= d2 <= hi2 of a band about the body origin that
+    # lies inside the patch by _MARGIN of its size, rotation-invariant
     if isinstance(patch, PolygonPatch):
-        return (patch.hull_edges, None if patch.convex else patch.vertices, 0.0, 0.0)
+        edges = patch.hull_edges
+        if not patch.convex:
+            return (edges, patch.vertices, 0.0, 0.0, *_NO_BAND)
+        # the smallest signed distance from the origin to a hull edge line,
+        # less _MARGIN of the largest hull-vertex norm
+        r_in = min((ey * ax - ex * ay) / math.hypot(ex, ey) for ax, ay, ex, ey, _ in edges)
+        size = max(math.hypot(ax, ay) for ax, ay, _, _, _ in edges)
+        return (edges, None, 0.0, 0.0, *_band(0.0, r_in - _MARGIN * size))
     if isinstance(patch, AnnulusPatch):
-        return (None, None, patch.r_in, patch.r_out)
+        return (None, None, patch.r_in, patch.r_out,
+                *_band(patch.r_in * (1.0 + _MARGIN), patch.r_out * (1.0 - _MARGIN)))
     if isinstance(patch, DiskPatch):
-        return (None, None, 0.0, patch.r)
+        return (None, None, 0.0, patch.r, *_band(0.0, patch.r * (1.0 - _MARGIN)))
     raise TypeError(f"unknown patch type {type(patch).__name__}")
 
 
 def _contains(region: tuple, a_x: float, a_y: float, q_x: float, q_y: float, theta_z: float) -> tuple[bool, bool]:
     # validate_patch's (in_hull, in_patch) for the patch whose _region is
-    # given, at pose (q_x, q_y, theta_z)
-    edges, vertices, r_in, r_out = region
+    # given, at pose (q_x, q_y, theta_z).  A point in the region's band is
+    # in the patch at any theta_z, so it takes no rotation; the differences
+    # are world_to_body's own, so both tests see the same offset
+    edges, vertices, r_in, r_out, lo2, hi2 = region
+    dx = a_x - q_x
+    dy = a_y - q_y
+    if lo2 <= dx * dx + dy * dy <= hi2:
+        return (True, True)
     bx, by = world_to_body(a_x, a_y, q_x, q_y, theta_z)
     if edges is not None:
         in_hull = point_in_convex_edges(bx, by, edges)
@@ -191,16 +226,24 @@ def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
     return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z))
 
 
-def warm_sigma(s1: float, s2: float, s3: float) -> float:
+def warm_sigma(s1: float, s2: float, s3: float, s4: float = 0.0, s5: float = 0.0) -> float:
     """Warm-start slip speed for the next solve from the slip speeds of
-    the last three steps, s1 the latest; 0.0 stands for a step not taken.
+    the last five steps, s1 the latest; 0.0 stands for a step not taken.
 
-    Three steps give the quadratic extrapolation 3*s1 - 3*s2 + s3, two
-    the linear 2*s1 - s2, one s1 itself; an extrapolation that is not
-    positive falls back to s1.  With no history it returns 0.0, which
-    the solve takes as a cold start.
+    Five steps give the quartic extrapolation 5*(s1 - s4) - 10*(s2 - s3)
+    + s5, four the cubic 4*s1 - 6*s2 + 4*s3 - s4, three the quadratic
+    3*s1 - 3*s2 + s3, two the linear 2*s1 - s2, one s1 itself; an
+    extrapolation that is not positive falls back to s1.  Each is
+    evaluated in a form that gives a constant history back bit for bit, so
+    that a steady slide is not nudged by roundoff: the accepted slip speed
+    would otherwise drift within the solve's tolerance.  With no history
+    it returns 0.0, which the solve takes as a cold start.
     """
-    if s3 > 0.0:
+    if s5 > 0.0:
+        x = 5.0 * (s1 - s4) - 10.0 * (s2 - s3) + s5
+    elif s4 > 0.0:
+        x = 4.0 * (s1 - s2) + 2.0 * (s3 - s2) + 2.0 * s3 - s4
+    elif s3 > 0.0:
         x = 3.0 * (s1 - s2) + s3
     elif s2 > 0.0:
         x = 2.0 * s1 - s2
@@ -211,14 +254,17 @@ def warm_sigma(s1: float, s2: float, s3: float) -> float:
 
 def _held_load(scen: Scenario, k: int) -> tuple:
     # the applied impulse of held_wrenches index k (a body pusher's is
-    # built per step), its normal impulse and the solve's constants for it
+    # built per step), the five of its floats the step reads, its normal
+    # impulse and the solve's constants for it
     params, friction, h = scen.params, scen.friction, scen.h
     p_n = h * pressing_load(params, scen.lambda_z[k])
     if not p_n > 0.0:
         raise ValidationError("normal impulse must be positive")
     static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
                      friction.e_r, p_n)
-    return scen.impulses[k], p_n, static
+    applied = scen.impulses[k]
+    return (applied, applied.p_x, applied.p_y, applied.p_xtau, applied.p_ytau, applied.p_ztau,
+            p_n, static)
 
 
 def _run(
@@ -230,10 +276,12 @@ def _run(
     s1: float | None,
     s2: float,
     s3: float,
+    s4: float,
+    s5: float,
     stop_outside: bool,
 ) -> list[int]:
     # the one stepping loop, on plain floats: up to n_steps steps from
-    # state, each record appended to records as it is made.  s1, s2, s3 are
+    # state, each record appended to records as it is made.  s1 ... s5 are
     # warm_sigma's slip-speed history.  It stops after a rest step, and
     # after a step whose ECP leaves the hull when stop_outside is set.
     # Returns the indices of the steps outside the hull.  The per-step
@@ -261,14 +309,14 @@ def _run(
         load = loads[k]
         if load is None:
             load = loads[k] = _held_load(scen, k)
-        applied, p_n, static = load
+        applied, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, static = load
         if pusher:
             # the pusher's wrench changes every step: integrate its floats
             # straight into the impulse, building no AppliedWrench
             l_x, l_y, l_z, l_xtau, l_ytau, l_ztau = pusher_wrench(schedule, theta_z, t)
-            applied = new_applied(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
-        p_x, p_y, p_xtau, p_ytau, p_ztau = applied.p_x, applied.p_y, applied.p_xtau, applied.p_ytau, applied.p_ztau
-        guess = warm_sigma(s1, s2, s3)
+            p_x, p_y, p_xtau, p_ytau, p_ztau = h * l_x, h * l_y, h * l_xtau, h * l_ytau, h * l_ztau
+            applied = new_applied(p_x, p_y, h * l_z, p_xtau, p_ytau, p_ztau)
+        guess = warm_sigma(s1, s2, s3, s4, s5)
         if solve is None:
             t0 = clock()
             p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
@@ -306,7 +354,7 @@ def _run(
                 break
         if rest:
             break
-        s1, s2, s3 = sigma, s1, s2
+        s1, s2, s3, s4, s5 = sigma, s1, s2, s3, s4
     return outside
 
 
@@ -329,7 +377,7 @@ def step(
     an unchanged configuration apart from time.
     """
     records: list[TrajectoryRecord] = []
-    _run(scen, state_u, records, 1, solve, guess, 0.0, 0.0, False)
+    _run(scen, state_u, records, 1, solve, guess, 0.0, 0.0, 0.0, 0.0, False)
     return records[0]
 
 
@@ -340,8 +388,10 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
     record and its state, contact impulse, ECP and diagnostics (and a body
     pusher's applied impulse).  The solve's constants and the patch's
     containment data are computed once per run, and the constants once
-    per held load.  Each step solves as step does, warm-started from
-    warm_sigma of the slip speeds of the last three steps: by default as
+    per held load.  An ECP within a disk (or, for an annulus, a band)
+    about the body origin that lies inside the patch is placed there
+    without rotating it into the body frame.  Each step solves as step does, warm-started from
+    warm_sigma of the slip speeds of the last five steps: by default as
     solver.solve_step_info does; a given solve(inputs, guess)
     (closed_form.translation_solve, say) gets a StepInputs built from the
     start-of-step state.  Stops early when a step is flagged as rest (its
@@ -355,7 +405,7 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
     records: list[TrajectoryRecord] = []
     stop_outside = scen.options.topple_policy == "error"
     try:
-        outside = _run(scen, scen.initial, records, n_steps, solve, 0.0, 0.0, 0.0, stop_outside)
+        outside = _run(scen, scen.initial, records, n_steps, solve, 0.0, 0.0, 0.0, 0.0, 0.0, stop_outside)
     except PatchSlideError as e:
         raise type(e)(f"step {len(records)}: {e}") from e
     if outside and stop_outside:

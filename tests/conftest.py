@@ -122,16 +122,16 @@ def record_lines(records) -> list[str]:
 
 def simulate_by_steps(scen, solve=None) -> list:
     """simulate(scen, solve) as a loop of public step calls, each given the
-    warm_sigma of the last three slip speeds: every step computes its load
+    warm_sigma of the last five slip speeds: every step computes its load
     and the solve's constants afresh, where simulate computes them once per
     run.  It stops, prefixes errors and applies topple_policy "error" as
     simulate does, and emits no warning."""
     records = []
     state = scen.initial
-    s1 = s2 = s3 = 0.0
+    history = [0.0] * 5
     for k in range(int(round(scen.duration / scen.h))):
         try:
-            rec = stepper_module.step(state, scen, stepper_module.warm_sigma(s1, s2, s3), solve)
+            rec = stepper_module.step(state, scen, stepper_module.warm_sigma(*history), solve)
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
         records.append(rec)
@@ -140,7 +140,7 @@ def simulate_by_steps(scen, solve=None) -> list:
         if rec.diagnostics.rest_flag:
             break
         state = rec.state
-        s1, s2, s3 = rec.impulses.sigma, s1, s2
+        history = [rec.impulses.sigma] + history[:4]
     return records
 
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 from patchslide import resolve_scenario, simulate
 
 GOLDEN_RECORDS = 851
-GOLDEN_SHA256 = "c39fa7426decb74a0e2710e7db8a95ec14246d0f7742242fc10e54f3dff13fbe"
+GOLDEN_SHA256 = "cc8838781f2bd82ca8bcb973bf248ce3a98fc35a8d2f289eb56b89a16b9001fa"
 
 
 def _scenarios():

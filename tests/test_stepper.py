@@ -231,6 +231,104 @@ def test_validate_patch_self_intersecting_polygon_keeps_the_ray_cast():
     assert validate_patch((0.01, 0.015), BOWTIE, origin) == (False, False)
 
 
+def _rotate_and_walk(patch, a_x, a_y, q_x, q_y, theta_z):
+    # validate_patch's flags by the body-frame tests alone: rotate the point
+    # into the body frame, then walk the hull edges, cast the ray or take
+    # the radius
+    from patchslide.geometry import point_in_convex_edges, point_in_polygon, radius_in_ring, world_to_body
+
+    bx, by = world_to_body(a_x, a_y, q_x, q_y, theta_z)
+    if isinstance(patch, PolygonPatch):
+        in_hull = point_in_convex_edges(bx, by, patch.hull_edges)
+        return (in_hull, in_hull if patch.convex else point_in_polygon(bx, by, patch.vertices))
+    r = math.hypot(bx, by)
+    if isinstance(patch, DiskPatch):
+        return (radius_in_ring(r, 0.0, patch.r),) * 2
+    return (radius_in_ring(r, 0.0, patch.r_out), radius_in_ring(r, patch.r_in, patch.r_out))
+
+
+_CONTAINMENT_PATCHES = {
+    "benchmark square": _square(0.03),
+    "L-shaped patch": PolygonPatch(((-0.03, -0.03), (0.03, -0.03), (0.03, 0.0), (0.0, 0.0), (0.0, 0.03),
+                                    (-0.03, 0.03))),
+    # its vertex at (0.03, 0) is 2 degrees; the body origin is 5.2e-4 m
+    # from its nearest edge
+    "2 degree triangle": PolygonPatch(((0.03, 0.0), (-0.01, -0.04 * math.tan(math.radians(1.0))),
+                                       (-0.01, 0.04 * math.tan(math.radians(1.0))))),
+    "hull without the origin": PolygonPatch(((0.01, 0.01), (0.03, 0.01), (0.03, 0.03), (0.01, 0.03))),
+    "disk": DiskPatch(r=0.03),
+    "annulus": AnnulusPatch(r_in=0.01, r_out=0.03),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONTAINMENT_PATCHES))
+def test_contains_equals_the_rotate_and_walk_path(name):
+    # _contains accepts a point within its region's rotation-invariant band
+    # without rotating it; every answer, near each edge of that band and of
+    # the patch, at poses up to 1e3 m out and at any heading, is the one
+    # the body-frame tests give
+    import patchslide.stepper as stepper_module
+
+    patch = _CONTAINMENT_PATCHES[name]
+    region = stepper_module._region(patch)
+    lo2, hi2 = region[-2:]
+    radii = [math.sqrt(r2) for r2 in (lo2, hi2) if 0.0 < r2 < math.inf]
+    if isinstance(patch, PolygonPatch):
+        radii += [math.hypot(x, y) for x, y in patch.vertices]
+    elif isinstance(patch, AnnulusPatch):
+        radii += [patch.r_in, patch.r_out]
+    else:
+        radii.append(patch.r)
+    # a fast path where the patch has one, and never where it has none
+    assert (hi2 > 0.0) == (name in ("benchmark square", "2 degree triangle", "disk", "annulus"))
+    rng = np.random.default_rng(20)
+    n = 4000
+    banded = 0
+    for r in radii:
+        rho = r * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+        phi = rng.uniform(-math.pi, math.pi, n)
+        size = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        heading = rng.uniform(-math.pi, math.pi, n)
+        theta = rng.uniform(-50.0, 50.0, n)
+        for k in range(n):
+            q_x, q_y = size[k] * math.cos(heading[k]), size[k] * math.sin(heading[k])
+            c, s = math.cos(theta[k]), math.sin(theta[k])
+            b_x, b_y = rho[k] * math.cos(phi[k]), rho[k] * math.sin(phi[k])
+            a_x, a_y = q_x + c * b_x - s * b_y, q_y + s * b_x + c * b_y
+            got = stepper_module._contains(region, a_x, a_y, q_x, q_y, theta[k])
+            assert got == _rotate_and_walk(patch, a_x, a_y, q_x, q_y, theta[k]), (r, k)
+            d_x, d_y = a_x - q_x, a_y - q_y
+            banded += lo2 <= d_x * d_x + d_y * d_y <= hi2
+    # the band's own edges are each straddled: it took some points and
+    # left others to the full test
+    if hi2 > 0.0:
+        assert 0 < banded < n * len(radii)
+
+
+def test_contains_band_keeps_off_the_boundary_by_its_margin():
+    # the band lies inside the patch by 1e-9 of its size: a square's
+    # inscribed radius less 1e-9 of its circumradius, a disk's and an
+    # annulus's radii moved inward by 1e-9 of themselves
+    from patchslide.stepper import _contains, _region
+
+    def band(patch):
+        return tuple(math.sqrt(r2) for r2 in _region(patch)[-2:])
+
+    assert band(_square(0.03)) == pytest.approx((0.0, 0.03 - 1e-9 * 0.03 * math.sqrt(2.0)), rel=1e-15)
+    assert band(DiskPatch(r=0.03)) == pytest.approx((0.0, 0.03 * (1.0 - 1e-9)), rel=1e-15)
+    assert band(AnnulusPatch(0.01, 0.03)) == pytest.approx((0.01 * (1.0 + 1e-9), 0.03 * (1.0 - 1e-9)), rel=1e-15)
+    # no band: a non-convex patch, a hull that leaves out the body origin
+    # or has it on a vertex, and a disk too large for its square
+    for patch in (_CONTAINMENT_PATCHES["L-shaped patch"], _CONTAINMENT_PATCHES["hull without the origin"],
+                  PolygonPatch(((0.0, 0.0), (0.03, 0.0), (0.0, 0.03))), DiskPatch(r=1e200)):
+        lo2, hi2 = _region(patch)[-2:]
+        assert not lo2 <= hi2, patch
+    # an overflowing offset is never taken as inside
+    region = _region(DiskPatch(r=1e150))
+    assert region[-1] < math.inf
+    assert _contains(region, 1e200, 0.0, 0.0, 0.0, 0.0) == (False, False)
+
+
 # ------------------------------------------------------------------- simulate
 
 def test_simulate_zero_duration_is_empty():
@@ -566,6 +664,7 @@ def test_warm_sigma_extrapolates_the_slip_speed_history():
     from patchslide.stepper import warm_sigma
 
     assert warm_sigma(0.0, 0.0, 0.0) == 0.0  # no history: cold start
+    assert warm_sigma(0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
     assert warm_sigma(1.5, 0.0, 0.0) == 1.5
     assert warm_sigma(1.5, 2.0, 0.0) == 1.0  # 2*s1 - s2
     assert warm_sigma(2.0, 1.5, 1.25) == 2.75  # 3*s1 - 3*s2 + s3
@@ -575,6 +674,61 @@ def test_warm_sigma_extrapolates_the_slip_speed_history():
     assert warm_sigma(0.5, 1.5, 0.0) == 0.5  # linear -0.5
     assert warm_sigma(0.5, 1.0, 1.5) == 0.5  # quadratic 0.0
     assert warm_sigma(0.2, 1.0, 1.0) == 0.2  # quadratic -1.4
+
+
+def _history(poly, n):
+    # the last n values of poly at t = -1, -2, ..., latest first, and its
+    # value at t = 0
+    return [poly(-t) for t in range(1, n + 1)], poly(0)
+
+
+def _cubic(t):
+    # positive for t <= 0, as slip speeds are
+    return -2.0 * t**3 + 3.0 * t**2 - 5.0 * t + 40.0
+
+
+def _quartic(t):
+    return t**4 - 2.0 * t**3 + 3.0 * t**2 - 5.0 * t + 40.0
+
+
+def test_warm_sigma_is_exact_on_cubic_and_quartic_histories():
+    from patchslide.stepper import warm_sigma
+
+    # small integer coefficients: every value and every intermediate is an
+    # exact double, so an exact extrapolation compares equal
+    history, nxt = _history(_cubic, 4)
+    assert warm_sigma(*history) == nxt == 40.0
+    assert warm_sigma(*history, 0.0) == 40.0
+    history, _ = _history(_cubic, 5)
+    assert warm_sigma(*history) == 40.0  # the quartic is exact on a cubic too
+    history, nxt = _history(_quartic, 5)
+    assert warm_sigma(*history) == nxt == 40.0
+    assert warm_sigma(*history[:4]) != 40.0  # the cubic is not exact on it
+    # 4*s1 - 6*s2 + 4*s3 - s4 and 5*(s1 - s4) - 10*(s2 - s3) + s5 by hand
+    assert warm_sigma(3.0, 2.5, 2.25, 2.0) == 4.0 * (3.0 + 2.25) - 6.0 * 2.5 - 2.0 == 4.0
+    assert warm_sigma(3.0, 2.5, 2.25, 2.0, 1.0) == 5.0 * (3.0 - 2.0) - 10.0 * (2.5 - 2.25) + 1.0 == 3.5
+    # a constant history gives itself back bit for bit, at every order, so a
+    # steady slide (a quasi-static fixed point) is not nudged by roundoff
+    for sigma in (0.1, 1.0 / 3.0, 0.7234567891234567, 1e-300, 1e300):
+        for n in range(1, 6):
+            assert warm_sigma(*[sigma] * n + [0.0] * (5 - n)) == sigma, (sigma, n)
+
+
+def test_warm_sigma_falls_back_to_lower_orders_and_to_the_latest():
+    from patchslide.stepper import warm_sigma
+
+    # a shorter history takes the extrapolation of its own length: four
+    # slip speeds and a step not taken give the cubic, three the quadratic
+    assert warm_sigma(4.0, 3.0, 2.5, 1.0, 0.0) == 4.0 * (4.0 + 2.5) - 6.0 * 3.0 - 1.0
+    assert warm_sigma(4.0, 3.0, 2.5, 0.0, 0.0) == 3.0 * (4.0 - 3.0) + 2.5
+    assert warm_sigma(4.0, 3.0, 0.0, 0.0, 0.0) == 5.0
+    assert warm_sigma(4.0, 0.0, 0.0, 0.0, 0.0) == 4.0
+    # a falling history whose extrapolation is not positive falls back to s1
+    assert warm_sigma(0.5, 1.0, 1.5, 2.5) == 0.5  # cubic -0.5
+    assert warm_sigma(0.5, 1.0, 1.5, 2.0) == 0.5  # cubic 0.0
+    assert warm_sigma(0.5, 1.0, 1.5, 2.0, 2.0) == 0.5  # quartic -0.5
+    assert warm_sigma(0.5, 1.0, 1.5, 2.0, 2.5) == 0.5  # quartic 0.0
+    assert warm_sigma(1e-9, 1.0, 2.0, 3.0, 4.0) == 1e-9  # quartic -1 + 5e-9
 
 
 def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario, monkeypatch):
@@ -593,7 +747,7 @@ def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario
     sig = [r.impulses.sigma for r in records]
     expected = [0.0]
     for k in range(1, len(records)):
-        history = (sig[k - 1::-1] + [0.0, 0.0])[:3]
+        history = (sig[k - 1::-1] + [0.0] * 4)[:5]
         expected.append(warm_sigma(*history))
     assert [g.hex() for g in guesses] == [e.hex() for e in expected]
 
@@ -658,8 +812,9 @@ def test_simulate_is_a_loop_of_steps(name):
 
 
 def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
-    # example1 at h = 1e-3 takes 1.09 scalar iterations per step; it took
-    # 2.49 when each solve started from the previous step's sigma
+    # example1 at h = 1e-3 takes 0.98 scalar iterations per step (1.09
+    # from a three-step extrapolation); it took 2.49 when each solve
+    # started from the previous step's sigma
     records = simulate(dataclasses.replace(ex1_scenario, h=1e-3))
     iters = [r.diagnostics.newton_iters for r in records]
     assert len(records) > 300

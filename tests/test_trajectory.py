@@ -168,7 +168,7 @@ def test_write_plot_data_per_column(ex1_records, tmp_path):
 # the t column once per output file: SHA-256 over each file's name, a NUL
 # and its bytes, in the order returned.  Like tests/test_golden.py's digest
 # it moves with example1's records, and only with them.
-PLOT_FILES_SHA256 = "1c3e6894857a22b09eb91bd182bfb234486507e1732d2fb24a7ad1fd0f476b58"
+PLOT_FILES_SHA256 = "4371978a87b17c3509e7ac35468e4019bc84d9e4455ea1b46f6b036549ef2bdf"
 
 
 def test_write_plot_data_bytes_are_pinned(ex1_records, tmp_path):
