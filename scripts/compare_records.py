@@ -24,13 +24,15 @@ every state, impulse, applied-impulse and ECP field and the residual norm
 as `float.hex`.  A run that raises is recorded by its exception class and
 message.  `diff` prints, for each field, the largest change over a run
 relative to that field's largest magnitude in the run, the maximum over
-all runs, and counts and names the runs whose step counts, flags or
-iterations differ.  For each dump it prints every workload's total solve
-iterations and their mean per step, so that a change to the warm start
-reports its effect on the solve.  Of the runs with equal step counts it
-also counts those, and their steps, in which any float field moved at
-all, so that a roundoff-level change says how much of the corpus it
-touched.  It exits 0 when the two dumps are equal and 1 otherwise.
+all runs, and counts the runs whose step counts, flags or iterations
+differ.  It names the runs that differ in error, step count, rest,
+in_hull or in_patch; a run whose iteration counts alone differ is only
+counted, since a change to the warm start moves most of them.  For each
+dump it prints every workload's total solve iterations and their mean per
+step, so that a change to the warm start reports its effect on the solve.
+Of the runs with equal step counts it also counts those, and their steps,
+in which any float field moved at all, so that a roundoff-level change
+says how much of the corpus it touched.  It exits 0 when the two dumps are equal and 1 otherwise.
 Nothing is timed: `benchmark/run.py` is the harness.
 """
 
@@ -151,6 +153,7 @@ def diff(a_path: Path, b_path: Path) -> int:
     worst = dict.fromkeys(fields, 0.0)
     differ = {"error": 0, "steps": 0, **dict.fromkeys(FLAGS, 0)}
     named = []
+    iters_only = 0
     # runs compared step by step, and those runs and steps where any float moved
     compared = steps = moved_runs = moved_steps = 0
     for key, ra in a.items():
@@ -167,7 +170,9 @@ def diff(a_path: Path, b_path: Path) -> int:
         flags = [flag for flag in FLAGS if ra[flag] != rb[flag]]
         for flag in flags:
             differ[flag] += 1
-        if flags:
+        if flags == ["iters"]:
+            iters_only += 1
+        elif flags:
             named.append(key)
         moved = set()
         for field in fields:
@@ -184,6 +189,7 @@ def diff(a_path: Path, b_path: Path) -> int:
     print("runs that differ in " + ", ".join(f"{k} {v}" for k, v in differ.items()))
     if named:
         print("  " + "\n  ".join(named))
+    print(f"runs that differ in iters alone (not named): {iters_only}")
     print(f"runs with any float field moved: {moved_runs} of {compared}, "
           f"steps: {moved_steps} of {steps}")
     print("largest change relative to the field's largest magnitude in its run:")

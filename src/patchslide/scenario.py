@@ -10,6 +10,15 @@ every level so that typos fail loudly.
 
 Loading a file, serializing the result, and loading the serialization
 yields an identical Scenario.
+
+Documents are parsed with libyaml's safe loader when PyYAML has it, the
+pure-Python one otherwise.  serialize_scenario builds the YAML event
+stream straight from the value types and hands it to the emitter of the
+same pair.  The stream is the one yaml.dump(..., sort_keys=False,
+default_flow_style=None) makes of the document as nested dicts and
+lists, so the text is byte for byte what yaml.dump writes.  A value
+SafeRepresenter refuses (a numpy.float64 field, say) raises its
+RepresenterError.
 """
 
 from __future__ import annotations
@@ -21,6 +30,19 @@ from importlib import resources
 from pathlib import Path
 
 import yaml
+from yaml.events import (
+    DocumentEndEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+    StreamStartEvent,
+)
+from yaml.nodes import ScalarNode
+from yaml.representer import RepresenterError
 
 from .core import (
     AnnulusPatch,
@@ -320,49 +342,142 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(text, source=str(p))
 
 
-def _number_values(value) -> dict:
-    return {k: getattr(value, k) for k, _ in _number_fields(type(value))}
+# serialize_scenario writes the event stream that yaml.dump(doc,
+# Dumper=_DUMPER, sort_keys=False, default_flow_style=None) makes of the
+# scenario as a dict of dicts, lists, floats and strs, building neither the
+# dict nor its representation: SafeRepresenter's tags and scalar text,
+# Serializer's implicit flags from the resolver, and flow style for a
+# collection that holds only scalars.  The same emitter writes the text, so
+# the bytes are the same.
+_STR_TAG = "tag:yaml.org,2002:str"
+# SafeRepresenter's tag for each other scalar type it takes; it refuses
+# every other type, and a subclass too (numpy.float64, say)
+_SCALAR_TAGS = {
+    float: "tag:yaml.org,2002:float",
+    int: "tag:yaml.org,2002:int",
+    bool: "tag:yaml.org,2002:bool",
+}
+# the implicit flags of a float, int or bool, whose text resolves to its tag
+_PLAIN = (True, False)
+_RESOLVER = yaml.resolver.Resolver()
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_BLOCK_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
+_FLOW_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=True)
+_MAP_END = MappingEndEvent()
+_BLOCK_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
+_FLOW_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=True)
+_SEQ_END = SequenceEndEvent()
+_HEAD = (StreamStartEvent(), DocumentStartEvent(), _BLOCK_MAP)
+_TAIL = (_MAP_END, DocumentEndEvent(), StreamEndEvent())
 
 
-def _wrench_dict(w: AppliedWrench) -> dict:
-    return {k: v for k, v in _number_values(w).items() if v != 0.0}
+def _str_event(text: str) -> ScalarEvent:
+    # plain-implicit unless the resolver reads the plain text as another
+    # type (null, bool, int, float...)
+    plain = _RESOLVER.resolve(ScalarNode, text, _PLAIN) == _STR_TAG
+    return ScalarEvent(None, _STR_TAG, (plain, True), text)
 
 
-def _schedule_dict(s: WrenchSchedule) -> dict:
-    if isinstance(s, ConstantSchedule):
-        return {"type": "constant", "wrench": _wrench_dict(s.wrench)}
-    if isinstance(s, BodyPusherSchedule):
-        return {
-            "type": "body_pusher",
-            "point": list(s.point_body),
-            "direction": list(s.direction_body),
-            **_number_values(s),
-        }
-    return {
-        "type": "table",
-        "rows": [{"t": t, "wrench": _wrench_dict(w)} for t, w in zip(s.times, s.wrenches)],
-    }
+# the event of a name the format fixes, a key or a type; emitters only read
+# events, so one serves every document
+_name = cache(_str_event)
 
 
-def _patch_dict(p: ContactPatch) -> dict:
+def _scalar(value) -> ScalarEvent:
+    kind = type(value)
+    if kind is str:
+        return _str_event(value)
+    tag = _SCALAR_TAGS.get(kind)
+    if tag is None:
+        raise RepresenterError("cannot represent an object", value)
+    if kind is not float:
+        return ScalarEvent(None, tag, _PLAIN, str(value).lower())
+    # SafeRepresenter.represent_float's text; the repr of a finite float has
+    # no capital letter to lower
+    if value - value != 0.0:
+        text = ".nan" if value != value else ".inf" if value > 0.0 else "-.inf"
+    else:
+        text = repr(value)
+        if "e" in text and "." not in text:  # 1e+16 is not a YAML 1.1 float
+            text = text.replace("e", ".0e", 1)
+    return ScalarEvent(None, tag, _PLAIN, text)
+
+
+def _numbers(out: list, value, skip_zeros: bool = False) -> None:
+    # the key and value events of value's number fields
+    for name, _ in _number_fields(type(value)):
+        v = getattr(value, name)
+        if not (skip_zeros and v == 0.0):
+            out += _name(name), _scalar(v)
+
+
+def _number_map(out: list, key: str, value, skip_zeros: bool = False) -> None:
+    out += _name(key), _FLOW_MAP
+    _numbers(out, value, skip_zeros)
+    out.append(_MAP_END)
+
+
+def _flow_seq(out: list, values) -> None:
+    out.append(_FLOW_SEQ)
+    out += map(_scalar, values)
+    out.append(_SEQ_END)
+
+
+def _patch(out: list, p: ContactPatch) -> None:
     if isinstance(p, PolygonPatch):
-        return {"type": "polygon", "vertices": [list(v) for v in p.vertices]}
-    return {"type": "annulus" if isinstance(p, AnnulusPatch) else "disk", **_number_values(p)}
+        out += _BLOCK_MAP, _name("type"), _name("polygon"), _name("vertices"), _BLOCK_SEQ
+        for v in p.vertices:
+            _flow_seq(out, v)
+        out.append(_SEQ_END)
+    else:
+        out += _FLOW_MAP, _name("type"), _name("annulus" if isinstance(p, AnnulusPatch) else "disk")
+        _numbers(out, p)
+    out.append(_MAP_END)
+
+
+def _schedule(out: list, s: WrenchSchedule) -> None:
+    out += _BLOCK_MAP, _name("type")
+    if isinstance(s, ConstantSchedule):
+        out.append(_name("constant"))
+        _number_map(out, "wrench", s.wrench, skip_zeros=True)
+    elif isinstance(s, BodyPusherSchedule):
+        out += _name("body_pusher"), _name("point")
+        _flow_seq(out, s.point_body)
+        out.append(_name("direction"))
+        _flow_seq(out, s.direction_body)
+        _numbers(out, s)
+    else:
+        out += _name("table"), _name("rows"), _BLOCK_SEQ
+        for t, w in zip(s.times, s.wrenches):
+            out += _BLOCK_MAP, _name("t"), _scalar(t)
+            _number_map(out, "wrench", w, skip_zeros=True)
+            out.append(_MAP_END)
+        out.append(_SEQ_END)
+    out.append(_MAP_END)
 
 
 def serialize_scenario(scen: Scenario) -> str:
     """Render a Scenario back to scenario-file text.  Loading the result
     reproduces the Scenario exactly (floats survive via repr)."""
-    options = {f.name: getattr(scen.options, f.name) for f in fields(RunOptions)}
-    doc = {
-        "slider": _number_values(scen.params),
-        "friction": _number_values(scen.friction),
-        "patch": _patch_dict(scen.params.patch),
-        "initial": _number_values(scen.initial),
-        "schedule": _schedule_dict(scen.schedule),
-        "run": _number_values(scen) | {k: v for k, v in options.items() if v is not None},
-    }
-    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
+    out = list(_HEAD)
+    _number_map(out, "slider", scen.params)
+    _number_map(out, "friction", scen.friction)
+    out.append(_name("patch"))
+    _patch(out, scen.params.patch)
+    _number_map(out, "initial", scen.initial)
+    out.append(_name("schedule"))
+    _schedule(out, scen.schedule)
+    out += _name("run"), _FLOW_MAP
+    _numbers(out, scen)
+    options = scen.options
+    for f in fields(RunOptions):
+        v = getattr(options, f.name)
+        if v is not None:
+            out += _name(f.name), _scalar(v)
+    out.append(_MAP_END)
+    out += _TAIL
+    return yaml.emit(out, Dumper=_DUMPER)
 
 
 def bundled_scenario_names() -> list[str]:

@@ -264,12 +264,20 @@ def _initial_sigma(k) -> float:
     (m, I_z, q_z, mu, e_t, e_o, e_r,
      v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = k
     v_t, v_o, v_r = v_x, v_y, w_z
-    sigma0 = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
-    if sigma0 < 1e-12:
-        v_t += p_x / m
-        v_o += p_y / m
-        v_r += p_ztau / I_z
+    try:
         sigma0 = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
+        if sigma0 < 1e-12:
+            v_t += p_x / m
+            v_o += p_y / m
+            v_r += p_ztau / I_z
+            sigma0 = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
+    except OverflowError:  # a square beyond the doubles
+        sigma0 = math.inf
+    if sigma0 == math.inf:
+        raise ValidationError(
+            "velocity is too large: its slip speed in friction-ellipsoid units, "
+            "sqrt((e_t*v_x)^2 + (e_o*v_y)^2 + (e_r*w_z)^2), overflows a double"
+        )
     return sigma0
 
 

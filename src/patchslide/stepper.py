@@ -329,6 +329,7 @@ def _run(
             impulse, info = solve(inputs, guess)
             wall = clock() - t0
             p_t, p_o, p_r, sigma = impulse.p_t, impulse.p_o, impulse.p_r, impulse.sigma
+            p_n = impulse.p_n
             iters, rn = info.iters, info.residual_norm
         if sigma == 0.0:
             v_x = v_y = w_z = 0.0
@@ -341,9 +342,9 @@ def _run(
         theta_z = theta_z + h * w_z
         t = t + h
         state = new_state(q_x, q_y, theta_z, v_x, v_y, w_z, t)
-        # the equivalent contact point, as ecp places it
-        a_x = q_x + (p_ytau - p_t * q_z) / impulse.p_n
-        a_y = q_y + (-p_xtau - p_o * q_z) / impulse.p_n
+        # the equivalent contact point, as ecp places it, at the impulse's p_n
+        a_x = q_x + (p_ytau - p_t * q_z) / p_n
+        a_y = q_y + (-p_xtau - p_o * q_z) / p_n
         in_hull, in_patch = _contains(region, a_x, a_y, q_x, q_y, theta_z)
         rest = sigma < sigma_min
         records.append(new_record(state, impulse, new_ecp(a_x, a_y, in_hull, in_patch), applied,

@@ -112,14 +112,20 @@ def _outcome(run, scen):
         return f"{type(e).__name__}: {e}"
 
 
-def test_seeded_scenario_fuzz_round_trips_and_reruns_identically():
+def fuzz_scenarios():
+    """The seeded corpus: (patch kind, load kind, scenario), RUNS times."""
     rng = np.random.default_rng(43)
-    kinds = Counter()
-    outcomes = Counter()
     for _ in range(RUNS):
         patch_kind = ("polygon", "disk", "annulus")[int(rng.integers(3))]
         load_kind = ("constant", "table", "pusher")[int(rng.integers(3))]
-        scen = loads_scenario(serialize_scenario(_scenario(rng, patch_kind, load_kind)))
+        yield patch_kind, load_kind, _scenario(rng, patch_kind, load_kind)
+
+
+def test_seeded_scenario_fuzz_round_trips_and_reruns_identically():
+    kinds = Counter()
+    outcomes = Counter()
+    for patch_kind, load_kind, drawn in fuzz_scenarios():
+        scen = loads_scenario(serialize_scenario(drawn))
         got = _outcome(simulate, scen)
         assert got == _outcome(simulate_by_steps, scen)
         kinds[patch_kind, load_kind] += 1

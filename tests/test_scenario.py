@@ -447,6 +447,102 @@ def test_both_yaml_paths_write_the_same_bytes():
         assert repr(_under("libyaml", loads_scenario, text)) == repr(_under("pure", loads_scenario, text))
 
 
+# ------------------------------------------------- serialize_scenario's bytes
+
+def _reference_numbers(value) -> dict:
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init and f.type == "float"}
+
+
+def _reference_wrench(w: AppliedWrench) -> dict:
+    return {k: v for k, v in _reference_numbers(w).items() if v != 0.0}
+
+
+def _reference_document(scen: Scenario) -> dict:
+    """The document serialize_scenario writes, as a dict for yaml.dump: the
+    reference that its event stream is held to."""
+    patch, sched = scen.params.patch, scen.schedule
+    if isinstance(patch, PolygonPatch):
+        patch_doc = {"type": "polygon", "vertices": [list(v) for v in patch.vertices]}
+    else:
+        patch_doc = {"type": "annulus" if isinstance(patch, AnnulusPatch) else "disk",
+                     **_reference_numbers(patch)}
+    if isinstance(sched, ConstantSchedule):
+        sched_doc = {"type": "constant", "wrench": _reference_wrench(sched.wrench)}
+    elif isinstance(sched, BodyPusherSchedule):
+        sched_doc = {"type": "body_pusher", "point": list(sched.point_body),
+                     "direction": list(sched.direction_body), **_reference_numbers(sched)}
+    else:
+        sched_doc = {"type": "table", "rows": [{"t": t, "wrench": _reference_wrench(w)}
+                                               for t, w in zip(sched.times, sched.wrenches)]}
+    options = {f.name: getattr(scen.options, f.name) for f in dataclasses.fields(RunOptions)}
+    return {
+        "slider": _reference_numbers(scen.params),
+        "friction": _reference_numbers(scen.friction),
+        "patch": patch_doc,
+        "initial": _reference_numbers(scen.initial),
+        "schedule": sched_doc,
+        "run": _reference_numbers(scen) | {k: v for k, v in options.items() if v is not None},
+    }
+
+
+def _reference_text(path: str, scen: Scenario) -> str:
+    return yaml.dump(_reference_document(scen), Dumper=YAML_PATHS[path][1], sort_keys=False,
+                     default_flow_style=None)
+
+
+# output paths the resolver reads as another type, that need quoting or
+# escaping, and one that the emitter folds at column 80
+AWKWARD_PATHS = ("", "null", "1.5", "yes", "a: b", "#x", "it's", "é",
+                 "runs/a directory with spaces/" + "and a long file name " * 4 + "out.csv")
+
+
+def _awkward_scenarios() -> list[Scenario]:
+    base = loads_scenario(MINIMAL)
+    square = base.params.patch.vertices
+    edges = dataclasses.replace(
+        base,
+        params=dataclasses.replace(base.params, patch=PolygonPatch(square[:3] + ((-0.0, 0.025),))),
+        # floats whose repr has an exponent, no fraction, a sign, or 17 digits
+        initial=dataclasses.replace(base.initial, q_x=1e308, q_y=5e-324, theta_z=-0.0, v_x=0.1 / 3.0,
+                                    t=1e16),
+        schedule=ConstantSchedule(AppliedWrench(lambda_x=-0.0, lambda_y=1e16, lambda_ztau=5e-324)),
+        options=RunOptions(sigma_min=5e-324),
+    )
+    # ints and a bool, which SafeRepresenter writes under their own tags
+    other_types = dataclasses.replace(
+        base, h=1, duration=3, initial=dataclasses.replace(base.initial, w_z=-2, theta_z=True))
+    return [edges, other_types] + [
+        dataclasses.replace(base, options=RunOptions(output_path=path)) for path in AWKWARD_PATHS
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_serialize_writes_the_bytes_yaml_dump_writes(path):
+    from test_fuzz import fuzz_scenarios
+
+    corpus = _parity_scenarios() + _awkward_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
+    for scen in corpus:
+        assert _under(path, serialize_scenario, scen) == _reference_text(path, scen)
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_serialize_refuses_what_safe_representer_refuses(path):
+    np = pytest.importorskip("numpy")
+    base = loads_scenario(MINIMAL)
+    vertices = tuple((np.float64(x), y) for x, y in base.params.patch.vertices)
+    refused = [
+        dataclasses.replace(base, h=np.float64(0.01)),
+        dataclasses.replace(base, params=dataclasses.replace(base.params, patch=PolygonPatch(vertices))),
+        dataclasses.replace(base, options=RunOptions(output_path=Path("out.csv"))),
+    ]
+    for scen in refused:
+        with pytest.raises(yaml.representer.RepresenterError) as got:
+            _under(path, serialize_scenario, scen)
+        with pytest.raises(yaml.representer.RepresenterError) as expected:
+            _reference_text(path, scen)
+        assert got.value.args == expected.value.args
+
+
 MALFORMED = {  # document, the line its error is reported on
     "unclosed flow mapping": ("slider: {m: 0.5\nfriction: {}\n", 2),
     "unclosed flow sequence": ("patch:\n  vertices: [[0, 0], [1, 0]\nrun: {}\n", 3),

@@ -450,6 +450,31 @@ def test_rest_test_overflow_is_validation_error():
         solve_step_info(inp)
 
 
+@pytest.mark.parametrize("v_x, v_y", [(1e100, 0.9), (1.1e154 / 1e100, 1.1e154 / 1e100)],
+                         ids=["square", "sum-of-squares"])
+def test_cold_start_slip_speed_overflow_is_validation_error(v_x, v_y, tmp_path, capsys):
+    # with e_t = e_o = 1e100 the momentum in ellipsoid units, m*v/e, is
+    # small and the scenario loads, but the cold start's slip speed squares
+    # e*v: 1e200 overflows when squared, 1.1e154 on two axes only in the
+    # sum of the squares.  A documented error, never a raw OverflowError
+    from patchslide import loads_scenario, resolve_scenario, serialize_scenario
+    from patchslide.cli import main
+
+    ex1 = resolve_scenario("example1")
+    text = serialize_scenario(replace(
+        ex1, friction=replace(ex1.friction, e_t=1e100, e_o=1e100),
+        initial=replace(ex1.initial, v_x=v_x, v_y=v_y)))
+    scen = loads_scenario(text)
+    with pytest.raises(ValidationError, match=r"^step 0: velocity is too large"):
+        simulate(scen)
+    with pytest.raises(ValidationError, match="velocity is too large"):
+        solve_step_info(assemble_inputs(scen.initial, scen))
+    path = tmp_path / "fast.yaml"
+    path.write_text(text)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "fast.csv")]) == 1
+    assert "step 0: velocity is too large" in capsys.readouterr().err
+
+
 def test_normal_load_whose_square_overflows_is_validation_error():
     # (mu*p_n)^2 overflows: the rest test has no bound to compare against
     inp = replace(step1_inputs(), p_n=1e200)
