@@ -12,7 +12,14 @@ Loading a file, serializing the result, and loading the serialization
 yields an identical Scenario.
 
 Documents are parsed with libyaml's safe loader when PyYAML has it, the
-pure-Python one otherwise.  serialize_scenario builds the YAML event
+pure-Python one otherwise.  loads_scenario builds the document from that
+parser's event stream in one pass, as yaml.load would build it (dicts,
+lists, and the str, float, int, bool and null values of the safe
+constructor, each scalar tagged by the same resolver), without PyYAML's
+Python composer and constructor.  A stream holding anything else (an
+anchor or alias, another tag, a merge key, a collection key, a second
+document) goes whole to yaml.load, so its result and its errors are
+PyYAML's.  serialize_scenario builds the YAML event
 stream straight from the value types and hands it to the emitter of the
 same pair.  The stream is the one yaml.dump(..., sort_keys=False,
 default_flow_style=None) makes of the document as nested dicts and
@@ -30,6 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 import yaml
+from yaml.constructor import SafeConstructor
 from yaml.events import (
     DocumentEndEvent,
     DocumentStartEvent,
@@ -84,6 +92,15 @@ TOPPLE_POLICIES = ("warn", "error")
 # the safe constructor, resolver and representer of safe_load/safe_dump
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# the implicit tag rules both pairs read and write plain scalars by
+_RESOLVER = yaml.resolver.Resolver()
+_STR_TAG = "tag:yaml.org,2002:str"
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_INT_TAG = "tag:yaml.org,2002:int"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_NULL_TAG = "tag:yaml.org,2002:null"
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
 
 
 @value_type
@@ -182,7 +199,8 @@ def _keys(cls) -> set[str]:
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
-        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {context}")
+        # repr orders keys of any mix of types (1 and 'foo', None and 'bar')
+        raise ValidationError(f"unknown key(s) {sorted(unknown, key=repr)} in {context}")
 
 
 def _as_map(value, context: str) -> dict:
@@ -282,13 +300,127 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
     raise ValidationError(f"schedule.type must be constant, body_pusher, or table, got {kind!r}")
 
 
+# _load builds what yaml.load(text, Loader=_LOADER) returns in one pass over
+# the parser's events, without PyYAML's Python composer and constructor:
+# mappings become dicts, sequences lists, and each scalar gets the tag the
+# composer gives it (its explicit tag, or _RESOLVER's for its text) and the
+# value SafeConstructor builds for that tag.  A stream holding anything
+# else goes whole to yaml.load, so its result and errors are PyYAML's: an
+# anchor or alias, a tag other than str, float, int, bool and null (map and
+# seq on a collection), a merge or value key, a collection key, a scalar
+# its explicit tag does not fit, or a second document.
+class _Unwalked(Exception):
+    """The stream holds what only yaml.load builds."""
+
+
+_CONSTRUCTOR = SafeConstructor()
+# SafeConstructor's function for each scalar tag the walk builds
+_EXPLICIT = {tag: SafeConstructor.yaml_constructors[tag]
+             for tag in (_STR_TAG, _FLOAT_TAG, _INT_TAG, _BOOL_TAG, _NULL_TAG)}
+_IMPLICIT_RULES = _RESOLVER.yaml_implicit_resolvers
+# the tags of a mapping or sequence that the safe constructor builds as a
+# plain dict or list
+_MAP_TAGS = (None, "!", _MAP_TAG)
+_SEQ_TAGS = (None, "!", _SEQ_TAG)
+
+
+def _scalar_value(event: ScalarEvent):
+    tag, text = event.tag, event.value
+    if tag is not None and tag != "!":
+        construct = _EXPLICIT.get(tag)
+        if construct is None:
+            raise _Unwalked
+        try:
+            return construct(_CONSTRUCTOR, ScalarNode(tag, text))
+        except (LookupError, ValueError):  # !!bool maybe, !!int abc, !!float ''
+            # yaml.load raises it too, but only once the stream is parsed
+            raise _Unwalked from None
+    # Resolver.resolve's tag: a plain scalar's is the first of _RESOLVER's
+    # implicit rules for its first character that matches its text (the
+    # safe loaders add no wildcard or path rules), any other's is str
+    if not event.implicit[0]:
+        return text
+    for tag, regexp in _IMPLICIT_RULES.get(text[:1], ()):
+        if regexp.match(text):
+            break
+    else:
+        return text
+    if tag == _FLOAT_TAG:
+        # float() reads resolved float text as construct_yaml_float does,
+        # except underscores, base 60, .inf and .nan
+        if "_" in text or ":" in text or text[-1] in "fFnN":
+            return _CONSTRUCTOR.construct_yaml_float(ScalarNode(tag, text))
+        return float(text)
+    if tag == _INT_TAG:
+        # and int() resolved int text, except underscores, base 60, a sign
+        # and a leading 0 (octal, 0b, 0x)
+        if text.isdigit() and (text[0] != "0" or text == "0"):
+            return int(text)
+        return _CONSTRUCTOR.construct_yaml_int(ScalarNode(tag, text))
+    if tag == _BOOL_TAG:
+        return _CONSTRUCTOR.bool_values[text.lower()]
+    if tag == _NULL_TAG:
+        return None
+    raise _Unwalked  # a timestamp, or the merge or value key
+
+
+def _walk(event, events):
+    # the value of the node that event starts; events yields the rest of it
+    if event.anchor is not None:  # an anchor, or an alias
+        raise _Unwalked
+    kind = type(event)
+    if kind is ScalarEvent:
+        return _scalar_value(event)
+    if kind is MappingStartEvent:
+        if event.tag not in _MAP_TAGS:
+            raise _Unwalked
+        mapping = {}
+        for event in events:
+            if type(event) is MappingEndEvent:
+                break
+            if type(event) is not ScalarEvent:  # a collection or alias key
+                raise _Unwalked
+            key = _walk(event, events)
+            mapping[key] = _walk(next(events), events)
+        return mapping
+    if event.tag not in _SEQ_TAGS:
+        raise _Unwalked
+    sequence = []
+    for event in events:
+        if type(event) is SequenceEndEvent:
+            break
+        sequence.append(_walk(event, events))
+    return sequence
+
+
+def _load(text: str):
+    events = yaml.parse(text, Loader=_LOADER)
+    try:
+        doc = None
+        seen = False
+        # to the stream's end, as yaml.load reads it: an error after the
+        # document still raises
+        for event in events:
+            if type(event) is DocumentStartEvent:
+                if seen:
+                    raise _Unwalked
+                seen = True
+                doc = _walk(next(events), events)
+        return doc
+    except _Unwalked:
+        pass
+    finally:
+        events.close()
+    return yaml.load(text, Loader=_LOADER)
+
+
 _SECTIONS = {"slider", "friction", "patch", "initial", "schedule", "run"}
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse and validate a scenario document from a string."""
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = _load(text)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f"{source}:{mark.line + 1}" if mark is not None else source
@@ -349,19 +481,11 @@ def load_scenario(path: str | Path) -> Scenario:
 # Serializer's implicit flags from the resolver, and flow style for a
 # collection that holds only scalars.  The same emitter writes the text, so
 # the bytes are the same.
-_STR_TAG = "tag:yaml.org,2002:str"
 # SafeRepresenter's tag for each other scalar type it takes; it refuses
 # every other type, and a subclass too (numpy.float64, say)
-_SCALAR_TAGS = {
-    float: "tag:yaml.org,2002:float",
-    int: "tag:yaml.org,2002:int",
-    bool: "tag:yaml.org,2002:bool",
-}
+_SCALAR_TAGS = {float: _FLOAT_TAG, int: _INT_TAG, bool: _BOOL_TAG}
 # the implicit flags of a float, int or bool, whose text resolves to its tag
 _PLAIN = (True, False)
-_RESOLVER = yaml.resolver.Resolver()
-_MAP_TAG = "tag:yaml.org,2002:map"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
 _BLOCK_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
 _FLOW_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=True)
 _MAP_END = MappingEndEvent()

@@ -450,10 +450,17 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
         sig = nxt
     else:
         k = _inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n)
+        rn = _residual_norm((p_t, p_o, p_r, sig), k)
+        if not math.isfinite(rn):
+            # the curve's 2x2 system overflowed (its determinant squares
+            # mu*p_n*e^2/m): not a solve that ran out of iterations
+            raise ValidationError(
+                "friction ellipsoid or velocity too large: the slip-speed solve overflows "
+                f"a double (residual {rn:.3e} after {_MAX_ITER} iterations)"
+            )
         raise NoConvergenceError(
             f"slip-speed solve did not reach the tolerance in {_MAX_ITER} iterations "
-            f"(bracket [{lo:.17g}, {hi:.17g}], "
-            f"residual {_residual_norm((p_t, p_o, p_r, sig), k):.3e})"
+            f"(bracket [{lo:.17g}, {hi:.17g}], residual {rn:.3e})"
         )
     return p_t, p_o, p_r, sig, it, rn
 
@@ -503,7 +510,9 @@ def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[Contac
 
     The first point whose four-residual infinity norm meets the tolerance
     contract (_TOL relative to (mu*p_n)^2, or the roundoff floor) is
-    accepted; NoConvergenceError is raised after _MAX_ITER iterations.
+    accepted; NoConvergenceError is raised after _MAX_ITER iterations, or
+    ValidationError when the residual there is not finite (the friction
+    ellipsoid's constants or the velocities overflow the solve's terms).
 
     This wraps the plain-float solve that stepper.simulate calls on every
     step with the constants of _static, which a run computes once per held

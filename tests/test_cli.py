@@ -447,6 +447,20 @@ def test_simulate_rejects_overflowing_load(tmp_path, capsys, schedule, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    (TRANSLATE_YAML.replace("q_z: 0.08}", "q_z: 0.08, 1: 2, foo: 3}"), "unknown key(s) ['foo', 1] in slider"),
+    (TRANSLATE_YAML + "null: 1\nextra: 2\n", "unknown key(s) ['extra', None] in scenario document"),
+], ids=["section", "document"])
+def test_simulate_rejects_unknown_keys_of_mixed_types(tmp_path, capsys, text, message):
+    # keys that do not sort together (an int or null beside a str) are
+    # named like any other unknown key, never a TypeError traceback
+    scen = tmp_path / "mixed.yaml"
+    scen.write_text(text)
+    code, _, stderr = run(capsys, "simulate", "--scenario", str(scen), "--out", str(tmp_path / "mixed.csv"))
+    assert code == 1
+    assert message in stderr
+
+
 class _UnnamedError(PatchSlideError):
     """A package error that the CLI does not name."""
 

@@ -566,6 +566,152 @@ def test_malformed_yaml_reports_the_same_line_under_both_paths(name):
     assert _under("libyaml", _parse_error_prefix, text) == f"<string>:{line}:"
 
 
+# ------------------------------------------------ loading by the event walk
+
+# documents loads_scenario builds from the parser's events alone: the YAML
+# 1.1 core scalars in every spelling the resolver knows, and plain
+# collections
+WALKED = {
+    "empty stream": "",
+    "comment only": "# nothing here\n",
+    "document end": "a: 1\n...\n",
+    "scalar document": "--- 1.5\n...\n",
+    "plain text": "plain text\n",
+    "list document": "- 1\n- two\n- [3, {four: 4}]\n",
+    "ints": "[0x1F, 0o17, 017, 0b101, 1_000, 190:20:30, +1, -0, 0, 7, -12, 0x_1F, -0x1f]",
+    "floats": "[1e3, 1.0e+3, .5, -.inf, .NaN, 1_0.5, 190:20:30.15, +.inf, -0.0, 1., 6.02E+23, -1_0.5, 1__0.5, 1_.5]",
+    "bools": "[yes, No, ON, off, True, FALSE, y, n]",
+    "nulls": "{a: ~, b: Null, c: , d: null}",
+    "empty values": "a:\nb:\n",
+    "quoted numbers": "['1.5', \"2\", '~', \"yes\", '']",
+    "block scalars": "a: |\n  line1\n  line2\nb: >\n  folded\n  text\n",
+    "duplicate keys": "a: 1\na: 2\n",
+    "equal keys of three types": "{1: a, 1.0: b, true: c}",
+    "nan keys": "{.nan: 1, .nan: 2}",
+    "core tags": "a: !!str 1.5\nb: !!float 1\nc: !!int '7'\nd: !!bool yes\ne: !!null ''\n",
+    "collection tags": "a: !!map {a: 1}\nb: !!seq [1]\nc: ! 12\nd: ! a\n",
+    "float tag beyond the doubles": "a: !!float 1e999\n",
+    "parse error after the document": "a: 1\n...\nb: [\n",
+}
+# documents it hands to yaml.load whole: values or errors only PyYAML builds
+HANDED_OFF = {
+    "anchor and alias": "a: &x 1\nb: *x\n",
+    "aliased mapping": "a: &m {k: 1}\nb: *m\n",
+    "merge key": "base: &b {x: 1}\nd:\n  <<: *b\n  y: 2\n",
+    "merge key without anchor": "d:\n  <<: {x: 1}\n  y: 2\n",
+    "value key": "=: 1\n",
+    "timestamps": "t: 2001-12-14\nu: 2001-12-14t21:59:43.10-05:00\n",
+    "binary tag": "b: !!binary aGVsbG8=\n",
+    "set tag": "s: !!set {a, b}\n",
+    "omap tag": "a: !!omap [{x: 1}]\n",
+    "sequence key": "? [1, 2]\n: v\n",
+    "mapping key": "? {a: 1}\n: v\n",
+    "python tag": "slider: !!python/object:os.system {}\n",
+    "second document": "a: 1\n---\nb: 2\n",
+    "undefined alias": "slider:\n  m: *mass\n",
+    "int tag on a word": "a: !!int abc\n",
+    "bool tag on a word": "a: !!bool maybe\n",
+    "float tag on an empty string": "a: !!float ''\n",
+    "float tag on a list": "a: !!float [1]\n",
+    "seq tag on a mapping": "a: !!seq {x: 1}\n",
+    "local tag": "a: !custom 1\n",
+}
+
+
+def _same(a, b) -> bool:
+    """Equal in value and type at every level, nan equal to nan and -0.0
+    apart from 0.0; mappings in the same key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            _same(ka, kb) and _same(va, vb) for (ka, va), (kb, vb) in zip(a.items(), b.items()))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    return a == b
+
+
+def _outcome(fn, *args):
+    # fn's value, or the class and message of what it raised
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # ValueError and KeyError too, which yaml.load lets through
+        return "error", type(e), str(e)
+
+
+def _same_outcome(a, b) -> bool:
+    return a[0] == b[0] and (_same(a[1], b[1]) if a[0] == "value" else a == b)
+
+
+def _load_counting(text: str) -> tuple:
+    """scenario._load's outcome, and how often it called yaml.load."""
+    calls = []
+    real = yaml.load
+
+    def counted(*args, **kwds):
+        calls.append(args)
+        return real(*args, **kwds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(yaml, "load", counted)
+        got = _outcome(scenario_module._load, text)
+    return got, len(calls)
+
+
+def _scenario_texts(path: str) -> list[str]:
+    # every scenario document the tests know, written on the given path
+    from test_fuzz import fuzz_scenarios
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    corpus = _parity_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
+    return ([_under(path, serialize_scenario, scen) for scen in corpus]
+            + [bundled_scenario_text(name) for name in bundled_scenario_names()]
+            + re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M))
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_event_walk_builds_what_yaml_load_builds(path):
+    loader = YAML_PATHS[path][0]
+    walked = list(WALKED.values()) + _under(path, _scenario_texts, path)
+    for text in walked + list(HANDED_OFF.values()):
+        got, handed_off = _under(path, _load_counting, text)
+        assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
+        # the walk alone builds every scenario document and WALKED entry
+        assert handed_off == (text not in walked), text
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_loads_scenario_raises_what_yaml_load_raises(path):
+    # loads_scenario as it was when it loaded through yaml.load: same
+    # exception class and message on every document that fails
+    texts = [text for text, _ in MALFORMED.values()] + list(WALKED.values()) + list(HANDED_OFF.values())
+    loader = YAML_PATHS[path][0]
+
+    def through_yaml_load():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "_load", lambda text: yaml.load(text, Loader=loader))
+            return [_outcome(loads_scenario, text) for text in texts]
+
+    expected = _under(path, through_yaml_load)
+    got = [_under(path, _outcome, loads_scenario, text) for text in texts]
+    assert all(g[0] == "error" for g in got)
+    assert got == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("q_z: 0.08}", "q_z: 0.08, 1: 2, foo: 3}"), "unknown key(s) ['foo', 1] in slider"),
+    (MINIMAL + "null: 1\nextra: 2\n", "unknown key(s) ['extra', None] in scenario document"),
+], ids=["section", "document"])
+def test_unknown_keys_of_mixed_types_rejected(text, message):
+    # a str key beside an int or null one: sorting them for the message
+    # must not raise TypeError
+    with pytest.raises(ValidationError) as info:
+        loads_scenario(text)
+    assert str(info.value) == message
+
+
 # -------------------------------------------------------------- README drift
 
 def test_readme_yaml_blocks_load():

@@ -475,6 +475,23 @@ def test_cold_start_slip_speed_overflow_is_validation_error(v_x, v_y, tmp_path, 
     assert "step 0: velocity is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("v", [1e20, 1e40, 1e53])
+def test_overflowing_solve_is_validation_error(v):
+    # e_t = e_o = 1e100 and a finite cold start: the curve's 2x2
+    # determinant overflows, so every iterate's residual is nan.  A solve
+    # that ends that way overflowed; it did not run out of iterations
+    from patchslide import resolve_scenario
+
+    ex1 = resolve_scenario("example1")
+    scen = replace(ex1, friction=replace(ex1.friction, e_t=1e100, e_o=1e100),
+                   initial=replace(ex1.initial, v_x=v, v_y=v))
+    message = r"the slip-speed solve overflows a double \(residual nan after 100 iterations\)"
+    with pytest.raises(ValidationError, match=r"^step 0: friction ellipsoid or velocity too large: " + message):
+        simulate(scen)
+    with pytest.raises(ValidationError, match=message):
+        solve_step_info(assemble_inputs(scen.initial, scen))
+
+
 def test_normal_load_whose_square_overflows_is_validation_error():
     # (mu*p_n)^2 overflows: the rest test has no bound to compare against
     inp = replace(step1_inputs(), p_n=1e200)
