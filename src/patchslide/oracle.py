@@ -2,13 +2,15 @@
 plus direct optimality checks on candidate solutions.
 
 The reference path shares no solve code with the production solver,
-which walks the slip-speed-parameterized solution curve: it iterates a
-fixed point in end-of-step velocity space and, when that stalls, falls
-back to an exhaustive grid search over the friction impulse box followed
-by damped Newton iteration on all four equations.  Only the solver
-module's evaluation of the system is reused: its residual and Jacobian,
-and the plain-float residual norm that residual wraps, which keeps the
-two solution methods disjoint.
+which walks the slip-speed-parameterized solution curve.  It lists a
+step's solutions instead: along the exact solution curve of the three
+tangential equations, clearing denominators turns the ellipsoid gap into
+one polynomial of degree 10 in the slip speed sigma.  Each positive real
+root is polished by damped Newton iteration on all four equations, and
+the smallest root that polishes is returned.  Only the solver module's
+evaluation of the system is reused: its residual and Jacobian, and the
+plain-float residual norm that residual wraps, which keeps the two
+solution methods disjoint.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .core import ContactImpulse, StepInputs, value_type
 from .errors import OracleFailure
@@ -23,13 +26,10 @@ from .solver import _residual_norm, _unpack, jacobian, residual
 
 __all__ = ["KktReport", "oracle_solve_step", "verify_kkt"]
 
-# iterate until the residual is this far below the failure floor
+# a polished root must reach the target, relative to max(1, (mu*p_n)^2);
+# failing that, the best polished point must reach the floor
 _TARGET_REL = 1e-12
 _FLOOR_REL = 1e-7
-_MAX_ITERS = 50_000
-_STALL_ITERS = 300
-_RELAX = 0.5
-_GRID_RESOLUTION = 1e-8
 _NEWTON_ITERS = 100
 
 
@@ -38,164 +38,108 @@ def _rnorm(z: tuple[float, float, float, float], inp: StepInputs) -> float:
 
 
 def oracle_solve_step(inp: StepInputs) -> ContactImpulse:
-    """Solve one implicit step by fixed-point iteration with grid fallback.
+    """Solve one implicit step by listing the roots of its gap polynomial.
 
-    From a velocity iterate, impulses follow from the maximum-dissipation
-    closed form at the implied contact point offset; velocities are then
-    recomputed from those impulses and relaxed.  On a stall the fallback
-    runs the impulse-box grid search and then four-equation Newton
-    refinement from the best candidate so far, keeping the best.  A
-    rest-reachable step (stopping impulse inside the friction ellipsoid)
-    returns the stopping impulse with zero slip speed, mirroring the fast
-    solver's convention.
-    Deterministic throughout.  Raises OracleFailure when no stage reaches
-    the residual floor.
+    A rest-reachable step (stopping impulse inside the friction
+    ellipsoid) returns the stopping impulse with zero slip speed,
+    mirroring the fast solver's convention.  Otherwise every positive
+    real root of the step's degree-10 polynomial in sigma (see _roots) is
+    polished by four-equation Newton, and the smallest sigma whose
+    residual meets _TARGET_REL relative to max(1, (mu*p_n)^2) is
+    returned: where a step has several sliding solutions, the oracle
+    names the one of least slip speed, whatever the solver's warm start
+    selects.  When no root meets that target, the polished point of least
+    residual is returned if it is within _FLOOR_REL; otherwise
+    OracleFailure is raised.  Deterministic by construction: no start,
+    restart or search order depends on anything but the inputs.
     """
-    p = inp.params
-    f = inp.friction
-    s = inp.state
-    a = inp.applied
-    m, I_z, q_z = p.m, p.I_z, p.q_z
-    mu, e_t, e_o, e_r = f.mu, f.e_t, f.e_o, f.e_r
-    p_n = inp.p_n
-    scale = max(1.0, (mu * p_n) ** 2)
+    s, a, p, f = inp.state, inp.applied, inp.params, inp.friction
+    mu_pn = f.mu * inp.p_n
+    scale = max(1.0, mu_pn * mu_pn)
 
-    stop_t = -(m * s.v_x + a.p_x)
-    stop_o = -(m * s.v_y + a.p_y)
-    stop_r = -(I_z * s.w_z + a.p_ztau)
-    if (stop_t / e_t) ** 2 + (stop_o / e_o) ** 2 + (stop_r / e_r) ** 2 <= (mu * p_n) ** 2:
-        return ContactImpulse(p_t=stop_t, p_o=stop_o, p_r=stop_r, sigma=0.0, p_n=p_n)
+    stop_t = -(p.m * s.v_x + a.p_x)
+    stop_o = -(p.m * s.v_y + a.p_y)
+    stop_r = -(p.I_z * s.w_z + a.p_ztau)
+    x_t, x_o, x_r = stop_t / f.e_t, stop_o / f.e_o, stop_r / f.e_r
+    if x_t * x_t + x_o * x_o + x_r * x_r <= mu_pn * mu_pn:
+        return ContactImpulse(p_t=stop_t, p_o=stop_o, p_r=stop_r, sigma=0.0, p_n=inp.p_n)
 
-    nu_x, nu_y, nu_w = s.v_x, s.v_y, s.w_z
-    if nu_x == 0.0 and nu_y == 0.0 and nu_w == 0.0:
-        nu_x = s.v_x + a.p_x / m
-        nu_y = s.v_y + a.p_y / m
-        nu_w = s.w_z + a.p_ztau / I_z
-    p_t = p_o = p_r = 0.0
-    best: tuple[float, float, float, float] | None = None
-    best_rn = math.inf
-    last_improve = 0
-    for it in range(_MAX_ITERS):
-        d_x = (a.p_ytau - p_t * q_z) / p_n
-        d_y = (-a.p_xtau - p_o * q_z) / p_n
-        v_t = nu_x - nu_w * d_y
-        v_o = nu_y + nu_w * d_x
-        v_r = nu_w
-        sigma = math.sqrt((e_t * v_t) ** 2 + (e_o * v_o) ** 2 + (e_r * v_r) ** 2)
-        if sigma == 0.0:
-            break
-        k = mu * p_n / sigma
-        p_t = -k * e_t ** 2 * v_t
-        p_o = -k * e_o ** 2 * v_o
-        p_r = -k * e_r ** 2 * v_r
-        z = (p_t, p_o, p_r, sigma)
-        rn = _rnorm(z, inp)
-        if rn < best_rn:
-            best, best_rn = z, rn
-            last_improve = it
-        if rn <= _TARGET_REL * scale:
-            break
-        if it - last_improve > _STALL_ITERS:
-            break
-        new_x = s.v_x + (p_t + a.p_x) / m
-        new_y = s.v_y + (p_o + a.p_y) / m
-        new_w = s.w_z + (p_r + a.p_ztau) / I_z
-        nu_x = (1.0 - _RELAX) * nu_x + _RELAX * new_x
-        nu_y = (1.0 - _RELAX) * nu_y + _RELAX * new_y
-        nu_w = (1.0 - _RELAX) * nu_w + _RELAX * new_w
-
-    if best is None or best_rn > _TARGET_REL * scale:
-        z, rn = _grid_search(inp)
-        if best is None or rn < best_rn:
-            best, best_rn = z, rn
-    if best_rn > _TARGET_REL * scale:
-        z, rn = _newton_refine(best, inp, _TARGET_REL * scale)
-        if rn < best_rn:
-            best, best_rn = z, rn
-    if best_rn > _FLOOR_REL * scale:
+    found = _roots(inp)
+    roots = [c for c in found if c[1] <= _TARGET_REL * scale]
+    z, rn = roots[0] if roots else min(found, key=lambda c: c[1], default=(None, math.inf))
+    if rn > _FLOOR_REL * scale:
         raise OracleFailure(
-            f"residual floor not reached: {best_rn:.3e} > {_FLOOR_REL * scale:.3e}"
+            f"residual floor not reached: {rn:.3e} > {_FLOOR_REL * scale:.3e}"
         )
-    return ContactImpulse(p_t=best[0], p_o=best[1], p_r=best[2], sigma=best[3], p_n=p_n)
+    return ContactImpulse(p_t=z[0], p_o=z[1], p_r=z[2], sigma=z[3], p_n=inp.p_n)
 
 
-def _grid_search(inp: StepInputs) -> tuple[tuple[float, float, float, float], float]:
-    """Exhaustive search over the impulse box, refined around the
-    incumbent until every axis spacing is at or below the resolution
-    target.  For each impulse candidate the slip speed is the
-    least-squares minimizer of the three tangential residuals (linear in
-    sigma), which is exact at a root of the system.  A candidate whose
-    minimizer is negative is no solution (sigma >= 0) and is ruled out:
-    clamping its sigma to 0 instead makes a spurious incumbent that the
-    refinement can zoom into."""
-    p = inp.params
-    f = inp.friction
-    s = inp.state
-    a = inp.applied
-    m, I_z, q_z = p.m, p.I_z, p.q_z
-    mu, e_t, e_o, e_r = f.mu, f.e_t, f.e_o, f.e_r
-    p_n = inp.p_n
+def _roots(inp: StepInputs) -> list[tuple[tuple[float, float, float, float], float]]:
+    """The step's sliding solutions, listed from one polynomial.
 
-    bound = np.array([e_t, e_o, e_r]) * mu * p_n
-    center = np.zeros(3)
-    half = bound.copy()
-    n = 64
-    best_z = (0.0, 0.0, 0.0, 0.0)
-    best_rn = math.inf
-    while True:
-        axes = [
-            np.linspace(max(c - hw, -b), min(c + hw, b), n)
-            for c, hw, b in zip(center, half, bound)
-        ]
-        P_t, P_o, P_r = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-        W = s.w_z + (P_r + a.p_ztau) / I_z
-        a1 = mu * p_n * e_t ** 2 * (s.v_x + (P_t + a.p_x) / m + (a.p_xtau + P_o * q_z) * W / p_n)
-        a2 = mu * p_n * e_o ** 2 * (s.v_y + (P_o + a.p_y) / m + (a.p_ytau - P_t * q_z) * W / p_n)
-        a3 = mu * p_n * e_r ** 2 * W
-        denom = P_t ** 2 + P_o ** 2 + P_r ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.where(denom > 0.0, -(a1 * P_t + a2 * P_o + a3 * P_r) / denom, 0.0)
-        F4 = (mu * p_n) ** 2 - (P_r / e_r) ** 2 - (P_t / e_t) ** 2 - (P_o / e_o) ** 2
-        rn = np.abs(a1 + P_t * sigma)
-        np.maximum(rn, np.abs(a2 + P_o * sigma), out=rn)
-        np.maximum(rn, np.abs(a3 + P_r * sigma), out=rn)
-        np.maximum(rn, np.abs(F4), out=rn)
-        rn[sigma < 0.0] = math.inf
-        k = int(np.argmin(rn))
-        if float(rn[k]) < best_rn:
-            best_rn = float(rn[k])
-            best_z = (float(P_t[k]), float(P_o[k]), float(P_r[k]), float(sigma[k]))
-        spacing = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
-        if np.all(spacing <= _GRID_RESOLUTION):
-            return best_z, best_rn
-        center = np.array(best_z[:3])
-        half = spacing
-        n = 16
+    On the curve of the three tangential equations, with S = sigma +
+    gamma/I_z (gamma = mu*p_n*e_r^2) and W0 = w_z + p_ztau/I_z, the
+    rotational equation gives p_r*S = -gamma*W0 and the end-of-step spin
+    W*S = W0*sigma.  The translational 2x2 system then has determinant
+    D/S^2, with D the quartic below, and p_t = N_t/D, p_o = N_o/D for
+    the cubics N_t and N_o.  The ellipsoid gap times S^2*D^2 is G, of
+    degree 10; S > 0 and D > 0 for sigma >= 0, so G's positive roots are
+    exactly the step's sliding solutions.  Each real positive root seeds
+    _newton at its point of the curve.  A spurious root (roundoff in the
+    coefficients, near where S vanishes, say) polishes onto a true one or
+    stays off the target.  Returns the polished points with sigma > 0 and
+    their residual norms, sorted by sigma, with points whose sigma agree
+    to 1e-9 relative merged into the one of least residual.
+    """
+    (m, I_z, q_z, mu, e_t, e_o, e_r,
+     v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n) = _unpack(inp)
+    mu_pn = mu * p_n
+    alpha, beta, gamma = mu_pn * e_t * e_t, mu_pn * e_o * e_o, mu_pn * e_r * e_r
+    q_t, q_o = alpha * q_z / p_n, beta * q_z / p_n
+    W0 = w_z + p_ztau / I_z
+    sig = Polynomial([0.0, 1.0])
+    S = sig + gamma / I_z
+    A11, A22 = sig + alpha / m, sig + beta / m
+    # the right side of the 2x2 system, times S
+    b1 = -alpha * ((v_x + p_x / m) * S + p_xtau / p_n * W0 * sig)
+    b2 = -beta * ((v_y + p_y / m) * S + p_ytau / p_n * W0 * sig)
+    D = A11 * A22 * S * S + q_t * q_o * W0 * W0 * sig * sig
+    N_t = b1 * A22 * S - q_t * W0 * sig * b2
+    N_o = A11 * S * b2 + q_o * W0 * sig * b1
+    g_r = gamma * W0 / e_r
+    G = mu_pn * mu_pn * S * S * D * D - g_r * g_r * D * D - S * S * (
+        (N_t / e_t) * (N_t / e_t) + (N_o / e_o) * (N_o / e_o))
 
-
-def _perturbations(z0: tuple[float, float, float, float]):
-    # deterministic restarts: 10% scalings, per-component and full sign
-    # flips, and slip-speed rescalings
-    p_t, p_o, p_r, s = z0
-    s = abs(s) if s != 0.0 else 1.0
-    yield (1.1 * p_t, 1.1 * p_o, 1.1 * p_r, s)
-    yield (0.9 * p_t, 0.9 * p_o, 0.9 * p_r, s)
-    yield (-p_t, p_o, p_r, s)
-    yield (p_t, -p_o, p_r, s)
-    yield (p_t, p_o, -p_r, s)
-    yield (-p_t, -p_o, -p_r, s)
-    yield (p_t, p_o, p_r, 2.0 * s)
-    yield (p_t, p_o, p_r, 0.5 * s)
+    found = []
+    for root in G.roots():
+        # a real root can come back with a roundoff imaginary part: keep
+        # near-real ones and let the polishing decide
+        s = root.real
+        if not (s > 0.0 and abs(root.imag) <= 1e-6 * s):
+            continue
+        seed = (N_t(s) / D(s), N_o(s) / D(s), -gamma * W0 / S(s), s)
+        z, rn = _newton(seed, inp)
+        if z[3] > 0.0:
+            found.append((z, rn))
+    found.sort(key=lambda c: c[0][3])
+    merged = []
+    for z, rn in found:
+        if merged and z[3] - merged[-1][0][3] <= 1e-9 * z[3]:
+            if rn < merged[-1][1]:
+                merged[-1] = (z, rn)
+        else:
+            merged.append((z, rn))
+    return merged
 
 
-def _newton(z0, inp: StepInputs, tol: float) -> tuple[tuple[float, float, float, float], float]:
-    """Damped Newton on all four equations with backtracking on ||F||^2.
-    Returns the last iterate and its residual norm."""
+def _newton(z0, inp: StepInputs) -> tuple[tuple[float, float, float, float], float]:
+    """Damped Newton on all four equations with backtracking on ||F||^2,
+    until a step no longer lowers ||F||^2: from a seed near a root, that
+    polishes it to roundoff.  Returns the last iterate and its residual
+    norm."""
     z = np.asarray(z0, dtype=float)
     F = residual(tuple(z), inp)
     for _ in range(_NEWTON_ITERS):
-        if float(np.max(np.abs(F))) <= tol:
-            break
         try:
             d = np.linalg.solve(jacobian(tuple(z), inp), -F)
         except np.linalg.LinAlgError:
@@ -208,27 +152,10 @@ def _newton(z0, inp: StepInputs, tol: float) -> tuple[tuple[float, float, float,
             lam *= 0.5
             z_try = z + lam * d
             F_try = residual(tuple(z_try), inp)
+        if not float(F_try @ F_try) < merit:
+            break
         z, F = z_try, F_try
     return tuple(float(c) for c in z), float(np.max(np.abs(F)))
-
-
-def _newton_refine(
-    z0: tuple[float, float, float, float], inp: StepInputs, tol: float
-) -> tuple[tuple[float, float, float, float], float]:
-    """Precision stage of the fallback: damped Newton from the incumbent,
-    restarting from deterministic perturbations of it until a root with
-    sigma >= 0 reaches tol.  The grid search lands near a root but stalls
-    in the slip-speed valley well above the floor, sometimes in the basin
-    of a spurious negative-sigma root that a sign flip escapes.  Returns
-    the best point with sigma >= 0 and its residual norm."""
-    best_z, best_rn = z0, _rnorm(z0, inp)
-    for start in (z0, *_perturbations(z0)):
-        z, rn = _newton(start, inp, tol)
-        if z[3] >= 0.0 and rn < best_rn:
-            best_z, best_rn = z, rn
-        if best_rn <= tol:
-            break
-    return best_z, best_rn
 
 
 @value_type

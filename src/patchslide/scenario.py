@@ -192,11 +192,13 @@ def _number_fields(cls) -> tuple[tuple[str, object], ...]:
     )
 
 
-def _keys(cls) -> set[str]:
-    return {name for name, _ in _number_fields(cls)}
+@cache
+def _keys(cls, *other: str) -> frozenset[str]:
+    # the keys of a section that builds cls: its number fields and other
+    return frozenset(name for name, _ in _number_fields(cls)).union(other)
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
+def _check_keys(mapping: dict, allowed: frozenset[str] | set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         # repr orders keys of any mix of types (1 and 'foo', None and 'bar')
@@ -237,7 +239,7 @@ def _read(mapping: dict, cls, context: str) -> dict:
 def _build(value, cls, context: str, *other: str):
     # cls from a section that holds its number fields and the keys in other
     mapping = _as_map(value, context)
-    _check_keys(mapping, _keys(cls).union(other), context)
+    _check_keys(mapping, _keys(cls, *other), context)
     return cls(**_read(mapping, cls, context))
 
 
@@ -273,7 +275,7 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
         _check_keys(section, {"type", "wrench"}, "schedule")
         return ConstantSchedule(_build(section.get("wrench"), AppliedWrench, "schedule.wrench"))
     if kind == "body_pusher":
-        _check_keys(section, _keys(BodyPusherSchedule) | {"type", "point", "direction"}, "schedule")
+        _check_keys(section, _keys(BodyPusherSchedule, "type", "point", "direction"), "schedule")
         point = _num_list(section.get("point"), 3, "schedule.point")
         direction = _num_list(section.get("direction"), 2, "schedule.direction")
         norm = math.hypot(*direction)
@@ -415,6 +417,9 @@ def _load(text: str):
 
 
 _SECTIONS = {"slider", "friction", "patch", "initial", "schedule", "run"}
+# run holds the Scenario's numbers and every RunOptions field
+_RUN_FIELDS = fields(RunOptions)
+_RUN_KEYS = _keys(Scenario, *(f.name for f in _RUN_FIELDS))
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -443,12 +448,11 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     else:
         schedule = ConstantSchedule(AppliedWrench.zero())
 
-    # run holds the Scenario's numbers and every RunOptions field; the text
-    # fields are checked before any number is read
+    # the text fields are checked before any number is read
     run = _as_map(doc["run"], "run")
-    _check_keys(run, _keys(Scenario) | {f.name for f in fields(RunOptions)}, "run")
+    _check_keys(run, _RUN_KEYS, "run")
     texts = {}
-    for f in fields(RunOptions):
+    for f in _RUN_FIELDS:
         if f.type != "float":
             v = texts[f.name] = run.get(f.name, f.default)
             if not isinstance(v, str) and not (v is None and f.default is None):
@@ -595,7 +599,7 @@ def serialize_scenario(scen: Scenario) -> str:
     out += _name("run"), _FLOW_MAP
     _numbers(out, scen)
     options = scen.options
-    for f in fields(RunOptions):
+    for f in _RUN_FIELDS:
         v = getattr(options, f.name)
         if v is not None:
             out += _name(f.name), _scalar(v)

@@ -170,17 +170,26 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     """Friction impulse maximizing dissipated power against slip v.
 
     The maximizer on the ellipsoid boundary is p_i = -mu*p_n*e_i^2*v_i/sigma
-    with sigma the generalized slip speed.  Raises ZeroSlipError when the
-    slip velocity vanishes, since the direction is then undefined.
+    with sigma the generalized slip speed, computed as a hypot and applied
+    as -mu*p_n*e_i*(e_i*v_i/sigma), so that no square over- or underflows
+    on a finite slip.  Raises ZeroSlipError when the slip velocity
+    vanishes, since the direction is then undefined, and ValidationError
+    when its slip speed overflows a double.
     """
-    sigma = math.sqrt((f.e_t * v.v_t) ** 2 + (f.e_o * v.v_o) ** 2 + (f.e_r * v.v_r) ** 2)
+    u_t, u_o, u_r = f.e_t * v.v_t, f.e_o * v.v_o, f.e_r * v.v_r
+    sigma = math.hypot(u_t, u_o, u_r)
     if sigma == 0.0:
         raise ZeroSlipError("slip velocity is zero; friction direction undefined")
-    k = f.mu * p_n / sigma
+    if not math.isfinite(sigma):
+        raise ValidationError(
+            "slip velocity is too large: its slip speed in friction-ellipsoid units, "
+            "hypot(e_t*v_t, e_o*v_o, e_r*v_r), overflows a double"
+        )
+    mu_pn = f.mu * p_n
     return ContactImpulse(
-        p_t=-k * f.e_t ** 2 * v.v_t,
-        p_o=-k * f.e_o ** 2 * v.v_o,
-        p_r=-k * f.e_r ** 2 * v.v_r,
+        p_t=-mu_pn * f.e_t * (u_t / sigma),
+        p_o=-mu_pn * f.e_o * (u_o / sigma),
+        p_r=-mu_pn * f.e_r * (u_r / sigma),
         sigma=sigma,
         p_n=p_n,
     )

@@ -1,5 +1,6 @@
-"""Reference solver (fixed point + grid and Newton fallback) and direct
-optimality checks, exercised against the fast slip-speed solve."""
+"""Reference solver (the roots of each step's degree-10 polynomial,
+polished by four-equation Newton) and direct optimality checks, exercised
+against the fast slip-speed solve."""
 
 import dataclasses
 import math
@@ -19,10 +20,15 @@ from patchslide import (
     solve_step,
     verify_kkt,
 )
-from patchslide.oracle import _grid_search, _newton, _newton_refine
+import patchslide.oracle as oracle_module
+from patchslide.errors import OracleFailure
+from patchslide.oracle import _roots
 
 from conftest import make_sliding_inputs
-from test_solver import STEP1_P_O, STEP1_P_R, STEP1_P_T, STEP1_SIGMA, step1_inputs
+from test_solver import (
+    STEP1_P_O, STEP1_P_R, STEP1_P_T, STEP1_SIGMA, THREE_ROOTS_FLAT, THREE_ROOTS_TALL, _gap_roots,
+    step1_inputs,
+)
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 
@@ -95,50 +101,31 @@ def test_oracle_grid_search_rules_out_negative_slip_speeds():
         assert abs(got - want) <= 1e-12
 
 
-def test_grid_search_brackets_the_root():
-    # the box grid alone stalls in the slip-speed valley; it must still
-    # land in the root's neighborhood for the curve stage to matter
+@pytest.mark.parametrize("inp, smallest", [(THREE_ROOTS_FLAT, 2.609e-5), (THREE_ROOTS_TALL, 0.01527)],
+                         ids=["flat", "tall"])
+def test_oracle_lists_every_root_and_returns_the_smallest(inp, smallest):
+    # the polynomial's positive roots, polished, are the gap's sign changes,
+    # and the oracle names the least slip speed whatever a warm start picks
+    scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
+    roots = [z[3] for z, rn in _roots(inp) if rn <= 1e-12 * scale]
+    assert roots == pytest.approx(_gap_roots(inp), rel=1e-9)
+    assert len(roots) == 3
+    ref = oracle_solve_step(inp)
+    assert ref.sigma == roots[0] == pytest.approx(smallest, rel=1e-3)
+
+
+def test_oracle_falls_back_to_the_floor_then_fails(monkeypatch):
+    # a target no polished point meets: the point of least residual is
+    # returned when it is within the failure floor, and OracleFailure
+    # raised when it is not
     inp = step1_inputs()
-    z, rnorm = _grid_search(inp)
-    scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
-    assert rnorm <= 1e-5 * scale
-    assert abs(z[0] - STEP1_P_T) < 1e-3
-    assert abs(z[1] - STEP1_P_O) < 1e-3
-    assert abs(z[2] - STEP1_P_R) < 1e-4
-    assert abs(z[3] - STEP1_SIGMA) < 1e-2
-
-
-def test_oracle_stages_escape_the_negative_sigma_basin():
-    # on this input the grid search stalls in the basin of a spurious
-    # negative-sigma root, with p_r of the wrong sign; Newton from there
-    # converges to that root, and only the refinement's sign-flip restarts
-    # reach the root with sigma >= 0 that the solver returns
-    inp = make_sliding_inputs(seed=31, n=100)[89]
-    ref = solve_step(inp)
-    scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
-    z, rnorm = _grid_search(inp)
-    assert rnorm == pytest.approx(5.1e-4, rel=0.01)
-    assert z[2] * ref.p_r < 0.0
-    z_newton, rn_newton = _newton(z, inp, 1e-12 * scale)
-    assert rn_newton <= 1e-12 * scale
-    assert z_newton[3] == pytest.approx(-0.139, abs=1e-3)
-    z_refined, rn_refined = _newton_refine(z, inp, 1e-12 * scale)
-    assert rn_refined <= 1e-12 * scale
-    assert z_refined[3] >= 0.0
-    for got, want in zip(z_refined, (ref.p_t, ref.p_o, ref.p_r, ref.sigma)):
-        assert abs(got - want) <= 1e-9
-
-
-def test_newton_refine_reaches_the_floor():
-    # the precision stage, started where the grid search stalls
-    inp = step1_inputs()
-    scale = max(1.0, (inp.friction.mu * inp.p_n) ** 2)
-    z, rnorm = _newton_refine(_grid_search(inp)[0], inp, 1e-12 * scale)
-    assert rnorm <= 1e-10 * scale
-    assert abs(z[0] - STEP1_P_T) < 1e-9
-    assert abs(z[1] - STEP1_P_O) < 1e-9
-    assert abs(z[2] - STEP1_P_R) < 1e-11
-    assert abs(z[3] - STEP1_SIGMA) < 1e-9
+    monkeypatch.setattr(oracle_module, "_TARGET_REL", 0.0)
+    monkeypatch.setattr(oracle_module, "_NEWTON_ITERS", 0)
+    ref = oracle_solve_step(inp)
+    assert ref.sigma == pytest.approx(STEP1_SIGMA, abs=1e-9)
+    monkeypatch.setattr(oracle_module, "_FLOOR_REL", 0.0)
+    with pytest.raises(OracleFailure, match="residual floor not reached"):
+        oracle_solve_step(inp)
 
 
 # ----------------------------------------------------------------- verify_kkt

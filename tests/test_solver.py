@@ -208,6 +208,27 @@ def test_max_dissipation_zero_slip_raises():
         max_dissipation_impulse(SlipVelocity(0.0, 0.0, 0.0), 0.049, f)
 
 
+def test_max_dissipation_finite_slips_beyond_the_squares():
+    # the squares of these slips over- and underflow, but their slip speed
+    # and the impulse do not: v_t = 1e200 once raised OverflowError, and
+    # v_t = 1e-170 a false ZeroSlipError
+    f = FrictionParams(0.3, 1.0, 1.0, 0.01)
+    for v_t in (1e200, 1e-170):
+        imp = max_dissipation_impulse(SlipVelocity(v_t, 0.0, 0.0), 0.05, f)
+        assert imp.p_t == pytest.approx(-0.015, rel=1e-15)
+        assert imp.p_o == 0.0 and imp.p_r == 0.0
+        assert imp.sigma == v_t
+    tiny = max_dissipation_impulse(SlipVelocity(3e-170, -4e-170, 0.0), 0.05, f)
+    assert (tiny.p_t, tiny.p_o) == pytest.approx((-0.009, 0.012), rel=1e-15)
+    assert tiny.sigma == pytest.approx(5e-170, rel=1e-15)
+
+
+def test_max_dissipation_overflowing_slip_speed_raises():
+    f = FrictionParams(0.3, 10.0, 1.0, 0.01)
+    with pytest.raises(ValidationError, match="slip speed .* overflows a double"):
+        max_dissipation_impulse(SlipVelocity(1e308, 0.0, 0.0), 0.05, f)
+
+
 # ---------------------------------------------------------------- solve_step
 
 def test_solve_step_matches_frozen_step1():
