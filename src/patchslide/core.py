@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter
+from reprlib import recursive_repr
 
 from .errors import ContactLossError, ValidationError
 from .geometry import convex_edges, convex_hull
@@ -48,20 +50,32 @@ def value_type(cls):
     """Class decorator for the package's value types: a frozen, slotted
     dataclass whose __init__ stores each field straight into its slot.
 
+    dataclass is asked for the fields, __match_args__ and the slotted class
+    only; it generates no method.  Each method it would generate by
+    compiling source costs about a tenth of a millisecond, and importing
+    the package makes 20 value types.  value_type makes the methods:
+    __init__, compiled once per class, and as plain closures __repr__,
+    __eq__, __hash__, __setattr__, __delattr__, __getstate__ and
+    __setstate__.  They behave as dataclass(frozen=True, slots=True)'s do:
+    repr is QualName(a=..., b=...) with a guard against recursion, equality
+    compares the tuples of field values of two instances of the same class
+    (NotImplemented otherwise), the hash is that tuple's hash, and every
+    assignment or deletion raises FrozenInstanceError.  The class's
+    __dataclass_params__ reads as frozen=True's: repr, eq and frozen set.
+
     A frozen dataclass's own __init__ assigns each field through
     object.__setattr__, which dominates the cost of building a small
     object.  The __init__ made here calls each slot descriptor's __set__,
-    bound once per class; the frozen __setattr__ still rejects every later
-    assignment.  It has the signature dataclass would give (names,
-    defaults, annotations), calls __post_init__ as dataclass does, and
-    leaves equality, hashing, repr and replace to the dataclass
-    machinery.  Unpickling, copy and deepcopy run __post_init__
-    too, so they pass the constructor's checks.  A derived field, declared
-    field(init=False, repr=False, compare=False) and set by __post_init__
-    through object.__setattr__, is left out of the __init__, the pickled
-    state, equality, hashing and repr: wherever an instance is built or
-    restored, it is computed anew.  A default is a value, not a factory:
-    the types are frozen, so one default instance can be shared.
+    bound once per class.  It has the signature dataclass would give
+    (names, defaults, annotations) and calls __post_init__ as dataclass
+    does.  Unpickling, copy and deepcopy run __post_init__ too, so they
+    pass the constructor's checks; dataclasses.replace goes through the
+    class call.  A derived field, declared field(init=False, repr=False,
+    compare=False) and set by __post_init__ through object.__setattr__, is
+    left out of the __init__, the pickled state, equality, hashing and
+    repr: wherever an instance is built or restored, it is computed anew.
+    A default is a value, not a factory: the types are frozen, so one
+    default instance can be shared.
 
     The class call is the public constructor.  Each class also has a
     positional builder, cls._new(*fields), which gives what the class call
@@ -70,11 +84,13 @@ def value_type(cls):
     gathers them in a dict, so code that builds many objects passes the
     fields positionally.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    params = cls.__dataclass_params__
+    params.repr = params.eq = params.frozen = True
     every = fields(cls)
     flds = [f for f in every if f.init]
-    if (len(every) != len(cls.__dataclass_fields__) or any(f.kw_only for f in every)
-            or any(f.repr or f.compare for f in every if not f.init)):
+    if (len(every) != len(cls.__dataclass_fields__) or any(f.kw_only or f.hash is not None for f in every)
+            or any((f.repr, f.compare) != (f.init, f.init) for f in every)):
         raise TypeError(f"{cls.__name__}: value types take every field as a plain argument, or derive it")
     if any(f.default_factory is not MISSING for f in every):
         raise TypeError(f"{cls.__name__}: value types take a shared default value, not a default factory")
@@ -102,18 +118,36 @@ def value_type(cls):
     init.__defaults__ = tuple(defaults) or None
     init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
 
-    # dataclass's frozen __setattr__ and __delattr__ name the class it had
-    # before it added slots, so assigning a name that is not a field raised
-    # TypeError instead of FrozenInstanceError; these name the final class
-    names = frozenset(f.name for f in every)
+    # the constructor's fields as a tuple, a 1-tuple for one field, as
+    # dataclass's methods compare and hash them
+    names = tuple(f.name for f in flds)
+    values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
+    labels = [f"{name}=" for name in names]
+
+    @recursive_repr()
+    def __repr__(self):
+        shown = ", ".join([label + repr(value) for label, value in zip(labels, values(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    # every field, derived ones too, is frozen; these name the final class,
+    # where dataclass's named the one it had before it added slots
+    frozen = frozenset(f.name for f in every)
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in names:
+        if type(self) is cls or name in frozen:
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
-        if type(self) is cls or name in names:
+        if type(self) is cls or name in frozen:
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
@@ -121,19 +155,19 @@ def value_type(cls):
     post_init = getattr(cls, "__post_init__", None)
 
     def __getstate__(self):
-        return [getattr(self, f.name) for f in flds]
+        return list(values(self))
 
     def __setstate__(self, state):
         # the field values as a list, but a pickle written before the value
         # types had slots holds their __dict__
         if isinstance(state, dict):
-            state = [state[f.name] for f in flds]
+            state = [state[name] for name in names]
         for set_field, value in zip(setters, state):
             set_field(self, value)
         if post_init is not None:
             post_init(self)
 
-    for method in (init, __setattr__, __delattr__, __getstate__, __setstate__):
+    for method in (init, __repr__, __eq__, __hash__, __setattr__, __delattr__, __getstate__, __setstate__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         method.__module__ = cls.__module__
         setattr(cls, method.__name__, method)
@@ -226,6 +260,14 @@ class PolygonPatch:
             area2 += a - b
             scale += abs(a) + abs(b)
             moved += abs(x) * abs(yn - yp) + abs(y) * abs(xn - xp)
+        # products that overflow leave the sums at inf or nan, which no
+        # patch's area can exceed: that is a patch beyond the test's range,
+        # not a flat one
+        _require(
+            _finite(scale, moved),
+            "polygon patch coordinates are too large for the area test in doubles: "
+            "their products overflow",
+        )
         hull = convex_hull(list(verts))
         _require(
             abs(area2) > (n + 1) * _AREA_ROUNDOFF * scale + _VERTEX_ROUNDOFF * moved
@@ -466,7 +508,15 @@ def pusher_wrench(schedule: BodyPusherSchedule, theta_z: float, t: float) -> tup
     c = math.cos(theta_z)
     s = math.sin(theta_z)
     dx, dy = schedule.direction_body
-    mag = schedule.force_mean + schedule.force_amp * math.cos(2.0 * math.pi * t / schedule.period)
+    phase = 2.0 * math.pi * t / schedule.period
+    try:
+        wave = math.cos(phase)
+    except ValueError:  # cos(inf): t / period overflowed
+        raise ValidationError(
+            f"pusher phase 2*pi*t/period = {phase!r} overflows a double at t = {t!r} s "
+            f"(period {schedule.period!r} s)"
+        ) from None
+    mag = schedule.force_mean + schedule.force_amp * wave
     fx = mag * (c * dx - s * dy)
     fy = mag * (s * dx + c * dy)
     px, py, pz = schedule.point_body

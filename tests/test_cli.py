@@ -447,6 +447,17 @@ def test_simulate_rejects_overflowing_load(tmp_path, capsys, schedule, message):
     assert message in stderr
 
 
+
+def test_simulate_reports_an_overflowing_pusher_phase(tmp_path, capsys):
+    text = bundled_scenario_text("example3")
+    assert text.count("period: 0.1") == 1
+    scen = tmp_path / "fast.yaml"
+    scen.write_text(text.replace("period: 0.1", "period: 1.0e-320"))
+    code, _, stderr = run(capsys, "simulate", "--scenario", str(scen), "--out", str(tmp_path / "fast.csv"))
+    assert code == 1
+    assert stderr.startswith("error: step 1: pusher phase 2*pi*t/period = inf overflows a double")
+    assert "Traceback" not in stderr
+
 @pytest.mark.parametrize("text, message", [
     (TRANSLATE_YAML.replace("q_z: 0.08}", "q_z: 0.08, 1: 2, foo: 3}"), "unknown key(s) ['foo', 1] in slider"),
     (TRANSLATE_YAML + "null: 1\nextra: 2\n", "unknown key(s) ['extra', None] in scenario document"),

@@ -265,6 +265,16 @@ def test_polygon_patch_rejects_collinear_vertices_on_lines_through_the_origin():
     assert accepted == 0
 
 
+
+def test_polygon_patch_with_overflowing_products_is_too_large_not_flat():
+    # the shoelace products of coordinates near 1e160 overflow to inf;
+    # those near 1e-170 underflow to 0 and stay a zero-area patch
+    with pytest.raises(ValidationError, match="too large for the area test in doubles"):
+        PolygonPatch(((0.0, 0.0), (1e160, 0.0), (0.0, 1e160)))
+    with pytest.raises(ValidationError, match="^polygon patch has zero area$"):
+        PolygonPatch(((0.0, 0.0), (1e-170, 0.0), (0.0, 1e-170)))
+    assert PolygonPatch(((0.0, 0.0), (1e150, 0.0), (0.0, 1e150))).convex
+
 def test_pusher_schedule_validation():
     with pytest.raises(ValidationError):
         BodyPusherSchedule(point_body=(0, 0, 0), direction_body=(1.0, 1.0),
@@ -404,6 +414,69 @@ def test_value_type_is_slotted_and_frozen(examples, name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(obj, first)
 
+
+
+def _plain_dataclass(cls):
+    # the frozen, slotted dataclass with cls's fields and defaults, and with
+    # every method dataclass generates
+    specs = [
+        (f.name, f.type, dataclasses.field(default=f.default, init=f.init, repr=f.repr, compare=f.compare))
+        for f in dataclasses.fields(cls)
+    ]
+    plain = dataclasses.make_dataclass(cls.__name__, specs, frozen=True, slots=True)
+    plain.__qualname__ = cls.__qualname__
+    return plain
+
+
+def _unchecked(cls, values):
+    # an instance of cls holding values, past its constructor's checks
+    obj = cls.__new__(cls)
+    for f, value in zip([f for f in dataclasses.fields(cls) if f.init], values):
+        cls.__dict__[f.name].__set__(obj, value)
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_value_type_methods_match_a_plain_frozen_dataclass(examples, name):
+    cls = getattr(patchslide, name)
+    plain = _plain_dataclass(cls)
+    args = _init_fields(examples[name])
+    changed = args[:-1] + ["changed"]
+    ours = [examples[name], cls(*args), _unchecked(cls, changed)]
+    theirs = [plain(*args), plain(*args), plain(*changed)]
+    for a, ref_a in zip(ours, theirs):
+        assert repr(a) == repr(ref_a)
+        assert hash(a) == hash(ref_a)
+        assert a.__eq__(1) is NotImplemented and ref_a.__eq__(1) is NotImplemented
+        for b, ref_b in zip(ours, theirs):
+            assert (a == b) == (ref_a == ref_b)
+            assert (a != b) == (ref_a != ref_b)
+    assert ours[0] == ours[1] != ours[2]
+    assert cls.__match_args__ == plain.__match_args__
+    assert [f.name for f in dataclasses.fields(cls)] == [f.name for f in dataclasses.fields(plain)]
+    p = cls.__dataclass_params__
+    assert (p.init, p.repr, p.eq, p.order, p.unsafe_hash, p.frozen) == (False, True, True, False, False, True)
+
+
+def test_value_type_repr_guards_recursion():
+    @value_type
+    class Box:
+        """Holds anything, itself too."""
+
+        item: object
+
+    box = Box([])
+    box.item.append(box)
+    assert repr(box) == "test_value_type_repr_guards_recursion.<locals>.Box(item=[...])"
+
+
+def test_value_type_rejects_constructor_fields_left_out_of_repr_eq_or_hash():
+    # repr, eq and hash read one tuple of the constructor's fields
+    for flags in ({"repr": False}, {"compare": False}, {"hash": False}):
+        with pytest.raises(TypeError, match="every field as a plain argument"):
+            @value_type
+            class Partial:
+                a: float = dataclasses.field(**flags)
 
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_value_type_signature_is_unchanged(name):

@@ -105,6 +105,28 @@ def test_first_access_stores_the_name_in_the_package():
     assert "oracle" not in got["modules"]
 
 
+
+def test_import_compiles_at_most_one_function_per_value_type():
+    # core.value_type compiles each value type's __init__ and nothing else;
+    # the dataclass-generated methods were five more compiles per type
+    probe = (
+        "import dataclasses, inspect, json, sys, yaml\n"
+        "compiles = []\n"
+        "sys.addaudithook(lambda event, args: compiles.append(1)"
+        " if event == 'compile' and args[1] == '<string>' else None)\n"
+        "import patchslide\n"
+        "n = len(compiles)\n"
+        "types = {id(c) for m in list(sys.modules.values()) if m.__name__.startswith('patchslide.')\n"
+        "         for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__\n"
+        "         and dataclasses.is_dataclass(c)}\n"
+        "print(json.dumps([n, len(types)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    compiles, value_types = json.loads(out.stdout.splitlines()[-1])
+    assert value_types == 20
+    assert compiles <= value_types
+
 # -------------------------------------------------------------------- surface
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])

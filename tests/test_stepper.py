@@ -32,6 +32,7 @@ from patchslide import (
     assemble_inputs,
     ecp,
     max_dissipation_impulse,
+    resolve_scenario,
     simulate,
     slip_velocity,
     step,
@@ -445,6 +446,17 @@ def test_simulate_attaches_step_index_to_errors():
         simulate(scen)
     assert "step 5" in str(ei.value)
 
+
+
+def test_simulate_reports_an_overflowing_pusher_phase():
+    # example3's pusher with a subnormal period: the phase 2*pi*t/period is
+    # 0 at step 0 and inf at step 1, where cos(inf) would raise ValueError
+    scen = resolve_scenario("example3")
+    scen = dataclasses.replace(scen, schedule=dataclasses.replace(scen.schedule, period=1.0e-320))
+    with pytest.raises(ValidationError, match=r"^step 1: pusher phase 2\*pi\*t/period = inf overflows a double"):
+        simulate(scen)
+    with pytest.raises(ValidationError, match="pusher phase"):
+        wrench_at(scen.schedule, scen.initial, 0.01)
 
 def test_simulate_records_solver_diagnostics(ex1_records):
     for r in ex1_records:
