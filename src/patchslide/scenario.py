@@ -11,33 +11,29 @@ every level so that typos fail loudly.
 Loading a file, serializing the result, and loading the serialization
 yields an identical Scenario.
 
-Documents are parsed with libyaml's safe loader when PyYAML has it, the
-pure-Python one otherwise.  loads_scenario builds the document from that
-parser's event stream in one pass, as yaml.load would build it (dicts,
-lists, and the str, float, int, bool and null values of the safe
-constructor, each scalar tagged by the same resolver), without PyYAML's
-Python composer and constructor.  A stream holding anything else (an
-anchor or alias, another tag, a merge key, a collection key, a second
-document) goes whole to yaml.load, so its result and its errors are
-PyYAML's.  serialize_scenario builds the YAML event
-stream straight from the value types and hands it to the emitter of the
-same pair.  The stream is the one yaml.dump(..., sort_keys=False,
-default_flow_style=None) makes of the document as nested dicts and
-lists, so the text is byte for byte what yaml.dump writes.  A value
+serialize_scenario writes the text yaml.dump(..., sort_keys=False,
+default_flow_style=None) writes of the document as nested dicts and lists.
+When every value is a float or a name (a word the resolver reads as a
+str) it writes that text itself.  Otherwise (a string that needs quotes,
+an int, a bool) it hands the document's event stream to the emitter of
+libyaml when PyYAML has it, of pure Python otherwise.  A value
 SafeRepresenter refuses (a numpy.float64 field, say) raises its
-RepresenterError.
+RepresenterError.  loads_scenario reads text in the layout
+serialize_scenario writes, with plain floats and names only, without
+PyYAML; it hands any other text whole to yaml.load with the safe loader of
+the same pair, so that its value and its errors are PyYAML's.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, field, fields
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 
 import yaml
-from yaml.constructor import SafeConstructor
 from yaml.events import (
     DocumentEndEvent,
     DocumentStartEvent,
@@ -98,9 +94,10 @@ _STR_TAG = "tag:yaml.org,2002:str"
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _INT_TAG = "tag:yaml.org,2002:int"
 _BOOL_TAG = "tag:yaml.org,2002:bool"
-_NULL_TAG = "tag:yaml.org,2002:null"
 _MAP_TAG = "tag:yaml.org,2002:map"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
+# the implicit flags of a plain scalar
+_PLAIN = (True, False)
 
 
 @value_type
@@ -302,117 +299,124 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
     raise ValidationError(f"schedule.type must be constant, body_pusher, or table, got {kind!r}")
 
 
-# _load builds what yaml.load(text, Loader=_LOADER) returns in one pass over
-# the parser's events, without PyYAML's Python composer and constructor:
-# mappings become dicts, sequences lists, and each scalar gets the tag the
-# composer gives it (its explicit tag, or _RESOLVER's for its text) and the
-# value SafeConstructor builds for that tag.  A stream holding anything
-# else goes whole to yaml.load, so its result and errors are PyYAML's: an
-# anchor or alias, a tag other than str, float, int, bool and null (map and
-# seq on a collection), a merge or value key, a collection key, a scalar
-# its explicit tag does not fit, or a second document.
-class _Unwalked(Exception):
-    """The stream holds what only yaml.load builds."""
+# Text in the layout serialize_scenario writes is read without PyYAML: a
+# block mapping of `key: value` and `key:` lines, indentless `- ` block
+# sequences, and flat flow collections, each wrapped only after a comma
+# onto a line at its block's indent plus 2 (the emitter's flow layout).
+# Every scalar is plain: a name, which the resolver reads as a str, or a
+# float in _float_text's form, which it reads as float() does.  Any other
+# text goes whole to yaml.load, so its value and its errors are PyYAML's.
+class _Outside(Exception):
+    """Text or a value outside serialize_scenario's plain layout."""
 
 
-_CONSTRUCTOR = SafeConstructor()
-# SafeConstructor's function for each scalar tag the walk builds
-_EXPLICIT = {tag: SafeConstructor.yaml_constructors[tag]
-             for tag in (_STR_TAG, _FLOAT_TAG, _INT_TAG, _BOOL_TAG, _NULL_TAG)}
-_IMPLICIT_RULES = _RESOLVER.yaml_implicit_resolvers
-# the tags of a mapping or sequence that the safe constructor builds as a
-# plain dict or list
-_MAP_TAGS = (None, "!", _MAP_TAG)
-_SEQ_TAGS = (None, "!", _SEQ_TAG)
+_WORD = r"[A-Za-z_][A-Za-z0-9_]{0,127}"  # short enough for a simple key
+_NUMBER = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+_SCALAR = f"(?:{_NUMBER}|{_WORD})"
+_PLAIN_SCALAR = re.compile(rf"{_SCALAR}\Z")
+_FLOW = re.compile(rf"\[(?:{_SCALAR}(?:, {_SCALAR})*)?\]\Z"
+                   rf"|\{{(?:{_WORD}: {_SCALAR}(?:, {_WORD}: {_SCALAR})*)?\}}\Z")
+_KEY_LINE = re.compile(rf"({_WORD}):(?: (.+))?\Z")
 
 
-def _scalar_value(event: ScalarEvent):
-    tag, text = event.tag, event.value
-    if tag is not None and tag != "!":
-        construct = _EXPLICIT.get(tag)
-        if construct is None:
-            raise _Unwalked
-        try:
-            return construct(_CONSTRUCTOR, ScalarNode(tag, text))
-        except (LookupError, ValueError):  # !!bool maybe, !!int abc, !!float ''
-            # yaml.load raises it too, but only once the stream is parsed
-            raise _Unwalked from None
-    # Resolver.resolve's tag: a plain scalar's is the first of _RESOLVER's
-    # implicit rules for its first character that matches its text (the
-    # safe loaders add no wildcard or path rules), any other's is str
-    if not event.implicit[0]:
-        return text
-    for tag, regexp in _IMPLICIT_RULES.get(text[:1], ()):
-        if regexp.match(text):
-            break
-    else:
-        return text
-    if tag == _FLOAT_TAG:
-        # float() reads resolved float text as construct_yaml_float does,
-        # except underscores, base 60, .inf and .nan
-        if "_" in text or ":" in text or text[-1] in "fFnN":
-            return _CONSTRUCTOR.construct_yaml_float(ScalarNode(tag, text))
+def _str_event(text: str) -> ScalarEvent:
+    # plain-implicit unless the resolver reads the plain text as another
+    # type (null, bool, int, float...)
+    plain = _RESOLVER.resolve(ScalarNode, text, _PLAIN) == _STR_TAG
+    return ScalarEvent(None, _STR_TAG, (plain, True), text)
+
+
+# the event of a word: a key or type of the format, or a word read or
+# written; emitters only read events, so one serves every document
+_name = lru_cache(maxsize=256)(_str_event)
+
+
+def _plain(text: str):
+    # the value of a number or word that _SCALAR matches: float() reads the
+    # one as yaml.load does, and the other must read as a str
+    if text[0] in "-0123456789":
         return float(text)
-    if tag == _INT_TAG:
-        # and int() resolved int text, except underscores, base 60, a sign
-        # and a leading 0 (octal, 0b, 0x)
-        if text.isdigit() and (text[0] != "0" or text == "0"):
-            return int(text)
-        return _CONSTRUCTOR.construct_yaml_int(ScalarNode(tag, text))
-    if tag == _BOOL_TAG:
-        return _CONSTRUCTOR.bool_values[text.lower()]
-    if tag == _NULL_TAG:
-        return None
-    raise _Unwalked  # a timestamp, or the merge or value key
+    if _name(text).implicit[0]:
+        return text
+    raise _Outside
 
 
-def _walk(event, events):
-    # the value of the node that event starts; events yields the rest of it
-    if event.anchor is not None:  # an anchor, or an alias
-        raise _Unwalked
-    kind = type(event)
-    if kind is ScalarEvent:
-        return _scalar_value(event)
-    if kind is MappingStartEvent:
-        if event.tag not in _MAP_TAGS:
-            raise _Unwalked
-        mapping = {}
-        for event in events:
-            if type(event) is MappingEndEvent:
-                break
-            if type(event) is not ScalarEvent:  # a collection or alias key
-                raise _Unwalked
-            key = _walk(event, events)
-            mapping[key] = _walk(next(events), events)
-        return mapping
-    if event.tag not in _SEQ_TAGS:
-        raise _Unwalked
-    sequence = []
-    for event in events:
-        if type(event) is SequenceEndEvent:
-            break
-        sequence.append(_walk(event, events))
-    return sequence
+def _value(text: str):
+    # a plain scalar, or a flat flow collection of them
+    if _FLOW.match(text):
+        items = text[1:-1].split(", ") if len(text) > 2 else ()
+        if text[0] == "[":
+            return [_plain(item) for item in items]
+        return {_plain(key): _plain(value) for key, value in (item.split(": ") for item in items)}
+    if _PLAIN_SCALAR.match(text):
+        return _plain(text)
+    raise _Outside
+
+
+def _rows(text: str) -> list[tuple]:
+    # one (indent, key, value) per entry of text: key '-' for a sequence
+    # item and '' for a value alone after one, value None before a block;
+    # a flow collection's wrapped lines are joined
+    lines = text.split("\n")
+    if lines.pop():  # no final line break
+        raise _Outside
+    rows = []
+    for line in lines:
+        body = line.lstrip(" ")
+        indent = len(line) - len(body)
+        if rows and (rows[-1][2] or "").endswith(","):
+            at, key, value = rows[-1]
+            if indent != at + (2 if key else 0):
+                raise _Outside
+            rows[-1] = (at, key, f"{value} {body}")
+            continue
+        if body.startswith("- "):
+            rows.append((indent, "-", None))
+            body = body[2:]
+            indent += 2
+        match = _KEY_LINE.match(body)
+        rows.append((indent, match[1], match[2]) if match else (indent, "", body))
+    return rows
+
+
+def _block(rows: list[tuple], i: int, indent: int):
+    # the block collection whose entries are the rows from rows[i] on at
+    # indent, and the index of the row after it
+    if rows[i][1] == "-":
+        items = []
+        while i < len(rows) and rows[i][:2] == (indent, "-"):
+            if rows[i + 1][1]:  # a mapping that starts on the item's line
+                item, i = _block(rows, i + 1, indent + 2)
+            else:
+                item, i = _value(rows[i + 1][2]), i + 2
+            items.append(item)
+        return items, i
+    mapping = {}
+    while i < len(rows) and rows[i][0] == indent:
+        _, key, value = rows[i]
+        if key == "-" or not _name(key).implicit[0]:  # '' reads as null
+            raise _Outside
+        i += 1
+        if value is not None:
+            mapping[key] = _value(value)
+        elif i < len(rows) and rows[i][:2] == (indent, "-"):  # indentless
+            mapping[key], i = _block(rows, i, indent)
+        elif i < len(rows) and rows[i][0] == indent + 2:
+            mapping[key], i = _block(rows, i, indent + 2)
+        else:  # an empty value
+            raise _Outside
+    return mapping, i
 
 
 def _load(text: str):
-    events = yaml.parse(text, Loader=_LOADER)
     try:
-        doc = None
-        seen = False
-        # to the stream's end, as yaml.load reads it: an error after the
-        # document still raises
-        for event in events:
-            if type(event) is DocumentStartEvent:
-                if seen:
-                    raise _Unwalked
-                seen = True
-                doc = _walk(next(events), events)
-        return doc
-    except _Unwalked:
+        rows = _rows(text)
+        if rows:
+            doc, end = _block(rows, 0, 0)
+            if end == len(rows):
+                return doc
+    except _Outside:
         pass
-    finally:
-        events.close()
     return yaml.load(text, Loader=_LOADER)
 
 
@@ -423,7 +427,10 @@ _RUN_KEYS = _keys(Scenario, *(f.name for f in _RUN_FIELDS))
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
-    """Parse and validate a scenario document from a string."""
+    """Parse and validate a scenario document from a string.  Text in the
+    layout serialize_scenario writes, with plain floats and names only, is
+    read directly; any other goes through yaml.load with the safe loader,
+    so that its values and its errors are PyYAML's."""
     try:
         doc = _load(text)
     except yaml.YAMLError as e:
@@ -478,38 +485,35 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(text, source=str(p))
 
 
-# serialize_scenario writes the event stream that yaml.dump(doc,
-# Dumper=_DUMPER, sort_keys=False, default_flow_style=None) makes of the
-# scenario as a dict of dicts, lists, floats and strs, building neither the
-# dict nor its representation: SafeRepresenter's tags and scalar text,
-# Serializer's implicit flags from the resolver, and flow style for a
-# collection that holds only scalars.  The same emitter writes the text, so
-# the bytes are the same.
+# serialize_scenario writes the scenario as a document of nested dicts,
+# lists, floats and strs, with what yaml.dump(doc, Dumper=_DUMPER,
+# sort_keys=False, default_flow_style=None) writes: flow style for a
+# collection that holds only scalars, block style for the others.  When
+# every scalar is a float or a name it writes the text itself, in the
+# emitter's layout; otherwise it hands the emitter the event stream, with
+# SafeRepresenter's tags and scalar text and the resolver's implicit flags.
 # SafeRepresenter's tag for each other scalar type it takes; it refuses
 # every other type, and a subclass too (numpy.float64, say)
 _SCALAR_TAGS = {float: _FLOAT_TAG, int: _INT_TAG, bool: _BOOL_TAG}
-# the implicit flags of a float, int or bool, whose text resolves to its tag
-_PLAIN = (True, False)
 _BLOCK_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
 _FLOW_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=True)
 _MAP_END = MappingEndEvent()
 _BLOCK_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
 _FLOW_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=True)
 _SEQ_END = SequenceEndEvent()
-_HEAD = (StreamStartEvent(), DocumentStartEvent(), _BLOCK_MAP)
-_TAIL = (_MAP_END, DocumentEndEvent(), StreamEndEvent())
+_HEAD = (StreamStartEvent(), DocumentStartEvent())
+_TAIL = (DocumentEndEvent(), StreamEndEvent())
 
 
-def _str_event(text: str) -> ScalarEvent:
-    # plain-implicit unless the resolver reads the plain text as another
-    # type (null, bool, int, float...)
-    plain = _RESOLVER.resolve(ScalarNode, text, _PLAIN) == _STR_TAG
-    return ScalarEvent(None, _STR_TAG, (plain, True), text)
-
-
-# the event of a name the format fixes, a key or a type; emitters only read
-# events, so one serves every document
-_name = cache(_str_event)
+def _float_text(value: float) -> str:
+    # SafeRepresenter.represent_float's text; the repr of a finite float has
+    # no capital letter to lower
+    if value - value != 0.0:
+        return ".nan" if value != value else ".inf" if value > 0.0 else "-.inf"
+    text = repr(value)
+    if "e" in text and "." not in text:  # 1e+16 is not a YAML 1.1 float
+        text = text.replace("e", ".0e", 1)
+    return text
 
 
 def _scalar(value) -> ScalarEvent:
@@ -519,91 +523,129 @@ def _scalar(value) -> ScalarEvent:
     tag = _SCALAR_TAGS.get(kind)
     if tag is None:
         raise RepresenterError("cannot represent an object", value)
-    if kind is not float:
-        return ScalarEvent(None, tag, _PLAIN, str(value).lower())
-    # SafeRepresenter.represent_float's text; the repr of a finite float has
-    # no capital letter to lower
-    if value - value != 0.0:
-        text = ".nan" if value != value else ".inf" if value > 0.0 else "-.inf"
+    return ScalarEvent(None, tag, _PLAIN, _float_text(value) if kind is float else str(value).lower())
+
+
+def _numbers(value, skip_zeros: bool = False) -> dict:
+    # value's number fields by name, less those at zero when skip_zeros
+    numbers = {name: getattr(value, name) for name, _ in _number_fields(type(value))}
+    if skip_zeros:
+        return {name: v for name, v in numbers.items() if v != 0.0}
+    return numbers
+
+
+def _document(scen: Scenario) -> dict:
+    # the scenario file as nested dicts and lists
+    patch, schedule = scen.params.patch, scen.schedule
+    if isinstance(patch, PolygonPatch):
+        patch = {"type": "polygon", "vertices": [list(v) for v in patch.vertices]}
     else:
-        text = repr(value)
-        if "e" in text and "." not in text:  # 1e+16 is not a YAML 1.1 float
-            text = text.replace("e", ".0e", 1)
-    return ScalarEvent(None, tag, _PLAIN, text)
+        patch = {"type": "annulus" if isinstance(patch, AnnulusPatch) else "disk", **_numbers(patch)}
+    if isinstance(schedule, ConstantSchedule):
+        schedule = {"type": "constant", "wrench": _numbers(schedule.wrench, skip_zeros=True)}
+    elif isinstance(schedule, BodyPusherSchedule):
+        schedule = {"type": "body_pusher", "point": list(schedule.point_body),
+                    "direction": list(schedule.direction_body), **_numbers(schedule)}
+    else:
+        schedule = {"type": "table", "rows": [{"t": t, "wrench": _numbers(w, skip_zeros=True)}
+                                              for t, w in zip(schedule.times, schedule.wrenches)]}
+    run = _numbers(scen)
+    for f in _RUN_FIELDS:
+        v = getattr(scen.options, f.name)
+        if v is not None:
+            run[f.name] = v
+    return {"slider": _numbers(scen.params), "friction": _numbers(scen.friction), "patch": patch,
+            "initial": _numbers(scen.initial), "schedule": schedule, "run": run}
 
 
-def _numbers(out: list, value, skip_zeros: bool = False) -> None:
-    # the key and value events of value's number fields
-    for name, _ in _number_fields(type(value)):
-        v = getattr(value, name)
-        if not (skip_zeros and v == 0.0):
-            out += _name(name), _scalar(v)
+def _flat(node) -> bool:
+    # a scalar, or a collection of scalars only
+    if type(node) is dict:
+        node = node.values()
+    elif type(node) is not list:
+        return True
+    return not any(type(v) is dict or type(v) is list for v in node)
 
 
-def _number_map(out: list, key: str, value, skip_zeros: bool = False) -> None:
-    out += _name(key), _FLOW_MAP
-    _numbers(out, value, skip_zeros)
-    out.append(_MAP_END)
-
-
-def _flow_seq(out: list, values) -> None:
-    out.append(_FLOW_SEQ)
-    out += map(_scalar, values)
-    out.append(_SEQ_END)
-
-
-def _patch(out: list, p: ContactPatch) -> None:
-    if isinstance(p, PolygonPatch):
-        out += _BLOCK_MAP, _name("type"), _name("polygon"), _name("vertices"), _BLOCK_SEQ
-        for v in p.vertices:
-            _flow_seq(out, v)
+def _events(out: list, node) -> None:
+    kind = type(node)
+    if kind is dict:
+        out.append(_FLOW_MAP if _flat(node) else _BLOCK_MAP)
+        for key, value in node.items():
+            out.append(_name(key))
+            _events(out, value)
+        out.append(_MAP_END)
+    elif kind is list:
+        out.append(_FLOW_SEQ if _flat(node) else _BLOCK_SEQ)
+        for value in node:
+            _events(out, value)
         out.append(_SEQ_END)
     else:
-        out += _FLOW_MAP, _name("type"), _name("annulus" if isinstance(p, AnnulusPatch) else "disk")
-        _numbers(out, p)
-    out.append(_MAP_END)
+        out.append(_scalar(node))
 
 
-def _schedule(out: list, s: WrenchSchedule) -> None:
-    out += _BLOCK_MAP, _name("type")
-    if isinstance(s, ConstantSchedule):
-        out.append(_name("constant"))
-        _number_map(out, "wrench", s.wrench, skip_zeros=True)
-    elif isinstance(s, BodyPusherSchedule):
-        out += _name("body_pusher"), _name("point")
-        _flow_seq(out, s.point_body)
-        out.append(_name("direction"))
-        _flow_seq(out, s.direction_body)
-        _numbers(out, s)
+def _plain_text(value) -> str:
+    if type(value) is float:
+        return _float_text(value)
+    # a str that reads back as itself
+    if type(value) is str and _PLAIN_SCALAR.match(value) and _plain(value) is value:
+        return value
+    raise _Outside
+
+
+def _inline(head: str, node, indent: int) -> str:
+    # head, then node, a scalar or a flat collection; the emitter breaks a
+    # flow collection's line before an item, the first too, when the
+    # column is past 80, and goes on at indent
+    if type(node) is dict:
+        line, items, closing = head + "{", [f"{k}: {_plain_text(v)}" for k, v in node.items()], "}"
+    elif type(node) is list:
+        line, items, closing = head + "[", list(map(_plain_text, node)), "]"
     else:
-        out += _name("table"), _name("rows"), _BLOCK_SEQ
-        for t, w in zip(s.times, s.wrenches):
-            out += _BLOCK_MAP, _name("t"), _scalar(t)
-            _number_map(out, "wrench", w, skip_zeros=True)
-            out.append(_MAP_END)
-        out.append(_SEQ_END)
-    out.append(_MAP_END)
+        return head + _plain_text(node)
+    done = ""
+    for i, item in enumerate(items):
+        if i:
+            line += ","
+        if len(line) > 80:
+            done += line + "\n"
+            line = " " * indent + item
+        else:
+            line += f" {item}" if i else item
+    return done + line + closing
+
+
+def _lines(out: list, node, indent: int, head: str) -> None:
+    # node, a block collection whose entries start at column indent, the
+    # first of them after head
+    mapping = type(node) is dict
+    for key, value in node.items() if mapping else ((None, v) for v in node):
+        start = f"{head}{key}:" if mapping else head + "-"
+        head = " " * indent
+        if _flat(value):
+            out.append(_inline(start + " ", value, indent + 2))
+        elif not mapping:  # a block collection starts on its item's line
+            _lines(out, value, indent + 2, start + " ")
+        else:  # on the next line; a sequence in a mapping is indentless
+            out.append(start)
+            nested = indent + 2 if type(value) is dict else indent
+            _lines(out, value, nested, " " * nested)
 
 
 def serialize_scenario(scen: Scenario) -> str:
-    """Render a Scenario back to scenario-file text.  Loading the result
-    reproduces the Scenario exactly (floats survive via repr)."""
+    """Render a Scenario back to scenario-file text: the bytes yaml.dump
+    writes, written directly when every value is a float or a name, through
+    the YAML emitter otherwise.  Loading the result reproduces the Scenario
+    exactly (floats survive via repr)."""
+    doc = _document(scen)
+    out = []
+    try:
+        _lines(out, doc, 0, "")
+        return "\n".join(out) + "\n"
+    except _Outside:
+        pass
     out = list(_HEAD)
-    _number_map(out, "slider", scen.params)
-    _number_map(out, "friction", scen.friction)
-    out.append(_name("patch"))
-    _patch(out, scen.params.patch)
-    _number_map(out, "initial", scen.initial)
-    out.append(_name("schedule"))
-    _schedule(out, scen.schedule)
-    out += _name("run"), _FLOW_MAP
-    _numbers(out, scen)
-    options = scen.options
-    for f in _RUN_FIELDS:
-        v = getattr(options, f.name)
-        if v is not None:
-            out += _name(f.name), _scalar(v)
-    out.append(_MAP_END)
+    _events(out, doc)
     out += _TAIL
     return yaml.emit(out, Dumper=_DUMPER)
 

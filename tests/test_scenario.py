@@ -3,6 +3,7 @@ serialization round trips."""
 
 import dataclasses
 import math
+import random
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from patchslide import (
     RunOptions,
     Scenario,
     ScenarioParseError,
+    SliderState,
     TableSchedule,
     ValidationError,
     bundled_scenario_names,
@@ -385,7 +387,8 @@ def test_libyaml_is_used_when_available(monkeypatch):
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML built without libyaml")
     assert (scenario_module._LOADER, scenario_module._DUMPER) == YAML_PATHS["libyaml"]
-    # and loads_scenario/serialize_scenario go through the chosen pair
+    # and documents outside serialize_scenario's plain layout go through the
+    # chosen pair: MINIMAL's text, and a scenario whose output path needs quotes
     used = []
 
     class Loader(scenario_module._LOADER):
@@ -400,7 +403,8 @@ def test_libyaml_is_used_when_available(monkeypatch):
 
     monkeypatch.setattr(scenario_module, "_LOADER", Loader)
     monkeypatch.setattr(scenario_module, "_DUMPER", Dumper)
-    reload(loads_scenario(MINIMAL))
+    scen = dataclasses.replace(loads_scenario(MINIMAL), options=RunOptions(output_path="a: b"))
+    assert reload(scen) == scen
     assert used == ["load", "dump", "load"]
 
 
@@ -525,6 +529,62 @@ def test_serialize_writes_the_bytes_yaml_dump_writes(path):
         assert _under(path, serialize_scenario, scen) == _reference_text(path, scen)
 
 
+# numbers of every length serialize_scenario writes: 17-digit reprs, an
+# exponent with and without a fraction in its repr, a sign, -0.0
+BOUNDARY_NUMBERS = (0.1 / 3.0, -0.1 / 3.0, 5e-324, 1e16, -0.0, 1.0, 2.5e-05, math.pi, 123456.789, 0.5)
+# the columns around the emitter's width of 80: it breaks a flow
+# collection's line after an item's comma past it
+BOUNDARY_COLUMNS = range(78, 84)
+
+
+def _comma_columns(text: str) -> set[tuple[int, int]]:
+    # (indent of the line's flow items, column after the comma) for each
+    # comma near the width
+    found = set()
+    for line in text.splitlines():
+        # a line that opens a collection, or one that goes on with its items
+        indent = len(line) - len(line.lstrip(" ")) + (2 if "{" in line or "[" in line else 0)
+        found |= {(indent, i + 1) for i, c in enumerate(line) if c == "," and i + 1 in BOUNDARY_COLUMNS}
+    return found
+
+
+def _boundary_scenarios() -> list[Scenario]:
+    """Seeded scenarios whose flow items reach every column of
+    BOUNDARY_COLUMNS, in flow collections at indents 2 (initial), 4 (a
+    constant wrench) and 6 (a table row's wrench)."""
+    rng = random.Random(80)
+    base = loads_scenario(MINIMAL)
+
+    def numbers(cls) -> dict:
+        return {f.name: rng.choice(BOUNDARY_NUMBERS) for f in dataclasses.fields(cls) if f.type == "float"}
+
+    wanted = {(indent, column) for indent in (2, 4, 6) for column in BOUNDARY_COLUMNS}
+    kept = []
+    for _ in range(5000):
+        schedule = rng.choice((
+            ConstantSchedule(AppliedWrench(**numbers(AppliedWrench))),
+            BodyPusherSchedule(point_body=tuple(rng.choice(BOUNDARY_NUMBERS) for _ in range(3)),
+                               direction_body=(1.0, 0.0), force_mean=1.0, force_amp=0.5, period=0.1),
+            TableSchedule(times=(0.0,), wrenches=(AppliedWrench(**numbers(AppliedWrench)),)),
+        ))
+        scen = dataclasses.replace(base, initial=SliderState(**numbers(SliderState)), schedule=schedule)
+        columns = _comma_columns(serialize_scenario(scen)) & wanted
+        if columns:
+            kept.append(scen)
+            wanted -= columns
+        if not wanted:
+            return kept
+    raise AssertionError(f"no scenario reaches {sorted(wanted)}")
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_serialize_wraps_flow_lines_where_yaml_dump_does(path):
+    for scen in _boundary_scenarios():
+        text = _under(path, serialize_scenario, scen)
+        assert text == _reference_text(path, scen)
+        assert _under(path, loads_scenario, text) == scen
+
+
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
 def test_serialize_refuses_what_safe_representer_refuses(path):
     np = pytest.importorskip("numpy")
@@ -566,11 +626,11 @@ def test_malformed_yaml_reports_the_same_line_under_both_paths(name):
     assert _under("libyaml", _parse_error_prefix, text) == f"<string>:{line}:"
 
 
-# ------------------------------------------------ loading by the event walk
+# ------------------------------------------- loading, with and without PyYAML
 
-# documents loads_scenario builds from the parser's events alone: the YAML
-# 1.1 core scalars in every spelling the resolver knows, and plain
-# collections
+# YAML outside serialize_scenario's layout, which loads_scenario hands to
+# yaml.load: the YAML 1.1 core scalars in every spelling the resolver
+# knows, and plain collections
 WALKED = {
     "empty stream": "",
     "comment only": "# nothing here\n",
@@ -592,8 +652,10 @@ WALKED = {
     "collection tags": "a: !!map {a: 1}\nb: !!seq [1]\nc: ! 12\nd: ! a\n",
     "float tag beyond the doubles": "a: !!float 1e999\n",
     "parse error after the document": "a: 1\n...\nb: [\n",
+    "words that read as bool and null": "on: yes\nNull: {y: n, x: 1.5}\n",
+    "flow lines wrapped at another indent": "a: {b: 1.5,\n   c: 2.5}\nd: [1.5,\n2.5]\n",
 }
-# documents it hands to yaml.load whole: values or errors only PyYAML builds
+# and values or errors that only PyYAML's full loader builds
 HANDED_OFF = {
     "anchor and alias": "a: &x 1\nb: *x\n",
     "aliased mapping": "a: &m {k: 1}\nb: *m\n",
@@ -645,21 +707,6 @@ def _same_outcome(a, b) -> bool:
     return a[0] == b[0] and (_same(a[1], b[1]) if a[0] == "value" else a == b)
 
 
-def _load_counting(text: str) -> tuple:
-    """scenario._load's outcome, and how often it called yaml.load."""
-    calls = []
-    real = yaml.load
-
-    def counted(*args, **kwds):
-        calls.append(args)
-        return real(*args, **kwds)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(yaml, "load", counted)
-        got = _outcome(scenario_module._load, text)
-    return got, len(calls)
-
-
 def _scenario_texts(path: str) -> list[str]:
     # every scenario document the tests know, written on the given path
     from test_fuzz import fuzz_scenarios
@@ -671,15 +718,75 @@ def _scenario_texts(path: str) -> list[str]:
             + re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M))
 
 
+def _refuse(*args, **kwds):
+    raise AssertionError("PyYAML was called")
+
+
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
-def test_event_walk_builds_what_yaml_load_builds(path):
+def test_load_builds_what_yaml_load_builds(path):
+    from test_fuzz import fuzz_scenarios
+
     loader = YAML_PATHS[path][0]
-    walked = list(WALKED.values()) + _under(path, _scenario_texts, path)
-    for text in walked + list(HANDED_OFF.values()):
-        got, handed_off = _under(path, _load_counting, text)
+    texts = list(WALKED.values()) + list(HANDED_OFF.values()) + _under(path, _scenario_texts, path)
+    for text in texts:
+        got = _under(path, _outcome, scenario_module._load, text)
         assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
-        # the walk alone builds every scenario document and WALKED entry
-        assert handed_off == (text not in walked), text
+    # and serialize_scenario's text of a scenario whose strings are all
+    # words, which the loop above holds to yaml.load, is written and read
+    # without PyYAML: every one of the parity and fuzz corpora but the
+    # output path with a space and a colon
+    corpus = _parity_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
+    plain = [scen for scen in corpus if scen.options.output_path is None]
+    assert len(plain) == len(corpus) - 1
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("parse", "load", "emit"):
+            mp.setattr(yaml, name, _refuse)
+        for scen in plain:
+            _under(path, reload, scen)
+
+
+# characters that YAML reads as structure, quoting, comments, tags,
+# anchors and directives, or as part of a number
+EDIT_CHARACTERS = " :,-[]{}#'\"\n\t&*!|>%@?.e0"
+
+
+def _edited_texts(count: int) -> list[str]:
+    # seeded single-character edits (an insertion, a deletion or a
+    # replacement) of texts in serialize_scenario's plain layout
+    scenarios = _parity_scenarios()[:-1] + _awkward_scenarios()[:1] + _boundary_scenarios()[:8]
+    texts = [serialize_scenario(scen) for scen in scenarios]
+    rng = random.Random(2025)
+    edited = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(EDIT_CHARACTERS)
+        edited.append(rng.choice((text[:i] + c + text[i:], text[:i] + text[i + 1:], text[:i] + c + text[i + 1:])))
+    return edited
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_load_of_edited_scenario_text_gives_what_yaml_load_gives(path):
+    # _load either builds yaml.load's outcome (value and type at every
+    # level, key order and the sign of -0.0, or the exception class and
+    # message) or hands yaml.load the text with the path's loader and
+    # returns its result
+    loader = YAML_PATHS[path][0]
+
+    def handed_off(text, Loader):
+        return ("handed off", text, Loader)
+
+    read = 0
+    for text in _edited_texts(5000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(yaml, "load", handed_off)
+            got = _under(path, _outcome, scenario_module._load, text)
+        if got == ("value", handed_off(text, loader)):
+            continue
+        read += 1
+        assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
+    # the edits that keep the layout: a changed digit or name, a sign...
+    assert read > 500
 
 
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
