@@ -212,6 +212,8 @@ class _Builder:
 # 4 units per vertex coordinate, relative to that coordinate
 _AREA_ROUNDOFF = 2.0 ** -50
 _VERTEX_ROUNDOFF = 2.0 ** -51
+# how far from 1 the length of BodyPusherSchedule's direction may be
+UNIT_TOL = 1e-9
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -442,7 +444,7 @@ class BodyPusherSchedule:
         _require(self.period > 0.0, "pusher period must be positive")
         _require(math.isfinite(self.period), "pusher period must be finite")
         norm = math.hypot(*self.direction_body)
-        _require(abs(norm - 1.0) <= 1e-9, "pusher direction must be a unit vector")
+        _require(abs(norm - 1.0) <= UNIT_TOL, "pusher direction must be a unit vector")
 
 
 @value_type

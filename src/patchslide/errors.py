@@ -41,7 +41,8 @@ class ToppleRiskError(PatchSlideError):
 
 
 class NoConvergenceError(PatchSlideError):
-    """The per-step root solve failed from every starting point."""
+    """The per-step root solve did not converge: solver._solve_floats ran
+    out of its _MAX_ITER iterations short of the tolerance."""
 
 
 class ZeroSlipError(PatchSlideError):

@@ -8,15 +8,16 @@ annulus and disk patches, a body pusher's numbers, and run (the
 Scenario's h and duration, then RunOptions).  Unknown keys are rejected at
 every level so that typos fail loudly.
 
-Loading a file, serializing the result, and loading the serialization
-yields an identical Scenario.
+Serializing a Scenario and loading the text yields an equal Scenario.  A
+file's body pusher direction is kept as written when BodyPusherSchedule
+takes it as a unit vector, and divided by its length otherwise.
 
 serialize_scenario writes the text yaml.dump(..., sort_keys=False,
 default_flow_style=None) writes of the document as nested dicts and lists.
 When every value is a float or a name (a word the resolver reads as a
-str) it writes that text itself.  Otherwise (a string that needs quotes,
-an int, a bool) it hands the document's event stream to the emitter of
-libyaml when PyYAML has it, of pure Python otherwise.  A value
+str) it writes that text itself; otherwise (a string that needs quotes,
+an int, a bool) it calls that yaml.dump with the safe dumper of libyaml
+when PyYAML has it, of pure Python otherwise, so that a value
 SafeRepresenter refuses (a numpy.float64 field, say) raises its
 RepresenterError.  loads_scenario reads text in the layout
 serialize_scenario writes, with plain floats and names only, without
@@ -34,19 +35,7 @@ from importlib import resources
 from pathlib import Path
 
 import yaml
-from yaml.events import (
-    DocumentEndEvent,
-    DocumentStartEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    SequenceStartEvent,
-    StreamEndEvent,
-    StreamStartEvent,
-)
 from yaml.nodes import ScalarNode
-from yaml.representer import RepresenterError
 
 from .core import (
     AnnulusPatch,
@@ -61,6 +50,7 @@ from .core import (
     SliderParams,
     SliderState,
     TableSchedule,
+    UNIT_TOL,
     WrenchSchedule,
     held_wrenches,
     impulse_over,
@@ -91,13 +81,6 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # the implicit tag rules both pairs read and write plain scalars by
 _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-_INT_TAG = "tag:yaml.org,2002:int"
-_BOOL_TAG = "tag:yaml.org,2002:bool"
-_MAP_TAG = "tag:yaml.org,2002:map"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
-# the implicit flags of a plain scalar
-_PLAIN = (True, False)
 
 
 @value_type
@@ -278,9 +261,11 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
         norm = math.hypot(*direction)
         if norm == 0.0:
             raise ValidationError("schedule.direction must be nonzero")
+        if abs(norm - 1.0) > UNIT_TOL:  # a unit direction is kept as written
+            direction = (direction[0] / norm, direction[1] / norm)
         return BodyPusherSchedule(
             point_body=point,
-            direction_body=(direction[0] / norm, direction[1] / norm),
+            direction_body=direction,
             **_read(section, BodyPusherSchedule, "schedule"),
         )
     if kind == "table":
@@ -319,16 +304,12 @@ _FLOW = re.compile(rf"\[(?:{_SCALAR}(?:, {_SCALAR})*)?\]\Z"
 _KEY_LINE = re.compile(rf"({_WORD}):(?: (.+))?\Z")
 
 
-def _str_event(text: str) -> ScalarEvent:
-    # plain-implicit unless the resolver reads the plain text as another
-    # type (null, bool, int, float...)
-    plain = _RESOLVER.resolve(ScalarNode, text, _PLAIN) == _STR_TAG
-    return ScalarEvent(None, _STR_TAG, (plain, True), text)
-
-
-# the event of a word: a key or type of the format, or a word read or
-# written; emitters only read events, so one serves every document
-_name = lru_cache(maxsize=256)(_str_event)
+@lru_cache(maxsize=256)
+def _name(text: str) -> bool:
+    # whether the resolver reads text, written plain, as a str rather than
+    # another type (null, bool, int, float...): a key or type of the
+    # format, or a word read or written
+    return _RESOLVER.resolve(ScalarNode, text, (True, False)) == _STR_TAG
 
 
 def _plain(text: str):
@@ -336,7 +317,7 @@ def _plain(text: str):
     # one as yaml.load does, and the other must read as a str
     if text[0] in "-0123456789":
         return float(text)
-    if _name(text).implicit[0]:
+    if _name(text):
         return text
     raise _Outside
 
@@ -394,7 +375,7 @@ def _block(rows: list[tuple], i: int, indent: int):
     mapping = {}
     while i < len(rows) and rows[i][0] == indent:
         _, key, value = rows[i]
-        if key == "-" or not _name(key).implicit[0]:  # '' reads as null
+        if key == "-" or not _name(key):  # '' reads as null
             raise _Outside
         i += 1
         if value is not None:
@@ -485,24 +466,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(text, source=str(p))
 
 
-# serialize_scenario writes the scenario as a document of nested dicts,
-# lists, floats and strs, with what yaml.dump(doc, Dumper=_DUMPER,
-# sort_keys=False, default_flow_style=None) writes: flow style for a
-# collection that holds only scalars, block style for the others.  When
-# every scalar is a float or a name it writes the text itself, in the
-# emitter's layout; otherwise it hands the emitter the event stream, with
-# SafeRepresenter's tags and scalar text and the resolver's implicit flags.
-# SafeRepresenter's tag for each other scalar type it takes; it refuses
-# every other type, and a subclass too (numpy.float64, say)
-_SCALAR_TAGS = {float: _FLOAT_TAG, int: _INT_TAG, bool: _BOOL_TAG}
-_BLOCK_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
-_FLOW_MAP = MappingStartEvent(None, _MAP_TAG, True, flow_style=True)
-_MAP_END = MappingEndEvent()
-_BLOCK_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
-_FLOW_SEQ = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=True)
-_SEQ_END = SequenceEndEvent()
-_HEAD = (StreamStartEvent(), DocumentStartEvent())
-_TAIL = (DocumentEndEvent(), StreamEndEvent())
+# serialize_scenario's own text is yaml.dump's layout of a document whose
+# scalars are all floats and names: flow style for a collection that holds
+# only scalars, block style for the others
 
 
 def _float_text(value: float) -> str:
@@ -514,16 +480,6 @@ def _float_text(value: float) -> str:
     if "e" in text and "." not in text:  # 1e+16 is not a YAML 1.1 float
         text = text.replace("e", ".0e", 1)
     return text
-
-
-def _scalar(value) -> ScalarEvent:
-    kind = type(value)
-    if kind is str:
-        return _str_event(value)
-    tag = _SCALAR_TAGS.get(kind)
-    if tag is None:
-        raise RepresenterError("cannot represent an object", value)
-    return ScalarEvent(None, tag, _PLAIN, _float_text(value) if kind is float else str(value).lower())
 
 
 def _numbers(value, skip_zeros: bool = False) -> dict:
@@ -565,23 +521,6 @@ def _flat(node) -> bool:
     elif type(node) is not list:
         return True
     return not any(type(v) is dict or type(v) is list for v in node)
-
-
-def _events(out: list, node) -> None:
-    kind = type(node)
-    if kind is dict:
-        out.append(_FLOW_MAP if _flat(node) else _BLOCK_MAP)
-        for key, value in node.items():
-            out.append(_name(key))
-            _events(out, value)
-        out.append(_MAP_END)
-    elif kind is list:
-        out.append(_FLOW_SEQ if _flat(node) else _BLOCK_SEQ)
-        for value in node:
-            _events(out, value)
-        out.append(_SEQ_END)
-    else:
-        out.append(_scalar(node))
 
 
 def _plain_text(value) -> str:
@@ -634,20 +573,16 @@ def _lines(out: list, node, indent: int, head: str) -> None:
 
 def serialize_scenario(scen: Scenario) -> str:
     """Render a Scenario back to scenario-file text: the bytes yaml.dump
-    writes, written directly when every value is a float or a name, through
-    the YAML emitter otherwise.  Loading the result reproduces the Scenario
+    writes, written directly when every value is a float or a name, by
+    yaml.dump otherwise.  Loading the result reproduces the Scenario
     exactly (floats survive via repr)."""
     doc = _document(scen)
     out = []
     try:
         _lines(out, doc, 0, "")
-        return "\n".join(out) + "\n"
     except _Outside:
-        pass
-    out = list(_HEAD)
-    _events(out, doc)
-    out += _TAIL
-    return yaml.emit(out, Dumper=_DUMPER)
+        return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
+    return "\n".join(out) + "\n"
 
 
 def bundled_scenario_names() -> list[str]:

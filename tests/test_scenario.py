@@ -312,6 +312,11 @@ schedule:
 """
     s = loads_scenario(text)
     assert s.schedule.direction_body == (0.6, 0.8)
+    # a direction BodyPusherSchedule takes as a unit vector is kept as
+    # written, though dividing by its length would move it
+    near = loads_scenario(text.replace("[3.0, 4.0]", "[1.000000000001, 1.0e-07]"))
+    assert near.schedule.direction_body == (1.000000000001, 1e-07)
+    assert math.hypot(*near.schedule.direction_body) != 1.0
 
 
 def test_run_options_validation():
@@ -443,6 +448,19 @@ def test_round_trip_under_each_yaml_path(path):
         assert _under(path, reload, scen) == scen
 
 
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_fuzz_scenarios_survive_a_round_trip(path):
+    """serialize -> load is the identity on the fuzz corpus, written in the
+    plain layout and, with an output path that needs quotes, by yaml.dump
+    and read by yaml.load."""
+    from test_fuzz import fuzz_scenarios
+
+    for _, _, scen in fuzz_scenarios():
+        quoted = dataclasses.replace(scen, options=dataclasses.replace(scen.options, output_path="a: b"))
+        assert _under(path, reload, scen) == scen
+        assert _under(path, reload, quoted) == quoted
+
+
 def test_both_yaml_paths_write_the_same_bytes():
     for scen in _parity_scenarios():
         assert _under("libyaml", serialize_scenario, scen) == _under("pure", serialize_scenario, scen)
@@ -462,8 +480,9 @@ def _reference_wrench(w: AppliedWrench) -> dict:
 
 
 def _reference_document(scen: Scenario) -> dict:
-    """The document serialize_scenario writes, as a dict for yaml.dump: the
-    reference that its event stream is held to."""
+    """The document serialize_scenario writes, built here apart from
+    scenario._document, as a dict for yaml.dump: the reference that its
+    own text is held to."""
     patch, sched = scen.params.patch, scen.schedule
     if isinstance(patch, PolygonPatch):
         patch_doc = {"type": "polygon", "vertices": [list(v) for v in patch.vertices]}
