@@ -529,29 +529,13 @@ def pusher_wrench(schedule: BodyPusherSchedule, theta_z: float, t: float) -> tup
     return (fx, fy, 0.0, -rz * fy, rz * fx, rx * fy - ry * fx)
 
 
-def impulse_over(wrench: AppliedWrench, h: float) -> AppliedImpulse:
-    # to_impulse without the check on h, for callers that have made it
+def to_impulse(wrench: AppliedWrench, h: float) -> AppliedImpulse:
+    """Integrate a wrench held constant over a step of length h."""
+    _require(h > 0.0, "step length must be positive")
     return AppliedImpulse(
         h * wrench.lambda_x, h * wrench.lambda_y, h * wrench.lambda_z,
         h * wrench.lambda_xtau, h * wrench.lambda_ytau, h * wrench.lambda_ztau,
     )
-
-
-def pressing_load(params: SliderParams, lambda_z: float) -> float:
-    # the net vertical force m*g - lambda_z; ContactLossError unless it
-    # presses the slider onto the plane
-    fn = params.m * params.g - lambda_z
-    if fn <= 0.0:
-        raise ContactLossError(
-            f"vertical load {fn:g} N does not press the slider onto the plane"
-        )
-    return fn
-
-
-def to_impulse(wrench: AppliedWrench, h: float) -> AppliedImpulse:
-    """Integrate a wrench held constant over a step of length h."""
-    _require(h > 0.0, "step length must be positive")
-    return impulse_over(wrench, h)
 
 
 def normal_impulse(params: SliderParams, wrench: AppliedWrench, h: float) -> float:
@@ -561,7 +545,12 @@ def normal_impulse(params: SliderParams, wrench: AppliedWrench, h: float) -> flo
     weight, since the sliding model requires sustained contact.
     """
     _require(h > 0.0, "step length must be positive")
-    return h * pressing_load(params, wrench.lambda_z)
+    fn = params.m * params.g - wrench.lambda_z
+    if fn <= 0.0:
+        raise ContactLossError(
+            f"vertical load {fn:g} N does not press the slider onto the plane"
+        )
+    return h * fn
 
 
 @value_type

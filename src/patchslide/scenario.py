@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, fields
 from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
@@ -39,7 +39,6 @@ from yaml.nodes import ScalarNode
 
 from .core import (
     AnnulusPatch,
-    AppliedImpulse,
     AppliedWrench,
     BodyPusherSchedule,
     ConstantSchedule,
@@ -53,7 +52,6 @@ from .core import (
     UNIT_TOL,
     WrenchSchedule,
     held_wrenches,
-    impulse_over,
     value_type,
 )
 from .errors import ScenarioParseError, ValidationError
@@ -104,9 +102,7 @@ class RunOptions:
 
 @value_type
 class Scenario:
-    """A complete, validated simulation description.  Derived from it:
-    impulses and lambda_z, the step impulse and vertical force of each
-    wrench of core.held_wrenches(schedule), indexed by core.hold_index."""
+    """A complete, validated simulation description."""
 
     params: SliderParams
     friction: FrictionParams
@@ -115,8 +111,6 @@ class Scenario:
     h: float
     duration: float
     options: RunOptions = RunOptions()
-    impulses: tuple[AppliedImpulse, ...] = field(init=False, repr=False, compare=False)
-    lambda_z: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -138,9 +132,8 @@ class Scenario:
         # the rest test squares each step's applied impulse in the same
         # units, against (mu*p_n)^2: check every wrench the schedule gives
         # whatever the state
-        wrenches = held_wrenches(self.schedule)
         h = self.h
-        for w in wrenches:
+        for w in held_wrenches(self.schedule):
             scaled = (h * w.lambda_x / f.e_t, h * w.lambda_y / f.e_o, h * w.lambda_ztau / f.e_r,
                       f.mu * h * (p.m * p.g - w.lambda_z))
             if not math.isfinite(sum(x * x for x in scaled)):
@@ -148,8 +141,6 @@ class Scenario:
                     "applied load is too large: its impulse per step squared in "
                     "friction-ellipsoid units overflows a double"
                 )
-        object.__setattr__(self, "impulses", tuple(impulse_over(w, h) for w in wrenches))
-        object.__setattr__(self, "lambda_z", tuple(w.lambda_z for w in wrenches))
 
 
 # the file format's defaults for fields that have none in their value type
@@ -461,7 +452,7 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioParseError(f"cannot read scenario file {p}: {e}") from e
     return loads_scenario(text, source=str(p))
 

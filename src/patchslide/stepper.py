@@ -1,7 +1,9 @@
 """Time stepping: sample the load, solve for the contact impulse,
 advance the state, and track the equivalent contact point.  simulate and
-step run one loop on plain floats; assemble_inputs, ecp and validate_patch
-give a step's inputs, ECP and containment as value objects.
+step run one loop on plain floats, which builds each held load's impulse
+and normal impulse with core.to_impulse and core.normal_impulse once per
+run; assemble_inputs, ecp and validate_patch give a step's inputs, ECP
+and containment as value objects.
 
 The velocity update is implicit (impulses satisfy the end-of-step
 friction conditions); the configuration update uses end-of-step
@@ -20,6 +22,7 @@ from collections.abc import Callable
 from .core import (
     AnnulusPatch,
     AppliedImpulse,
+    AppliedWrench,
     BodyPusherSchedule,
     ContactImpulse,
     ContactPatch,
@@ -31,10 +34,13 @@ from .core import (
     SlipVelocity,
     StepInputs,
     TableSchedule,
+    held_wrenches,
     hold_index,
-    pressing_load,
+    normal_impulse,
     pusher_wrench,
+    to_impulse,
     value_type,
+    wrench_at,
 )
 from .errors import PatchSlideError, ToppleRiskError, ValidationError
 from .geometry import (
@@ -207,23 +213,12 @@ def slip_velocity(state: SliderState, ecp_offset: tuple[float, float]) -> SlipVe
 
 
 def assemble_inputs(state_u: SliderState, scen: Scenario) -> StepInputs:
-    """Sample the schedule at the start of the step, integrate the wrench
-    into impulses, and resolve the normal impulse.  A constant or table
-    load's impulse and vertical force are the scenario's own, built once
-    with it (Scenario.impulses and Scenario.lambda_z)."""
-    schedule = scen.schedule
-    h = scen.h  # positive: Scenario checks it
-    params = scen.params
-    if isinstance(schedule, BodyPusherSchedule):
-        # the pusher's wrench changes every step: integrate its floats
-        # straight into the impulse, building no AppliedWrench
-        l_x, l_y, l_z, l_xtau, l_ytau, l_ztau = pusher_wrench(schedule, state_u.theta_z, state_u.t)
-        applied = AppliedImpulse(h * l_x, h * l_y, h * l_z, h * l_xtau, h * l_ytau, h * l_ztau)
-    else:
-        k = hold_index(schedule, state_u.t)
-        applied = scen.impulses[k]
-        l_z = scen.lambda_z[k]
-    return StepInputs(params, scen.friction, state_u, applied, h * pressing_load(params, l_z))
+    """A step's inputs as value objects: the wrench_at the start of the
+    step, integrated over h by to_impulse, and its normal_impulse.  The
+    stepping loop builds the same numbers on plain floats."""
+    params, h = scen.params, scen.h
+    w = wrench_at(scen.schedule, state_u, state_u.t)
+    return StepInputs(params, scen.friction, state_u, to_impulse(w, h), normal_impulse(params, w, h))
 
 
 def warm_sigma(s1: float, s2: float, s3: float, s4: float = 0.0, s5: float = 0.0) -> float:
@@ -252,17 +247,18 @@ def warm_sigma(s1: float, s2: float, s3: float, s4: float = 0.0, s5: float = 0.0
     return x if x > 0.0 else s1
 
 
-def _held_load(scen: Scenario, k: int) -> tuple:
-    # the applied impulse of held_wrenches index k (a body pusher's is
-    # built per step), the five of its floats the step reads, its normal
-    # impulse and the solve's constants for it
+def _held_load(scen: Scenario, wrench: AppliedWrench) -> tuple:
+    # a held wrench's applied impulse, the five of its floats the step
+    # reads, its normal impulse and the solve's constants for it.  A body
+    # pusher holds the zero wrench: its vertical force is 0, and _run
+    # builds its applied impulse per step
     params, friction, h = scen.params, scen.friction, scen.h
-    p_n = h * pressing_load(params, scen.lambda_z[k])
+    p_n = normal_impulse(params, wrench, h)
     if not p_n > 0.0:
         raise ValidationError("normal impulse must be positive")
     static = _static(params.m, params.I_z, params.q_z, friction.mu, friction.e_t, friction.e_o,
                      friction.e_r, p_n)
-    applied = scen.impulses[k]
+    applied = to_impulse(wrench, h)
     return (applied, applied.p_x, applied.p_y, applied.p_xtau, applied.p_ytau, applied.p_ztau,
             p_n, static)
 
@@ -296,7 +292,8 @@ def _run(
         state.q_x, state.q_y, state.theta_z, state.v_x, state.v_y, state.w_z, state.t)
     # each held load's constants, computed at the first step that holds
     # it: a load that would fail does so at the step it applies to
-    loads: list = [None] * len(scen.lambda_z)
+    wrenches = held_wrenches(schedule)
+    loads: list = [None] * len(wrenches)
     k = 0 if pusher else hold_index(schedule, t)
     clock = time.perf_counter
     # the records' positional builders (core.value_type)
@@ -308,7 +305,7 @@ def _run(
             k = hold_index(schedule, t)
         load = loads[k]
         if load is None:
-            load = loads[k] = _held_load(scen, k)
+            load = loads[k] = _held_load(scen, wrenches[k])
         applied, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, static = load
         if pusher:
             # the pusher's wrench changes every step: integrate its floats
@@ -387,11 +384,12 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
 
     One loop runs every step on plain floats, building per step only the
     record and its state, contact impulse, ECP and diagnostics (and a body
-    pusher's applied impulse).  The solve's constants and the patch's
-    containment data are computed once per run, and the constants once
-    per held load.  An ECP within a disk (or, for an annulus, a band)
-    about the body origin that lies inside the patch is placed there
-    without rotating it into the body frame.  Each step solves as step does, warm-started from
+    pusher's applied impulse).  The patch's containment data are read once
+    per run, and each held load's applied impulse, normal impulse and solve
+    constants once per run, at the first step that holds it.  An ECP
+    within a disk (or, for an annulus, a band) about the body origin that
+    lies inside the patch is placed there without rotating it into the
+    body frame.  Each step solves as step does, warm-started from
     warm_sigma of the slip speeds of the last five steps: by default as
     solver.solve_step_info does; a given solve(inputs, guess)
     (closed_form.translation_solve, say) gets a StepInputs built from the

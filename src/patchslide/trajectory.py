@@ -67,9 +67,19 @@ def _record_row(rec: TrajectoryRecord) -> str:
     )
 
 
+def _open(path: str | Path, mode: str):
+    # the trajectory file at path, opened as csv wants; ValidationError
+    # naming the path when it cannot be
+    try:
+        return open(path, mode, newline="")
+    except OSError as e:
+        raise ValidationError(f"cannot open trajectory file {path}: {e.strerror or e}") from e
+
+
 def write_trajectory(records: list[TrajectoryRecord], path: str | Path) -> None:
-    """Write records to CSV; a run with no steps yields a header-only file."""
-    with open(path, "w", newline="") as fh:
+    """Write records to CSV; a run with no steps yields a header-only file.
+    Raises ValidationError when the file cannot be opened."""
+    with _open(path, "w") as fh:
         fh.write(_HEADER + "".join(map(_record_row, records)))
 
 
@@ -88,21 +98,23 @@ def _raise_first_error(path: str | Path, raw: list[list[str]]) -> None:
 
 def read_trajectory(path: str | Path) -> list[dict]:
     """Read a trajectory CSV into one dict per row, with numeric types
-    restored.  Raises ValidationError when the header does not match the
-    schema, or names the first line whose field count is wrong or whose
-    value fails to parse."""
-    with open(path, newline="") as fh:
+    restored.  Raises ValidationError when the file cannot be opened or
+    decoded, when the header does not match the schema, or naming the
+    first line whose field count is wrong or whose value fails to parse."""
+    with _open(path, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if tuple(header) != COLUMNS:
+                raise ValidationError(
+                    f"{path}: header does not match the trajectory schema "
+                    f"(got {header!r})"
+                )
+            raw = list(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file, expected a trajectory header") from None
-        if tuple(header) != COLUMNS:
-            raise ValidationError(
-                f"{path}: header does not match the trajectory schema "
-                f"(got {header!r})"
-            )
-        raw = list(reader)
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: not a {e.encoding} text file ({e.reason})") from None
     n = len(COLUMNS)
     try:
         # zip(*raw) would drop the cells of short rows, so count fields first

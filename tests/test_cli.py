@@ -287,6 +287,42 @@ def test_sysid_rejects_an_infinite_cell(tmp_path, capsys, ex1_csv, cell, message
     assert stderr.startswith(f"error: {message}")
 
 
+def _file_error_cases():
+    # (argv, the file its error names) for a path under a temporary
+    # directory: trajectory files that cannot be opened, and a scenario
+    # and a trajectory that are not UTF-8 text
+    sysid = ("--m", "1", "--I-z", "1", "--q-z", "0")
+
+    def bad_yaml(d):
+        path = d / "bad.yaml"
+        path.write_bytes(bundled_scenario_text("example1").encode() + b"\n# \xff\n")
+        return ("simulate", "--scenario", str(path), "--out", str(d / "x.csv")), path
+
+    def bad_csv(d):
+        path = d / "bad.csv"
+        path.write_bytes(b"\xff\xfet,q_x\r\n")
+        return ("sysid", "--trajectory", str(path)) + sysid, path
+
+    return {
+        "out in a missing directory": lambda d: (
+            ("simulate", "--scenario", "example1", "--out", str(d / "missing" / "x.csv")), d / "missing" / "x.csv"),
+        "out is a directory": lambda d: (("simulate", "--scenario", "example1", "--out", str(d)), d),
+        "missing trajectory": lambda d: (("sysid", "--trajectory", str(d / "none.csv")) + sysid, d / "none.csv"),
+        "scenario not UTF-8": bad_yaml,
+        "trajectory not UTF-8": bad_csv,
+    }
+
+
+@pytest.mark.parametrize("name", list(_file_error_cases()))
+def test_file_errors_print_one_error_line_naming_the_file(tmp_path, capsys, name):
+    # each raised a raw OSError or UnicodeDecodeError with a traceback
+    argv, path = _file_error_cases()[name](tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and str(path) in stderr, stderr
+
+
 # ----------------------------------------------------------------- translate
 
 def test_translate_runs_to_rest(tmp_path, capsys):

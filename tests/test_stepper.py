@@ -32,14 +32,15 @@ from patchslide import (
     assemble_inputs,
     ecp,
     max_dissipation_impulse,
+    normal_impulse,
     resolve_scenario,
     simulate,
     slip_velocity,
     step,
+    to_impulse,
     validate_patch,
     wrench_at,
 )
-from patchslide.core import impulse_over, pressing_load
 from patchslide.scenario import MIN_E_R
 
 from conftest import record_lines, simulate_by_steps
@@ -540,11 +541,27 @@ def test_seeded_sweep_over_the_valid_input_space():
     assert rests > 0
 
 
+def _impulse_bits(a: AppliedImpulse) -> tuple[str, ...]:
+    return tuple(x.hex() for x in (a.p_x, a.p_y, a.p_z, a.p_xtau, a.p_ytau, a.p_ztau))
+
+
 def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_scenario, ex3_records):
-    # compare and the public solve_step check the configuration simulate runs
+    # compare and the public solve_step check the configuration simulate
+    # runs: assemble_inputs, built on the public load functions, gives each
+    # step the applied and normal impulse of simulate's float loop, bit for
+    # bit, under a constant load, a body pusher, and a table with a stretch
+    # before its first row and rows of different lambda_z
     from patchslide import assemble_inputs, solve_step
 
-    for scen, records in ((ex1_scenario, ex1_records), (ex3_scenario, ex3_records)):
+    table = _one_path_scenarios()["table"][0]
+    table_records = simulate(table)
+    assert len({r.impulses.p_n for r in table_records}) == 4
+    for scen, records in ((ex1_scenario, ex1_records), (ex3_scenario, ex3_records), (table, table_records)):
+        starts = [scen.initial] + [r.state for r in records[:-1]]
+        for s, r in zip(starts, records):
+            inputs = assemble_inputs(s, scen)
+            assert _impulse_bits(inputs.applied) == _impulse_bits(r.applied)
+            assert inputs.p_n.hex() == r.impulses.p_n.hex()
         for s in [scen.initial] + [r.state for r in records[4::5]]:
             assert solve_step(assemble_inputs(s, scen)) == step(s, scen).impulses
 
@@ -598,8 +615,8 @@ def test_assemble_inputs_pusher_floats_match_the_wrench_path():
         w = wrench_at(sched, state, state.t)
         assert repr(w) == repr(_pusher_wrench_reference(sched, state.theta_z, state.t))
         assert w.lambda_xtau != 0.0 and w.lambda_ytau != 0.0
-        assert repr(inputs.applied) == repr(impulse_over(w, h))
-        assert inputs.p_n.hex() == (h * pressing_load(scen.params, w.lambda_z)).hex()
+        assert repr(inputs.applied) == repr(to_impulse(w, h))
+        assert inputs.p_n.hex() == normal_impulse(scen.params, w, h).hex()
 
 
 def test_simulate_runs_each_traced_layer_once_per_step(ex3_scenario, monkeypatch):
@@ -833,7 +850,23 @@ def test_extrapolated_warm_start_cuts_iterations(ex1_scenario):
     assert sum(iters) / len(iters) <= 2.0
 
 
-# ------------------------------------------- a scenario's derived loads
+# ------------------------------------------------- a run's held loads
+
+def _held_loads(scen, records):
+    # the records grouped by the wrench held over their step, sampled at
+    # the step's start, in the order the run reaches them.  Each group's
+    # steps share one applied impulse, to_impulse of the wrench, and have
+    # its normal_impulse; returns each wrench with its step count
+    held: dict = {}
+    for start, r in zip([scen.initial] + [r.state for r in records], records):
+        w = wrench_at(scen.schedule, start, start.t)
+        held.setdefault(id(w), (w, []))[1].append(r)
+    for w, group in held.values():
+        assert len({id(r.applied) for r in group}) == 1
+        assert _impulse_bits(group[0].applied) == _impulse_bits(to_impulse(w, scen.h))
+        assert {r.impulses.p_n.hex() for r in group} == {normal_impulse(scen.params, w, scen.h).hex()}
+    return [(w, len(group)) for w, group in held.values()]
+
 
 def test_memos_follow_a_table_load_whose_normal_force_changes():
     # lambda_z changes at each row, so p_n changes mid-run while params stays
@@ -851,70 +884,44 @@ def test_memos_follow_a_table_load_whose_normal_force_changes():
     assert len(records) == 40
     assert len({r.impulses.p_n for r in records}) == 4
     assert record_lines(records) == record_lines(fresh)
-    # each row's steps share the row's impulse, built with the scenario
-    assert {id(r.applied) for r in records} == {id(a) for a in scen.impulses[1:]}
-    assert ({r.impulses.p_n for r in records}
-            == {scen.h * pressing_load(scen.params, l_z) for l_z in scen.lambda_z[1:]})
+    # each row's steps share one impulse, built from the row's wrench
+    assert [w for w, _ in _held_loads(scen, records)] == list(wrenches)
 
 
 def test_steps_before_a_tables_first_row_share_one_zero_load():
-    # before the first row a table holds the zero wrench, whose impulse the
-    # scenario keeps first: those steps share it
+    # before the first row a table holds the zero wrench: those steps share
+    # its impulse, as each row's steps share the row's
     rows = (0.105, 0.2)
     wrenches = (AppliedWrench(lambda_x=0.2), AppliedWrench(lambda_y=-0.3, lambda_ztau=0.002))
     scen = make_scenario(schedule=TableSchedule(rows, wrenches), duration=0.3)
     assert wrench_at(scen.schedule, scen.initial, 0.0) is wrench_at(scen.schedule, scen.initial, 0.1)
-    assert scen.impulses == (AppliedImpulse(),) + tuple(impulse_over(w, scen.h) for w in wrenches)
-    assert scen.lambda_z == (0.0, 0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = simulate(scen)
         fresh = simulate_by_steps(scen)
     assert len(records) == 30
     # steps 0-10 start before the first row
-    assert all(r.applied is scen.impulses[0] for r in records[:11])
-    assert all(r.applied is scen.impulses[1] for r in records[11:20])
-    assert all(r.applied is scen.impulses[2] for r in records[20:])
+    assert _held_loads(scen, records) == [(AppliedWrench.zero(), 11), (wrenches[0], 9), (wrenches[1], 10)]
     assert record_lines(records) == record_lines(fresh)
 
 
 def test_every_step_of_a_constant_load_shares_one_impulse():
     wrench = AppliedWrench(lambda_x=0.3, lambda_y=-0.1, lambda_z=1.0, lambda_ztau=0.001)
     scen = make_scenario(wrench=wrench, duration=0.1)
-    assert scen.impulses == (AppliedImpulse(), impulse_over(wrench, scen.h))
-    assert scen.lambda_z == (0.0, 1.0)
     records = simulate(scen)
     assert len(records) == 10
-    assert all(r.applied is scen.impulses[1] for r in records)
+    assert _held_loads(scen, records) == [(wrench, 10)]
 
 
 def test_derived_loads_follow_the_step_length():
     # one ConstantSchedule wrench object run at two step lengths back to
-    # back: replace(scen, h=...) rebuilds the impulses with its own h
+    # back: each run builds its impulse with its own h
     schedule = ConstantSchedule(AppliedWrench(lambda_x=0.3, lambda_y=-0.1, lambda_z=1.0, lambda_ztau=0.001))
     coarse = make_scenario(schedule=schedule, h=0.01, duration=0.1)
     fine = dataclasses.replace(coarse, h=0.005)
     assert fine.schedule is coarse.schedule
-    assert fine.impulses[1] == impulse_over(schedule.wrench, 0.005) != coarse.impulses[1]
     runs = [simulate(scen) for scen in (coarse, fine, coarse)]
     for scen, records in zip((coarse, fine, coarse), runs):
         assert record_lines(records) == record_lines(simulate_by_steps(scen))
-        assert all(r.applied == impulse_over(schedule.wrench, scen.h) for r in records)
-
-
-def test_derived_loads_are_rebuilt_on_copy_and_ignored_by_equality_and_repr():
-    import copy
-    import pickle
-
-    rows = (0.05, 0.15)
-    wrenches = (AppliedWrench(lambda_x=0.2, lambda_z=1.5), AppliedWrench(lambda_y=-0.3, lambda_z=-2.0))
-    scen = make_scenario(schedule=TableSchedule(rows, wrenches))
-    for twin in (pickle.loads(pickle.dumps(scen)), copy.copy(scen), copy.deepcopy(scen),
-                 dataclasses.replace(scen)):
-        assert twin == scen and hash(twin) == hash(scen) and repr(twin) == repr(scen)
-        assert twin.impulses == scen.impulses and twin.lambda_z == scen.lambda_z == (0.0, 1.5, -2.0)
-    # equality, hashing and repr read only the declared fields
-    twin = copy.copy(scen)
-    object.__setattr__(twin, "impulses", ())
-    object.__setattr__(twin, "lambda_z", ())
-    assert twin == scen and hash(twin) == hash(scen) and repr(twin) == repr(scen)
+        assert _held_loads(scen, records) == [(schedule.wrench, len(records))]
+    assert runs[1][0].applied == to_impulse(schedule.wrench, 0.005) != runs[0][0].applied
