@@ -43,6 +43,7 @@ __getattr__ = _lazy_getattr(globals(), {
     "read_trajectory": "trajectory",
     "write_plot_data": "trajectory",
     "write_trajectory": "trajectory",
+    "_check_writable": "trajectory",
 })
 _cli = sys.modules[__name__]
 
@@ -90,17 +91,22 @@ def _summary(records: list[TrajectoryRecord], planned: int, wall: float) -> str:
 
 def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
     # one simulate run with the given per-step solve: the trajectory CSV,
-    # the summary and, when asked for, the plot data
+    # the summary and, when asked for, the plot data.  A CSV path that
+    # cannot be written fails before the first step, and touches no file
+    out = args.out or scen.options.output_path or "trajectory.csv"
+    _cli._check_writable(out)
     t0 = time.perf_counter()
     records = simulate(scen, solve)
     wall = time.perf_counter() - t0
-    out = args.out or scen.options.output_path or "trajectory.csv"
     _cli.write_trajectory(records, out)
+    files = None
+    if getattr(args, "plot_data", False):
+        files = _cli.write_plot_data(_cli.read_trajectory(out), Path(out).with_suffix(""))
+    # printed once every file is written, so that a failing command prints
+    # its one error line only
     print(_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall))
     print(f"trajectory written to {out}")
-    if getattr(args, "plot_data", False):
-        rows = _cli.read_trajectory(out)
-        files = _cli.write_plot_data(rows, Path(out).with_suffix(""))
+    if files is not None:
         print(f"plot data: {len(files)} files alongside {out}")
     return 0
 

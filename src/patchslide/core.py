@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter
@@ -79,10 +80,11 @@ def value_type(cls):
 
     The class call is the public constructor.  Each class also has a
     positional builder, cls._new(*fields), which gives what the class call
-    gives at about half the cost (see _builder); the stepping loop builds
-    its per-step records with it.  A class call with keywords first
-    gathers them in a dict, so code that builds many objects passes the
-    fields positionally.
+    gives at about half the cost (see _builder); _flat_builder makes one
+    such builder for a value type and the value types its fields hold,
+    which the stepping loop builds each step's record with.  A class call
+    with keywords first gathers them in a dict, so code that builds many
+    objects passes the fields positionally.
     """
     cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
     params = cls.__dataclass_params__
@@ -175,24 +177,68 @@ def value_type(cls):
     return cls
 
 
-def _builder(cls):
-    # cls._new: it makes the instance as an unfrozen twin class with the
-    # same __slots__, fills the slots by plain attribute stores (which
-    # CPython specialises to direct slot writes, where __init__'s descriptor
-    # __set__ calls each cost a method-wrapper call), then makes it a cls by
-    # assigning its __class__ and runs __post_init__
-    flds = [f for f in fields(cls) if f.init]
+def _fill(cls, var: str, args: list[str], namespace: dict) -> list[str]:
+    # the source lines that make var a cls holding the values named by args,
+    # one per constructor field: var is made as an unfrozen twin class with
+    # the same __slots__, its slots are filled by plain attribute stores
+    # (which CPython specialises to direct slot writes, where __init__'s
+    # descriptor __set__ calls each cost a method-wrapper call), then it
+    # becomes a cls by assigning its __class__ and runs __post_init__.  The
+    # twin and cls go into namespace, which must hold object.__new__ as
+    # _make_object
     twin = type(f"_{cls.__name__}Builder", (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
-    lines = ["self = _make_object(_twin)", *(f"self.{f.name} = {f.name}" for f in flds), "self.__class__ = _cls"]
+    namespace[f"_twin_{var}"] = twin
+    namespace[f"_cls_{var}"] = cls
+    flds = [f for f in fields(cls) if f.init]
+    lines = [f"{var} = _make_object(_twin_{var})",
+             *(f"{var}.{f.name} = {arg}" for f, arg in zip(flds, args, strict=True)),
+             f"{var}.__class__ = _cls_{var}"]
     if hasattr(cls, "__post_init__"):
-        lines.append("self.__post_init__()")
-    src = (f"def _new({', '.join(f.name for f in flds)}):\n"
+        lines.append(f"{var}.__post_init__()")
+    return lines
+
+
+def _compile(name: str, args: list[str], lines: list[str], namespace: dict):
+    # the function name(*args) that runs lines and returns self
+    src = (f"def {name}({', '.join(args)}):\n"
            + "".join(f"    {line}\n" for line in lines) + "    return self\n")
-    namespace = {"_make_object": object.__new__, "_twin": twin, "_cls": cls}
     exec(src, namespace)
-    new = namespace["_new"]
+    return namespace[name]
+
+
+def _builder(cls):
+    # cls._new: the class call by _fill's twin class
+    args = [f.name for f in fields(cls) if f.init]
+    namespace = {"_make_object": object.__new__}
+    new = _compile("_new", args, _fill(cls, "self", args, namespace), namespace)
     new.__defaults__ = cls.__init__.__defaults__
     new.__qualname__ = f"{cls.__qualname__}._new"
+    new.__module__ = cls.__module__
+    return new
+
+
+def _flat_builder(cls, shared: tuple[str, ...]):
+    # a builder of cls and of the value types its fields hold, in one call:
+    # it takes, in cls's field order, the constructor fields of each field's
+    # value type (the class its annotation names in cls's module) in place
+    # of that field, and the fields named in shared as they are, with no
+    # defaults, and it builds each part and cls as their _new would
+    namespace = {"_make_object": object.__new__}
+    scope = vars(sys.modules[cls.__module__])
+    own = [f for f in fields(cls) if f.init]
+    args: list[str] = []
+    lines: list[str] = []
+    for f in own:
+        if f.name in shared:
+            args.append(f.name)
+        else:
+            part = scope[f.type] if isinstance(f.type, str) else f.type
+            leaves = [g.name for g in fields(part) if g.init]
+            args += leaves
+            lines += _fill(part, f.name, leaves, namespace)
+    lines += _fill(cls, "self", [f.name for f in own], namespace)
+    new = _compile("_new_flat", args, lines, namespace)
+    new.__qualname__ = f"{cls.__qualname__}._new_flat"
     new.__module__ = cls.__module__
     return new
 

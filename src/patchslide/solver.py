@@ -46,7 +46,9 @@ _SETTLED = 2.0 ** -40
 # largest factor by which one iteration expands the bracket before a
 # positive gap is seen
 _GROW = 8.0
+# read as module globals in _solve_floats, a step's hot path
 _INF = math.inf
+_sqrt = math.sqrt
 # the smallest normal double, which (mu*p_n)^2 must reach
 _MIN_NORMAL = sys.float_info.min
 
@@ -224,23 +226,27 @@ def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
             alpha, beta, gamma, r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r)
 
 
+# the rest test's errors, in the order _stop raises them
+_LOAD_TOO_LARGE = ("load is too large: the stopping impulse squared in friction-ellipsoid units "
+                   "overflows a double")
+_PN_TOO_SMALL = "normal impulse is too small: (mu*p_n)^2 is not a normal double"
+
+
 def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
     # the stopping impulse and its square in friction-ellipsoid units, the
     # left side of the rest test; that square (inf when a product overflows)
     # must be a double, as must (mu*p_n)^2, and a state-dependent load can
     # push it past one even when the scenario passed its load check.
     # (mu*p_n)^2 must also be a normal double, or the tolerance relative to
-    # it is not attainable
+    # it is not attainable.  rest_reachable runs it; _solve_floats runs the
+    # same expressions and checks inline, and the tests hold it to them
     p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
     x_t, x_o, x_r = p_t / e_t, p_o / e_o, p_r / e_r
     lhs = x_t * x_t + x_o * x_o + x_r * x_r
     if lhs == _INF or mu_pn_sq == _INF:
-        raise ValidationError(
-            "load is too large: the stopping impulse squared in friction-ellipsoid units "
-            "overflows a double"
-        )
+        raise ValidationError(_LOAD_TOO_LARGE)
     if mu_pn_sq < _MIN_NORMAL:
-        raise ValidationError("normal impulse is too small: (mu*p_n)^2 is not a normal double")
+        raise ValidationError(_PN_TOO_SMALL)
     return p_t, p_o, p_r, lhs
 
 
@@ -349,12 +355,21 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
     # solve_step_info in plain floats: static is _static's tuple for the
     # slider, the friction ellipsoid and p_n, then come the start-of-step
     # velocities and the applied impulse.  Returns (p_t, p_o, p_r, sigma,
-    # iters, residual_norm), with sigma 0.0 on a rest step
+    # iters, residual_norm), with sigma 0.0 on a rest step.  The rest test
+    # is _stop's, inline: its expressions and its errors in its order, then
+    # rest_reachable's comparison.  It runs on every step of a run, where a
+    # call and a tuple cost as much as the test itself
     (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, alpha, beta, gamma,
      r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
     tol = _TOL * mu_pn_sq
 
-    stop_t, stop_o, stop_r, lhs0 = _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau)
+    stop_t, stop_o, stop_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
+    x_t, x_o, x_r = stop_t / e_t, stop_o / e_o, stop_r / e_r
+    lhs0 = x_t * x_t + x_o * x_o + x_r * x_r
+    if lhs0 == _INF or mu_pn_sq == _INF:
+        raise ValidationError(_LOAD_TOO_LARGE)
+    if mu_pn_sq < _MIN_NORMAL:
+        raise ValidationError(_PN_TOO_SMALL)
     if lhs0 <= mu_pn_sq:  # rest_reachable's test
         return stop_t, stop_o, stop_r, 0.0, 0, 0.0
 
@@ -371,9 +386,9 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
         sig = _initial_sigma(_inputs(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n))
     # the bracket, and lhs at its ends for the linear-fractional step; at
     # sigma = 0 the curve's point is the stopping impulse
-    lo, hi = 0.0, math.inf
-    lhs_lo, lhs_hi = lhs0, math.inf
-    dx = dx_old = math.inf
+    lo, hi = 0.0, _INF
+    lhs_lo, lhs_hi = lhs0, _INF
+    dx = dx_old = _INF
     for it in range(_MAX_ITER + 1):
         s_r = sig + r_damp
         p_r = g_W0 / s_r
@@ -393,7 +408,7 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
         # are worth evaluating only once the gap alone meets the tolerance;
         # they are _residuals' F1-F3, and the gap is its F4
         rn = None
-        if abs(gap) <= tol:
+        if -tol <= gap <= tol:
             rn = max(
                 abs(alpha * (v_x + (p_t + p_x) / m + (p_xtau + p_o * q_z) * W / p_n) + p_t * sig),
                 abs(beta * (v_y + (p_o + p_y) / m + (p_ytau - p_t * q_z) * W / p_n) + p_o * sig),
@@ -413,7 +428,7 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
         # Newton on f = 1/sqrt(lhs) - 1/(mu*p_n), which has the roots of the
         # gap but is nearly linear in sigma: exactly so in pure translation
         lhs = mu_pn_sq - gap
-        newton = sig - 2.0 * lhs * (1.0 - math.sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
+        newton = sig - 2.0 * lhs * (1.0 - _sqrt(lhs) / mu_pn) / dgap if dgap != 0.0 else math.nan
         # near a root the Newton correction is the error in sigma; the floor
         # is worth computing only once that error is down to roundoff
         if abs(newton - sig) <= _SETTLED * sig:
@@ -427,7 +442,7 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
             lo, lhs_lo = sig, lhs
         else:
             hi, lhs_hi = sig, lhs
-        if hi == math.inf:
+        if hi == _INF:
             # no positive gap seen yet: expand by at most a factor _GROW
             nxt = newton if lo < newton < _GROW * lo else _GROW * lo
         elif lo < newton < hi and abs(newton - sig) < 0.5 * dx_old:
@@ -441,8 +456,8 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
             far, lhs_far = (hi, lhs_hi) if gap < 0.0 else (lo, lhs_lo)
             nxt = math.nan
             if lhs > 0.0 and lhs_far > 0.0:
-                inv_far = 1.0 / math.sqrt(lhs_far)
-                d = inv_far - 1.0 / math.sqrt(lhs)  # f at far minus f at sig
+                inv_far = 1.0 / _sqrt(lhs_far)
+                d = inv_far - 1.0 / _sqrt(lhs)  # f at far minus f at sig
                 run = far - sig
                 step = sig - newton
                 den = (inv_far - 1.0 / mu_pn) * run - step * d

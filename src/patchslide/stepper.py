@@ -2,8 +2,9 @@
 advance the state, and track the equivalent contact point.  simulate and
 step run one loop on plain floats, which builds each held load's impulse
 and normal impulse with core.to_impulse and core.normal_impulse once per
-run; assemble_inputs, ecp and validate_patch give a step's inputs, ECP
-and containment as value objects.
+run, and each step's record, with its state, contact impulse, ECP and
+diagnostics, in one builder call; assemble_inputs, ecp and validate_patch
+give a step's inputs, ECP and containment as value objects.
 
 The velocity update is implicit (impulses satisfy the end-of-step
 friction conditions); the configuration update uses end-of-step
@@ -18,6 +19,7 @@ import math
 import time
 import warnings
 from collections.abc import Callable
+from functools import cache
 
 from .core import (
     AnnulusPatch,
@@ -34,6 +36,7 @@ from .core import (
     SlipVelocity,
     StepInputs,
     TableSchedule,
+    _flat_builder,
     held_wrenches,
     hold_index,
     normal_impulse,
@@ -97,6 +100,15 @@ class TrajectoryRecord:
     ecp: Ecp
     applied: AppliedImpulse
     diagnostics: StepDiagnostics
+
+
+@cache
+def _record_builder():
+    # a step's record, its state, contact impulse, ECP and diagnostics in
+    # one call, from their fields' floats and the step's applied impulse
+    # (core._flat_builder); compiled at the first run, since importing the
+    # package compiles one function per value type and no more
+    return _flat_builder(TrajectoryRecord, shared=("applied",))
 
 
 # the margin, relative to a patch's size, by which _region's inner disk or
@@ -281,7 +293,8 @@ def _run(
     # warm_sigma's slip-speed history.  It stops after a rest step, and
     # after a step whose ECP leaves the hull when stop_outside is set.
     # Returns the indices of the steps outside the hull.  The per-step
-    # calls are _solve_floats and _contains, looked up as module globals
+    # calls are _solve_floats and _contains, looked up as module globals,
+    # and the record's builder (plus AppliedImpulse._new for a pusher)
     params, friction, schedule, h = scen.params, scen.friction, scen.schedule, scen.h
     m, I_z, q_z = params.m, params.I_z, params.q_z
     sigma_min = scen.options.sigma_min
@@ -296,9 +309,7 @@ def _run(
     loads: list = [None] * len(wrenches)
     k = 0 if pusher else hold_index(schedule, t)
     clock = time.perf_counter
-    # the records' positional builders (core.value_type)
-    new_state, new_impulse, new_ecp = SliderState._new, ContactImpulse._new, Ecp._new
-    new_diagnostics, new_record, new_applied = StepDiagnostics._new, TrajectoryRecord._new, AppliedImpulse._new
+    new_record, new_applied = _record_builder(), AppliedImpulse._new
     outside: list[int] = []
     for n in range(n_steps):
         if table:
@@ -319,8 +330,8 @@ def _run(
             p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
                 static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, guess)
             wall = clock() - t0
-            impulse = new_impulse(p_t, p_o, p_r, sigma, p_n)
         else:
+            state = SliderState._new(q_x, q_y, theta_z, v_x, v_y, w_z, t)
             inputs = StepInputs(params, friction, state, applied, p_n)
             t0 = clock()
             impulse, info = solve(inputs, guess)
@@ -338,14 +349,13 @@ def _run(
         q_y = q_y + h * v_y
         theta_z = theta_z + h * w_z
         t = t + h
-        state = new_state(q_x, q_y, theta_z, v_x, v_y, w_z, t)
         # the equivalent contact point, as ecp places it, at the impulse's p_n
         a_x = q_x + (p_ytau - p_t * q_z) / p_n
         a_y = q_y + (-p_xtau - p_o * q_z) / p_n
         in_hull, in_patch = _contains(region, a_x, a_y, q_x, q_y, theta_z)
         rest = sigma < sigma_min
-        records.append(new_record(state, impulse, new_ecp(a_x, a_y, in_hull, in_patch), applied,
-                                  new_diagnostics(iters, rn, rest, wall)))
+        records.append(new_record(q_x, q_y, theta_z, v_x, v_y, w_z, t, p_t, p_o, p_r, sigma, p_n,
+                                  a_x, a_y, in_hull, in_patch, applied, iters, rn, rest, wall))
         if not in_hull:
             outside.append(n)
             if stop_outside:
@@ -382,11 +392,12 @@ def step(
 def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecord]:
     """Run the scenario for round(duration/h) steps.
 
-    One loop runs every step on plain floats, building per step only the
-    record and its state, contact impulse, ECP and diagnostics (and a body
-    pusher's applied impulse).  The patch's containment data are read once
-    per run, and each held load's applied impulse, normal impulse and solve
-    constants once per run, at the first step that holds it.  An ECP
+    One loop runs every step on plain floats.  Per step it makes one call
+    that builds the record with its state, contact impulse, ECP and
+    diagnostics (and one more for a body pusher's applied impulse), and the
+    solve makes the rest test inline.  The patch's containment data are
+    read once per run, and each held load's applied impulse, normal impulse
+    and solve constants once per run, at the first step that holds it.  An ECP
     within a disk (or, for an annulus, a band) about the body origin that
     lies inside the patch is placed there without rotating it into the
     body frame.  Each step solves as step does, warm-started from

@@ -9,6 +9,8 @@ simulate and translate commands and read back by sysid.
 from __future__ import annotations
 
 import csv
+import errno
+import os
 from itertools import repeat, starmap
 from operator import itemgetter
 from pathlib import Path
@@ -67,13 +69,37 @@ def _record_row(rec: TrajectoryRecord) -> str:
     )
 
 
+def _file_error(what: str, path: str | Path, e: OSError) -> ValidationError:
+    # what cannot be done to path, and the system's reason
+    return ValidationError(f"{what} {path}: {e.strerror or e}")
+
+
 def _open(path: str | Path, mode: str):
     # the trajectory file at path, opened as csv wants; ValidationError
     # naming the path when it cannot be
     try:
         return open(path, mode, newline="")
     except OSError as e:
-        raise ValidationError(f"cannot open trajectory file {path}: {e.strerror or e}") from e
+        raise _file_error("cannot open trajectory file", path, e) from e
+
+
+def _check_writable(path: str | Path) -> None:
+    # raise what _open(path, "w") would raise if path cannot be opened for
+    # writing, without creating or truncating it: an existing file is
+    # opened for writing in place, a new one needs a writable directory
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+        return
+    except FileNotFoundError as e:
+        missing = e
+    except OSError as e:
+        raise _file_error("cannot open trajectory file", path, e) from e
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise _file_error("cannot open trajectory file", path, missing) from missing
+    if not os.access(parent, os.W_OK | os.X_OK):
+        denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        raise _file_error("cannot open trajectory file", path, denied)
 
 
 def write_trajectory(records: list[TrajectoryRecord], path: str | Path) -> None:
@@ -153,15 +179,22 @@ def observed_steps(rows: list[dict]) -> list[ObservedStep]:
 
 def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
     """Emit one two-column (t, value) file per numeric column, named
-    <prefix>.<column>.dat, ready for external plotting tools."""
+    <prefix>.<column>.dat, ready for external plotting tools.  Raises
+    ValidationError naming the file or directory that cannot be made."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _file_error("cannot make plot data directory", prefix.parent, e) from e
     # every file's first column, formatted once
     times = ["%.17g\t" % row["t"] for row in rows]
     written = []
     for col in COLUMNS[1:]:
         out = prefix.with_name(f"{prefix.name}.{col}.dat")
-        with open(out, "w") as fh:
-            fh.write("".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]))
+        try:
+            with open(out, "w") as fh:
+                fh.write("".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]))
+        except OSError as e:
+            raise _file_error("cannot write plot data file", out, e) from e
         written.append(out)
     return written

@@ -303,10 +303,17 @@ def _file_error_cases():
         path.write_bytes(b"\xff\xfet,q_x\r\n")
         return ("sysid", "--trajectory", str(path)) + sysid, path
 
+    def plot_file_is_a_directory(d):
+        # the trajectory is written, then the first plot file cannot be
+        path = d / "traj.q_x.dat"
+        path.mkdir()
+        return ("simulate", "--scenario", "example1", "--out", str(d / "traj.csv"), "--plot-data"), path
+
     return {
         "out in a missing directory": lambda d: (
             ("simulate", "--scenario", "example1", "--out", str(d / "missing" / "x.csv")), d / "missing" / "x.csv"),
         "out is a directory": lambda d: (("simulate", "--scenario", "example1", "--out", str(d)), d),
+        "plot data file is a directory": plot_file_is_a_directory,
         "missing trajectory": lambda d: (("sysid", "--trajectory", str(d / "none.csv")) + sysid, d / "none.csv"),
         "scenario not UTF-8": bad_yaml,
         "trajectory not UTF-8": bad_csv,
@@ -321,6 +328,43 @@ def test_file_errors_print_one_error_line_naming_the_file(tmp_path, capsys, name
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and str(path) in stderr, stderr
+
+
+def test_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # the run used to complete before the write found the path unusable
+    def never(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli_module, "simulate", never)
+    scen = tmp_path / "slide.yaml"
+    scen.write_text(TRANSLATE_YAML)
+    for command in ("simulate", "translate"):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, stderr = run(capsys, command, "--scenario", str(scen), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: cannot open trajectory file {out}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_run_that_fails_creates_and_truncates_no_file(tmp_path, capsys):
+    # the path is checked before the run without creating or truncating
+    # it: a run that fails at step 0 leaves an existing trajectory as it
+    # was, and makes no new one
+    ex1 = resolve_scenario("example1")
+    scen = tmp_path / "fast.yaml"
+    scen.write_text(serialize_scenario(replace(
+        ex1, friction=replace(ex1.friction, e_t=1e100, e_o=1e100),
+        initial=replace(ex1.initial, v_x=1e100))))
+    kept = tmp_path / "kept.csv"
+    kept.write_text("an earlier trajectory\n")
+    for out in (kept, tmp_path / "new.csv"):
+        code, stdout, stderr = run(capsys, "simulate", "--scenario", str(scen), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: step 0: velocity is too large")
+    assert kept.read_text() == "an earlier trajectory\n"
+    assert not (tmp_path / "new.csv").exists()
 
 
 # ----------------------------------------------------------------- translate

@@ -521,6 +521,60 @@ def test_builder_gives_what_the_class_call_gives(examples, name):
         got.not_a_field = 1.0
 
 
+def _value_parts(rec) -> list:
+    # a record and each value object it holds
+    return [rec, *(getattr(rec, f.name) for f in dataclasses.fields(rec))]
+
+
+def _rebuilt(rec):
+    # the record as class calls build it from its parts' field values
+    return type(rec)(*(type(part)(*_init_fields(part)) for part in _value_parts(rec)[1:]))
+
+
+def test_record_builder_gives_what_the_class_calls_give(examples):
+    # the stepping loop builds each record and its state, impulse, ECP and
+    # diagnostics in one call, from their floats and the shared applied
+    # impulse
+    from patchslide.stepper import TrajectoryRecord, _record_builder
+
+    rec = examples["TrajectoryRecord"]
+    args = []
+    for f in dataclasses.fields(TrajectoryRecord):
+        part = getattr(rec, f.name)
+        args += [part] if f.name == "applied" else _init_fields(part)
+    got = _record_builder()(*args)
+    want = _rebuilt(rec)
+    assert got.applied is rec.applied
+    for got_part, want_part in zip(_value_parts(got), _value_parts(want), strict=True):
+        cls = type(want_part)
+        assert type(got_part) is cls
+        assert not hasattr(got_part, "__dict__")
+        assert got_part == want_part
+        assert hash(got_part) == hash(want_part)
+        assert repr(got_part) == repr(want_part)
+        restored = pickle.loads(pickle.dumps(got_part))
+        assert type(restored) is cls and restored == want_part
+        first = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got_part, first, getattr(got_part, first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got_part.not_a_field = 1.0
+
+
+def test_every_simulated_record_is_what_the_class_calls_give(ex1_records, ex2_records, ex3_records):
+    from patchslide import resolve_scenario, simulate, translation_solve
+
+    ex1 = resolve_scenario("example1")
+    translated = simulate(dataclasses.replace(ex1, initial=dataclasses.replace(ex1.initial, w_z=0.0)),
+                          translation_solve)
+    for records in (ex1_records, ex2_records, ex3_records, translated):
+        assert records
+        for rec in records:
+            want = _rebuilt(rec)
+            assert rec == want and hash(rec) == hash(want) and repr(rec) == repr(want)
+            assert [type(part) for part in _value_parts(rec)] == [type(part) for part in _value_parts(want)]
+
+
 def _invalid_fields(ex) -> dict:
     # for each type with checks, constructor arguments that fail them
     return {

@@ -458,6 +458,30 @@ def test_public_rest_test_agrees_with_the_solve_bit_for_bit():
             assert info.rest
             assert stopping_impulse(inp) == (imp.p_t, imp.p_o, imp.p_r)
     assert 30 <= n_rest <= 270
+    # the solve runs the rest test's checks inline: on inputs that fail one,
+    # it raises rest_reachable's error, the first in the same order, on the
+    # rest branch (the stopping impulse fits the ellipsoid) and the sliding one
+    for inp in make_sliding_inputs(17, 5):
+        s, a = inp.state, inp.applied
+        still = replace(inp, state=replace(s, v_x=0.0, v_y=0.0, w_z=0.0), applied=AppliedImpulse())
+        assert stopping_impulse(still) == (0.0, 0.0, 0.0) and all(stopping_impulse(inp))
+        cases = {
+            "stopping impulse squared overflows": (
+                replace(inp, applied=replace(a, p_ztau=1e306)), "load is too large"),
+            "(mu*p_n)^2 overflows": (replace(inp, p_n=1e200), "load is too large"),
+            "both overflow": (replace(inp, p_n=1e200, applied=replace(a, p_ztau=1e306)), "load is too large"),
+            "(mu*p_n)^2 subnormal, at rest": (replace(still, p_n=1e-160), "normal impulse is too small"),
+            "(mu*p_n)^2 subnormal, sliding": (replace(inp, p_n=1e-160), "normal impulse is too small"),
+            "subnormal and overflowing": (
+                replace(inp, p_n=1e-160, applied=replace(a, p_ztau=1e306)), "load is too large"),
+        }
+        for name, (bad, message) in cases.items():
+            with pytest.raises(ValidationError, match=message) as by_test:
+                rest_reachable(bad)
+            with pytest.raises(ValidationError) as by_solve:
+                solve_step_info(bad)
+            assert type(by_solve.value) is type(by_test.value), name
+            assert str(by_solve.value) == str(by_test.value), name
 
 
 def test_rest_test_overflow_is_validation_error():
