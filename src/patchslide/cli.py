@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import _lazy_getattr
+from .core import StepInputs
 from .errors import (
     ContactLossError,
     NoConvergenceError,
@@ -24,7 +25,6 @@ from .errors import (
     ZeroSlipError,
 )
 from .scenario import Scenario, resolve_scenario
-from .solver import solve_step_info
 from .stepper import TrajectoryRecord, simulate
 
 __all__ = ["main"]
@@ -44,6 +44,7 @@ __getattr__ = _lazy_getattr(globals(), {
     "write_plot_data": "trajectory",
     "write_trajectory": "trajectory",
     "_check_writable": "trajectory",
+    "_plot_data_paths": "trajectory",
 })
 _cli = sys.modules[__name__]
 
@@ -91,17 +92,22 @@ def _summary(records: list[TrajectoryRecord], planned: int, wall: float) -> str:
 
 def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
     # one simulate run with the given per-step solve: the trajectory CSV,
-    # the summary and, when asked for, the plot data.  A CSV path that
-    # cannot be written fails before the first step, and touches no file
+    # the summary and, when asked for, the plot data.  A CSV or plot data
+    # path that cannot be written fails before the first step, and touches
+    # no file
     out = args.out or scen.options.output_path or "trajectory.csv"
     _cli._check_writable(out)
+    prefix = Path(out).with_suffix("") if getattr(args, "plot_data", False) else None
+    if prefix is not None:
+        for path in _cli._plot_data_paths(prefix):
+            _cli._check_writable(path, "cannot write plot data file")
     t0 = time.perf_counter()
     records = simulate(scen, solve)
     wall = time.perf_counter() - t0
     _cli.write_trajectory(records, out)
     files = None
-    if getattr(args, "plot_data", False):
-        files = _cli.write_plot_data(_cli.read_trajectory(out), Path(out).with_suffix(""))
+    if prefix is not None:
+        files = _cli.write_plot_data(_cli.read_trajectory(out), prefix)
     # printed once every file is written, so that a failing command prints
     # its one error line only
     print(_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall))
@@ -119,33 +125,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scen = _load(args)
     if args.seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {args.seed}")
-    devs: list[float] = []
-    kkt_failures = 0
-
-    def checked(inputs, guess):
-        # the one solve simulate runs, checked against the oracle on the
-        # same inputs
-        nonlocal kkt_failures
-        sol, info = solve_step_info(inputs, guess)
-        ref = _cli.oracle_solve_step(inputs)
-        d_t = abs(sol.p_t - ref.p_t)
-        d_o = abs(sol.p_o - ref.p_o)
-        d_r = abs(sol.p_r - ref.p_r)
-        m = inputs.params.m
-        devs.append(max(d_t, d_o, d_r, d_t / m, d_o / m, d_r / inputs.params.I_z))
-        if not _cli.verify_kkt(sol, inputs, seed=args.seed).dissipation_optimality:
-            kkt_failures += 1
-        return sol, info
-
-    simulate(scen, checked)
-    max_dev = 0.0
-    worst = -1
-    for k, dev in enumerate(devs):
+    records = simulate(scen)
+    params, start = scen.params, scen.initial
+    max_dev, worst, kkt_failures = 0.0, -1, 0
+    for k, rec in enumerate(records):
+        # the impulse simulate found, checked against the oracle on the
+        # step's inputs: its start state, applied and normal impulses
+        sol = rec.impulses
+        inputs = StepInputs(params, scen.friction, start, rec.applied, sol.p_n)
+        try:
+            ref = _cli.oracle_solve_step(inputs)
+            kkt = _cli.verify_kkt(sol, inputs, seed=args.seed)
+        except PatchSlideError as e:
+            raise type(e)(f"step {k}: {e}") from e
+        d_t, d_o, d_r = abs(sol.p_t - ref.p_t), abs(sol.p_o - ref.p_o), abs(sol.p_r - ref.p_r)
+        dev = max(d_t, d_o, d_r, d_t / params.m, d_o / params.m, d_r / params.I_z)
         if dev > max_dev:
-            max_dev = dev
-            worst = k
+            max_dev, worst = dev, k
+        if not kkt.dissipation_optimality:
+            kkt_failures += 1
+        start = rec.state
     print(
-        f"steps {len(devs)}  max_deviation {max_dev:.3e}"
+        f"steps {len(records)}  max_deviation {max_dev:.3e}"
         + (f" (step {worst})" if worst >= 0 else "")
         + f"  dissipation_check_failures {kkt_failures}"
     )

@@ -281,17 +281,15 @@ def _run(
     records: list[TrajectoryRecord],
     n_steps: int,
     solve: Solve | None,
-    s1: float | None,
-    s2: float,
-    s3: float,
-    s4: float,
-    s5: float,
+    guess: float | None,
     stop_outside: bool,
 ) -> list[int]:
     # the one stepping loop, on plain floats: up to n_steps steps from
-    # state, each record appended to records as it is made.  s1 ... s5 are
-    # warm_sigma's slip-speed history.  It stops after a rest step, and
-    # after a step whose ECP leaves the hull when stop_outside is set.
+    # state, each record appended to records as it is made.  guess is the
+    # first solve's warm start (None or 0.0 for a cold start), and s1 ...
+    # s5 hold warm_sigma's slip-speed history from there on.  It stops
+    # after a rest step, and after a step whose ECP leaves the hull when
+    # stop_outside is set.
     # Returns the indices of the steps outside the hull.  The per-step
     # calls are _solve_floats and _contains, looked up as module globals,
     # and the record's builder (plus AppliedImpulse._new for a pusher)
@@ -311,6 +309,7 @@ def _run(
     clock = time.perf_counter
     new_record, new_applied = _record_builder(), AppliedImpulse._new
     outside: list[int] = []
+    s1, s2, s3, s4, s5 = guess, 0.0, 0.0, 0.0, 0.0
     for n in range(n_steps):
         if table:
             k = hold_index(schedule, t)
@@ -385,7 +384,7 @@ def step(
     an unchanged configuration apart from time.
     """
     records: list[TrajectoryRecord] = []
-    _run(scen, state_u, records, 1, solve, guess, 0.0, 0.0, 0.0, 0.0, False)
+    _run(scen, state_u, records, 1, solve, guess, False)
     return records[0]
 
 
@@ -403,10 +402,10 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
     body frame.  Each step solves as step does, warm-started from
     warm_sigma of the slip speeds of the last five steps: by default as
     solver.solve_step_info does; a given solve(inputs, guess)
-    (closed_form.translation_solve, say) gets a StepInputs built from the
-    start-of-step state.  Stops early when a step is flagged as rest (its
-    slip speed is below sigma_min, whichever solve ran); the rest record is
-    the terminal marker.  With topple_policy "error", a step whose ECP
+    (closed_form.translation_solve, which the translate command passes)
+    gets a StepInputs built from the start-of-step state.  Stops early
+    when a step is flagged as rest (its slip speed is below sigma_min,
+    whichever solve ran); the rest record is the terminal marker.  With topple_policy "error", a step whose ECP
     leaves the support hull raises; the default policy "warn" records the
     flag, continues, and after the run emits one UserWarning naming the
     first such step and their count.  Errors carry the prefix "step k: ".
@@ -415,7 +414,7 @@ def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecor
     records: list[TrajectoryRecord] = []
     stop_outside = scen.options.topple_policy == "error"
     try:
-        outside = _run(scen, scen.initial, records, n_steps, solve, 0.0, 0.0, 0.0, 0.0, 0.0, stop_outside)
+        outside = _run(scen, scen.initial, records, n_steps, solve, 0.0, stop_outside)
     except PatchSlideError as e:
         raise type(e)(f"step {len(records)}: {e}") from e
     if outside and stop_outside:

@@ -83,23 +83,24 @@ def _open(path: str | Path, mode: str):
         raise _file_error("cannot open trajectory file", path, e) from e
 
 
-def _check_writable(path: str | Path) -> None:
-    # raise what _open(path, "w") would raise if path cannot be opened for
-    # writing, without creating or truncating it: an existing file is
-    # opened for writing in place, a new one needs a writable directory
+def _check_writable(path: str | Path, what: str = "cannot open trajectory file") -> None:
+    # raise the ValidationError "<what> <path>: <reason>" if path cannot be
+    # opened for writing, without creating or truncating it: an existing
+    # file is opened for writing in place, a new one needs a writable
+    # directory
     try:
         os.close(os.open(path, os.O_WRONLY))
         return
     except FileNotFoundError as e:
         missing = e
     except OSError as e:
-        raise _file_error("cannot open trajectory file", path, e) from e
+        raise _file_error(what, path, e) from e
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
-        raise _file_error("cannot open trajectory file", path, missing) from missing
+        raise _file_error(what, path, missing) from missing
     if not os.access(parent, os.W_OK | os.X_OK):
         denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-        raise _file_error("cannot open trajectory file", path, denied)
+        raise _file_error(what, path, denied)
 
 
 def write_trajectory(records: list[TrajectoryRecord], path: str | Path) -> None:
@@ -177,6 +178,13 @@ def observed_steps(rows: list[dict]) -> list[ObservedStep]:
     ]
 
 
+def _plot_data_paths(prefix: str | Path) -> list[Path]:
+    # the files write_plot_data writes for prefix, in COLUMNS order: one
+    # <prefix>.<column>.dat per column after t
+    prefix = Path(prefix)
+    return [prefix.with_name(f"{prefix.name}.{col}.dat") for col in COLUMNS[1:]]
+
+
 def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
     """Emit one two-column (t, value) file per numeric column, named
     <prefix>.<column>.dat, ready for external plotting tools.  Raises
@@ -188,13 +196,11 @@ def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
         raise _file_error("cannot make plot data directory", prefix.parent, e) from e
     # every file's first column, formatted once
     times = ["%.17g\t" % row["t"] for row in rows]
-    written = []
-    for col in COLUMNS[1:]:
-        out = prefix.with_name(f"{prefix.name}.{col}.dat")
+    written = _plot_data_paths(prefix)
+    for col, out in zip(COLUMNS[1:], written):
         try:
             with open(out, "w") as fh:
                 fh.write("".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]))
         except OSError as e:
             raise _file_error("cannot write plot data file", out, e) from e
-        written.append(out)
     return written

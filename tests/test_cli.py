@@ -2,7 +2,7 @@
 for all five subcommands, driven through main(argv)."""
 
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -139,41 +139,81 @@ def test_compare_stops_where_simulate_stops(tmp_path, capsys):
     assert re.search(r"^steps 40  ", cmp_out, re.MULTILINE)
 
 
+def _bits(value) -> tuple[str, ...]:
+    # a value type's float fields, bit for bit
+    return tuple(float(x).hex() for x in astuple(value))
+
+
 @pytest.mark.filterwarnings("ignore:step .* left the support hull")
 @pytest.mark.parametrize("name", ["example1", "example3"])
-def test_compare_solves_each_step_from_simulates_warm_start(name, capsys, monkeypatch):
-    # compare must check the configuration simulate runs: the same warm
-    # start at every step, so the same sigma to the bit.  The oracle and the
-    # dissipation check are stubbed out; only the solves matter here
-    import patchslide.cli as cli_module
+def test_compare_checks_each_record_simulate_wrote(name, capsys, monkeypatch):
+    # compare checks the configuration simulate runs: call k of the oracle
+    # and of the dissipation check gets step k's inputs as simulate had
+    # them (the start state, the applied and normal impulses of record k)
+    # and the dissipation check gets the impulse simulate wrote
     from patchslide import simulate
 
-    solved = []
-    real_solve = cli_module.solve_step_info
+    real_oracle, real_kkt = cli_module.oracle_solve_step, cli_module.verify_kkt
+    oracle_calls, kkt_calls = [], []
 
-    def spy(inputs, guess):
-        imp, info = real_solve(inputs, guess)
-        solved.append(imp.sigma)
-        return imp, info
+    def oracle(inputs):
+        oracle_calls.append(inputs)
+        return real_oracle(inputs)
 
-    class Kkt:
-        dissipation_optimality = True
+    def kkt(sol, inputs, seed):
+        kkt_calls.append((sol, inputs))
+        return real_kkt(sol, inputs, seed=seed)
 
-    monkeypatch.setattr(cli_module, "solve_step_info", spy)
-    monkeypatch.setattr(cli_module, "oracle_solve_step", lambda inputs: real_solve(inputs)[0])
-    monkeypatch.setattr(cli_module, "verify_kkt", lambda sol, inputs, seed: Kkt)
+    monkeypatch.setattr(cli_module, "oracle_solve_step", oracle)
+    monkeypatch.setattr(cli_module, "verify_kkt", kkt)
     code, _, _ = run(capsys, "compare", "--scenario", name)
     assert code == 0
-    records = simulate(resolve_scenario(name))
-    assert [s.hex() for s in solved] == [r.impulses.sigma.hex() for r in records]
+    scen = resolve_scenario(name)
+    records = simulate(scen)
+    starts = [scen.initial] + [r.state for r in records[:-1]]
+    assert len(oracle_calls) == len(kkt_calls) == len(records)
+    for inputs, (sol, kkt_inputs), start, rec in zip(oracle_calls, kkt_calls, starts, records):
+        assert kkt_inputs is inputs
+        assert inputs.params == scen.params and inputs.friction == scen.friction
+        assert _bits(inputs.state) == _bits(start)
+        assert _bits(inputs.applied) == _bits(rec.applied)
+        assert inputs.p_n.hex() == rec.impulses.p_n.hex()
+        assert _bits(sol) == _bits(rec.impulses)
+
+
+@pytest.mark.filterwarnings("ignore:step .* left the support hull")
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_compare_reports_the_oracle_deviation_of_simulates_records(name, capsys):
+    # the report recomputed here from simulate's records and the oracle
+    from patchslide import StepInputs, oracle_solve_step, simulate, verify_kkt
+
+    scen = resolve_scenario(name)
+    m, I_z = scen.params.m, scen.params.I_z
+    devs, failures = [], 0
+    start = scen.initial
+    for rec in simulate(scen):
+        sol = rec.impulses
+        inputs = StepInputs(scen.params, scen.friction, start, rec.applied, sol.p_n)
+        ref = oracle_solve_step(inputs)
+        d = (abs(sol.p_t - ref.p_t), abs(sol.p_o - ref.p_o), abs(sol.p_r - ref.p_r))
+        devs.append(max(*d, d[0] / m, d[1] / m, d[2] / I_z))
+        failures += not verify_kkt(sol, inputs).dissipation_optimality
+        start = rec.state
+    worst = devs.index(max(devs))
+    report = (
+        f"steps {len(devs)}  max_deviation {devs[worst]:.3e} (step {worst})  "
+        f"dissipation_check_failures {failures}\n"
+        "OK: both solution paths agree within 1e-06\n"
+    )
+    assert run(capsys, "compare", "--scenario", name) == (0, report, "")
 
 
 def test_compare_deviation_above_tolerance_fails(capsys, monkeypatch):
     # an oracle that moves the solve's p_t by 2e-6 on every step
-    real_solve = cli_module.solve_step_info
+    from patchslide.solver import solve_step
 
     def off(inputs):
-        imp = real_solve(inputs)[0]
+        imp = solve_step(inputs)
         return replace(imp, p_t=imp.p_t + 2e-6)
 
     monkeypatch.setattr(cli_module, "oracle_solve_step", off)
@@ -304,7 +344,8 @@ def _file_error_cases():
         return ("sysid", "--trajectory", str(path)) + sysid, path
 
     def plot_file_is_a_directory(d):
-        # the trajectory is written, then the first plot file cannot be
+        # the first plot file cannot be written, which is found before the
+        # run: no trajectory is written either
         path = d / "traj.q_x.dat"
         path.mkdir()
         return ("simulate", "--scenario", "example1", "--out", str(d / "traj.csv"), "--plot-data"), path
@@ -322,12 +363,15 @@ def _file_error_cases():
 
 @pytest.mark.parametrize("name", list(_file_error_cases()))
 def test_file_errors_print_one_error_line_naming_the_file(tmp_path, capsys, name):
-    # each raised a raw OSError or UnicodeDecodeError with a traceback
+    # each raised a raw OSError or UnicodeDecodeError with a traceback;
+    # none leaves a file behind
     argv, path = _file_error_cases()[name](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     code, stdout, stderr = run(capsys, *argv)
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and str(path) in stderr, stderr
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch):
@@ -345,6 +389,23 @@ def test_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatc
         assert stdout == ""
         assert stderr == f"error: cannot open trajectory file {out}: No such file or directory\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("column", ["q_x", "residual_norm"])
+def test_unwritable_plot_data_fails_before_the_first_step(tmp_path, capsys, monkeypatch, column):
+    # every plot data file is checked before the run, the first and the last
+    def never(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli_module, "simulate", never)
+    blocked = tmp_path / f"traj.{column}.dat"
+    blocked.mkdir()
+    code, stdout, stderr = run(capsys, "simulate", "--scenario", "example1",
+                               "--out", str(tmp_path / "traj.csv"), "--plot-data")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: cannot write plot data file {blocked}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [blocked]
 
 
 def test_a_run_that_fails_creates_and_truncates_no_file(tmp_path, capsys):

@@ -546,8 +546,8 @@ def _impulse_bits(a: AppliedImpulse) -> tuple[str, ...]:
 
 
 def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_scenario, ex3_records):
-    # compare and the public solve_step check the configuration simulate
-    # runs: assemble_inputs, built on the public load functions, gives each
+    # the public solve_step checks the configuration simulate runs:
+    # assemble_inputs, built on the public load functions, gives each
     # step the applied and normal impulse of simulate's float loop, bit for
     # bit, under a constant load, a body pusher, and a table with a stretch
     # before its first row and rows of different lambda_z
