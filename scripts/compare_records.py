@@ -10,8 +10,8 @@ workload does:
   the ray cast;
 * example1 under a table schedule with a stretch before its first row,
   rows held over several steps and lambda_z changing between rows;
-* example1 without spin, run with `translation_solve` as the per-step solve
-  (the `translate` command) at sigma_min 1e-6 and 0.05.
+* example1 without spin, a pure translation (what the `translate` command
+  runs and checks against its closed form), at sigma_min 1e-6 and 0.05.
 
     python3 scripts/compare_records.py dump --out change.json
     python3 scripts/compare_records.py dump --src ../parent/src --out parent.json
@@ -74,13 +74,13 @@ TABLE_WRENCHES = (
 FLAGS = ("rest", "in_hull", "in_patch", "iters")
 
 
-def _run(ps, scen, solve=None) -> dict:
-    # one simulate run with the given per-step solve (solve_step_info when None)
+def _run(ps, scen) -> dict:
+    # one simulate run
     try:
         with warnings.catch_warnings():
             # a pusher can take the ECP out of the hull; the flags record it
             warnings.simplefilter("ignore", UserWarning)
-            records = ps.simulate(scen, solve)
+            records = ps.simulate(scen)
     except ps.PatchSlideError as e:
         return {"error": f"{type(e).__name__}: {e}"}
     out = {
@@ -119,7 +119,7 @@ def dump(src: Path, out: Path) -> None:
     for sigma_min in (1e-6, 0.05):
         options = dataclasses.replace(ex1.options, sigma_min=sigma_min)
         scen = dataclasses.replace(ex1, initial=sliding, options=options)
-        runs[f"examples/example1-translate-{sigma_min:g}"] = _run(ps, scen, ps.translation_solve)
+        runs[f"examples/example1-translate-{sigma_min:g}"] = _run(ps, scen)
     out.write_text(json.dumps({"package": ps.__file__, "runs": runs}))
     print(f"{len(runs)} runs of {ps.__file__} written to {out}")
 

@@ -48,7 +48,6 @@ from .errors import (
     ScenarioParseError,
     ToppleRiskError,
     ValidationError,
-    ZeroMotionError,
     ZeroSlipError,
 )
 from .scenario import (
@@ -110,7 +109,6 @@ _LAZY = {
         "TranslationStep",
         "pure_translation_step",
         "quasi_static_velocity",
-        "translation_solve",
     ),
     "oracle": ("KktReport", "oracle_solve_step", "verify_kkt"),
     "sysid": (
@@ -147,7 +145,7 @@ __all__ = [
     # errors
     "AllDegenerateError", "AnisotropicFrictionError", "ContactLossError", "DegenerateStepError",
     "NoConvergenceError", "OracleFailure", "PatchSlideError", "ScenarioParseError",
-    "ToppleRiskError", "ValidationError", "ZeroMotionError", "ZeroSlipError",
+    "ToppleRiskError", "ValidationError", "ZeroSlipError",
     # scenario
     "RunOptions", "Scenario", "bundled_scenario_names", "bundled_scenario_text", "load_scenario",
     "loads_scenario", "resolve_scenario", "serialize_scenario",

@@ -35,7 +35,7 @@ __all__ = ["main"]
 __getattr__ = _lazy_getattr(globals(), {
     "QuasiStaticInput": "closed_form",
     "quasi_static_velocity": "closed_form",
-    "translation_solve": "closed_form",
+    "pure_translation_step": "closed_form",
     "oracle_solve_step": "oracle",
     "verify_kkt": "oracle",
     "batch_estimate": "sysid",
@@ -90,11 +90,40 @@ def _summary(records: list[TrajectoryRecord], planned: int, wall: float) -> str:
     )
 
 
-def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
-    # one simulate run with the given per-step solve: the trajectory CSV,
-    # the summary and, when asked for, the plot data.  A CSV or plot data
-    # path that cannot be written fails before the first step, and touches
-    # no file
+def _check_records(scen: Scenario, records: list[TrajectoryRecord], reference) -> tuple[float, str, int]:
+    # each record against reference(inputs, impulse) -> (p_t, p_o, p_r,
+    # passed), on the inputs simulate solved it from: record k-1's state
+    # (the initial state for step 0), record k's applied and normal
+    # impulses.  Returns the largest deviation, its report and the count of
+    # records that failed; an error from reference names its step
+    params, start = scen.params, scen.initial
+    max_dev, worst, failures = 0.0, -1, 0
+    for k, rec in enumerate(records):
+        sol = rec.impulses
+        inputs = StepInputs(params, scen.friction, start, rec.applied, sol.p_n)
+        try:
+            ref_t, ref_o, ref_r, passed = reference(inputs, sol)
+        except PatchSlideError as e:
+            raise type(e)(f"step {k}: {e}") from e
+        d_t, d_o, d_r = abs(sol.p_t - ref_t), abs(sol.p_o - ref_o), abs(sol.p_r - ref_r)
+        dev = max(d_t, d_o, d_r, d_t / params.m, d_o / params.m, d_r / params.I_z)
+        if dev > max_dev:
+            max_dev, worst = dev, k
+        failures += not passed
+        start = rec.state
+    return max_dev, f"max_deviation {max_dev:.3e}" + (f" (step {worst})" if worst >= 0 else ""), failures
+
+
+def _fail() -> int:
+    print(f"FAIL: deviation exceeds {COMPARE_TOLERANCE:g}", file=sys.stderr)
+    return 3
+
+
+def _run(args: argparse.Namespace, scen: Scenario, reference=None) -> int:
+    # one simulate run: the trajectory CSV, the summary and, when asked
+    # for, the plot data.  Given a reference, the records are checked
+    # against it first.  A CSV or plot data path that cannot be written
+    # fails before the first step; a command that fails touches no file
     out = args.out or scen.options.output_path or "trajectory.csv"
     _cli._check_writable(out)
     prefix = Path(out).with_suffix("") if getattr(args, "plot_data", False) else None
@@ -102,15 +131,22 @@ def _run(args: argparse.Namespace, scen: Scenario, solve=None) -> int:
         for path in _cli._plot_data_paths(prefix):
             _cli._check_writable(path, "cannot write plot data file")
     t0 = time.perf_counter()
-    records = simulate(scen, solve)
+    records = simulate(scen)
     wall = time.perf_counter() - t0
+    report = [_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall)]
+    if reference is not None:
+        max_dev, deviation, _ = _check_records(scen, records, reference)
+        report.append(f"closed_form {deviation}")
+        if max_dev > COMPARE_TOLERANCE:
+            print("\n".join(report))
+            return _fail()
     _cli.write_trajectory(records, out)
     files = None
     if prefix is not None:
         files = _cli.write_plot_data(_cli.read_trajectory(out), prefix)
     # printed once every file is written, so that a failing command prints
     # its one error line only
-    print(_summary(records, planned=int(round(scen.duration / scen.h)), wall=wall))
+    print("\n".join(report))
     print(f"trajectory written to {out}")
     if files is not None:
         print(f"plot data: {len(files)} files alongside {out}")
@@ -125,34 +161,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scen = _load(args)
     if args.seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {args.seed}")
+
+    def oracle(inputs, sol):
+        # the oracle's impulse, and whether simulate's passes the dissipation check
+        ref = _cli.oracle_solve_step(inputs)
+        kkt = _cli.verify_kkt(sol, inputs, seed=args.seed)
+        return ref.p_t, ref.p_o, ref.p_r, kkt.dissipation_optimality
+
     records = simulate(scen)
-    params, start = scen.params, scen.initial
-    max_dev, worst, kkt_failures = 0.0, -1, 0
-    for k, rec in enumerate(records):
-        # the impulse simulate found, checked against the oracle on the
-        # step's inputs: its start state, applied and normal impulses
-        sol = rec.impulses
-        inputs = StepInputs(params, scen.friction, start, rec.applied, sol.p_n)
-        try:
-            ref = _cli.oracle_solve_step(inputs)
-            kkt = _cli.verify_kkt(sol, inputs, seed=args.seed)
-        except PatchSlideError as e:
-            raise type(e)(f"step {k}: {e}") from e
-        d_t, d_o, d_r = abs(sol.p_t - ref.p_t), abs(sol.p_o - ref.p_o), abs(sol.p_r - ref.p_r)
-        dev = max(d_t, d_o, d_r, d_t / params.m, d_o / params.m, d_r / params.I_z)
-        if dev > max_dev:
-            max_dev, worst = dev, k
-        if not kkt.dissipation_optimality:
-            kkt_failures += 1
-        start = rec.state
-    print(
-        f"steps {len(records)}  max_deviation {max_dev:.3e}"
-        + (f" (step {worst})" if worst >= 0 else "")
-        + f"  dissipation_check_failures {kkt_failures}"
-    )
+    max_dev, deviation, kkt_failures = _check_records(scen, records, oracle)
+    print(f"steps {len(records)}  {deviation}  dissipation_check_failures {kkt_failures}")
     if max_dev > COMPARE_TOLERANCE:
-        print(f"FAIL: deviation exceeds {COMPARE_TOLERANCE:g}", file=sys.stderr)
-        return 3
+        return _fail()
     print(f"OK: both solution paths agree within {COMPARE_TOLERANCE:g}")
     return 0
 
@@ -169,11 +189,21 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _translation(inputs: StepInputs, impulse) -> tuple[float, float, float, bool]:
+    # the closed form's impulse for a torque-free step from w_z = 0
+    a, s = inputs.applied, inputs.state
+    if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:
+        raise ValidationError("pure-translation rollout requires a torque-free schedule")
+    res = _cli.pure_translation_step((s.v_x, s.v_y), (a.p_x, a.p_y), inputs.p_n, inputs.friction,
+                                     inputs.params.m)
+    return res.p_t, res.p_o, 0.0, True
+
+
 def _cmd_translate(args: argparse.Namespace) -> int:
     scen = _load(args)
     if scen.initial.w_z != 0.0:
         raise ValidationError("pure-translation rollout requires w_z = 0 initially")
-    return _run(args, scen, _cli.translation_solve)
+    return _run(args, scen, _translation)
 
 
 def _cmd_quasistatic(args: argparse.Namespace) -> int:
@@ -216,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", action="store_true", help="emit per-column (t, value) files")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="run both solution paths and report deviations")
+    p = sub.add_parser("compare", help="check each simulated step against the oracle and report deviations")
     _add_scenario_args(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the dissipation sampling check")
     p.set_defaults(func=_cmd_compare)
@@ -229,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float, default=1e-8, help="degeneracy floor on denominators")
     p.set_defaults(func=_cmd_sysid)
 
-    p = sub.add_parser("translate", help="pure-translation closed-form rollout")
+    p = sub.add_parser("translate", help="simulate a pure translation, checked against its closed form")
     _add_scenario_args(p, with_out=True)
     p.set_defaults(func=_cmd_translate)
 

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 import math
 
-from .core import ContactImpulse, FrictionParams, StepInputs, value_type
-from .errors import AnisotropicFrictionError, ValidationError, ZeroMotionError
-from .solver import SolveInfo, _residual_norm, _unpack
+from .core import FrictionParams, value_type
+from .errors import AnisotropicFrictionError, ValidationError
 
 __all__ = [
     "QuasiStaticInput",
     "TranslationStep",
     "quasi_static_velocity",
     "pure_translation_step",
-    "translation_solve",
 ]
 
 
@@ -96,8 +94,9 @@ def pure_translation_step(
     The friction impulse opposes the combined momentum
     g = m*v_u + applied with magnitude e_t*mu*p_n, and
     sigma = (e_t*|g| - e_t^2*mu*p_n)/m.  When |g| does not exceed the
-    friction bound the step is clamped to exact rest and the impulse
-    returned is the stopping impulse -g.
+    friction bound, zero included, the step is clamped to exact rest and
+    the impulse returned is the stopping impulse -g.  The translate
+    command checks simulate's records against this step.
     """
     if f.e_t != f.e_o:
         raise AnisotropicFrictionError(
@@ -106,8 +105,6 @@ def pure_translation_step(
     gx = m * v_u[0] + applied[0]
     gy = m * v_u[1] + applied[1]
     S = math.hypot(gx, gy)
-    if S == 0.0:
-        raise ZeroMotionError("momentum plus applied impulse is zero; direction undefined")
     bound = f.e_t * f.mu * p_n
     if S <= bound:
         return TranslationStep(p_t=-gx, p_o=-gy, sigma=0.0, v_next=(0.0, 0.0), rest=True)
@@ -118,23 +115,3 @@ def pure_translation_step(
     v_next = (v_u[0] + (p_t + applied[0]) / m, v_u[1] + (p_o + applied[1]) / m)
     return TranslationStep(p_t=p_t, p_o=p_o, sigma=sigma, v_next=v_next, rest=False)
 
-
-def translation_solve(inp: StepInputs, guess: float | None = None) -> tuple[ContactImpulse, SolveInfo]:
-    """pure_translation_step as a per-step solve for stepper.simulate.
-
-    Takes and returns what solver.solve_step_info does, ignoring guess.
-    The closed form needs w_z = 0, which a torque-free step keeps; an
-    applied torque raises ValidationError.  The impulse has p_r = 0, and
-    the info reports 0 iterations, whether the step was clamped to rest
-    (sigma = 0) and the residual norm, 0.0 at rest.
-    """
-    a = inp.applied
-    if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:
-        raise ValidationError("pure-translation rollout requires a torque-free schedule")
-    s = inp.state
-    res = pure_translation_step((s.v_x, s.v_y), (a.p_x, a.p_y), inp.p_n, inp.friction, inp.params.m)
-    imp = ContactImpulse(res.p_t, res.p_o, 0.0, res.sigma, inp.p_n)
-    if res.rest:
-        return imp, SolveInfo(0, 0.0, True, 0)  # iters, residual_norm, rest, starts
-    rn = _residual_norm((res.p_t, res.p_o, 0.0, res.sigma), _unpack(inp))
-    return imp, SolveInfo(0, rn, False, 1)

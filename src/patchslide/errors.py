@@ -11,7 +11,6 @@ __all__ = [
     "NoConvergenceError",
     "ZeroSlipError",
     "AnisotropicFrictionError",
-    "ZeroMotionError",
     "DegenerateStepError",
     "AllDegenerateError",
     "OracleFailure",
@@ -51,11 +50,6 @@ class ZeroSlipError(PatchSlideError):
 
 class AnisotropicFrictionError(PatchSlideError):
     """An operation that requires e_t == e_o was given anisotropic limits."""
-
-
-class ZeroMotionError(PatchSlideError):
-    """Start-of-step momentum plus applied impulse is exactly zero, so the
-    translation direction is undefined."""
 
 
 class DegenerateStepError(PatchSlideError):

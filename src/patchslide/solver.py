@@ -32,8 +32,6 @@ __all__ = [
     "residual",
     "jacobian",
     "max_dissipation_impulse",
-    "stopping_impulse",
-    "rest_reachable",
     "solve_step",
     "solve_step_info",
 ]
@@ -58,7 +56,8 @@ _MIN_NORMAL = sys.float_info.min
 # 8 ulps of the largest term of the four equations, expanded as polynomials
 # in the unknowns, is accepted as well: that is the roundoff of evaluating
 # them, so no double can do better and the target stays attainable at any
-# scale where (mu*p_n)^2 is a normal double (_stop rejects the others).
+# scale where (mu*p_n)^2 is a normal double (the rest test rejects the
+# others).
 # _MAX_ITER caps the scalar iterations, bracket expansions included.
 _TOL = 1e-12
 _MAX_ITER = 100
@@ -197,20 +196,15 @@ def max_dissipation_impulse(v: SlipVelocity, p_n: float, f: FrictionParams) -> C
     )
 
 
-def _square_or_inf(x: float) -> float:
-    # (mu*p_n)^2 that overflows is kept as inf for _stop to report
-    try:
-        return x ** 2
-    except OverflowError:
-        return _INF
-
-
 def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
     # the solve's constants for one slider, friction ellipsoid and normal
     # impulse: over a run of constant p_n they never change, so
     # stepper.simulate computes them once per held load
     mu_pn = mu * p_n
-    mu_pn_sq = _square_or_inf(mu_pn)
+    try:
+        mu_pn_sq = mu_pn ** 2
+    except OverflowError:  # kept as inf, for the rest test to report
+        mu_pn_sq = _INF
     alpha = mu * p_n * e_t ** 2
     beta = mu * p_n * e_o ** 2
     gamma = mu * p_n * e_r ** 2
@@ -224,53 +218,6 @@ def _static(m, I_z, q_z, mu, e_t, e_o, e_r, p_n) -> tuple[float, ...]:
     q_o = beta * q_z / p_n
     return (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq,
             alpha, beta, gamma, r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r)
-
-
-# the rest test's errors, in the order _stop raises them
-_LOAD_TOO_LARGE = ("load is too large: the stopping impulse squared in friction-ellipsoid units "
-                   "overflows a double")
-_PN_TOO_SMALL = "normal impulse is too small: (mu*p_n)^2 is not a normal double"
-
-
-def _stop(m, I_z, e_t, e_o, e_r, mu_pn_sq, v_x, v_y, w_z, p_x, p_y, p_ztau) -> tuple[float, ...]:
-    # the stopping impulse and its square in friction-ellipsoid units, the
-    # left side of the rest test; that square (inf when a product overflows)
-    # must be a double, as must (mu*p_n)^2, and a state-dependent load can
-    # push it past one even when the scenario passed its load check.
-    # (mu*p_n)^2 must also be a normal double, or the tolerance relative to
-    # it is not attainable.  rest_reachable runs it; _solve_floats runs the
-    # same expressions and checks inline, and the tests hold it to them
-    p_t, p_o, p_r = -(m * v_x + p_x), -(m * v_y + p_y), -(I_z * w_z + p_ztau)
-    x_t, x_o, x_r = p_t / e_t, p_o / e_o, p_r / e_r
-    lhs = x_t * x_t + x_o * x_o + x_r * x_r
-    if lhs == _INF or mu_pn_sq == _INF:
-        raise ValidationError(_LOAD_TOO_LARGE)
-    if mu_pn_sq < _MIN_NORMAL:
-        raise ValidationError(_PN_TOO_SMALL)
-    return p_t, p_o, p_r, lhs
-
-
-def stopping_impulse(inp: StepInputs) -> tuple[float, float, float]:
-    """Tangential impulse that would bring the slider exactly to rest this
-    step, absorbing both the current momentum and the applied impulse."""
-    # _stop's impulse, without the rest test's overflow check
-    p, s, a = inp.params, inp.state, inp.applied
-    return (-(p.m * s.v_x + a.p_x), -(p.m * s.v_y + a.p_y), -(p.I_z * s.w_z + a.p_ztau))
-
-
-def rest_reachable(inp: StepInputs) -> bool:
-    """Whether friction can stop the slider within this step.
-
-    True exactly when the stopping impulse lies inside the friction
-    ellipsoid; then the zero-slip branch of the contact model holds (all
-    end-of-step slip velocities vanish identically) and no sliding
-    solution with sigma > 0 is needed.  Raises ValidationError when the
-    load is too large, or p_n too small, for the test in double precision.
-    """
-    p, f, s, a = inp.params, inp.friction, inp.state, inp.applied
-    mu_pn_sq = _square_or_inf(f.mu * inp.p_n)
-    lhs = _stop(p.m, p.I_z, f.e_t, f.e_o, f.e_r, mu_pn_sq, s.v_x, s.v_y, s.w_z, a.p_x, a.p_y, a.p_ztau)[3]
-    return lhs <= mu_pn_sq
 
 
 def _initial_sigma(k) -> float:
@@ -356,9 +303,13 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
     # slider, the friction ellipsoid and p_n, then come the start-of-step
     # velocities and the applied impulse.  Returns (p_t, p_o, p_r, sigma,
     # iters, residual_norm), with sigma 0.0 on a rest step.  The rest test
-    # is _stop's, inline: its expressions and its errors in its order, then
-    # rest_reachable's comparison.  It runs on every step of a run, where a
-    # call and a tuple cost as much as the test itself
+    # comes first, inline, since it runs on every step of a run, where a
+    # call and a tuple cost as much as the test itself: the stopping
+    # impulse and its square in friction-ellipsoid units must be doubles
+    # (inf when a product overflows), as must (mu*p_n)^2, and a
+    # state-dependent load can push the square past one even when the
+    # scenario passed its load check.  (mu*p_n)^2 must also be a normal
+    # double, or the tolerance relative to it is not attainable
     (m, I_z, q_z, mu, e_t, e_o, e_r, mu_pn, mu_pn_sq, alpha, beta, gamma,
      r_damp, a11, a22, q_t, q_o, w_t, w_o, w_r) = static
     tol = _TOL * mu_pn_sq
@@ -367,10 +318,11 @@ def _solve_floats(static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, 
     x_t, x_o, x_r = stop_t / e_t, stop_o / e_o, stop_r / e_r
     lhs0 = x_t * x_t + x_o * x_o + x_r * x_r
     if lhs0 == _INF or mu_pn_sq == _INF:
-        raise ValidationError(_LOAD_TOO_LARGE)
+        raise ValidationError("load is too large: the stopping impulse squared in friction-ellipsoid "
+                              "units overflows a double")
     if mu_pn_sq < _MIN_NORMAL:
-        raise ValidationError(_PN_TOO_SMALL)
-    if lhs0 <= mu_pn_sq:  # rest_reachable's test
+        raise ValidationError("normal impulse is too small: (mu*p_n)^2 is not a normal double")
+    if lhs0 <= mu_pn_sq:  # the stopping impulse lies inside the ellipsoid
         return stop_t, stop_o, stop_r, 0.0, 0, 0.0
 
     # _gap_curve's per-step constants and, in the loop, its point(), term for term
@@ -493,10 +445,13 @@ def solve_step_info(inp: StepInputs, guess: float | None = None) -> tuple[Contac
     """Solve one implicit step; returns the impulse and solve diagnostics.
 
     If friction can absorb the entire momentum within the step, the step
-    is a rest step: the returned impulse is the stopping impulse (strictly
-    inside the ellipsoid), sigma is zero, and SolveInfo.rest is set.  The
-    test is rest_reachable's; like it, it raises ValidationError when the
-    load is too large, or p_n too small, for the test in double precision.
+    is a rest step: the stopping impulse, which brings the slider exactly
+    to rest by absorbing both its momentum and the applied impulse, lies
+    inside the friction ellipsoid.  Then the zero-slip branch of the
+    contact model holds, the returned impulse is the stopping impulse,
+    sigma is zero, and SolveInfo.rest is set.  The test raises
+    ValidationError when the load is too large, or p_n too small, for it
+    to be made in double precision.
 
     Otherwise the solve walks the exact solution curve of the tangential
     equations in sigma, from a warm start: guess, a slip speed.  simulate

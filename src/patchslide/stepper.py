@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections.abc import Callable
 from functools import cache
 
 from .core import (
@@ -55,7 +54,6 @@ from .geometry import (
 )
 from .scenario import Scenario
 from .solver import (
-    SolveInfo,
     _solve_floats,
     _static,
     solve_step_info,  # noqa: F401  benchmark/layers.py times it as a stepper global
@@ -72,10 +70,6 @@ __all__ = [
     "simulate",
     "warm_sigma",
 ]
-
-# a per-step solve, called as solve_step_info: solve(inputs, guess)
-Solve = Callable[[StepInputs, float | None], tuple[ContactImpulse, SolveInfo]]
-
 
 @value_type
 class StepDiagnostics:
@@ -280,7 +274,6 @@ def _run(
     state: SliderState,
     records: list[TrajectoryRecord],
     n_steps: int,
-    solve: Solve | None,
     guess: float | None,
     stop_outside: bool,
 ) -> list[int]:
@@ -293,7 +286,7 @@ def _run(
     # Returns the indices of the steps outside the hull.  The per-step
     # calls are _solve_floats and _contains, looked up as module globals,
     # and the record's builder (plus AppliedImpulse._new for a pusher)
-    params, friction, schedule, h = scen.params, scen.friction, scen.schedule, scen.h
+    params, schedule, h = scen.params, scen.schedule, scen.h
     m, I_z, q_z = params.m, params.I_z, params.q_z
     sigma_min = scen.options.sigma_min
     region = _region(params.patch)
@@ -324,20 +317,10 @@ def _run(
             p_x, p_y, p_xtau, p_ytau, p_ztau = h * l_x, h * l_y, h * l_xtau, h * l_ytau, h * l_ztau
             applied = new_applied(p_x, p_y, h * l_z, p_xtau, p_ytau, p_ztau)
         guess = warm_sigma(s1, s2, s3, s4, s5)
-        if solve is None:
-            t0 = clock()
-            p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
-                static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, guess)
-            wall = clock() - t0
-        else:
-            state = SliderState._new(q_x, q_y, theta_z, v_x, v_y, w_z, t)
-            inputs = StepInputs(params, friction, state, applied, p_n)
-            t0 = clock()
-            impulse, info = solve(inputs, guess)
-            wall = clock() - t0
-            p_t, p_o, p_r, sigma = impulse.p_t, impulse.p_o, impulse.p_r, impulse.sigma
-            p_n = impulse.p_n
-            iters, rn = info.iters, info.residual_norm
+        t0 = clock()
+        p_t, p_o, p_r, sigma, iters, rn = _solve_floats(
+            static, v_x, v_y, w_z, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, guess)
+        wall = clock() - t0
         if sigma == 0.0:
             v_x = v_y = w_z = 0.0
         else:
@@ -369,52 +352,49 @@ def step(
     state_u: SliderState,
     scen: Scenario,
     guess: float | None = None,
-    solve: Solve | None = None,
 ) -> TrajectoryRecord:
     """Advance one step from state_u under the scenario's schedule.
 
-    It runs simulate's stepping loop for one step.  guess is the solve's
-    warm start, a slip speed (None or 0.0 for a cold start).
-    solve(inputs, guess) returns the impulse and a SolveInfo; by default
-    the step solves as solver.solve_step_info does.  The wrench is sampled
-    at the start of the step and held constant over it.  The step, not the
+    It runs simulate's stepping loop for one step, which solves as
+    solver.solve_step_info does.  guess is the solve's warm start, a slip
+    speed (None or 0.0 for a cold start).  The wrench is sampled at the
+    start of the step and held constant over it.  The step, not the
     solve, decides rest: its rest flag is set exactly when the slip speed
     is below the scenario's sigma_min.  A step whose slip speed is 0.0
     (friction absorbs all momentum) ends with exactly zero velocities and
     an unchanged configuration apart from time.
     """
     records: list[TrajectoryRecord] = []
-    _run(scen, state_u, records, 1, solve, guess, False)
+    _run(scen, state_u, records, 1, guess, False)
     return records[0]
 
 
-def simulate(scen: Scenario, solve: Solve | None = None) -> list[TrajectoryRecord]:
+def simulate(scen: Scenario) -> list[TrajectoryRecord]:
     """Run the scenario for round(duration/h) steps.
 
     One loop runs every step on plain floats.  Per step it makes one call
     that builds the record with its state, contact impulse, ECP and
     diagnostics (and one more for a body pusher's applied impulse), and the
     solve makes the rest test inline.  The patch's containment data are
-    read once per run, and each held load's applied impulse, normal impulse
-    and solve constants once per run, at the first step that holds it.  An ECP
-    within a disk (or, for an annulus, a band) about the body origin that
-    lies inside the patch is placed there without rotating it into the
-    body frame.  Each step solves as step does, warm-started from
-    warm_sigma of the slip speeds of the last five steps: by default as
-    solver.solve_step_info does; a given solve(inputs, guess)
-    (closed_form.translation_solve, which the translate command passes)
-    gets a StepInputs built from the start-of-step state.  Stops early
-    when a step is flagged as rest (its slip speed is below sigma_min,
-    whichever solve ran); the rest record is the terminal marker.  With topple_policy "error", a step whose ECP
-    leaves the support hull raises; the default policy "warn" records the
-    flag, continues, and after the run emits one UserWarning naming the
-    first such step and their count.  Errors carry the prefix "step k: ".
+    read once per run, and each held load's applied impulse, normal
+    impulse and solve constants once per run, at the first step that holds
+    it.  An ECP within a disk (or, for an annulus, a band) about the body
+    origin that lies inside the patch is placed there without rotating it
+    into the body frame.  Each step solves as step does, warm-started from
+    warm_sigma of the slip speeds of the last five steps.
+
+    Stops early when a step is flagged as rest (its slip speed is below
+    sigma_min); the rest record is the terminal marker.  With
+    topple_policy "error", a step whose ECP leaves the support hull
+    raises; the default policy "warn" records the flag, continues, and
+    after the run emits one UserWarning naming the first such step and
+    their count.  Errors carry the prefix "step k: ".
     """
     n_steps = int(round(scen.duration / scen.h))
     records: list[TrajectoryRecord] = []
     stop_outside = scen.options.topple_policy == "error"
     try:
-        outside = _run(scen, scen.initial, records, n_steps, solve, 0.0, stop_outside)
+        outside = _run(scen, scen.initial, records, n_steps, 0.0, stop_outside)
     except PatchSlideError as e:
         raise type(e)(f"step {len(records)}: {e}") from e
     if outside and stop_outside:

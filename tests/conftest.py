@@ -16,10 +16,10 @@ from patchslide import (
     StepInputs,
     resolve_scenario,
     simulate,
+    solve_step_info,
 )
 import patchslide.stepper as stepper_module
 from patchslide.errors import PatchSlideError, ToppleRiskError
-from patchslide.solver import rest_reachable
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,7 @@ def make_sliding_inputs(seed: int, n: int) -> list[StepInputs]:
     out: list[StepInputs] = []
     while len(out) < n:
         inp = _draw_inputs(rng)
-        if not rest_reachable(inp):
+        if not solve_step_info(inp)[1].rest:
             out.append(inp)
     return out
 
@@ -120,8 +120,8 @@ def record_lines(records) -> list[str]:
     ]
 
 
-def simulate_by_steps(scen, solve=None) -> list:
-    """simulate(scen, solve) as a loop of public step calls, each given the
+def simulate_by_steps(scen) -> list:
+    """simulate(scen) as a loop of public step calls, each given the
     warm_sigma of the last five slip speeds: every step computes its load
     and the solve's constants afresh, where simulate computes them once per
     run.  It stops, prefixes errors and applies topple_policy "error" as
@@ -131,7 +131,7 @@ def simulate_by_steps(scen, solve=None) -> list:
     history = [0.0] * 5
     for k in range(int(round(scen.duration / scen.h))):
         try:
-            rec = stepper_module.step(state, scen, stepper_module.warm_sigma(*history), solve)
+            rec = stepper_module.step(state, scen, stepper_module.warm_sigma(*history))
         except PatchSlideError as e:
             raise type(e)(f"step {k}: {e}") from e
         records.append(rec)

@@ -21,6 +21,12 @@ initial: {v_x: 0.5, v_y: 0.0, w_z: 0.0}
 run: {h: 0.01, duration: 0.3}
 """
 
+PUSHED_YAML = TRANSLATE_YAML.replace("v_y: 0.0", "v_y: 0.3").replace("duration: 0.3", "duration: 3.0") + """
+schedule:
+  type: constant
+  wrench: {lambda_x: 0.4, lambda_y: -0.2}
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -445,25 +451,72 @@ def test_translate_runs_to_rest(tmp_path, capsys):
     assert rows[0]["v_x"] == pytest.approx(0.46962, abs=1e-12)
 
 
-def test_translate_and_simulate_stop_at_the_same_step(tmp_path, capsys):
-    # the run decides rest by one rule whatever the solve: example1 without
-    # spin at sigma_min 0.05 slides on at sigma 0.046 after 36 steps, which
-    # ends both runs; translate used to run on to exact rest at step 38
-    from patchslide import simulate, translation_solve
+_CLOSED_FORM_LINE = re.compile(r"closed_form max_deviation (\S+)( \(step \d+\))?")
 
-    scen = resolve_scenario("example1")
-    scen = replace(scen, initial=replace(scen.initial, w_z=0.0),
-                   options=replace(scen.options, sigma_min=0.05))
-    flags = [[r.diagnostics.rest_flag for r in simulate(scen, solve)] for solve in (None, translation_solve)]
-    assert flags[0] == flags[1] == [False] * 35 + [True]
+
+def _simulate_and_translate(tmp_path, capsys, text):
+    # both commands on one scenario: translate writes simulate's CSV byte
+    # for byte, and prints one more line, its largest deviation from the
+    # closed form, below 1e-12 (4.4e-16 at most on these runs).  Returns
+    # the summary line they share and the CSV
     path = tmp_path / "slide.yaml"
-    path.write_text(serialize_scenario(scen))
+    path.write_text(text)
+    out = {}
     for command in ("simulate", "translate"):
-        out = tmp_path / f"{command}.csv"
-        code, stdout, _ = run(capsys, command, "--scenario", str(path), "--out", str(out))
-        assert code == 0
-        assert stdout.startswith("steps 36/45  rest=yes")
-        assert 0.0 < read_trajectory(out)[-1]["sigma"] < 0.05
+        csv = tmp_path / f"{command}.csv"
+        code, out[command], stderr = run(capsys, command, "--scenario", str(path), "--out", str(csv))
+        assert code == 0 and stderr == ""
+    assert csv.read_bytes() == (tmp_path / "simulate.csv").read_bytes()
+    summary, deviation, written = out["translate"].splitlines()
+    # the summaries differ only in their timings
+    assert out["simulate"].split("  solve ")[0] == summary.split("  solve ")[0]
+    match = _CLOSED_FORM_LINE.fullmatch(deviation)
+    assert match is not None and float(match[1]) < 1e-12, deviation
+    assert written == f"trajectory written to {csv}"
+    return summary, csv
+
+
+@pytest.mark.parametrize("text, n_steps", [(TRANSLATE_YAML, 17), (PUSHED_YAML, 25)], ids=["unforced", "pushed"])
+def test_translate_writes_simulates_csv_and_checks_it_against_the_closed_form(tmp_path, capsys, text, n_steps):
+    summary, csv = _simulate_and_translate(tmp_path, capsys, text)
+    assert summary.startswith(f"steps {n_steps}/")
+    assert read_trajectory(csv)[-1]["sigma"] == 0.0
+
+
+def test_translate_and_simulate_stop_at_the_same_step(tmp_path, capsys):
+    # translate runs simulate, so both stop by its one rule: example1
+    # without spin at sigma_min 0.05 slides on at sigma 0.046 after 36
+    # steps, which ends both runs, short of the exact rest at step 38
+    scen = resolve_scenario("example1")
+    text = serialize_scenario(replace(scen, initial=replace(scen.initial, w_z=0.0),
+                                      options=replace(scen.options, sigma_min=0.05)))
+    summary, csv = _simulate_and_translate(tmp_path, capsys, text)
+    assert summary.startswith("steps 36/45  rest=yes")
+    assert 0.0 < read_trajectory(csv)[-1]["sigma"] < 0.05
+
+
+def test_translate_fails_on_a_record_off_the_closed_form(tmp_path, capsys, monkeypatch):
+    # a closed form off by 1e-3 at step 5: the check names that step, exits
+    # 3 and writes no file
+    real = cli_module.pure_translation_step
+    calls = []
+
+    def off_at_step_5(v_u, applied, p_n, f, m):
+        res = real(v_u, applied, p_n, f, m)
+        calls.append(res)
+        return replace(res, p_t=res.p_t + 1e-3) if len(calls) == 6 else res
+
+    monkeypatch.setattr(cli_module, "pure_translation_step", off_at_step_5)
+    path = tmp_path / "slide.yaml"
+    path.write_text(TRANSLATE_YAML)
+    out = tmp_path / "slide.csv"
+    code, stdout, stderr = run(capsys, "translate", "--scenario", str(path), "--out", str(out))
+    assert code == 3
+    assert len(calls) == 17
+    assert "closed_form max_deviation 2.000e-03 (step 5)" in stdout.splitlines()
+    assert "trajectory written" not in stdout
+    assert stderr == "FAIL: deviation exceeds 1e-06\n"
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_translate_rejects_initial_spin(tmp_path, capsys):
@@ -505,6 +558,7 @@ def test_translate_rejects_anisotropic_friction_at_step_0(tmp_path, capsys):
                           "--out", str(tmp_path / "aniso.csv"))
     assert code == 1
     assert "error: step 0: pure translation requires e_t == e_o" in stderr
+    assert not (tmp_path / "aniso.csv").exists()
 
 
 # --------------------------------------------------------------- quasistatic

@@ -21,7 +21,6 @@ SRC = Path(patchslide.__file__).resolve().parents[1]
 EXPORTED = {
     "closed_form": [
         "QuasiStaticInput", "TranslationStep", "pure_translation_step", "quasi_static_velocity",
-        "translation_solve",
     ],
     "core": [
         "AnnulusPatch", "AppliedImpulse", "AppliedWrench", "BodyPusherSchedule", "ConstantSchedule",
@@ -32,7 +31,7 @@ EXPORTED = {
     "errors": [
         "AllDegenerateError", "AnisotropicFrictionError", "ContactLossError", "DegenerateStepError",
         "NoConvergenceError", "OracleFailure", "PatchSlideError", "ScenarioParseError",
-        "ToppleRiskError", "ValidationError", "ZeroMotionError", "ZeroSlipError",
+        "ToppleRiskError", "ValidationError", "ZeroSlipError",
     ],
     "oracle": ["KktReport", "oracle_solve_step", "verify_kkt"],
     "scenario": [

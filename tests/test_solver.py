@@ -7,6 +7,7 @@ reproduce them without sharing any code with that script.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,6 @@ from patchslide import (
     solve_step_info,
 )
 import patchslide.solver as solver_module
-from patchslide.solver import rest_reachable, stopping_impulse
 
 from conftest import make_sliding_inputs
 
@@ -406,7 +406,6 @@ def test_solve_step_properties_on_randomized_inputs():
 
 def test_rest_detection_at_standstill():
     inp = rest_state_inputs()
-    assert rest_reachable(inp)
     imp, info = solve_step_info(inp)
     assert info.rest
     assert info.iters == 0
@@ -420,26 +419,32 @@ def test_rest_stopping_impulse_absorbs_momentum():
     state = SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.02, v_y=-0.01, w_z=0.0, t=0.0)
     inp = StepInputs(params=params, friction=friction, state=state,
                      applied=AppliedImpulse(), p_n=0.049)
-    assert rest_reachable(inp)  # |m v| = 0.0112 < mu p_n = 0.015190
-    imp, info = solve_step_info(inp)
+    imp, info = solve_step_info(inp)  # |m v| = 0.0112 < mu p_n = 0.015190
     assert info.rest and imp.sigma == 0.0
     assert imp.p_t == -0.5 * 0.02
     assert imp.p_o == -0.5 * -0.01
     assert imp.p_r == 0.0
-    assert stopping_impulse(inp) == (imp.p_t, imp.p_o, imp.p_r)
     # the stopping impulse is strictly inside the ellipsoid
     lhs = imp.p_t ** 2 + imp.p_o ** 2 + (imp.p_r / 0.01) ** 2
     assert lhs < (0.31 * 0.049) ** 2
 
 
 def test_fast_slider_cannot_rest_in_one_step():
-    assert not rest_reachable(step1_inputs())
+    imp, info = solve_step_info(step1_inputs())
+    assert not info.rest and imp.sigma > 0.0
 
 
-def test_public_rest_test_agrees_with_the_solve_bit_for_bit():
+def _stopping_impulse(inp):
+    # the impulse that absorbs the momentum and the applied impulse
+    p, s, a = inp.params, inp.state, inp.applied
+    return (-(p.m * s.v_x + a.p_x), -(p.m * s.v_y + a.p_y), -(p.I_z * s.w_z + a.p_ztau))
+
+
+def test_solve_rests_exactly_when_the_stopping_impulse_fits_the_ellipsoid():
     # inputs shrunk toward rest by factors down to 1e-3 straddle the
-    # ellipsoid boundary; on each, rest_reachable decides the solve's rest
-    # branch and stopping_impulse is its impulse, bit for bit
+    # ellipsoid boundary; on each, the solve takes its rest branch exactly
+    # when the stopping impulse lies inside the friction ellipsoid, and
+    # returns that impulse bit for bit
     rng = np.random.default_rng(17)
     n_rest = 0
     for inp in make_sliding_inputs(17, 300):
@@ -451,20 +456,22 @@ def test_public_rest_test_agrees_with_the_solve_bit_for_bit():
             applied=replace(a, p_x=f * a.p_x, p_y=f * a.p_y, p_ztau=f * a.p_ztau),
         )
         imp, info = solve_step_info(inp)
-        reachable = rest_reachable(inp)
-        assert reachable == (info.iters == 0 and imp.sigma == 0.0)
-        if reachable:
+        stop = _stopping_impulse(inp)
+        e = inp.friction
+        x_t, x_o, x_r = stop[0] / e.e_t, stop[1] / e.e_o, stop[2] / e.e_r
+        inside = x_t * x_t + x_o * x_o + x_r * x_r <= (e.mu * inp.p_n) ** 2
+        assert inside == info.rest == (info.iters == 0 and imp.sigma == 0.0)
+        if inside:
             n_rest += 1
-            assert info.rest
-            assert stopping_impulse(inp) == (imp.p_t, imp.p_o, imp.p_r)
+            assert stop == (imp.p_t, imp.p_o, imp.p_r)
     assert 30 <= n_rest <= 270
-    # the solve runs the rest test's checks inline: on inputs that fail one,
-    # it raises rest_reachable's error, the first in the same order, on the
-    # rest branch (the stopping impulse fits the ellipsoid) and the sliding one
+    # the rest test's checks, in their order: on inputs that fail one, the
+    # solve raises the first one's error, on the rest branch (the stopping
+    # impulse fits the ellipsoid) and the sliding one
     for inp in make_sliding_inputs(17, 5):
         s, a = inp.state, inp.applied
         still = replace(inp, state=replace(s, v_x=0.0, v_y=0.0, w_z=0.0), applied=AppliedImpulse())
-        assert stopping_impulse(still) == (0.0, 0.0, 0.0) and all(stopping_impulse(inp))
+        assert _stopping_impulse(still) == (0.0, 0.0, 0.0) and all(_stopping_impulse(inp))
         cases = {
             "stopping impulse squared overflows": (
                 replace(inp, applied=replace(a, p_ztau=1e306)), "load is too large"),
@@ -476,21 +483,16 @@ def test_public_rest_test_agrees_with_the_solve_bit_for_bit():
                 replace(inp, p_n=1e-160, applied=replace(a, p_ztau=1e306)), "load is too large"),
         }
         for name, (bad, message) in cases.items():
-            with pytest.raises(ValidationError, match=message) as by_test:
-                rest_reachable(bad)
-            with pytest.raises(ValidationError) as by_solve:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as by_solve:
                 solve_step_info(bad)
-            assert type(by_solve.value) is type(by_test.value), name
-            assert str(by_solve.value) == str(by_test.value), name
+            assert type(by_solve.value) is ValidationError, name
 
 
 def test_rest_test_overflow_is_validation_error():
     # finite inputs whose stopping impulse overflows when squared in
     # ellipsoid units: a documented error, never a raw OverflowError
     inp = replace(step1_inputs(), applied=AppliedImpulse(p_ztau=1e306))
-    assert all(map(math.isfinite, stopping_impulse(inp)))
-    with pytest.raises(ValidationError, match="load is too large"):
-        rest_reachable(inp)
+    assert all(map(math.isfinite, _stopping_impulse(inp)))
     with pytest.raises(ValidationError, match="load is too large"):
         solve_step_info(inp)
 
@@ -540,8 +542,6 @@ def test_overflowing_solve_is_validation_error(v):
 def test_normal_load_whose_square_overflows_is_validation_error():
     # (mu*p_n)^2 overflows: the rest test has no bound to compare against
     inp = replace(step1_inputs(), p_n=1e200)
-    with pytest.raises(ValidationError, match="load is too large"):
-        rest_reachable(inp)
     with pytest.raises(ValidationError, match="load is too large"):
         solve_step_info(inp)
 
@@ -611,8 +611,8 @@ def test_cold_start_from_rest_takes_the_applied_velocity(ex1_scenario):
     at_rest = replace(ex1_scenario.initial, v_x=0.0, v_y=0.0, w_z=0.0)
     pushed = ConstantSchedule(AppliedWrench(lambda_x=3.0, lambda_y=-1.0, lambda_ztau=0.01))
     inp = assemble_inputs(at_rest, replace(ex1_scenario, initial=at_rest, schedule=pushed))
-    assert not rest_reachable(inp)
     imp, info = solve_step_info(inp)
+    assert not info.rest
     assert info.iters == 2
     assert imp.sigma == pytest.approx(0.0328014, abs=1e-7)
     ref = oracle_solve_step(inp)
@@ -790,14 +790,14 @@ def test_cold_starts_far_from_the_root_take_few_iterations():
     from patchslide import oracle_solve_step
 
     rng = np.random.default_rng(5)
-    inputs = []
-    while len(inputs) < 3000:
+    solved = []
+    while len(solved) < 3000:
         inp = _draw_extreme_inputs(rng)
-        if not rest_reachable(inp):
-            inputs.append(inp)
-    iters = []
-    for i, inp in enumerate(inputs):
         imp, info = solve_step_info(inp)
+        if not info.rest:
+            solved.append((inp, imp, info))
+    iters = []
+    for i, (inp, imp, info) in enumerate(solved):
         iters.append(info.iters)
         if i % 60 == 0:
             ref = oracle_solve_step(inp)

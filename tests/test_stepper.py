@@ -553,7 +553,7 @@ def test_solve_step_defaults_are_what_step_runs(ex1_scenario, ex1_records, ex3_s
     # before its first row and rows of different lambda_z
     from patchslide import assemble_inputs, solve_step
 
-    table = _one_path_scenarios()["table"][0]
+    table = _one_path_scenarios()["table"]
     table_records = simulate(table)
     assert len({r.impulses.p_n for r in table_records}) == 4
     for scen, records in ((ex1_scenario, ex1_records), (ex3_scenario, ex3_records), (table, table_records)):
@@ -783,7 +783,6 @@ def test_simulate_warm_starts_each_step_from_the_extrapolated_sigma(ex1_scenario
 
 def _one_path_scenarios():
     from patchslide import resolve_scenario
-    from patchslide.closed_form import translation_solve
 
     ex1 = resolve_scenario("example1")
     replace = dataclasses.replace
@@ -797,21 +796,21 @@ def _one_path_scenarios():
     lifted = TableSchedule((0.115,), (AppliedWrench(lambda_z=6.0),))
     anisotropic = FrictionParams(mu=0.31, e_t=1.0, e_o=1.3, e_r=0.01)
     return {
-        "example1": (ex1, None),
-        "example2": (resolve_scenario("example2"), None),
-        "example3": (resolve_scenario("example3"), None),
-        "example1 h=1e-3": (replace(ex1, h=1e-3), None),
-        "table": (replace(ex1, schedule=table), None),
-        "L-shaped patch": (replace(ex1, params=replace(ex1.params, patch=notched)), None),
+        "example1": ex1,
+        "example2": resolve_scenario("example2"),
+        "example3": resolve_scenario("example3"),
+        "example1 h=1e-3": replace(ex1, h=1e-3),
+        "table": replace(ex1, schedule=table),
+        "L-shaped patch": replace(ex1, params=replace(ex1.params, patch=notched)),
         # the ECP leaves this square's hull at steps 6 and later
-        "outside the hull": (make_scenario(patch=_square(0.022)), None),
-        "translation": (replace(ex1, initial=no_spin), translation_solve),
-        # errors: a table row that lifts the slider from step 12, a step
-        # outside the hull under topple_policy "error", and a closed form
-        # that rejects anisotropic friction
-        "contact loss": (replace(ex1, schedule=lifted), None),
-        "topple": (make_scenario(patch=_square(0.022), options=RunOptions(topple_policy="error")), None),
-        "anisotropic translation": (replace(ex1, initial=no_spin, friction=anisotropic), translation_solve),
+        "outside the hull": make_scenario(patch=_square(0.022)),
+        # pure translations, under isotropic and anisotropic friction
+        "translation": replace(ex1, initial=no_spin),
+        "anisotropic translation": replace(ex1, initial=no_spin, friction=anisotropic),
+        # errors: a table row that lifts the slider from step 12, and a
+        # step outside the hull under topple_policy "error"
+        "contact loss": replace(ex1, schedule=lifted),
+        "topple": make_scenario(patch=_square(0.022), options=RunOptions(topple_policy="error")),
     }
 
 
@@ -821,17 +820,17 @@ def test_simulate_is_a_loop_of_steps(name):
     # simulate computes each load's constants once per run and step for
     # each call: both run one kernel, so the records are the same bits, and
     # simulate's errors name the step as the loop's do
-    scen, solve = _one_path_scenarios()[name]
+    scen = _one_path_scenarios()[name]
 
     def outcome(run):
         try:
-            return record_lines(run(scen, solve))
+            return record_lines(run(scen))
         except PatchSlideError as e:
             return f"{type(e).__name__}: {e}"
 
     got = outcome(simulate)
     assert got == outcome(simulate_by_steps)
-    if name in ("contact loss", "topple", "anisotropic translation"):
+    if name in ("contact loss", "topple"):
         assert isinstance(got, str) and ": step " in got, got
     else:
         assert len(got) > 10
