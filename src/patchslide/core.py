@@ -80,7 +80,7 @@ def value_type(cls):
 
     The class call is the public constructor.  Each class also has a
     positional builder, cls._new(*fields), which gives what the class call
-    gives at about half the cost (see _builder); _flat_builder makes one
+    gives at about half the cost (see _fill); _flat_builder makes it, and one
     such builder for a value type and the value types its fields hold,
     which the stepping loop builds each step's record with.  A class call
     with keywords first gathers them in a dict, so code that builds many
@@ -206,23 +206,12 @@ def _compile(name: str, args: list[str], lines: list[str], namespace: dict):
     return namespace[name]
 
 
-def _builder(cls):
-    # cls._new: the class call by _fill's twin class
-    args = [f.name for f in fields(cls) if f.init]
-    namespace = {"_make_object": object.__new__}
-    new = _compile("_new", args, _fill(cls, "self", args, namespace), namespace)
-    new.__defaults__ = cls.__init__.__defaults__
-    new.__qualname__ = f"{cls.__qualname__}._new"
-    new.__module__ = cls.__module__
-    return new
-
-
-def _flat_builder(cls, shared: tuple[str, ...]):
+def _flat_builder(cls, shared: tuple[str, ...], name: str = "_new_flat"):
     # a builder of cls and of the value types its fields hold, in one call:
     # it takes, in cls's field order, the constructor fields of each field's
     # value type (the class its annotation names in cls's module) in place
     # of that field, and the fields named in shared as they are, with no
-    # defaults, and it builds each part and cls as their _new would
+    # defaults, and it builds each part and cls by _fill's twin classes
     namespace = {"_make_object": object.__new__}
     scope = vars(sys.modules[cls.__module__])
     own = [f for f in fields(cls) if f.init]
@@ -237,18 +226,20 @@ def _flat_builder(cls, shared: tuple[str, ...]):
             args += leaves
             lines += _fill(part, f.name, leaves, namespace)
     lines += _fill(cls, "self", [f.name for f in own], namespace)
-    new = _compile("_new_flat", args, lines, namespace)
-    new.__qualname__ = f"{cls.__qualname__}._new_flat"
+    new = _compile(name, args, lines, namespace)
+    new.__qualname__ = f"{cls.__qualname__}.{name}"
     new.__module__ = cls.__module__
     return new
 
 
 class _Builder:
-    # cls._new, compiled by _builder on first use: built with every class,
-    # the builders of all the value types added about 3 % to the benchmark's
-    # set-up, which imports the package
+    # cls._new, the class call as a _flat_builder that shares every field,
+    # with the class's defaults, compiled on first use: built with every
+    # class, the builders of all the value types added about 3 % to the
+    # benchmark's set-up, which imports the package
     def __get__(self, obj, cls):
-        new = _builder(cls)
+        new = _flat_builder(cls, tuple(f.name for f in fields(cls) if f.init), "_new")
+        new.__defaults__ = cls.__init__.__defaults__
         cls._new = staticmethod(new)
         return new
 

@@ -12,30 +12,25 @@ Serializing a Scenario and loading the text yields an equal Scenario.  A
 file's body pusher direction is kept as written when BodyPusherSchedule
 takes it as a unit vector, and divided by its length otherwise.
 
-serialize_scenario writes the text yaml.dump(..., sort_keys=False,
-default_flow_style=None) writes of the document as nested dicts and lists.
-When every value is a float or a name (a word the resolver reads as a
-str) it writes that text itself; otherwise (a string that needs quotes,
-an int, a bool) it calls that yaml.dump with the safe dumper of libyaml
-when PyYAML has it, of pure Python otherwise, so that a value
-SafeRepresenter refuses (a numpy.float64 field, say) raises its
-RepresenterError.  loads_scenario reads text in the layout
-serialize_scenario writes, with plain floats and names only, without
-PyYAML; it hands any other text whole to yaml.load with the safe loader of
-the same pair, so that its value and its errors are PyYAML's.
+serialize_scenario writes the document as one JSON object, which YAML
+reads as a flow mapping: YAML 1.2 takes JSON as a subset, and every float
+is written with a "." so that YAML 1.1 reads it as a float too.
+loads_scenario reads JSON text with json.loads; it hands any other text,
+or JSON that is not an object, whole to yaml.load with the safe loader of
+libyaml when PyYAML has it, of pure Python otherwise, so that its value
+and its errors are PyYAML's.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import re
 from dataclasses import MISSING, fields
-from functools import cache, lru_cache
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 import yaml
-from yaml.nodes import ScalarNode
 
 from .core import (
     AnnulusPatch,
@@ -72,13 +67,9 @@ MIN_E_R = 1e-6
 
 TOPPLE_POLICIES = ("warn", "error")
 
-# libyaml's C parser and emitter when PyYAML was built with it; both keep
-# the safe constructor, resolver and representer of safe_load/safe_dump
+# libyaml's C parser when PyYAML was built with it, its pure-Python one
+# otherwise; both keep the safe constructor and resolver of safe_load
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-# the implicit tag rules both pairs read and write plain scalars by
-_RESOLVER = yaml.resolver.Resolver()
-_STR_TAG = "tag:yaml.org,2002:str"
 
 
 @value_type
@@ -275,120 +266,16 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
     raise ValidationError(f"schedule.type must be constant, body_pusher, or table, got {kind!r}")
 
 
-# Text in the layout serialize_scenario writes is read without PyYAML: a
-# block mapping of `key: value` and `key:` lines, indentless `- ` block
-# sequences, and flat flow collections, each wrapped only after a comma
-# onto a line at its block's indent plus 2 (the emitter's flow layout).
-# Every scalar is plain: a name, which the resolver reads as a str, or a
-# float in _float_text's form, which it reads as float() does.  Any other
-# text goes whole to yaml.load, so its value and its errors are PyYAML's.
-class _Outside(Exception):
-    """Text or a value outside serialize_scenario's plain layout."""
-
-
-_WORD = r"[A-Za-z_][A-Za-z0-9_]{0,127}"  # short enough for a simple key
-_NUMBER = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
-_SCALAR = f"(?:{_NUMBER}|{_WORD})"
-_PLAIN_SCALAR = re.compile(rf"{_SCALAR}\Z")
-_FLOW = re.compile(rf"\[(?:{_SCALAR}(?:, {_SCALAR})*)?\]\Z"
-                   rf"|\{{(?:{_WORD}: {_SCALAR}(?:, {_WORD}: {_SCALAR})*)?\}}\Z")
-_KEY_LINE = re.compile(rf"({_WORD}):(?: (.+))?\Z")
-
-
-@lru_cache(maxsize=256)
-def _name(text: str) -> bool:
-    # whether the resolver reads text, written plain, as a str rather than
-    # another type (null, bool, int, float...): a key or type of the
-    # format, or a word read or written
-    return _RESOLVER.resolve(ScalarNode, text, (True, False)) == _STR_TAG
-
-
-def _plain(text: str):
-    # the value of a number or word that _SCALAR matches: float() reads the
-    # one as yaml.load does, and the other must read as a str
-    if text[0] in "-0123456789":
-        return float(text)
-    if _name(text):
-        return text
-    raise _Outside
-
-
-def _value(text: str):
-    # a plain scalar, or a flat flow collection of them
-    if _FLOW.match(text):
-        items = text[1:-1].split(", ") if len(text) > 2 else ()
-        if text[0] == "[":
-            return [_plain(item) for item in items]
-        return {_plain(key): _plain(value) for key, value in (item.split(": ") for item in items)}
-    if _PLAIN_SCALAR.match(text):
-        return _plain(text)
-    raise _Outside
-
-
-def _rows(text: str) -> list[tuple]:
-    # one (indent, key, value) per entry of text: key '-' for a sequence
-    # item and '' for a value alone after one, value None before a block;
-    # a flow collection's wrapped lines are joined
-    lines = text.split("\n")
-    if lines.pop():  # no final line break
-        raise _Outside
-    rows = []
-    for line in lines:
-        body = line.lstrip(" ")
-        indent = len(line) - len(body)
-        if rows and (rows[-1][2] or "").endswith(","):
-            at, key, value = rows[-1]
-            if indent != at + (2 if key else 0):
-                raise _Outside
-            rows[-1] = (at, key, f"{value} {body}")
-            continue
-        if body.startswith("- "):
-            rows.append((indent, "-", None))
-            body = body[2:]
-            indent += 2
-        match = _KEY_LINE.match(body)
-        rows.append((indent, match[1], match[2]) if match else (indent, "", body))
-    return rows
-
-
-def _block(rows: list[tuple], i: int, indent: int):
-    # the block collection whose entries are the rows from rows[i] on at
-    # indent, and the index of the row after it
-    if rows[i][1] == "-":
-        items = []
-        while i < len(rows) and rows[i][:2] == (indent, "-"):
-            if rows[i + 1][1]:  # a mapping that starts on the item's line
-                item, i = _block(rows, i + 1, indent + 2)
-            else:
-                item, i = _value(rows[i + 1][2]), i + 2
-            items.append(item)
-        return items, i
-    mapping = {}
-    while i < len(rows) and rows[i][0] == indent:
-        _, key, value = rows[i]
-        if key == "-" or not _name(key):  # '' reads as null
-            raise _Outside
-        i += 1
-        if value is not None:
-            mapping[key] = _value(value)
-        elif i < len(rows) and rows[i][:2] == (indent, "-"):  # indentless
-            mapping[key], i = _block(rows, i, indent)
-        elif i < len(rows) and rows[i][0] == indent + 2:
-            mapping[key], i = _block(rows, i, indent + 2)
-        else:  # an empty value
-            raise _Outside
-    return mapping, i
-
-
 def _load(text: str):
+    # the stdlib's C parser reads JSON, which serialize_scenario writes;
+    # any other text, or JSON that is not an object, goes whole to yaml.load
     try:
-        rows = _rows(text)
-        if rows:
-            doc, end = _block(rows, 0, 0)
-            if end == len(rows):
-                return doc
-    except _Outside:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
         pass
+    else:
+        if type(doc) is dict:
+            return doc
     return yaml.load(text, Loader=_LOADER)
 
 
@@ -399,10 +286,10 @@ _RUN_KEYS = _keys(Scenario, *(f.name for f in _RUN_FIELDS))
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
-    """Parse and validate a scenario document from a string.  Text in the
-    layout serialize_scenario writes, with plain floats and names only, is
-    read directly; any other goes through yaml.load with the safe loader,
-    so that its values and its errors are PyYAML's."""
+    """Parse and validate a scenario document from a string.  A JSON
+    object, which serialize_scenario writes, is read with json.loads; any
+    other text goes through yaml.load with the safe loader, so that its
+    values and its errors are PyYAML's."""
     try:
         doc = _load(text)
     except yaml.YAMLError as e:
@@ -457,14 +344,10 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(text, source=str(p))
 
 
-# serialize_scenario's own text is yaml.dump's layout of a document whose
-# scalars are all floats and names: flow style for a collection that holds
-# only scalars, block style for the others
-
-
 def _float_text(value: float) -> str:
-    # SafeRepresenter.represent_float's text; the repr of a finite float has
-    # no capital letter to lower
+    # SafeRepresenter.represent_float's text, which json.loads reads too when
+    # value is finite: the repr of a finite float has no capital letter to
+    # lower
     if value - value != 0.0:
         return ".nan" if value != value else ".inf" if value > 0.0 else "-.inf"
     text = repr(value)
@@ -505,75 +388,24 @@ def _document(scen: Scenario) -> dict:
             "initial": _numbers(scen.initial), "schedule": schedule, "run": run}
 
 
-def _flat(node) -> bool:
-    # a scalar, or a collection of scalars only
-    if type(node) is dict:
-        node = node.values()
-    elif type(node) is not list:
-        return True
-    return not any(type(v) is dict or type(v) is list for v in node)
-
-
-def _plain_text(value) -> str:
-    if type(value) is float:
-        return _float_text(value)
-    # a str that reads back as itself
-    if type(value) is str and _PLAIN_SCALAR.match(value) and _plain(value) is value:
-        return value
-    raise _Outside
-
-
-def _inline(head: str, node, indent: int) -> str:
-    # head, then node, a scalar or a flat collection; the emitter breaks a
-    # flow collection's line before an item, the first too, when the
-    # column is past 80, and goes on at indent
-    if type(node) is dict:
-        line, items, closing = head + "{", [f"{k}: {_plain_text(v)}" for k, v in node.items()], "}"
-    elif type(node) is list:
-        line, items, closing = head + "[", list(map(_plain_text, node)), "]"
-    else:
-        return head + _plain_text(node)
-    done = ""
-    for i, item in enumerate(items):
-        if i:
-            line += ","
-        if len(line) > 80:
-            done += line + "\n"
-            line = " " * indent + item
-        else:
-            line += f" {item}" if i else item
-    return done + line + closing
-
-
-def _lines(out: list, node, indent: int, head: str) -> None:
-    # node, a block collection whose entries start at column indent, the
-    # first of them after head
-    mapping = type(node) is dict
-    for key, value in node.items() if mapping else ((None, v) for v in node):
-        start = f"{head}{key}:" if mapping else head + "-"
-        head = " " * indent
-        if _flat(value):
-            out.append(_inline(start + " ", value, indent + 2))
-        elif not mapping:  # a block collection starts on its item's line
-            _lines(out, value, indent + 2, start + " ")
-        else:  # on the next line; a sequence in a mapping is indentless
-            out.append(start)
-            nested = indent + 2 if type(value) is dict else indent
-            _lines(out, value, nested, " " * nested)
+def _json(value) -> str:
+    # value as JSON text, which YAML 1.1 reads to the same value too (but a
+    # str beyond the BMP): every float in _float_text's form, whose "."
+    # makes it a YAML float
+    if isinstance(value, float):
+        return _float_text(float(value))
+    if type(value) is dict:
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if type(value) is list:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value)  # a str, None, a bool or an int; TypeError otherwise
 
 
 def serialize_scenario(scen: Scenario) -> str:
-    """Render a Scenario back to scenario-file text: the bytes yaml.dump
-    writes, written directly when every value is a float or a name, by
-    yaml.dump otherwise.  Loading the result reproduces the Scenario
+    """Render a Scenario as scenario-file text: one JSON object, which is
+    also a YAML flow mapping.  Loading the result reproduces the Scenario
     exactly (floats survive via repr)."""
-    doc = _document(scen)
-    out = []
-    try:
-        _lines(out, doc, 0, "")
-    except _Outside:
-        return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
-    return "\n".join(out) + "\n"
+    return _json(_document(scen)) + "\n"
 
 
 def bundled_scenario_names() -> list[str]:

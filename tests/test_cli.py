@@ -667,6 +667,16 @@ def test_simulate_rejects_unknown_keys_of_mixed_types(tmp_path, capsys, text, me
     assert message in stderr
 
 
+def test_simulate_reports_a_normal_impulse_that_underflows(tmp_path, capsys):
+    from test_stepper import underflowing_normal_impulse
+
+    scen = tmp_path / "tiny.yaml"
+    scen.write_text(serialize_scenario(underflowing_normal_impulse()))
+    code, stdout, stderr = run(capsys, "simulate", "--scenario", str(scen), "--out", str(tmp_path / "tiny.csv"))
+    assert (code, stdout, stderr) == (1, "", "error: step 0: normal impulse must be positive\n")
+    assert not (tmp_path / "tiny.csv").exists()
+
+
 class _UnnamedError(PatchSlideError):
     """A package error that the CLI does not name."""
 

@@ -2,6 +2,7 @@
 serialization round trips."""
 
 import dataclasses
+import json
 import math
 import random
 import re
@@ -21,7 +22,6 @@ from patchslide import (
     RunOptions,
     Scenario,
     ScenarioParseError,
-    SliderState,
     TableSchedule,
     ValidationError,
     bundled_scenario_names,
@@ -382,18 +382,15 @@ def test_large_but_squarable_load_still_loads():
 
 # ------------------------------------------------- libyaml and pure Python
 
-YAML_PATHS = {
-    "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
-    "pure": (yaml.SafeLoader, yaml.SafeDumper),
-}
+YAML_PATHS = {"libyaml": getattr(yaml, "CSafeLoader", None), "pure": yaml.SafeLoader}
 
 
 def test_libyaml_is_used_when_available(monkeypatch):
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML built without libyaml")
-    assert (scenario_module._LOADER, scenario_module._DUMPER) == YAML_PATHS["libyaml"]
-    # and documents outside serialize_scenario's plain layout go through the
-    # chosen pair: MINIMAL's text, and a scenario whose output path needs quotes
+    assert scenario_module._LOADER is YAML_PATHS["libyaml"]
+    # and text other than a JSON object goes through it: MINIMAL's, but not
+    # serialize_scenario's, even with an output path that YAML would quote
     used = []
 
     class Loader(scenario_module._LOADER):
@@ -401,26 +398,19 @@ def test_libyaml_is_used_when_available(monkeypatch):
             used.append("load")
             super().__init__(stream)
 
-    class Dumper(scenario_module._DUMPER):
-        def __init__(self, stream, **kwds):
-            used.append("dump")
-            super().__init__(stream, **kwds)
-
     monkeypatch.setattr(scenario_module, "_LOADER", Loader)
-    monkeypatch.setattr(scenario_module, "_DUMPER", Dumper)
     scen = dataclasses.replace(loads_scenario(MINIMAL), options=RunOptions(output_path="a: b"))
     assert reload(scen) == scen
-    assert used == ["load", "dump", "load"]
+    assert used == ["load"]
 
 
 def _under(path: str, fn, *args):
-    """fn(*args) with scenario parsing and emitting on one YAML path."""
-    loader, dumper = YAML_PATHS[path]
+    """fn(*args) with scenario parsing on one YAML path."""
+    loader = YAML_PATHS[path]
     if loader is None:
         pytest.skip("PyYAML built without libyaml")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_module, "_LOADER", loader)
-        mp.setattr(scenario_module, "_DUMPER", dumper)
         return fn(*args)
 
 
@@ -450,9 +440,8 @@ def test_round_trip_under_each_yaml_path(path):
 
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
 def test_fuzz_scenarios_survive_a_round_trip(path):
-    """serialize -> load is the identity on the fuzz corpus, written in the
-    plain layout and, with an output path that needs quotes, by yaml.dump
-    and read by yaml.load."""
+    """serialize -> load is the identity on the fuzz corpus, also with an
+    output path that YAML would quote."""
     from test_fuzz import fuzz_scenarios
 
     for _, _, scen in fuzz_scenarios():
@@ -461,61 +450,17 @@ def test_fuzz_scenarios_survive_a_round_trip(path):
         assert _under(path, reload, quoted) == quoted
 
 
-def test_both_yaml_paths_write_the_same_bytes():
-    for scen in _parity_scenarios():
-        assert _under("libyaml", serialize_scenario, scen) == _under("pure", serialize_scenario, scen)
+def test_both_yaml_paths_load_the_same_scenarios():
     for name in bundled_scenario_names():
         text = bundled_scenario_text(name)
         assert repr(_under("libyaml", loads_scenario, text)) == repr(_under("pure", loads_scenario, text))
 
 
-# ------------------------------------------------- serialize_scenario's bytes
-
-def _reference_numbers(value) -> dict:
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init and f.type == "float"}
-
-
-def _reference_wrench(w: AppliedWrench) -> dict:
-    return {k: v for k, v in _reference_numbers(w).items() if v != 0.0}
-
-
-def _reference_document(scen: Scenario) -> dict:
-    """The document serialize_scenario writes, built here apart from
-    scenario._document, as a dict for yaml.dump: the reference that its
-    own text is held to."""
-    patch, sched = scen.params.patch, scen.schedule
-    if isinstance(patch, PolygonPatch):
-        patch_doc = {"type": "polygon", "vertices": [list(v) for v in patch.vertices]}
-    else:
-        patch_doc = {"type": "annulus" if isinstance(patch, AnnulusPatch) else "disk",
-                     **_reference_numbers(patch)}
-    if isinstance(sched, ConstantSchedule):
-        sched_doc = {"type": "constant", "wrench": _reference_wrench(sched.wrench)}
-    elif isinstance(sched, BodyPusherSchedule):
-        sched_doc = {"type": "body_pusher", "point": list(sched.point_body),
-                     "direction": list(sched.direction_body), **_reference_numbers(sched)}
-    else:
-        sched_doc = {"type": "table", "rows": [{"t": t, "wrench": _reference_wrench(w)}
-                                               for t, w in zip(sched.times, sched.wrenches)]}
-    options = {f.name: getattr(scen.options, f.name) for f in dataclasses.fields(RunOptions)}
-    return {
-        "slider": _reference_numbers(scen.params),
-        "friction": _reference_numbers(scen.friction),
-        "patch": patch_doc,
-        "initial": _reference_numbers(scen.initial),
-        "schedule": sched_doc,
-        "run": _reference_numbers(scen) | {k: v for k, v in options.items() if v is not None},
-    }
-
-
-def _reference_text(path: str, scen: Scenario) -> str:
-    return yaml.dump(_reference_document(scen), Dumper=YAML_PATHS[path][1], sort_keys=False,
-                     default_flow_style=None)
-
+# ------------------------------------------------- serialize_scenario's text
 
 # output paths the resolver reads as another type, that need quoting or
-# escaping, and one that the emitter folds at column 80
-AWKWARD_PATHS = ("", "null", "1.5", "yes", "a: b", "#x", "it's", "é",
+# escaping, and a long one
+AWKWARD_PATHS = ("", "null", "1.5", "yes", "a: b", "#x", "it's", "é", 'say "hi"\\now\t\n',
                  "runs/a directory with spaces/" + "and a long file name " * 4 + "out.csv")
 
 
@@ -531,95 +476,57 @@ def _awkward_scenarios() -> list[Scenario]:
         schedule=ConstantSchedule(AppliedWrench(lambda_x=-0.0, lambda_y=1e16, lambda_ztau=5e-324)),
         options=RunOptions(sigma_min=5e-324),
     )
-    # ints and a bool, which SafeRepresenter writes under their own tags
-    other_types = dataclasses.replace(
-        base, h=1, duration=3, initial=dataclasses.replace(base.initial, w_z=-2, theta_z=True))
-    return [edges, other_types] + [
-        dataclasses.replace(base, options=RunOptions(output_path=path)) for path in AWKWARD_PATHS
-    ]
+    return [edges] + [dataclasses.replace(base, options=RunOptions(output_path=path)) for path in AWKWARD_PATHS]
 
 
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
-def test_serialize_writes_the_bytes_yaml_dump_writes(path):
+def test_serialized_text_round_trips_and_yaml_reads_it_as_json_does(path):
+    """serialize -> load is the identity on the parity, fuzz and awkward
+    corpora, and YAML reads each text to json.loads's values and types: a
+    float always has a "." and, with an exponent, a signed one, so YAML 1.1
+    reads it as a float."""
     from test_fuzz import fuzz_scenarios
 
     corpus = _parity_scenarios() + _awkward_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
     for scen in corpus:
-        assert _under(path, serialize_scenario, scen) == _reference_text(path, scen)
-
-
-# numbers of every length serialize_scenario writes: 17-digit reprs, an
-# exponent with and without a fraction in its repr, a sign, -0.0
-BOUNDARY_NUMBERS = (0.1 / 3.0, -0.1 / 3.0, 5e-324, 1e16, -0.0, 1.0, 2.5e-05, math.pi, 123456.789, 0.5)
-# the columns around the emitter's width of 80: it breaks a flow
-# collection's line after an item's comma past it
-BOUNDARY_COLUMNS = range(78, 84)
-
-
-def _comma_columns(text: str) -> set[tuple[int, int]]:
-    # (indent of the line's flow items, column after the comma) for each
-    # comma near the width
-    found = set()
-    for line in text.splitlines():
-        # a line that opens a collection, or one that goes on with its items
-        indent = len(line) - len(line.lstrip(" ")) + (2 if "{" in line or "[" in line else 0)
-        found |= {(indent, i + 1) for i, c in enumerate(line) if c == "," and i + 1 in BOUNDARY_COLUMNS}
-    return found
-
-
-def _boundary_scenarios() -> list[Scenario]:
-    """Seeded scenarios whose flow items reach every column of
-    BOUNDARY_COLUMNS, in flow collections at indents 2 (initial), 4 (a
-    constant wrench) and 6 (a table row's wrench)."""
-    rng = random.Random(80)
-    base = loads_scenario(MINIMAL)
-
-    def numbers(cls) -> dict:
-        return {f.name: rng.choice(BOUNDARY_NUMBERS) for f in dataclasses.fields(cls) if f.type == "float"}
-
-    wanted = {(indent, column) for indent in (2, 4, 6) for column in BOUNDARY_COLUMNS}
-    kept = []
-    for _ in range(5000):
-        schedule = rng.choice((
-            ConstantSchedule(AppliedWrench(**numbers(AppliedWrench))),
-            BodyPusherSchedule(point_body=tuple(rng.choice(BOUNDARY_NUMBERS) for _ in range(3)),
-                               direction_body=(1.0, 0.0), force_mean=1.0, force_amp=0.5, period=0.1),
-            TableSchedule(times=(0.0,), wrenches=(AppliedWrench(**numbers(AppliedWrench)),)),
-        ))
-        scen = dataclasses.replace(base, initial=SliderState(**numbers(SliderState)), schedule=schedule)
-        columns = _comma_columns(serialize_scenario(scen)) & wanted
-        if columns:
-            kept.append(scen)
-            wanted -= columns
-        if not wanted:
-            return kept
-    raise AssertionError(f"no scenario reaches {sorted(wanted)}")
-
-
-@pytest.mark.parametrize("path", sorted(YAML_PATHS))
-def test_serialize_wraps_flow_lines_where_yaml_dump_does(path):
-    for scen in _boundary_scenarios():
-        text = _under(path, serialize_scenario, scen)
-        assert text == _reference_text(path, scen)
+        text = serialize_scenario(scen)
         assert _under(path, loads_scenario, text) == scen
+        assert _same(yaml.load(text, YAML_PATHS[path]), json.loads(text)), text
+    # ints and a bool, which the value types take as they are, are written
+    # as JSON writes them, and YAML reads them alike too
+    base = loads_scenario(MINIMAL)
+    other_types = dataclasses.replace(
+        base, h=1, duration=3, initial=dataclasses.replace(base.initial, w_z=-2, theta_z=True))
+    text = serialize_scenario(other_types)
+    assert '"h": 1, "duration": 3' in text and '"theta_z": true' in text
+    assert _same(yaml.load(text, YAML_PATHS[path]), json.loads(text))
 
 
-@pytest.mark.parametrize("path", sorted(YAML_PATHS))
-def test_serialize_refuses_what_safe_representer_refuses(path):
+def test_strings_beyond_the_bmp_round_trip_through_json():
+    # json.dumps writes them as \u escapes of UTF-16 surrogates, which
+    # json.loads joins again; libyaml refuses them and pure PyYAML reads each
+    # escape as a character of its own, so these are left out of the corpus
+    # YAML reads above
+    base = loads_scenario(MINIMAL)
+    for path in ("runs/\U0001F600.csv", "\ud800x"):
+        scen = dataclasses.replace(base, options=RunOptions(output_path=path))
+        text = serialize_scenario(scen)
+        assert text.isascii()
+        assert reload(text).options.output_path == path
+
+
+def test_serialize_refuses_what_json_refuses():
     np = pytest.importorskip("numpy")
     base = loads_scenario(MINIMAL)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        serialize_scenario(dataclasses.replace(base, options=RunOptions(output_path=Path("out.csv"))))
+    # a float subclass is written as its float value
     vertices = tuple((np.float64(x), y) for x, y in base.params.patch.vertices)
-    refused = [
-        dataclasses.replace(base, h=np.float64(0.01)),
-        dataclasses.replace(base, params=dataclasses.replace(base.params, patch=PolygonPatch(vertices))),
-        dataclasses.replace(base, options=RunOptions(output_path=Path("out.csv"))),
-    ]
-    for scen in refused:
-        with pytest.raises(yaml.representer.RepresenterError) as got:
-            _under(path, serialize_scenario, scen)
-        with pytest.raises(yaml.representer.RepresenterError) as expected:
-            _reference_text(path, scen)
-        assert got.value.args == expected.value.args
+    for scen in (dataclasses.replace(base, h=np.float64(0.01)),
+                 dataclasses.replace(base, params=dataclasses.replace(base.params, patch=PolygonPatch(vertices)))):
+        again = reload(scen)
+        assert again == scen
+        assert type(again.h) is float and type(again.params.patch.vertices[0][0]) is float
 
 
 MALFORMED = {  # document, the line its error is reported on
@@ -647,9 +554,9 @@ def test_malformed_yaml_reports_the_same_line_under_both_paths(name):
 
 # ------------------------------------------- loading, with and without PyYAML
 
-# YAML outside serialize_scenario's layout, which loads_scenario hands to
-# yaml.load: the YAML 1.1 core scalars in every spelling the resolver
-# knows, and plain collections
+# text other than a JSON object, which loads_scenario hands to yaml.load:
+# the YAML 1.1 core scalars in every spelling the resolver knows, and plain
+# collections
 WALKED = {
     "empty stream": "",
     "comment only": "# nothing here\n",
@@ -673,6 +580,7 @@ WALKED = {
     "parse error after the document": "a: 1\n...\nb: [\n",
     "words that read as bool and null": "on: yes\nNull: {y: n, x: 1.5}\n",
     "flow lines wrapped at another indent": "a: {b: 1.5,\n   c: 2.5}\nd: [1.5,\n2.5]\n",
+    "JSON that is not an object": "[1e3, NaN, 1.5]\n",
 }
 # and values or errors that only PyYAML's full loader builds
 HANDED_OFF = {
@@ -726,13 +634,16 @@ def _same_outcome(a, b) -> bool:
     return a[0] == b[0] and (_same(a[1], b[1]) if a[0] == "value" else a == b)
 
 
-def _scenario_texts(path: str) -> list[str]:
-    # every scenario document the tests know, written on the given path
+def _serialized_corpus() -> list[Scenario]:
     from test_fuzz import fuzz_scenarios
 
+    return _parity_scenarios() + _awkward_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
+
+
+def _scenario_texts() -> list[str]:
+    # every scenario document the tests know
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    corpus = _parity_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
-    return ([_under(path, serialize_scenario, scen) for scen in corpus]
+    return ([serialize_scenario(scen) for scen in _serialized_corpus()]
             + [bundled_scenario_text(name) for name in bundled_scenario_names()]
             + re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M))
 
@@ -743,37 +654,39 @@ def _refuse(*args, **kwds):
 
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
 def test_load_builds_what_yaml_load_builds(path):
-    from test_fuzz import fuzz_scenarios
-
-    loader = YAML_PATHS[path][0]
-    texts = list(WALKED.values()) + list(HANDED_OFF.values()) + _under(path, _scenario_texts, path)
+    loader = YAML_PATHS[path]
+    texts = list(WALKED.values()) + list(HANDED_OFF.values()) + _scenario_texts()
     for text in texts:
         got = _under(path, _outcome, scenario_module._load, text)
         assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
-    # and serialize_scenario's text of a scenario whose strings are all
-    # words, which the loop above holds to yaml.load, is written and read
-    # without PyYAML: every one of the parity and fuzz corpora but the
-    # output path with a space and a colon
-    corpus = _parity_scenarios() + [scen for _, _, scen in fuzz_scenarios()]
-    plain = [scen for scen in corpus if scen.options.output_path is None]
-    assert len(plain) == len(corpus) - 1
+    # and serialize_scenario's text, which the loop above holds to
+    # yaml.load, is written and read without PyYAML
+    corpus = _serialized_corpus()
     with pytest.MonkeyPatch.context() as mp:
         for name in ("parse", "load", "emit"):
             mp.setattr(yaml, name, _refuse)
-        for scen in plain:
-            _under(path, reload, scen)
+        for scen in corpus:
+            assert _under(path, reload, scen) == scen
 
 
-# characters that YAML reads as structure, quoting, comments, tags,
-# anchors and directives, or as part of a number
-EDIT_CHARACTERS = " :,-[]{}#'\"\n\t&*!|>%@?.e0"
+def test_json_nested_past_the_recursion_limit_goes_to_yaml_load():
+    # json.loads raises RecursionError, which the C parser of libyaml does not
+    text = '{"slider": ' + "[" * 5000 + "]" * 5000 + "}"
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    with pytest.raises(ValidationError, match="^missing required section 'friction'$"):
+        _under("libyaml", loads_scenario, text)
+
+
+# characters that JSON or YAML read as structure, quoting, escapes,
+# comments, tags, anchors and directives, or as part of a number
+EDIT_CHARACTERS = " :,-+[]{}#'\"\\\n\t&*!|>%@?.e0"
 
 
 def _edited_texts(count: int) -> list[str]:
     # seeded single-character edits (an insertion, a deletion or a
-    # replacement) of texts in serialize_scenario's plain layout
-    scenarios = _parity_scenarios()[:-1] + _awkward_scenarios()[:1] + _boundary_scenarios()[:8]
-    texts = [serialize_scenario(scen) for scen in scenarios]
+    # replacement) of texts serialize_scenario writes
+    texts = [serialize_scenario(scen) for scen in _parity_scenarios() + _awkward_scenarios()]
     rng = random.Random(2025)
     edited = []
     for _ in range(count):
@@ -786,25 +699,24 @@ def _edited_texts(count: int) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(YAML_PATHS))
 def test_load_of_edited_scenario_text_gives_what_yaml_load_gives(path):
-    # _load either builds yaml.load's outcome (value and type at every
-    # level, key order and the sign of -0.0, or the exception class and
-    # message) or hands yaml.load the text with the path's loader and
-    # returns its result
-    loader = YAML_PATHS[path][0]
-
-    def handed_off(text, Loader):
-        return ("handed off", text, Loader)
-
+    # _load gives json.loads's value for an edit that it reads as an object
+    # (value and type at every level, key order and the sign of -0.0), and
+    # yaml.load's outcome on the path's loader (its value, or the exception
+    # class and message) for every other edit
+    loader = YAML_PATHS[path]
     read = 0
     for text in _edited_texts(5000):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(yaml, "load", handed_off)
-            got = _under(path, _outcome, scenario_module._load, text)
-        if got == ("value", handed_off(text, loader)):
-            continue
-        read += 1
-        assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
-    # the edits that keep the layout: a changed digit or name, a sign...
+        got = _under(path, _outcome, scenario_module._load, text)
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            doc = None
+        if type(doc) is dict:
+            read += 1
+            assert _same_outcome(got, ("value", doc)), text
+        else:
+            assert _same_outcome(got, _outcome(yaml.load, text, loader)), text
+    # the edits that keep the text JSON: a changed digit, a sign, a space...
     assert read > 500
 
 
@@ -813,7 +725,7 @@ def test_loads_scenario_raises_what_yaml_load_raises(path):
     # loads_scenario as it was when it loaded through yaml.load: same
     # exception class and message on every document that fails
     texts = [text for text, _ in MALFORMED.values()] + list(WALKED.values()) + list(HANDED_OFF.values())
-    loader = YAML_PATHS[path][0]
+    loader = YAML_PATHS[path]
 
     def through_yaml_load():
         with pytest.MonkeyPatch.context() as mp:

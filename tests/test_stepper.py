@@ -580,6 +580,23 @@ def test_overflowing_load_fails_at_load_or_names_the_step():
         simulate(make_scenario(schedule=pusher))
 
 
+def underflowing_normal_impulse() -> Scenario:
+    """example1 at rest with a mass and a step so small that the normal
+    impulse h*(m*g - lambda_z) rounds to 0.0: a valid Scenario that no
+    step can solve."""
+    ex1 = resolve_scenario("example1")
+    return dataclasses.replace(
+        ex1, params=dataclasses.replace(ex1.params, m=1e-31, I_z=1e-35), h=1e-300, duration=1e-299,
+        initial=dataclasses.replace(ex1.initial, v_x=0.0, v_y=0.0, w_z=0.0))
+
+
+def test_normal_impulse_that_underflows_names_the_step():
+    scen = underflowing_normal_impulse()
+    assert scen.params.m * scen.params.g > 0.0 and normal_impulse(scen.params, AppliedWrench.zero(), scen.h) == 0.0
+    with pytest.raises(ValidationError, match=r"^step 0: normal impulse must be positive$"):
+        simulate(scen)
+
+
 # ------------------------------------------------- per-step call structure
 
 def _pusher_wrench_reference(sched, theta_z, t):
