@@ -515,15 +515,32 @@ def test_strings_beyond_the_bmp_round_trip_through_json():
         assert reload(text).options.output_path == path
 
 
-def test_serialize_refuses_what_json_refuses():
+SAFE_DUMPERS = {"libyaml": getattr(yaml, "CSafeDumper", None), "pure": yaml.SafeDumper}
+
+
+@pytest.mark.parametrize("path", sorted(SAFE_DUMPERS))
+def test_serialize_refuses_what_safe_representer_refuses(path):
+    """A value yaml's safe representer refuses under either dumper is refused
+    by serialize_scenario too, with json's TypeError; a float subclass, which
+    the representer also refuses, is the one exception: it is written as its
+    float value and loads back as a float."""
     np = pytest.importorskip("numpy")
+    dumper = SAFE_DUMPERS[path]
+    if dumper is None:
+        pytest.skip("PyYAML built without libyaml")
     base = loads_scenario(MINIMAL)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        serialize_scenario(dataclasses.replace(base, options=RunOptions(output_path=Path("out.csv"))))
-    # a float subclass is written as its float value
     vertices = tuple((np.float64(x), y) for x, y in base.params.patch.vertices)
-    for scen in (dataclasses.replace(base, h=np.float64(0.01)),
-                 dataclasses.replace(base, params=dataclasses.replace(base.params, patch=PolygonPatch(vertices)))):
+    refused = dataclasses.replace(base, options=RunOptions(output_path=Path("out.csv")))
+    float_subclasses = (
+        dataclasses.replace(base, h=np.float64(0.01)),
+        dataclasses.replace(base, params=dataclasses.replace(base.params, patch=PolygonPatch(vertices))),
+    )
+    for scen in (refused, *float_subclasses):
+        with pytest.raises(yaml.representer.RepresenterError):
+            yaml.dump(scenario_module._document(scen), Dumper=dumper)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        serialize_scenario(refused)
+    for scen in float_subclasses:
         again = reload(scen)
         assert again == scen
         assert type(again.h) is float and type(again.params.patch.vertices[0][0]) is float
