@@ -7,129 +7,48 @@ the equivalent contact point, provides closed forms for the quasi-static
 and pure-translation regimes, and recovers friction parameters from
 observed trajectories.
 
-The modules a step needs load with the package.  The closed forms, the
-oracle, identification and the trajectory files load on first use of one
-of their names, so a run imports only what it uses, and numpy only when
-it calls the oracle, residual or jacobian.
+Each module's __all__ lists its public names, and the package exports
+their union.  The modules a step needs load with the package.  The closed
+forms, the oracle, identification and the trajectory files load on first
+use of one of their names, so a run imports only what it uses, and numpy
+only when it calls the oracle, residual or jacobian.
 """
 
 from importlib import import_module as _import_module
 
-from .core import (
-    AnnulusPatch,
-    AppliedImpulse,
-    AppliedWrench,
-    BodyPusherSchedule,
-    ConstantSchedule,
-    ContactImpulse,
-    ContactPatch,
-    DiskPatch,
-    Ecp,
-    FrictionParams,
-    PolygonPatch,
-    SliderParams,
-    SliderState,
-    SlipVelocity,
-    StepInputs,
-    TableSchedule,
-    WrenchSchedule,
-    normal_impulse,
-    to_impulse,
-    wrench_at,
-)
-from .errors import (
-    AllDegenerateError,
-    AnisotropicFrictionError,
-    ContactLossError,
-    DegenerateStepError,
-    NoConvergenceError,
-    OracleFailure,
-    PatchSlideError,
-    ScenarioParseError,
-    ToppleRiskError,
-    ValidationError,
-    ZeroSlipError,
-)
-from .scenario import (
-    RunOptions,
-    Scenario,
-    bundled_scenario_names,
-    bundled_scenario_text,
-    load_scenario,
-    loads_scenario,
-    resolve_scenario,
-    serialize_scenario,
-)
-from .solver import (
-    SolveInfo,
-    jacobian,
-    max_dissipation_impulse,
-    residual,
-    solve_step,
-    solve_step_info,
-)
-from .stepper import (
-    StepDiagnostics,
-    TrajectoryRecord,
-    assemble_inputs,
-    ecp,
-    simulate,
-    slip_velocity,
-    step,
-    validate_patch,
-)
+from . import core, errors, scenario, solver, stepper
+from .core import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .stepper import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-
-def _lazy_getattr(namespace: dict, sources: dict[str, str]):
-    """A module __getattr__ (PEP 562) that imports a name on first access.
-
-    sources maps each lazy name to the package submodule that defines it,
-    or to itself for the submodule.  The name is stored in namespace, the
-    module's globals, so every later access is a plain lookup; any other
-    name raises AttributeError."""
-
-    def __getattr__(name: str):
-        try:
-            source = sources[name]
-        except KeyError:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}") from None
-        module = _import_module(f"{__name__}.{source}")
-        value = namespace[name] = module if name == source else getattr(module, name)
-        return value
-
-    return __getattr__
-
-
-# the names of the modules no step needs, by the module that defines them
+# the __all__ of each module no step needs, kept here so that listing the
+# package's names does not import the module
 _LAZY = {
-    "closed_form": (
-        "QuasiStaticInput",
-        "TranslationStep",
-        "pure_translation_step",
-        "quasi_static_velocity",
-    ),
+    "closed_form": ("QuasiStaticInput", "TranslationStep", "quasi_static_velocity", "pure_translation_step"),
     "oracle": ("KktReport", "oracle_solve_step", "verify_kkt"),
     "sysid": (
-        "FrictionEstimate",
-        "ObservedStep",
-        "Reconstruction",
+        "ObservedStep", "Reconstruction", "FrictionEstimate", "reconstruct", "one_step_estimate",
         "batch_estimate",
-        "one_step_estimate",
-        "reconstruct",
     ),
-    "trajectory": (
-        "COLUMNS",
-        "observed_steps",
-        "read_trajectory",
-        "write_plot_data",
-        "write_trajectory",
-    ),
+    "trajectory": ("COLUMNS", "write_trajectory", "read_trajectory", "observed_steps", "write_plot_data"),
 }
 _SOURCES = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__getattr__ = _lazy_getattr(globals(), _SOURCES)
+
+def __getattr__(name: str):
+    # PEP 562: a lazy module, or a name of one, is imported on first access
+    # and stored here, so that every later access is a plain lookup
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = _import_module(f"{__name__}.{source}")
+    value = globals()[name] = module if name == source else getattr(module, name)
+    return value
 
 
 def __dir__() -> list[str]:
@@ -137,23 +56,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    # core
-    "AnnulusPatch", "AppliedImpulse", "AppliedWrench", "BodyPusherSchedule", "ConstantSchedule",
-    "ContactImpulse", "ContactPatch", "DiskPatch", "Ecp", "FrictionParams", "PolygonPatch",
-    "SliderParams", "SliderState", "SlipVelocity", "StepInputs", "TableSchedule", "WrenchSchedule",
-    "normal_impulse", "to_impulse", "wrench_at",
-    # errors
-    "AllDegenerateError", "AnisotropicFrictionError", "ContactLossError", "DegenerateStepError",
-    "NoConvergenceError", "OracleFailure", "PatchSlideError", "ScenarioParseError",
-    "ToppleRiskError", "ValidationError", "ZeroSlipError",
-    # scenario
-    "RunOptions", "Scenario", "bundled_scenario_names", "bundled_scenario_text", "load_scenario",
-    "loads_scenario", "resolve_scenario", "serialize_scenario",
-    # solver
-    "SolveInfo", "jacobian", "max_dissipation_impulse", "residual", "solve_step", "solve_step_info",
-    # stepper
-    "StepDiagnostics", "TrajectoryRecord", "assemble_inputs", "ecp", "simulate", "slip_velocity",
-    "step", "validate_patch",
-    # the lazy modules
+    *core.__all__, *errors.__all__, *scenario.__all__, *solver.__all__, *stepper.__all__,
     *(name for names in _LAZY.values() for name in names),
 ]

@@ -1,5 +1,9 @@
 """Command line interface: simulate, compare, sysid, translate, quasistatic.
 
+Each command imports the closed forms, the oracle, identification and the
+trajectory files from their modules when it calls them, so that a command
+loads only what it uses.
+
 Exit codes: 0 success, 1 validation or input problems (usage errors
 included), 2 solver failures, 3 comparison deviation above tolerance.
 """
@@ -13,7 +17,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import _lazy_getattr
 from .core import StepInputs
 from .errors import (
     ContactLossError,
@@ -28,25 +31,6 @@ from .scenario import Scenario, resolve_scenario
 from .stepper import TrajectoryRecord, simulate
 
 __all__ = ["main"]
-
-# the names each subcommand loads on first use, by the module that defines
-# them; the commands read them through _cli, so a name set on this module
-# is the one they call
-__getattr__ = _lazy_getattr(globals(), {
-    "QuasiStaticInput": "closed_form",
-    "quasi_static_velocity": "closed_form",
-    "pure_translation_step": "closed_form",
-    "oracle_solve_step": "oracle",
-    "verify_kkt": "oracle",
-    "batch_estimate": "sysid",
-    "observed_steps": "trajectory",
-    "read_trajectory": "trajectory",
-    "write_plot_data": "trajectory",
-    "write_trajectory": "trajectory",
-    "_check_writable": "trajectory",
-    "_plot_data_paths": "trajectory",
-})
-_cli = sys.modules[__name__]
 
 COMPARE_TOLERANCE = 1e-6
 
@@ -124,12 +108,14 @@ def _run(args: argparse.Namespace, scen: Scenario, reference=None) -> int:
     # for, the plot data.  Given a reference, the records are checked
     # against it first.  A CSV or plot data path that cannot be written
     # fails before the first step; a command that fails touches no file
+    from .trajectory import _check_writable, _plot_data_paths, read_trajectory, write_plot_data, write_trajectory
+
     out = args.out or scen.options.output_path or "trajectory.csv"
-    _cli._check_writable(out)
+    _check_writable(out)
     prefix = Path(out).with_suffix("") if getattr(args, "plot_data", False) else None
     if prefix is not None:
-        for path in _cli._plot_data_paths(prefix):
-            _cli._check_writable(path, "cannot write plot data file")
+        for path in _plot_data_paths(prefix):
+            _check_writable(path, "cannot write plot data file")
     t0 = time.perf_counter()
     records = simulate(scen)
     wall = time.perf_counter() - t0
@@ -140,10 +126,10 @@ def _run(args: argparse.Namespace, scen: Scenario, reference=None) -> int:
         if max_dev > COMPARE_TOLERANCE:
             print("\n".join(report))
             return _fail()
-    _cli.write_trajectory(records, out)
+    write_trajectory(records, out)
     files = None
     if prefix is not None:
-        files = _cli.write_plot_data(_cli.read_trajectory(out), prefix)
+        files = write_plot_data(read_trajectory(out), prefix)
     # printed once every file is written, so that a failing command prints
     # its one error line only
     print("\n".join(report))
@@ -164,8 +150,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     def oracle(inputs, sol):
         # the oracle's impulse, and whether simulate's passes the dissipation check
-        ref = _cli.oracle_solve_step(inputs)
-        kkt = _cli.verify_kkt(sol, inputs, seed=args.seed)
+        from .oracle import oracle_solve_step, verify_kkt
+
+        ref = oracle_solve_step(inputs)
+        kkt = verify_kkt(sol, inputs, seed=args.seed)
         return ref.p_t, ref.p_o, ref.p_r, kkt.dissipation_optimality
 
     records = simulate(scen)
@@ -178,9 +166,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sysid(args: argparse.Namespace) -> int:
-    rows = _cli.read_trajectory(args.trajectory)
-    steps = _cli.observed_steps(rows)
-    est = _cli.batch_estimate(steps, m=args.m, I_z=args.I_z, q_z=args.q_z, floor=args.floor)
+    from .sysid import batch_estimate
+    from .trajectory import observed_steps, read_trajectory
+
+    rows = read_trajectory(args.trajectory)
+    steps = observed_steps(rows)
+    est = batch_estimate(steps, m=args.m, I_z=args.I_z, q_z=args.q_z, floor=args.floor)
     print(f"et2mu   = {est.et2mu:.10g}   (mad {est.dispersion[0]:.3e})  first-identity root, equals e_t*mu")
     for i, (axis, ratio) in enumerate((("o", est.ratio_o), ("r", est.ratio_r)), start=1):
         root = math.sqrt(ratio) if ratio >= 0.0 else math.nan  # a negative median has no root
@@ -191,11 +182,12 @@ def _cmd_sysid(args: argparse.Namespace) -> int:
 
 def _translation(inputs: StepInputs, impulse) -> tuple[float, float, float, bool]:
     # the closed form's impulse for a torque-free step from w_z = 0
+    from .closed_form import pure_translation_step
+
     a, s = inputs.applied, inputs.state
     if a.p_xtau != 0.0 or a.p_ytau != 0.0 or a.p_ztau != 0.0:
         raise ValidationError("pure-translation rollout requires a torque-free schedule")
-    res = _cli.pure_translation_step((s.v_x, s.v_y), (a.p_x, a.p_y), inputs.p_n, inputs.friction,
-                                     inputs.params.m)
+    res = pure_translation_step((s.v_x, s.v_y), (a.p_x, a.p_y), inputs.p_n, inputs.friction, inputs.params.m)
     return res.p_t, res.p_o, 0.0, True
 
 
@@ -207,8 +199,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_quasistatic(args: argparse.Namespace) -> int:
-    v = _cli.quasi_static_velocity(
-        _cli.QuasiStaticInput(
+    from .closed_form import QuasiStaticInput, quasi_static_velocity
+
+    v = quasi_static_velocity(
+        QuasiStaticInput(
             contact_point=(args.contact_x, args.contact_y),
             contact_velocity=(args.vx, args.vy),
             cm=(args.cm_x, args.cm_y),

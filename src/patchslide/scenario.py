@@ -18,13 +18,15 @@ is written with a "." so that YAML 1.1 reads it as a float too.
 loads_scenario reads JSON text with json.loads; it hands any other text,
 or JSON that is not an object, whole to yaml.load with the safe loader of
 libyaml when PyYAML has it, of pure Python otherwise, so that its value
-and its errors are PyYAML's.
+and its errors are PyYAML's.  Text whose collections nest more than
+MAX_DEPTH deep is refused before it is built, by either parser.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
@@ -70,6 +72,15 @@ TOPPLE_POLICIES = ("warn", "error")
 # libyaml's C parser when PyYAML was built with it, its pure-Python one
 # otherwise; both keep the safe constructor and resolver of safe_load
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# a scenario nests 5 deep (a table row's wrench).  yaml.load builds a
+# document by recursing once per level: libyaml's composer overflows the C
+# stack, a crash, somewhere past 10,000 levels, and the pure-Python one
+# reaches the recursion limit near 500
+MAX_DEPTH = 100
+_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
+_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+_TOO_DEEP = f"collections nest more than {MAX_DEPTH} deep"
 
 
 @value_type
@@ -131,6 +142,14 @@ class Scenario:
                 raise ValidationError(
                     "applied load is too large: its impulse per step squared in "
                     "friction-ellipsoid units overflows a double"
+                )
+            # the solve's determinant holds a11*a22, solver._static's
+            # a11 = mu*p_n*e_t^2/m and a22 = mu*p_n*e_o^2/m, whatever the state
+            p_n = h * (p.m * p.g - w.lambda_z)
+            if not math.isfinite(f.mu * p_n * f.e_t ** 2 / p.m * (f.mu * p_n * f.e_o ** 2 / p.m)):
+                raise ValidationError(
+                    "friction ellipsoid is too large for the load: (mu*p_n*e_t^2/m) * (mu*p_n*e_o^2/m) "
+                    f"must stay below {sys.float_info.max:.4g}, the largest double"
                 )
 
 
@@ -266,16 +285,39 @@ def _parse_schedule(section: dict) -> WrenchSchedule:
     raise ValidationError(f"schedule.type must be constant, body_pusher, or table, got {kind!r}")
 
 
+def _nests_too_deep(text: str) -> bool:
+    # whether text's collections nest more than MAX_DEPTH deep, read from
+    # its events, which PyYAML parses without recursing.  Text that fails
+    # to parse first is left for yaml.load to raise its error
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_LOADER):
+            if isinstance(event, _OPEN):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    return True
+            elif isinstance(event, _CLOSE):
+                depth -= 1
+    except yaml.YAMLError:
+        pass
+    return False
+
+
 def _load(text: str):
     # the stdlib's C parser reads JSON, which serialize_scenario writes;
     # any other text, or JSON that is not an object, goes whole to yaml.load
+    # unless it nests too deep for yaml.load to build
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError):
+    except ValueError:
         pass
+    except RecursionError:
+        raise yaml.YAMLError(_TOO_DEEP) from None
     else:
         if type(doc) is dict:
             return doc
+    if _nests_too_deep(text):
+        raise yaml.YAMLError(_TOO_DEEP)
     return yaml.load(text, Loader=_LOADER)
 
 

@@ -41,7 +41,7 @@ EXPORTED = {
     "solver": ["SolveInfo", "jacobian", "max_dissipation_impulse", "residual", "solve_step", "solve_step_info"],
     "stepper": [
         "StepDiagnostics", "TrajectoryRecord", "assemble_inputs", "ecp", "simulate", "slip_velocity",
-        "step", "validate_patch",
+        "step", "validate_patch", "warm_sigma",
     ],
     "sysid": [
         "FrictionEstimate", "ObservedStep", "Reconstruction", "batch_estimate", "one_step_estimate",
@@ -158,14 +158,20 @@ def test_an_unknown_name_raises_attribute_error():
         cli.no_such_name
 
 
-@pytest.mark.parametrize("name, module", [
-    ("oracle_solve_step", "oracle"),
-    ("verify_kkt", "oracle"),
-    ("quasi_static_velocity", "closed_form"),
-    ("batch_estimate", "sysid"),
-    ("write_trajectory", "trajectory"),
-])
-def test_cli_names_resolve_to_their_submodules_objects(name, module):
-    import patchslide.cli as cli
 
-    assert getattr(cli, name) is getattr(importlib.import_module(f"patchslide.{module}"), name)
+# each module's __all__ is the one list of its public names
+
+EAGER = ["core", "errors", "scenario", "solver", "stepper"]
+
+
+@pytest.mark.parametrize("module", sorted(patchslide._LAZY))
+def test_each_lazy_list_is_its_modules_all(module):
+    assert list(patchslide._LAZY[module]) == importlib.import_module(f"patchslide.{module}").__all__
+
+
+def test_the_package_exports_the_union_of_its_modules_all():
+    eager = [name for module in EAGER for name in importlib.import_module(f"patchslide.{module}").__all__]
+    lazy = [name for names in patchslide._LAZY.values() for name in names]
+    assert sorted(patchslide.__all__) == sorted(eager + lazy)
+    assert len(set(patchslide.__all__)) == len(patchslide.__all__)
+    assert sorted(EAGER + list(patchslide._LAZY)) == sorted(EXPORTED)

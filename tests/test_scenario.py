@@ -4,8 +4,11 @@ serialization round trips."""
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from patchslide import (
     BodyPusherSchedule,
     ConstantSchedule,
     DiskPatch,
+    PatchSlideError,
     PolygonPatch,
     RunOptions,
     Scenario,
@@ -375,6 +379,27 @@ def test_finite_loads_that_overflow_when_squared_rejected_at_load(schedule):
         loads_scenario(MINIMAL + f"\nschedule: {schedule}\n")
 
 
+@pytest.mark.parametrize("e, schedule", [
+    ("1.0e+78", "{type: constant}"),
+    ("1.0e+75", "{type: table, rows: [{t: 0.0}, {t: 5.0, wrench: {lambda_z: -1.0e+7}}]}"),
+], ids=["example1", "late-table-row"])
+def test_ellipsoid_whose_solve_determinant_overflows_rejected_at_load(e, schedule):
+    # a11*a22 = (mu*p_n*e_t^2/m) * (mu*p_n*e_o^2/m) is inf for some held
+    # load: the solve's determinant could not be formed at any state
+    text = MINIMAL.replace("e_t: 1.0, e_o: 1.0", f"e_t: {e}, e_o: {e}") + f"\nschedule: {schedule}\n"
+    with pytest.raises(ValidationError, match=r"^friction ellipsoid is too large for the load: .* "
+                                              r"must stay below 1\.798e\+308, the largest double$"):
+        loads_scenario(text)
+
+
+def test_ellipsoid_below_the_determinant_limit_still_runs():
+    from patchslide import simulate
+
+    text = MINIMAL.replace("e_t: 1.0, e_o: 1.0", "e_t: 1.0e+77, e_o: 1.0e+77")
+    with pytest.warns(UserWarning, match="left the support hull"):
+        assert len(simulate(loads_scenario(text))) == 45
+
+
 def test_large_but_squarable_load_still_loads():
     scen = loads_scenario(MINIMAL + "\nschedule: {type: constant, wrench: {lambda_x: 1.0e+150}}\n")
     assert scen.schedule.wrench.lambda_x == 1e150
@@ -389,8 +414,9 @@ def test_libyaml_is_used_when_available(monkeypatch):
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML built without libyaml")
     assert scenario_module._LOADER is YAML_PATHS["libyaml"]
-    # and text other than a JSON object goes through it: MINIMAL's, but not
-    # serialize_scenario's, even with an output path that YAML would quote
+    # and text other than a JSON object goes through it, once to check its
+    # depth and once to load it: MINIMAL's, but not serialize_scenario's,
+    # even with an output path that YAML would quote
     used = []
 
     class Loader(scenario_module._LOADER):
@@ -401,7 +427,7 @@ def test_libyaml_is_used_when_available(monkeypatch):
     monkeypatch.setattr(scenario_module, "_LOADER", Loader)
     scen = dataclasses.replace(loads_scenario(MINIMAL), options=RunOptions(output_path="a: b"))
     assert reload(scen) == scen
-    assert used == ["load"]
+    assert used == ["load", "load"]
 
 
 def _under(path: str, fn, *args):
@@ -686,13 +712,74 @@ def test_load_builds_what_yaml_load_builds(path):
             assert _under(path, reload, scen) == scen
 
 
-def test_json_nested_past_the_recursion_limit_goes_to_yaml_load():
-    # json.loads raises RecursionError, which the C parser of libyaml does not
+def test_json_nested_past_the_recursion_limit_is_a_parse_error():
+    # json.loads raises RecursionError, and the text goes to no YAML parser
     text = '{"slider": ' + "[" * 5000 + "]" * 5000 + "}"
     with pytest.raises(RecursionError):
         json.loads(text)
-    with pytest.raises(ValidationError, match="^missing required section 'friction'$"):
-        _under("libyaml", loads_scenario, text)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("parse", "load"):
+            mp.setattr(yaml, name, _refuse)
+        with pytest.raises(ScenarioParseError, match="^<string>: collections nest more than 100 deep$"):
+            loads_scenario(text)
+
+
+# text that crashed the interpreter in libyaml's composer, one C frame per
+# level, and a block sequence nested as deep in as few characters
+NESTED = {
+    "open-flow": "[" * 100000,
+    "open-flow-value": "a: " + "[" * 100000,
+    "closed-flow": "[" * 50000 + "]" * 50000,
+    "block": "- " * 100000 + "x",
+}
+
+
+def _child(code: str, stdin: str = "") -> subprocess.CompletedProcess:
+    # code in a fresh interpreter, so that a crash fails the test and not the run
+    src = str(Path(scenario_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_deeply_nested_text_is_a_parse_error(path):
+    if YAML_PATHS[path] is None:
+        pytest.skip("PyYAML built without libyaml")
+    code = (
+        "import json, sys, yaml\n"
+        "from patchslide import ScenarioParseError, loads_scenario, scenario\n"
+        f"scenario._LOADER = yaml.{YAML_PATHS[path].__name__}\n"
+        "for text in json.load(sys.stdin):\n"
+        "    try:\n"
+        "        loads_scenario(text)\n"
+        "    except ScenarioParseError as e:\n"
+        "        print(e)\n"
+    )
+    got = _child(code, json.dumps(list(NESTED.values())))
+    assert got.returncode == 0, got.stderr[-2000:]
+    assert got.stdout == "<string>: collections nest more than 100 deep\n" * len(NESTED)
+
+
+@pytest.mark.parametrize("depth, error", [
+    (100, "scenario document must be a mapping"),
+    (101, "collections nest more than 100 deep"),
+])
+@pytest.mark.parametrize("path", sorted(YAML_PATHS))
+def test_nesting_limit_is_100_on_both_yaml_paths(path, depth, error):
+    # as a flow and as a block sequence, on either side of the limit
+    for text in ("[" * depth + "]" * depth + " # not JSON", "- " * depth + "x"):
+        with pytest.raises(PatchSlideError, match=f"^(<string>: )?{error}$"):
+            _under(path, loads_scenario, text)
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_simulate_refuses_a_deeply_nested_file(name, tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text(NESTED[name])
+    got = _child(f"import sys\nfrom patchslide.cli import main\nsys.exit(main(['simulate', '--scenario', {str(path)!r}]))")
+    assert (got.returncode, got.stdout, got.stderr) == (1, "", f"error: {path}: collections nest more than 100 deep\n")
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 # characters that JSON or YAML read as structure, quoting, escapes,

@@ -497,19 +497,19 @@ def test_rest_test_overflow_is_validation_error():
         solve_step_info(inp)
 
 
-@pytest.mark.parametrize("v_x, v_y", [(1e100, 0.9), (1.1e154 / 1e100, 1.1e154 / 1e100)],
+@pytest.mark.parametrize("v_x, v_y", [(1e100, 0.9), (1.1e154 / 1e70, 1.1e154 / 1e70)],
                          ids=["square", "sum-of-squares"])
 def test_cold_start_slip_speed_overflow_is_validation_error(v_x, v_y, tmp_path, capsys):
-    # with e_t = e_o = 1e100 the momentum in ellipsoid units, m*v/e, is
+    # with e_t = e_o = 1e70 the momentum in ellipsoid units, m*v/e, is
     # small and the scenario loads, but the cold start's slip speed squares
-    # e*v: 1e200 overflows when squared, 1.1e154 on two axes only in the
+    # e*v: 1e170 overflows when squared, 1.1e154 on two axes only in the
     # sum of the squares.  A documented error, never a raw OverflowError
     from patchslide import loads_scenario, resolve_scenario, serialize_scenario
     from patchslide.cli import main
 
     ex1 = resolve_scenario("example1")
     text = serialize_scenario(replace(
-        ex1, friction=replace(ex1.friction, e_t=1e100, e_o=1e100),
+        ex1, friction=replace(ex1.friction, e_t=1e70, e_o=1e70),
         initial=replace(ex1.initial, v_x=v_x, v_y=v_y)))
     scen = loads_scenario(text)
     with pytest.raises(ValidationError, match=r"^step 0: velocity is too large"):
@@ -524,13 +524,14 @@ def test_cold_start_slip_speed_overflow_is_validation_error(v_x, v_y, tmp_path, 
 
 @pytest.mark.parametrize("v", [1e20, 1e40, 1e53])
 def test_overflowing_solve_is_validation_error(v):
-    # e_t = e_o = 1e100 and a finite cold start: the curve's 2x2
-    # determinant overflows, so every iterate's residual is nan.  A solve
-    # that ends that way overflowed; it did not run out of iterations
+    # e_t = e_o = 5e77, which loads, and a finite cold start: the curve's
+    # 2x2 determinant overflows in its spin term q_t*q_o*W^2, so every
+    # iterate's residual is nan.  A solve that ends that way overflowed; it
+    # did not run out of iterations
     from patchslide import resolve_scenario
 
     ex1 = resolve_scenario("example1")
-    scen = replace(ex1, friction=replace(ex1.friction, e_t=1e100, e_o=1e100),
+    scen = replace(ex1, friction=replace(ex1.friction, e_t=5e77, e_o=5e77),
                    initial=replace(ex1.initial, v_x=v, v_y=v))
     message = r"the slip-speed solve overflows a double \(residual nan after 100 iterations\)"
     with pytest.raises(ValidationError, match=r"^step 0: friction ellipsoid or velocity too large: " + message):
