@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import errno
 import os
+import stat
 from itertools import repeat, starmap
 from operator import itemgetter
 from pathlib import Path
@@ -74,11 +75,11 @@ def _file_error(what: str, path: str | Path, e: OSError) -> ValidationError:
     return ValidationError(f"{what} {path}: {e.strerror or e}")
 
 
-def _open(path: str | Path, mode: str):
-    # the trajectory file at path, opened as csv wants; ValidationError
-    # naming the path when it cannot be
+def _open(path: str | Path):
+    # the trajectory file at path, opened for reading as csv wants;
+    # ValidationError naming the path when it cannot be
     try:
-        return open(path, mode, newline="")
+        return open(path, newline="")
     except OSError as e:
         raise _file_error("cannot open trajectory file", path, e) from e
 
@@ -103,11 +104,32 @@ def _check_writable(path: str | Path, what: str = "cannot open trajectory file")
         raise _file_error(what, path, denied)
 
 
+# no O_TRUNC: cutting a file to zero length makes ext4 (auto_da_alloc)
+# write its blocks back when it is closed, cutting it to a non-zero length
+# afterwards does not.  O_BINARY keeps Windows from translating newlines.
+_REPLACE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _replace(path: str | Path, text: str, what: str, newline: str | None = None) -> None:
+    # give the file at path exactly the content text, written as
+    # open(path, "w", newline=newline) would write it: overwrite it in
+    # place, then cut a regular file to the end of text (a device such as
+    # /dev/null cannot be truncated).  Any OSError becomes the
+    # ValidationError "<what> <path>: <reason>"
+    try:
+        with open(os.open(path, _REPLACE_FLAGS, 0o666), "w", newline=newline) as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as e:
+        raise _file_error(what, path, e) from e
+
+
 def write_trajectory(records: list[TrajectoryRecord], path: str | Path) -> None:
     """Write records to CSV; a run with no steps yields a header-only file.
-    Raises ValidationError when the file cannot be opened."""
-    with _open(path, "w") as fh:
-        fh.write(_HEADER + "".join(map(_record_row, records)))
+    An existing file is overwritten in place and cut to the new length.
+    Raises ValidationError when the file cannot be opened or written."""
+    _replace(path, _HEADER + "".join(map(_record_row, records)), "cannot write trajectory file", newline="")
 
 
 def _raise_first_error(path: str | Path, raw: list[list[str]]) -> None:
@@ -127,8 +149,10 @@ def read_trajectory(path: str | Path) -> list[dict]:
     """Read a trajectory CSV into one dict per row, with numeric types
     restored.  Raises ValidationError when the file cannot be opened or
     decoded, when the header does not match the schema, or naming the
-    first line whose field count is wrong or whose value fails to parse."""
-    with _open(path, "r") as fh:
+    first line that csv cannot split (such as one with a field longer than
+    csv.field_size_limit()), whose field count is wrong or whose value
+    fails to parse."""
+    with _open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -142,6 +166,8 @@ def read_trajectory(path: str | Path) -> list[dict]:
             raise ValidationError(f"{path}: empty file, expected a trajectory header") from None
         except UnicodeDecodeError as e:
             raise ValidationError(f"{path}: not a {e.encoding} text file ({e.reason})") from None
+        except csv.Error as e:
+            raise ValidationError(f"{path}:{reader.line_num}: {e}") from None
     n = len(COLUMNS)
     try:
         # zip(*raw) would drop the cells of short rows, so count fields first
@@ -187,7 +213,8 @@ def _plot_data_paths(prefix: str | Path) -> list[Path]:
 
 def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
     """Emit one two-column (t, value) file per numeric column, named
-    <prefix>.<column>.dat, ready for external plotting tools.  Raises
+    <prefix>.<column>.dat, ready for external plotting tools.  An existing
+    file is overwritten in place and cut to the new length.  Raises
     ValidationError naming the file or directory that cannot be made."""
     prefix = Path(prefix)
     try:
@@ -198,9 +225,6 @@ def write_plot_data(rows: list[dict], prefix: str | Path) -> list[Path]:
     times = ["%.17g\t" % row["t"] for row in rows]
     written = _plot_data_paths(prefix)
     for col, out in zip(COLUMNS[1:], written):
-        try:
-            with open(out, "w") as fh:
-                fh.write("".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]))
-        except OSError as e:
-            raise _file_error("cannot write plot data file", out, e) from e
+        _replace(out, "".join([t + "%.17g\n" % float(row[col]) for t, row in zip(times, rows)]),
+                 "cannot write plot data file")
     return written

@@ -1,13 +1,15 @@
 """Command line interface: exit codes, output files, and printed results
 for all five subcommands, driven through main(argv)."""
 
+import csv
+import os
 import re
 from dataclasses import astuple, replace
 
 import pytest
 
 import patchslide.cli as cli_module
-from patchslide import bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario, write_trajectory
+from patchslide import COLUMNS, bundled_scenario_text, read_trajectory, resolve_scenario, serialize_scenario, write_trajectory
 from patchslide.cli import main
 from patchslide.errors import NoConvergenceError, PatchSlideError, ToppleRiskError, ValidationError
 
@@ -93,6 +95,53 @@ def test_simulate_plot_data(tmp_path, capsys):
     assert "plot data: 22 files" in stdout
     assert (tmp_path / "ex1.v_x.dat").exists()
     assert (tmp_path / "ex1.residual_norm.dat").exists()
+
+
+def test_simulate_over_longer_files_writes_what_a_fresh_run_writes(tmp_path, capsys):
+    # the CSV and every plot data file are overwritten in place and cut to
+    # the new length
+    fresh = tmp_path / "fresh"
+    reused = tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    argv = ("simulate", "--scenario", "example1", "--plot-data", "--out")
+    assert run(capsys, *argv, str(reused / "ex1.csv"))[0] == 0
+    for d in (reused, fresh):
+        assert run(capsys, *argv, str(d / "ex1.csv"), "--duration", "0.05")[0] == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert len(names) == 23
+    assert sorted(p.name for p in reused.iterdir()) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_simulate_writes_through_a_symlinked_out(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("an earlier, longer trajectory\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    fresh = tmp_path / "fresh.csv"
+    for out in (link, fresh):
+        assert run(capsys, "simulate", "--scenario", "example1", "--out", str(out))[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_simulate_out_devnull(capsys):
+    # a device cannot be truncated; it is written and left as it is
+    code, stdout, stderr = run(capsys, "simulate", "--scenario", "example1", "--out", os.devnull)
+    assert code == 0
+    assert stderr == ""
+    assert f"trajectory written to {os.devnull}" in stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_prints_one_error_line(capsys):
+    # the OSError escaped with a traceback
+    code, stdout, stderr = run(capsys, "simulate", "--scenario", "example1", "--out", "/dev/full")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: cannot write trajectory file /dev/full: No space left on device\n"
 
 
 def test_simulate_contact_loss_is_solver_error(tmp_path, capsys):
@@ -335,8 +384,9 @@ def test_sysid_rejects_an_infinite_cell(tmp_path, capsys, ex1_csv, cell, message
 
 def _file_error_cases():
     # (argv, the file its error names) for a path under a temporary
-    # directory: trajectory files that cannot be opened, and a scenario
-    # and a trajectory that are not UTF-8 text
+    # directory: trajectory files that cannot be opened, a scenario and a
+    # trajectory that are not UTF-8 text, and a trajectory field longer
+    # than csv's limit
     sysid = ("--m", "1", "--I-z", "1", "--q-z", "0")
 
     def bad_yaml(d):
@@ -347,6 +397,11 @@ def _file_error_cases():
     def bad_csv(d):
         path = d / "bad.csv"
         path.write_bytes(b"\xff\xfet,q_x\r\n")
+        return ("sysid", "--trajectory", str(path)) + sysid, path
+
+    def huge_csv_field(d):
+        path = d / "huge.csv"
+        path.write_text(",".join(COLUMNS) + "\n" + "1" * (csv.field_size_limit() + 1) + "\n")
         return ("sysid", "--trajectory", str(path)) + sysid, path
 
     def plot_file_is_a_directory(d):
@@ -364,6 +419,7 @@ def _file_error_cases():
         "missing trajectory": lambda d: (("sysid", "--trajectory", str(d / "none.csv")) + sysid, d / "none.csv"),
         "scenario not UTF-8": bad_yaml,
         "trajectory not UTF-8": bad_csv,
+        "trajectory field over the csv limit": huge_csv_field,
     }
 
 

@@ -4,6 +4,8 @@ transition pairing, and strict read-side validation."""
 import csv
 import hashlib
 import io
+import os
+import stat
 
 import pytest
 
@@ -127,6 +129,27 @@ def test_rewrites_are_byte_identical(ex1_scenario, ex1_records, tmp_path):
     write_trajectory(ex1_records, a)
     write_trajectory(simulate(ex1_scenario), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(ex1_records, tmp_path):
+    # the file is overwritten in place and cut to the new length; it keeps
+    # its mode bits
+    fresh = tmp_path / "fresh.csv"
+    write_trajectory(ex1_records[:3], fresh)
+    old = tmp_path / "old.csv"
+    write_trajectory(ex1_records, old)
+    os.chmod(old, 0o640)
+    write_trajectory(ex1_records[:3], old)
+    assert old.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("steps", [0, None], ids=["header-fails-on-close", "rows-fail-on-write"])
+def test_a_write_that_fails_is_validation_error(ex1_records, steps):
+    with pytest.raises(ValidationError) as info:
+        write_trajectory(ex1_records[:steps], "/dev/full")
+    assert str(info.value) == "cannot write trajectory file /dev/full: No space left on device"
 
 
 def test_observed_steps_pairing(ex1_records, tmp_path):
@@ -326,3 +349,11 @@ def _read_error(path):
 def test_read_reports_the_first_bad_line(ex1_records, tmp_path, edits, message):
     p = _edited_log(ex1_records[:6], tmp_path, edits)
     assert _read_error(p) == f"{p}{message}"
+
+
+def test_read_rejects_a_field_over_the_csv_limit(tmp_path):
+    # csv.Error escaped read_trajectory
+    limit = csv.field_size_limit()
+    p = tmp_path / "huge.csv"
+    p.write_text(",".join(COLUMNS) + "\n" + "1" * (limit + 1) + "\n")
+    assert _read_error(p) == f"{p}:2: field larger than field limit ({limit})"
