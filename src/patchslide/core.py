@@ -49,42 +49,39 @@ __all__ = [
 
 def value_type(cls):
     """Class decorator for the package's value types: a frozen, slotted
-    dataclass whose __init__ stores each field straight into its slot.
+    dataclass built by one compiled function, which is both the class's
+    __new__ and its positional builder cls._new.
 
     dataclass is asked for the fields, __match_args__ and the slotted class
     only; it generates no method.  Each method it would generate by
     compiling source costs about a tenth of a millisecond, and importing
-    the package makes 20 value types.  value_type makes the methods:
-    __init__, compiled once per class, and as plain closures __repr__,
-    __eq__, __hash__, __setattr__, __delattr__, __getstate__ and
-    __setstate__.  They behave as dataclass(frozen=True, slots=True)'s do:
-    repr is QualName(a=..., b=...) with a guard against recursion, equality
-    compares the tuples of field values of two instances of the same class
-    (NotImplemented otherwise), the hash is that tuple's hash, and every
-    assignment or deletion raises FrozenInstanceError.  The class's
-    __dataclass_params__ reads as frozen=True's: repr, eq and frozen set.
+    the package makes 20 value types.  value_type compiles one function
+    per class from _fill's lines: it makes an unfrozen twin of the class,
+    stores each field in its slot, turns the twin into the class by
+    assigning __class__ and runs __post_init__.  It has the signature
+    dataclass's __init__ would give (names, defaults, annotations).  The
+    class call runs it as __new__; cls._new(*fields) is the same function
+    bound to the class, for the loops that build one object per row or
+    step.  A class call with keywords first gathers them in a dict, so
+    code that builds many objects passes the fields positionally.
 
-    A frozen dataclass's own __init__ assigns each field through
-    object.__setattr__, which dominates the cost of building a small
-    object.  The __init__ made here calls each slot descriptor's __set__,
-    bound once per class.  It has the signature dataclass would give
-    (names, defaults, annotations) and calls __post_init__ as dataclass
-    does.  Unpickling, copy and deepcopy run __post_init__ too, so they
-    pass the constructor's checks; dataclasses.replace goes through the
-    class call.  A derived field, declared field(init=False, repr=False,
-    compare=False) and set by __post_init__ through object.__setattr__, is
-    left out of the __init__, the pickled state, equality, hashing and
-    repr: wherever an instance is built or restored, it is computed anew.
-    A default is a value, not a factory: the types are frozen, so one
-    default instance can be shared.
-
-    The class call is the public constructor.  Each class also has a
-    positional builder, cls._new(*fields), which gives what the class call
-    gives at about half the cost (see _fill); _flat_builder makes it, and one
-    such builder for a value type and the value types its fields hold,
-    which the stepping loop builds each step's record with.  A class call
-    with keywords first gathers them in a dict, so code that builds many
-    objects passes the fields positionally.
+    The other methods are plain closures: __repr__, __eq__, __hash__,
+    __setattr__, __delattr__ and __reduce__.  They behave as
+    dataclass(frozen=True, slots=True)'s do: repr is QualName(a=..., b=...)
+    with a guard against recursion, equality compares the tuples of field
+    values of two instances of the same class (NotImplemented otherwise),
+    the hash is that tuple's hash, and every assignment or deletion raises
+    FrozenInstanceError.  The class's __dataclass_params__ reads as
+    frozen=True's: repr, eq and frozen set.  __reduce__ gives the class and
+    its field values, so pickle, copy and deepcopy restore an instance
+    through the class call, as dataclasses.replace does, and each passes
+    the constructor's checks.  A derived field, declared field(init=False,
+    repr=False, compare=False) and set by __post_init__ through
+    object.__setattr__, is left out of the constructor, the pickled state,
+    equality, hashing and repr: wherever an instance is built or restored,
+    it is computed anew.  A default is a value, not a factory: the types
+    are frozen, so one default instance can be shared.  The class call
+    builds exactly cls, so value types are not subclassed.
     """
     cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
     params = cls.__dataclass_params__
@@ -96,33 +93,24 @@ def value_type(cls):
         raise TypeError(f"{cls.__name__}: value types take every field as a plain argument, or derive it")
     if any(f.default_factory is not MISSING for f in every):
         raise TypeError(f"{cls.__name__}: value types take a shared default value, not a default factory")
-    closure: dict = {}
-    stores = []
     defaults = []
     for f in flds:
-        closure[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
         if f.default is not MISSING:
             defaults.append(f.default)
         elif defaults:
             raise TypeError(f"{cls.__name__}: field {f.name!r} without a default follows one with a default")
-        stores.append(f"_set_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
-        stores.append("self.__post_init__()")
-    src = (
-        f"def make({', '.join(closure)}):\n"
-        f"    def __init__(self, {', '.join(f.name for f in flds)}):\n"
-        + "".join(f"        {line}\n" for line in stores)
-        + "    return __init__\n"
-    )
+    names = [f.name for f in flds]
     namespace: dict = {}
-    exec(src, {}, namespace)
-    init = namespace["make"](**closure)
-    init.__defaults__ = tuple(defaults) or None
-    init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+    body = _fill(cls, "self", names, namespace)
+    exec(f"def __new__(_cls, {', '.join(names)}):\n"
+         + "".join(f"    {line}\n" for line in body) + "    return self\n", namespace)
+    new = namespace["__new__"]
+    new.__defaults__ = tuple(defaults) or None
+    # -> None, as dataclass's __init__ shows, keeps the class's signature
+    new.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
 
     # the constructor's fields as a tuple, a 1-tuple for one field, as
     # dataclass's methods compare and hash them
-    names = tuple(f.name for f in flds)
     values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
     labels = [f"{name}=" for name in names]
 
@@ -139,41 +127,20 @@ def value_type(cls):
     def __hash__(self):
         return hash(values(self))
 
-    # every field, derived ones too, is frozen; these name the final class,
-    # where dataclass's named the one it had before it added slots
-    frozen = frozenset(f.name for f in every)
-
     def __setattr__(self, name, value):
-        if type(self) is cls or name in frozen:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        if type(self) is cls or name in frozen:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    setters = [closure[f"_set_{f.name}"] for f in flds]
-    post_init = getattr(cls, "__post_init__", None)
+    def __reduce__(self):
+        return cls, values(self)
 
-    def __getstate__(self):
-        return list(values(self))
-
-    def __setstate__(self, state):
-        # the field values as a list, but a pickle written before the value
-        # types had slots holds their __dict__
-        if isinstance(state, dict):
-            state = [state[name] for name in names]
-        for set_field, value in zip(setters, state):
-            set_field(self, value)
-        if post_init is not None:
-            post_init(self)
-
-    for method in (init, __repr__, __eq__, __hash__, __setattr__, __delattr__, __getstate__, __setstate__):
+    for method in (new, __repr__, __eq__, __hash__, __setattr__, __delattr__, __reduce__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         method.__module__ = cls.__module__
         setattr(cls, method.__name__, method)
-    cls._new = _Builder()
+    cls._new = classmethod(new)
     return cls
 
 
@@ -181,12 +148,11 @@ def _fill(cls, var: str, args: list[str], namespace: dict) -> list[str]:
     # the source lines that make var a cls holding the values named by args,
     # one per constructor field: var is made as an unfrozen twin class with
     # the same __slots__, its slots are filled by plain attribute stores
-    # (which CPython specialises to direct slot writes, where __init__'s
-    # descriptor __set__ calls each cost a method-wrapper call), then it
-    # becomes a cls by assigning its __class__ and runs __post_init__.  The
-    # twin and cls go into namespace, which must hold object.__new__ as
-    # _make_object
+    # (which CPython specialises to direct slot writes), then it becomes a
+    # cls by assigning its __class__ and runs __post_init__.  The twin, cls
+    # and object.__new__ go into namespace
     twin = type(f"_{cls.__name__}Builder", (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
+    namespace["_make_object"] = object.__new__
     namespace[f"_twin_{var}"] = twin
     namespace[f"_cls_{var}"] = cls
     flds = [f for f in fields(cls) if f.init]
@@ -198,21 +164,13 @@ def _fill(cls, var: str, args: list[str], namespace: dict) -> list[str]:
     return lines
 
 
-def _compile(name: str, args: list[str], lines: list[str], namespace: dict):
-    # the function name(*args) that runs lines and returns self
-    src = (f"def {name}({', '.join(args)}):\n"
-           + "".join(f"    {line}\n" for line in lines) + "    return self\n")
-    exec(src, namespace)
-    return namespace[name]
-
-
-def _flat_builder(cls, shared: tuple[str, ...], name: str = "_new_flat"):
+def _flat_builder(cls, shared: tuple[str, ...]):
     # a builder of cls and of the value types its fields hold, in one call:
     # it takes, in cls's field order, the constructor fields of each field's
     # value type (the class its annotation names in cls's module) in place
     # of that field, and the fields named in shared as they are, with no
     # defaults, and it builds each part and cls by _fill's twin classes
-    namespace = {"_make_object": object.__new__}
+    namespace: dict = {}
     scope = vars(sys.modules[cls.__module__])
     own = [f for f in fields(cls) if f.init]
     args: list[str] = []
@@ -226,22 +184,12 @@ def _flat_builder(cls, shared: tuple[str, ...], name: str = "_new_flat"):
             args += leaves
             lines += _fill(part, f.name, leaves, namespace)
     lines += _fill(cls, "self", [f.name for f in own], namespace)
-    new = _compile(name, args, lines, namespace)
-    new.__qualname__ = f"{cls.__qualname__}.{name}"
+    exec(f"def _new_flat({', '.join(args)}):\n"
+         + "".join(f"    {line}\n" for line in lines) + "    return self\n", namespace)
+    new = namespace["_new_flat"]
+    new.__qualname__ = f"{cls.__qualname__}._new_flat"
     new.__module__ = cls.__module__
     return new
-
-
-class _Builder:
-    # cls._new, the class call as a _flat_builder that shares every field,
-    # with the class's defaults, compiled on first use: built with every
-    # class, the builders of all the value types added about 3 % to the
-    # benchmark's set-up, which imports the package
-    def __get__(self, obj, cls):
-        new = _flat_builder(cls, tuple(f.name for f in fields(cls) if f.init), "_new")
-        new.__defaults__ = cls.__init__.__defaults__
-        cls._new = staticmethod(new)
-        return new
 
 
 # PolygonPatch's zero-area test: 8 units of roundoff (2**-53 each) per term

@@ -362,7 +362,9 @@ def step(
     solve, decides rest: its rest flag is set exactly when the slip speed
     is below the scenario's sigma_min.  A step whose slip speed is 0.0
     (friction absorbs all momentum) ends with exactly zero velocities and
-    an unchanged configuration apart from time.
+    an unchanged configuration apart from time.  A rest step that still
+    slips (0 < sigma < sigma_min) keeps its end-of-step velocities, the
+    momentum update's, and advances its pose by h times them.
     """
     records: list[TrajectoryRecord] = []
     _run(scen, state_u, records, 1, guess, False)
@@ -384,7 +386,9 @@ def simulate(scen: Scenario) -> list[TrajectoryRecord]:
     warm_sigma of the slip speeds of the last five steps.
 
     Stops early when a step is flagged as rest (its slip speed is below
-    sigma_min); the rest record is the terminal marker.  With
+    sigma_min); the rest record is the terminal marker.  Only a rest step
+    whose slip speed is 0.0 has zero velocities; one with 0 < sigma <
+    sigma_min keeps its end-of-step velocities, as step says.  With
     topple_policy "error", a step whose ECP leaves the support hull
     raises; the default policy "warn" records the flag, continues, and
     after the run emits one UserWarning naming the first such step and

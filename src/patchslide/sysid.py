@@ -87,7 +87,7 @@ def _reconstruct(
 def reconstruct(step: ObservedStep, m: float, I_z: float, q_z: float) -> Reconstruction:
     """Invert the velocity update for the friction impulse, then evaluate
     the slip velocity at the implied contact point offset."""
-    return Reconstruction._new(*_reconstruct(step.state_u, step.state_u1, step.applied, step.p_n, m, I_z, q_z))
+    return Reconstruction(*_reconstruct(step.state_u, step.state_u1, step.applied, step.p_n, m, I_z, q_z))
 
 
 def _estimate(
@@ -172,6 +172,9 @@ def batch_estimate(
     steps.  Medians rather than means: one-step estimates are heavy-tailed
     near sign changes of the slip components.  m, I_z and q_z are checked
     as SliderParams checks them; floor must be finite and nonnegative.
+    A transition that ends at an exact rest (slip speed 0.0) has zero end
+    velocities, so v_t = 0 and it is skipped as degenerate: a simulated run
+    that stops at such a rest loses its last transition.
     Raises AllDegenerateError when traj is empty or every step in it is
     degenerate."""
     _require(_finite(m, I_z, q_z), "slider parameters must be finite")
@@ -195,4 +198,4 @@ def batch_estimate(
     cols = list(zip(*per_step))
     meds = [median(c) for c in cols]
     mads = [median([abs(x - m_) for x in c]) for c, m_ in zip(cols, meds)]
-    return FrictionEstimate._new(meds[0], meds[1], meds[2], tuple(per_step), (mads[0], mads[1], mads[2]), skipped)
+    return FrictionEstimate(meds[0], meds[1], meds[2], tuple(per_step), (mads[0], mads[1], mads[2]), skipped)

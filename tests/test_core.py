@@ -305,7 +305,7 @@ def test_step_inputs_validation():
 # ------------------------------------------------------------- value types
 
 # the constructor signatures of the frozen dataclass-generated __init__s,
-# pinned: the slot-store __init__ must show the same names, defaults and
+# pinned: the compiled __new__ must show the same names, defaults and
 # annotations
 SIGNATURES = {
     "AnnulusPatch": "(r_in: 'float', r_out: 'float') -> None",
@@ -430,7 +430,7 @@ def _plain_dataclass(cls):
 
 def _unchecked(cls, values):
     # an instance of cls holding values, past its constructor's checks
-    obj = cls.__new__(cls)
+    obj = object.__new__(cls)
     for f, value in zip([f for f in dataclasses.fields(cls) if f.init], values):
         cls.__dict__[f.name].__set__(obj, value)
     return obj
@@ -486,11 +486,12 @@ def test_value_type_signature_is_unchanged(name):
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_value_type_round_trips(examples, name):
     obj = examples[name]
-    for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj)), deepcopy(obj)):
-        assert type(copy) is type(obj)
-        assert copy == obj
-        assert hash(copy) == hash(obj)
-        assert repr(copy) == repr(obj)
+    pickled = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for restored in (dataclasses.replace(obj), *pickled, copy(obj), deepcopy(obj)):
+        assert type(restored) is type(obj)
+        assert restored == obj
+        assert hash(restored) == hash(obj)
+        assert repr(restored) == repr(obj)
 
 
 def _init_fields(obj, **changes) -> list:
@@ -502,6 +503,8 @@ def _init_fields(obj, **changes) -> list:
 def test_builder_gives_what_the_class_call_gives(examples, name):
     cls = getattr(patchslide, name)
     args = _init_fields(examples[name])
+    # one compiled function is both the class call's __new__ and _new
+    assert "__init__" not in vars(cls) and cls._new.__func__ is cls.__new__
     want = cls(*args)
     got = cls._new(*args)
     assert type(got) is cls
@@ -607,28 +610,22 @@ def test_builder_runs_the_constructor_checks(examples):
         assert str(by_builder.value) == str(by_call.value), name
 
 
-def test_value_type_loads_pickles_of_unslotted_instances(examples):
-    # a pickle written when the value types kept a __dict__ carries that
-    # dict as the state; it must not be read as the list of field values
-    s = examples["SliderState"]
-    old = SliderState.__new__(SliderState)
-    old.__setstate__({f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
-    assert old == s
-    assert pickle.loads(pickle.dumps(s, protocol=0)) == s
-
-
 def test_unpickling_runs_the_constructor_checks():
-    # pickle.loads, copy and deepcopy restore a value type through
-    # __setstate__, which runs __post_init__ as the constructor does: a
-    # patch whose hull is a segment and an edited pickle are both rejected
+    # pickle.loads, copy and deepcopy restore a value type through the class
+    # call, which runs __post_init__: a patch whose hull is a segment and an
+    # edited pickle are both rejected
     verts = ((0.11288584381185873, -0.15283142922987214),
              (0.5617714068014281, -0.3342143955494309),
              (0.5893117124160843, -0.3453427158555344))
     with pytest.raises(ValidationError, match="zero area"):
         PolygonPatch(verts)
-    thin = PolygonPatch.__new__(PolygonPatch)
-    with pytest.raises(ValidationError, match="zero area"):
-        thin.__setstate__([verts])
+    thin = _unchecked(PolygonPatch, [verts])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValidationError, match="zero area"):
+            pickle.loads(pickle.dumps(thin, protocol))
+    for restore in (copy, deepcopy):
+        with pytest.raises(ValidationError, match="zero area"):
+            restore(thin)
     good = pickle.dumps(SliderParams(m=1.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE))
     assert good.count(struct.pack(">d", 1.5)) == 1
     edited = good.replace(struct.pack(">d", 1.5), struct.pack(">d", -1.5))
@@ -715,19 +712,15 @@ def test_polygon_patch_derives_its_hull_from_its_vertices():
     twin = PolygonPatch(L_VERTICES)
     assert twin == l_shape and hash(twin) == hash(l_shape) and _derived(twin) == _derived(l_shape)
     assert repr(l_shape) == f"PolygonPatch(vertices={L_VERTICES!r})"
-    assert l_shape.__getstate__() == [L_VERTICES]
+    assert l_shape.__reduce__() == (PolygonPatch, (L_VERTICES,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         l_shape.convex = True
 
 
 def test_polygon_patch_restores_recompute_the_derived_fields():
     l_shape = PolygonPatch(L_VERTICES)
-    old = PolygonPatch.__new__(PolygonPatch)
-    old.__setstate__({"vertices": L_VERTICES})
     restored = [
-        old,
-        pickle.loads(pickle.dumps(l_shape)),
-        pickle.loads(pickle.dumps(l_shape, protocol=0)),
+        *(pickle.loads(pickle.dumps(l_shape, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
         copy(l_shape),
         deepcopy(l_shape),
         dataclasses.replace(l_shape),

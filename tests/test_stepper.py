@@ -362,6 +362,30 @@ def test_simulate_stops_at_rest_with_terminal_marker(ex2_records, ex2_scenario):
     assert not any(r.diagnostics.rest_flag for r in ex2_records[:-1])
 
 
+def test_slow_slip_rest_keeps_its_end_of_step_velocities(ex1_scenario):
+    # a rest step with 0 < sigma < sigma_min ends the run, but only sigma == 0
+    # zeroes the velocities: this one keeps the momentum update's, and its
+    # pose advances by h times them
+    scen = dataclasses.replace(ex1_scenario, options=dataclasses.replace(ex1_scenario.options, sigma_min=0.1))
+    records = simulate(scen)
+    assert len(records) == 40
+    assert [r.diagnostics.rest_flag for r in records] == [False] * 39 + [True]
+    prev, last = records[-2].state, records[-1]
+    imp, a, s = last.impulses, last.applied, last.state
+    assert 0.0 < imp.sigma < 0.1
+    assert imp.sigma == pytest.approx(0.09987, abs=1e-5)
+    m, I_z, h = scen.params.m, scen.params.I_z, scen.h
+    assert s.v_x == prev.v_x + (imp.p_t + a.p_x) / m
+    assert s.v_y == prev.v_y + (imp.p_o + a.p_y) / m
+    assert s.w_z == prev.w_z + (imp.p_r + a.p_ztau) / I_z
+    assert s.v_x == pytest.approx(0.119, abs=1e-3) and s.w_z == pytest.approx(6.89, abs=1e-2)
+    assert (s.q_x, s.q_y, s.theta_z) == (prev.q_x + h * s.v_x, prev.q_y + h * s.v_y, prev.theta_z + h * s.w_z)
+    # step applies the same rule
+    rec = step(prev, scen)
+    assert rec.diagnostics.rest_flag and 0.0 < rec.impulses.sigma < 0.1
+    assert rec.state.v_x != 0.0 and rec.state.w_z != 0.0
+
+
 def test_zero_rotation_subspace_is_exactly_invariant():
     # no initial spin and no applied torque: p_r and w_z stay exactly zero
     scen = make_scenario(v=(0.9, -0.4), w_z=0.0, duration=0.2,

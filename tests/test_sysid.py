@@ -273,6 +273,28 @@ def test_batch_estimate_is_the_public_loop_on_the_bundled_examples(
         _check_batch_is_the_public_loop(_steps_from_records(scen, records), p.m, p.I_z, p.q_z)
 
 
+def test_batch_estimate_skips_the_transition_into_an_exact_rest(ex2_scenario, ex2_records, tmp_path):
+    # example2 ends at an exact rest, whose zero end velocities make v_t = 0:
+    # of its logged transitions, that last one alone is skipped
+    from patchslide import observed_steps, read_trajectory, write_trajectory
+    from patchslide.sysid import DEGENERACY_FLOOR
+
+    assert len(ex2_records) == 56 < round(ex2_scenario.duration / ex2_scenario.h) == 65
+    assert ex2_records[-1].impulses.sigma == 0.0 and ex2_records[-1].diagnostics.rest_flag
+    path = tmp_path / "example2.csv"
+    write_trajectory(ex2_records, path)
+    steps = observed_steps(read_trajectory(path))
+    p = ex2_scenario.params
+    assert len(steps) == 55
+    assert [_is_degenerate(reconstruct(s, p.m, p.I_z, p.q_z), s.p_n, DEGENERACY_FLOOR) for s in steps] == [False] * 54 + [True]
+    with pytest.raises(DegenerateStepError, match="v_t = 0 "):
+        one_step_estimate(reconstruct(steps[-1], p.m, p.I_z, p.q_z), steps[-1].p_n)
+    est = batch_estimate(steps, p.m, p.I_z, p.q_z)
+    assert est.n_skipped == 1 and len(est.per_step) == 54
+    f = ex2_scenario.friction
+    assert est.et2mu == pytest.approx(f.e_t * f.mu, rel=1e-9) == pytest.approx(0.31)
+
+
 def _is_degenerate(rec, p_n, floor) -> bool:
     try:
         one_step_estimate(rec, p_n, floor)
