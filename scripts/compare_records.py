@@ -11,7 +11,22 @@ workload does:
 * example1 under a table schedule with a stretch before its first row,
   rows held over several steps and lambda_z changing between rows;
 * example1 without spin, a pure translation (what the `translate` command
-  runs and checks against its closed form), at sigma_min 1e-6 and 0.05.
+  runs and checks against its closed form), at sigma_min 1e-6 and 0.05;
+
+and on three stick-slip cases, whose slider comes to rest under a load
+that later moves it again, so that a change to the rule that ends a run
+at a rest step shows in their records (mu*m*g = 1.52 N in each):
+
+* a constant 3 N push along x on a disk, against an initial v_x of -0.5,
+  -0.45, ..., -0.25 (six runs): it stops the slider within a few steps
+  and then drives it back, and one of the six (v_x = -0.3) passes through
+  zero velocity without a rest step;
+* example1 from rest under a table of 0.5 N, then 3 N from t = 0.1: at
+  rest under a load below the friction bound until the row above it
+  applies;
+* example3 from rest with force_mean 1 and force_amp 1: a pusher that
+  peaks at 2 N, so the slider rests in each trough and slides at each
+  peak.
 
     python3 scripts/compare_records.py dump --out change.json
     python3 scripts/compare_records.py dump --src ../parent/src --out parent.json
@@ -26,8 +41,10 @@ message.  `diff` prints, for each field, the largest change over a run
 relative to that field's largest magnitude in the run, the maximum over
 all runs, and counts the runs whose step counts, flags or iterations
 differ.  It names the runs that differ in error, step count, rest,
-in_hull or in_patch; a run whose iteration counts alone differ is only
-counted, since a change to the warm start moves most of them.  For each
+in_hull or in_patch, and says of a run whose step count differs whether
+its records agree over the shorter run's steps; a run whose iteration
+counts alone differ is only counted, since a change to the warm start
+moves most of them.  For each
 dump it prints every workload's total solve iterations and their mean per
 step, so that a change to the warm start reports its effect on the solve.
 Of the runs with equal step counts it also counts those, and their steps,
@@ -120,6 +137,20 @@ def dump(src: Path, out: Path) -> None:
         options = dataclasses.replace(ex1.options, sigma_min=sigma_min)
         scen = dataclasses.replace(ex1, initial=sliding, options=options)
         runs[f"examples/example1-translate-{sigma_min:g}"] = _run(ps, scen)
+    still = dataclasses.replace(ex1.initial, v_x=0.0, v_y=0.0, w_z=0.0)
+    disk = dataclasses.replace(ex1.params, patch=ps.DiskPatch(r=0.025))
+    push = ps.ConstantSchedule(ps.AppliedWrench(lambda_x=3.0))
+    for v_x in (-0.5, -0.45, -0.4, -0.35, -0.3, -0.25):
+        scen = dataclasses.replace(ex1, params=disk, initial=dataclasses.replace(still, v_x=v_x),
+                                   schedule=push, duration=0.5)
+        runs[f"examples/stick-slip-push{v_x:g}"] = _run(ps, scen)
+    table = ps.TableSchedule((0.0, 0.1), (ps.AppliedWrench(lambda_x=0.5), ps.AppliedWrench(lambda_x=3.0)))
+    runs["examples/stick-slip-table"] = _run(ps, dataclasses.replace(ex1, initial=still, schedule=table,
+                                                                      duration=0.5))
+    ex3 = ps.resolve_scenario("example3")
+    pusher = dataclasses.replace(ex3.schedule, force_mean=1.0, force_amp=1.0)
+    runs["examples/stick-slip-pusher"] = _run(ps, dataclasses.replace(ex3, initial=dataclasses.replace(
+        ex3.initial, v_x=0.0, v_y=0.0, w_z=0.0), schedule=pusher))
     out.write_text(json.dumps({"package": ps.__file__, "runs": runs}))
     print(f"{len(runs)} runs of {ps.__file__} written to {out}")
 
@@ -165,7 +196,10 @@ def diff(a_path: Path, b_path: Path) -> int:
             continue
         if ra["steps"] != rb["steps"]:
             differ["steps"] += 1
-            named.append(f"{key} (steps {ra['steps']} and {rb['steps']})")
+            n = min(ra["steps"], rb["steps"])
+            same = all(ra[k][:n] == rb[k][:n] for k in FLAGS + tuple(fields))
+            named.append(f"{key} (steps {ra['steps']} and {rb['steps']}, "
+                         f"{'equal' if same else 'different'} over the first {n})")
             continue
         flags = [flag for flag in FLAGS if ra[flag] != rb[flag]]
         for flag in flags:

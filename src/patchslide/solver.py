@@ -68,8 +68,8 @@ class SolveInfo:
     """Diagnostics for one solve: scalar iterations, final residual norm,
     whether friction stopped the slider within the step (sigma = 0), and
     number of starts used (1 for a sliding solve, 0 at rest).  Whether a
-    slow slip ends the run is the run's decision (stepper.step), not the
-    solve's."""
+    slow slip is rest, and whether a rest ends the run, is the stepper's
+    decision, not the solve's."""
 
     iters: int
     residual_norm: float

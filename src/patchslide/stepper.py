@@ -75,7 +75,8 @@ __all__ = [
 class StepDiagnostics:
     """Solver diagnostics attached to each record: newton_iters counts the
     scalar iterations of the slip-speed solve, rest_flag marks a slip
-    speed below the scenario's sigma_min (the run ends there), and
+    speed below the scenario's sigma_min (the run ends there when its load
+    holds a body at rest, as simulate says, and goes on otherwise), and
     wall_time covers the impulse solve only."""
 
     newton_iters: int
@@ -281,8 +282,9 @@ def _run(
     # state, each record appended to records as it is made.  guess is the
     # first solve's warm start (None or 0.0 for a cold start), and s1 ...
     # s5 hold warm_sigma's slip-speed history from there on.  It stops
-    # after a rest step, and after a step whose ECP leaves the hull when
-    # stop_outside is set.
+    # after a rest step whose load holds a body at rest (simulate says
+    # when), and after a step whose ECP leaves the hull when stop_outside
+    # is set.
     # Returns the indices of the steps outside the hull.  The per-step
     # calls are _solve_floats and _contains, looked up as module globals,
     # and the record's builder (plus AppliedImpulse._new for a pusher)
@@ -298,6 +300,11 @@ def _run(
     # it: a load that would fail does so at the step it applies to
     wrenches = held_wrenches(schedule)
     loads: list = [None] * len(wrenches)
+    # a rest ends the run only under the last held load, which never
+    # changes, and only when a step from zero velocity under it rests too
+    # (holds, decided at its first rest, when a step follows)
+    last = -1 if pusher else len(wrenches) - 1
+    holds = None
     k = 0 if pusher else hold_index(schedule, t)
     clock = time.perf_counter
     new_record, new_applied = _record_builder(), AppliedImpulse._new
@@ -343,8 +350,15 @@ def _run(
             if stop_outside:
                 break
         if rest:
-            break
-        s1, s2, s3, s4, s5 = sigma, s1, s2, s3, s4
+            if k == last and n + 1 < n_steps:
+                if holds is None:
+                    holds = _solve_floats(
+                        static, 0.0, 0.0, 0.0, p_x, p_y, p_xtau, p_ytau, p_ztau, p_n, None)[3] == 0.0
+                if holds:
+                    break
+            s1 = s2 = s3 = s4 = s5 = 0.0
+        else:
+            s1, s2, s3, s4, s5 = sigma, s1, s2, s3, s4
     return outside
 
 
@@ -364,7 +378,8 @@ def step(
     (friction absorbs all momentum) ends with exactly zero velocities and
     an unchanged configuration apart from time.  A rest step that still
     slips (0 < sigma < sigma_min) keeps its end-of-step velocities, the
-    momentum update's, and advances its pose by h times them.
+    momentum update's, and advances its pose by h times them.  Whether a
+    rest step ends a run is simulate's decision, not the step's.
     """
     records: list[TrajectoryRecord] = []
     _run(scen, state_u, records, 1, guess, False)
@@ -385,14 +400,18 @@ def simulate(scen: Scenario) -> list[TrajectoryRecord]:
     into the body frame.  Each step solves as step does, warm-started from
     warm_sigma of the slip speeds of the last five steps.
 
-    Stops early when a step is flagged as rest (its slip speed is below
-    sigma_min); the rest record is the terminal marker.  Only a rest step
-    whose slip speed is 0.0 has zero velocities; one with 0 < sigma <
-    sigma_min keeps its end-of-step velocities, as step says.  With
-    topple_policy "error", a step whose ECP leaves the support hull
-    raises; the default policy "warn" records the flag, continues, and
-    after the run emits one UserWarning naming the first such step and
-    their count.  Errors carry the prefix "step k: ".
+    A step whose slip speed is below sigma_min is flagged as rest.  It
+    ends the run only when its load holds a body at rest for good: not a
+    body pusher's, one that can no longer change (a constant schedule's, or
+    a table's past its last row), and one under which a step from zero
+    velocity has slip speed 0.0, decided at the load's first rest.  After
+    any other rest step the run goes on from its state with the slip-speed
+    history cleared.  Only a rest step whose slip speed is 0.0 has zero
+    velocities; one with 0 < sigma < sigma_min keeps its end-of-step
+    velocities, as step says.  With topple_policy "error", a step whose ECP
+    leaves the support hull raises; the default policy "warn" records the
+    flag, continues, and after the run emits one UserWarning naming the
+    first such step and their count.  Errors carry the prefix "step k: ".
     """
     n_steps = int(round(scen.duration / scen.h))
     records: list[TrajectoryRecord] = []

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled scenarios, their simulated trajectories, and a
 seeded generator of randomized per-step solver inputs."""
 
+import dataclasses
 import re
 import sys
 
@@ -9,16 +10,21 @@ import pytest
 
 from patchslide import (
     AppliedImpulse,
+    AppliedWrench,
+    BodyPusherSchedule,
+    ConstantSchedule,
     DiskPatch,
     FrictionParams,
     SliderParams,
     SliderState,
     StepInputs,
+    TableSchedule,
     resolve_scenario,
     simulate,
     solve_step_info,
 )
 import patchslide.stepper as stepper_module
+from patchslide.core import held_wrenches, hold_index
 from patchslide.errors import PatchSlideError, ToppleRiskError
 
 
@@ -120,16 +126,33 @@ def record_lines(records) -> list[str]:
     ]
 
 
+def holds_at_rest(scen, t: float) -> bool:
+    """Whether the load scen holds at time t holds a body at rest for
+    good: the schedule is not a body pusher, the load is its last (a
+    constant schedule, or a table past its last row), and a public step
+    from zero velocity under it is a rest step with slip speed 0.0."""
+    schedule = scen.schedule
+    if isinstance(schedule, BodyPusherSchedule):
+        return False
+    if hold_index(schedule, t) != len(held_wrenches(schedule)) - 1:
+        return False
+    still = dataclasses.replace(scen.initial, v_x=0.0, v_y=0.0, w_z=0.0, t=t)
+    return stepper_module.step(still, scen).impulses.sigma == 0.0
+
+
 def simulate_by_steps(scen) -> list:
     """simulate(scen) as a loop of public step calls, each given the
     warm_sigma of the last five slip speeds: every step computes its load
     and the solve's constants afresh, where simulate computes them once per
-    run.  It stops, prefixes errors and applies topple_policy "error" as
-    simulate does, and emits no warning."""
+    run.  A rest step ends it when its load holds_at_rest (asked only when
+    a step follows); after any other rest step it goes on from the rest
+    state with no slip-speed history.  It prefixes errors and applies
+    topple_policy "error" as simulate does, and emits no warning."""
     records = []
     state = scen.initial
     history = [0.0] * 5
-    for k in range(int(round(scen.duration / scen.h))):
+    n_steps = int(round(scen.duration / scen.h))
+    for k in range(n_steps):
         try:
             rec = stepper_module.step(state, scen, stepper_module.warm_sigma(*history))
         except PatchSlideError as e:
@@ -138,10 +161,46 @@ def simulate_by_steps(scen) -> list:
         if not rec.ecp.in_hull and scen.options.topple_policy == "error":
             raise ToppleRiskError(f"step {k}: equivalent contact point left the support hull")
         if rec.diagnostics.rest_flag:
-            break
+            try:
+                if k + 1 < n_steps and holds_at_rest(scen, state.t):
+                    break
+            except PatchSlideError as e:
+                raise type(e)(f"step {k + 1}: {e}") from e
+            history = [0.0] * 5
+        else:
+            history = [rec.impulses.sigma] + history[:4]
         state = rec.state
-        history = [rec.impulses.sigma] + history[:4]
     return records
+
+
+# ------------------------------------------------------------ stick-slip
+
+def stick_slip_scenarios() -> dict:
+    """Runs whose slider comes to rest under a load that later moves it
+    again, so a rest step must not end them (mu*m*g = 1.52 N in each):
+
+    * a constant 3 N push along x on a disk, against an initial v_x from
+      -0.5 to -0.25: five of the six land on a rest step, one (v_x = -0.3)
+      passes through zero velocity without one;
+    * from rest, a table of 0.5 N, then 3 N from t = 0.1;
+    * example3's pusher from rest, with force_mean 1 and force_amp 1, whose
+      push peaks at 2 N."""
+    ex1 = resolve_scenario("example1")
+    still = dataclasses.replace(ex1.initial, v_x=0.0, v_y=0.0, w_z=0.0)
+    out = {}
+    disk = dataclasses.replace(ex1.params, patch=DiskPatch(r=0.025))
+    for v_x in (-0.5, -0.45, -0.4, -0.35, -0.3, -0.25):
+        out[f"push{v_x:g}"] = dataclasses.replace(
+            ex1, params=disk, initial=dataclasses.replace(still, v_x=v_x),
+            schedule=ConstantSchedule(AppliedWrench(lambda_x=3.0)), duration=0.5)
+    out["table"] = dataclasses.replace(
+        ex1, initial=still, duration=0.5,
+        schedule=TableSchedule((0.0, 0.1), (AppliedWrench(lambda_x=0.5), AppliedWrench(lambda_x=3.0))))
+    ex3 = resolve_scenario("example3")
+    out["pusher"] = dataclasses.replace(
+        ex3, initial=dataclasses.replace(ex3.initial, v_x=0.0, v_y=0.0, w_z=0.0),
+        schedule=dataclasses.replace(ex3.schedule, force_mean=1.0, force_amp=1.0))
+    return out
 
 
 # --------------------------------------------------------- acceptance report

@@ -13,6 +13,8 @@ from patchslide import COLUMNS, bundled_scenario_text, read_trajectory, resolve_
 from patchslide.cli import main
 from patchslide.errors import NoConvergenceError, PatchSlideError, ToppleRiskError, ValidationError
 
+from conftest import stick_slip_scenarios
+
 TRANSLATE_YAML = """
 slider: {m: 0.5, I_z: 5.0e-4, q_z: 0.08}
 friction: {mu: 0.31, e_t: 1.0, e_o: 1.0, e_r: 0.01}
@@ -44,7 +46,7 @@ def test_simulate_bundled_example1(tmp_path, capsys):
     assert code == 0
     assert stderr == ""
     assert "steps 45/45" in stdout
-    assert "rest=no" in stdout
+    assert "rest=0" in stdout
     # solve time alone, then the whole run; the run contains every solve
     timing = re.search(r"solve (\d+\.\d{3}) ms/step  wall (\d+\.\d{3}) ms/step", stdout)
     assert timing is not None
@@ -186,12 +188,37 @@ def test_compare_stops_where_simulate_stops(tmp_path, capsys):
     code, sim_out, _ = run(capsys, "simulate", "--scenario", str(path),
                            "--out", str(tmp_path / "slow_rest.csv"))
     assert code == 0
-    assert "steps 40/45  rest=yes" in sim_out
+    assert "steps 40/45  rest=1" in sim_out
     last = read_trajectory(tmp_path / "slow_rest.csv")[-1]
     assert 0.0 < last["sigma"] < 0.1
     code, cmp_out, _ = run(capsys, "compare", "--scenario", str(path))
     assert code == 0
     assert re.search(r"^steps 40  ", cmp_out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("name", sorted(stick_slip_scenarios()))
+def test_compare_checks_runs_that_go_on_past_a_rest(tmp_path, capsys, name):
+    # every step of a run whose load moves the slider on after it rests,
+    # the rest steps and the cold-started steps after them included
+    scen = stick_slip_scenarios()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_scenario(scen))
+    code, stdout, _ = run(capsys, "compare", "--scenario", str(path))
+    assert code == 0
+    assert re.search(rf"^steps {round(scen.duration / scen.h)}  .*  dissipation_check_failures 0$",
+                     stdout, re.MULTILINE)
+
+
+def test_simulate_summary_counts_rest_steps(tmp_path, capsys):
+    # rest= counts the rest steps, of which a run that goes on past its
+    # rests has many
+    path = tmp_path / "pusher.json"
+    path.write_text(serialize_scenario(stick_slip_scenarios()["pusher"]))
+    code, stdout, _ = run(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "p.csv"))
+    assert code == 0
+    assert stdout.startswith("steps 300/300  rest=150  topple_steps=0  newton_iters min/mean/max 0/")
+    # each of them a stop, with slip speed 0.0
+    assert sum(row["sigma"] == 0.0 for row in read_trajectory(tmp_path / "p.csv")) == 150
 
 
 def _bits(value) -> tuple[str, ...]:
@@ -215,9 +242,9 @@ def test_compare_checks_each_record_simulate_wrote(name, capsys, monkeypatch):
         oracle_calls.append(inputs)
         return real_oracle(inputs)
 
-    def kkt(sol, inputs, seed):
+    def kkt(sol, inputs):
         kkt_calls.append((sol, inputs))
-        return real_kkt(sol, inputs, seed=seed)
+        return real_kkt(sol, inputs)
 
     monkeypatch.setattr("patchslide.oracle.oracle_solve_step", oracle)
     monkeypatch.setattr("patchslide.oracle.verify_kkt", kkt)
@@ -499,7 +526,7 @@ def test_translate_runs_to_rest(tmp_path, capsys):
     code, stdout, _ = run(capsys, "translate", "--scenario", str(scen), "--out", str(out))
     assert code == 0
     assert "steps 17/30" in stdout
-    assert "rest=yes" in stdout
+    assert "rest=1" in stdout
     rows = read_trajectory(out)
     assert len(rows) == 17
     assert rows[-1]["v_x"] == 0.0 and rows[-1]["v_y"] == 0.0
@@ -547,7 +574,7 @@ def test_translate_and_simulate_stop_at_the_same_step(tmp_path, capsys):
     text = serialize_scenario(replace(scen, initial=replace(scen.initial, w_z=0.0),
                                       options=replace(scen.options, sigma_min=0.05)))
     summary, csv = _simulate_and_translate(tmp_path, capsys, text)
-    assert summary.startswith("steps 36/45  rest=yes")
+    assert summary.startswith("steps 36/45  rest=1")
     assert 0.0 < read_trajectory(csv)[-1]["sigma"] < 0.05
 
 
@@ -770,6 +797,9 @@ _EDGE_FLAGS = {
     "sysid": ["--m", "--I-z", "--q-z", "--floor"],
     "quasistatic": ["--contact-x", "--contact-y", "--vx", "--vy", "--cm-x", "--cm-y", "--c"],
 }
+# compare no longer has a --seed (its dissipation check samples nothing):
+# every value of it must be refused as a usage error
+_REMOVED_FLAGS = {"--seed"}
 _EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
 # Left out: a huge but finite --duration whose step count is still a double
 # (1e300 at h = 0.01, say) on a scenario that never comes to rest, such as
@@ -804,8 +834,7 @@ def _edge_argv(command, extra, tmp_path, ex1_csv):
                          ids=[f"{c} {f}={v}" for c, f, v in _EDGE_CASES])
 def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, ex1_csv, command, flag, value):
     # a bad number fails with a package error or argparse's usage error
-    # (exit 1, for a value that --seed cannot parse as an int), never with
-    # a raw exception
+    # (exit 1, for a flag that no longer exists), never with a raw exception
     try:
         code = main(_edge_argv(command, f"{flag}={value}", tmp_path, ex1_csv))
     except SystemExit as e:
@@ -815,12 +844,13 @@ def test_numeric_flag_edges_end_in_an_exit_code(tmp_path, capsys, ex1_csv, comma
     assert "Traceback" not in captured.out + captured.err
     if code != 0:
         assert re.search(r"(^|: )error: ", captured.err, re.MULTILINE)
+    if flag in _REMOVED_FLAGS:
+        assert code == 1 and f"unrecognized arguments: {flag}={value}" in captured.err
 
 
 @pytest.mark.parametrize("command, extra, message", [
     ("simulate", "--h=1e-300", "normal impulse is too small"),
     ("simulate", "--duration=1e308", "the step count, overflows a double"),
-    ("compare", "--seed=-1", "seed must be nonnegative"),
     ("sysid", "--m=nan", "slider parameters must be finite"),
     ("sysid", "--m=-0.5", "mass must be positive"),
     ("sysid", "--floor=nan", "degeneracy floor must be finite and nonnegative"),
@@ -839,8 +869,8 @@ def test_bad_numbers_at_the_edge_are_validation_errors(tmp_path, capsys, ex1_csv
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["compare", "--scenario", "example1", "--seed=nan"], "argument --seed: invalid int value: 'nan'"),
-    (["compare", "--scenario", "example1", "--seed=1e308"], "argument --seed: invalid int value: '1e308'"),
+    (["compare", "--scenario", "example1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["compare", "--scenario", "example1", "--seed=nan"], "unrecognized arguments: --seed=nan"),
     (["simulate", "--h=0.01"], "the following arguments are required: --scenario"),
     (["simulate", "--scenario", "example1", "--h=abc"], "argument --h: invalid float value: 'abc'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),

@@ -115,17 +115,32 @@ def test_oracle_lists_every_root_and_returns_the_smallest(inp, smallest):
 
 
 def test_oracle_falls_back_to_the_floor_then_fails(monkeypatch):
-    # a target no polished point meets: the point of least residual is
+    # a contract no polished point meets: the point of least residual is
     # returned when it is within the failure floor, and OracleFailure
     # raised when it is not
     inp = step1_inputs()
-    monkeypatch.setattr(oracle_module, "_TARGET_REL", 0.0)
+    monkeypatch.setattr(oracle_module, "_TOL", 0.0)
+    monkeypatch.setattr(oracle_module, "_FLOOR_ULPS", 0.0)
     monkeypatch.setattr(oracle_module, "_NEWTON_ITERS", 0)
     ref = oracle_solve_step(inp)
     assert ref.sigma == pytest.approx(STEP1_SIGMA, abs=1e-9)
     monkeypatch.setattr(oracle_module, "_FLOOR_REL", 0.0)
     with pytest.raises(OracleFailure, match="residual floor not reached"):
         oracle_solve_step(inp)
+
+
+def test_oracle_holds_roots_to_the_solvers_contract_at_small_loads(monkeypatch):
+    # at (mu*p_n)^2 = 1e-6 a point of residual 1e-13 meets an absolute 1e-12
+    # but not the solver's 1e-12 relative to (mu*p_n)^2, nor its roundoff
+    # floor: the oracle passes over it to the true root above it
+    inp = dataclasses.replace(step1_inputs(), p_n=1e-3 / step1_inputs().friction.mu)
+    assert (inp.friction.mu * inp.p_n) ** 2 == pytest.approx(1e-6, rel=1e-12)
+    true_roots = _roots(inp)
+    (p_t, p_o, p_r, sigma), _ = true_roots[0]
+    impostor = ((p_t, p_o, p_r, 0.5 * sigma), 1e-13)
+    monkeypatch.setattr(oracle_module, "_roots", lambda inp: [impostor] + true_roots)
+    ref = oracle_solve_step(inp)
+    assert ref.sigma == sigma == pytest.approx(solve_step(inp).sigma, rel=1e-12)
 
 
 # ----------------------------------------------------------------- verify_kkt
@@ -156,8 +171,44 @@ def test_kkt_flags_sign_flip():
     assert not rep.dissipation_optimality
 
 
-def test_kkt_seed_changes_samples_not_verdict():
+def _turned(sol, inp, angle):
+    # sol's impulse on the ellipsoid, turned by angle in the ellipsoid's
+    # unit coordinates (p_i / e_i), about an axis normal to it and to z
+    f = inp.friction
+    e = np.array([f.e_t, f.e_o, f.e_r])
+    x = np.array([sol.p_t, sol.p_o, sol.p_r]) / e
+    axis = np.cross(x, [0.0, 0.0, 1.0])
+    axis /= np.linalg.norm(axis)
+    p = (x * math.cos(angle) + np.cross(axis, x) * math.sin(angle)) * e
+    return dataclasses.replace(sol, p_t=float(p[0]), p_o=float(p[1]), p_r=float(p[2]))
+
+
+def test_kkt_flags_an_impulse_turned_off_the_max_dissipation_direction():
+    # 1e-3 rad off the optimum the impulse dissipates 5.0e-7 less than
+    # the ellipsoid's support function allows; a check against sampled
+    # points of the ellipsoid passed it, the exact bound does not
     inp = step1_inputs()
     sol = solve_step(inp)
-    for seed in (0, 1, 1234):
-        assert verify_kkt(sol, inp, seed=seed).dissipation_optimality
+    bad = _turned(sol, inp, 1e-3)
+    rep = verify_kkt(bad, inp)
+    assert rep.ellipsoid_gap <= 1e-18
+    assert not rep.dissipation_optimality
+    # a tenth of that turn still fails; no turn passes
+    assert not verify_kkt(_turned(sol, inp, 1e-4), inp).dissipation_optimality
+    assert verify_kkt(_turned(sol, inp, 0.0), inp).dissipation_optimality
+
+
+def test_kkt_holds_rest_candidates_to_the_same_bound():
+    # a rest candidate's slip is zero up to roundoff, so the stopping
+    # impulse passes; half of it leaves the slider sliding against an
+    # impulse that dissipates too little, and fails
+    inp = StepInputs(
+        params=SliderParams(m=0.5, I_z=5e-4, q_z=0.08, g=9.8, patch=SQUARE),
+        friction=FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01),
+        state=SliderState(q_x=0, q_y=0, theta_z=0, v_x=0.02, v_y=-0.01, w_z=0.1, t=0.0),
+        applied=AppliedImpulse(p_x=0.001, p_ztau=1e-5), p_n=0.049)
+    rest = oracle_solve_step(inp)
+    assert rest.sigma == 0.0
+    assert verify_kkt(rest, inp).dissipation_optimality
+    half = dataclasses.replace(rest, p_t=0.5 * rest.p_t, p_o=0.5 * rest.p_o, p_r=0.5 * rest.p_r)
+    assert not verify_kkt(half, inp).dissipation_optimality

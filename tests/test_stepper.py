@@ -43,7 +43,7 @@ from patchslide import (
 )
 from patchslide.scenario import MIN_E_R
 
-from conftest import record_lines, simulate_by_steps
+from conftest import record_lines, simulate_by_steps, stick_slip_scenarios
 
 SQUARE = PolygonPatch(((-0.025, -0.025), (0.025, -0.025), (0.025, 0.025), (-0.025, 0.025)))
 ISO = FrictionParams(mu=0.31, e_t=1.0, e_o=1.0, e_r=0.01)
@@ -363,7 +363,8 @@ def test_simulate_stops_at_rest_with_terminal_marker(ex2_records, ex2_scenario):
 
 
 def test_slow_slip_rest_keeps_its_end_of_step_velocities(ex1_scenario):
-    # a rest step with 0 < sigma < sigma_min ends the run, but only sigma == 0
+    # a rest step with 0 < sigma < sigma_min under a load that holds a body
+    # at rest (example1's zero load) ends the run, but only sigma == 0
     # zeroes the velocities: this one keeps the momentum update's, and its
     # pose advances by h times them
     scen = dataclasses.replace(ex1_scenario, options=dataclasses.replace(ex1_scenario.options, sigma_min=0.1))
@@ -384,6 +385,61 @@ def test_slow_slip_rest_keeps_its_end_of_step_velocities(ex1_scenario):
     rec = step(prev, scen)
     assert rec.diagnostics.rest_flag and 0.0 < rec.impulses.sigma < 0.1
     assert rec.state.v_x != 0.0 and rec.state.w_z != 0.0
+
+
+@pytest.mark.parametrize("name", sorted(stick_slip_scenarios()))
+def test_a_rest_the_load_breaks_does_not_end_the_run(name):
+    # each run stops, or passes through zero velocity, and slides on under
+    # its load: it runs every planned step, with the warm-start history
+    # cleared after each rest step, as simulate_by_steps has it
+    scen = stick_slip_scenarios()[name]
+    records = simulate(scen)
+    assert len(records) == round(scen.duration / scen.h)
+    rests = [k for k, r in enumerate(records) if r.diagnostics.rest_flag]
+    for k in rests:
+        assert records[k].impulses.sigma == 0.0
+        assert (records[k].state.v_x, records[k].state.v_y, records[k].state.w_z) == (0.0, 0.0, 0.0)
+    assert not records[-1].diagnostics.rest_flag
+    assert record_lines(records) == record_lines(simulate_by_steps(scen))
+    if name == "pusher":
+        # at rest through each trough of the push, sliding at each peak
+        assert len(rests) == 150
+    elif name == "table":
+        # at rest under 0.5 N until the 3 N row applies
+        assert rests == list(range(11))
+        assert records[-1].state.v_x > 1.0
+    else:
+        # stopped against the push (all but v_x = -0.3), then pushed along +x
+        assert len(rests) == (0 if name == "push-0.3" else 1)
+        assert records[-1].state.v_x > 1.0
+
+
+def test_a_rest_the_load_holds_ends_the_run():
+    # a push along the motion below mu*m*g = 1.52 N: the slider stops and
+    # the load can never move it again, under a constant schedule and
+    # under a table past its last row
+    table = TableSchedule((0.0, 0.1), (AppliedWrench(lambda_x=0.5), AppliedWrench(lambda_x=1.0)))
+    for scen in (make_scenario(v=(0.3, 0.0), w_z=0.0, wrench=AppliedWrench(lambda_x=1.0), duration=0.5),
+                 make_scenario(v=(0.3, 0.0), w_z=0.0, schedule=table, duration=0.5)):
+        records = simulate(scen)
+        assert len(records) < round(scen.duration / scen.h)
+        assert [r.diagnostics.rest_flag for r in records] == [False] * (len(records) - 1) + [True]
+        assert records[-1].impulses.sigma == 0.0
+        assert records[-1].state.t > 0.1
+        assert record_lines(records) == record_lines(simulate_by_steps(scen))
+
+
+def test_a_rest_before_the_last_table_row_does_not_end_the_run():
+    # the same stop before the table's last row: the run goes on, resting
+    # step after step, until the last row holds the body
+    table = TableSchedule((0.0, 0.3), (AppliedWrench(lambda_x=1.0), AppliedWrench(lambda_x=0.5)))
+    scen = make_scenario(v=(0.1, 0.0), w_z=0.0, schedule=table, duration=0.5)
+    records = simulate(scen)
+    rests = [k for k, r in enumerate(records) if r.diagnostics.rest_flag]
+    assert rests == list(range(rests[0], len(records)))
+    assert records[rests[0]].state.t < 0.3 <= records[-1].state.t
+    assert len(records) < round(scen.duration / scen.h)
+    assert record_lines(records) == record_lines(simulate_by_steps(scen))
 
 
 def test_zero_rotation_subspace_is_exactly_invariant():
